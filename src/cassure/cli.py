@@ -8,7 +8,7 @@ File layout in the output directory (named after the model file's stem):
 * ``impact_report.json`` / ``plan.json`` — lifecycle reports
 
 All writes go through a temp file + rename so a crash never leaves a
-truncated artifact.  Exit codes: 0 all bounds hold and queries converged,
+truncated artifact.  Exit codes: 0 all bounds hold and queries were solved,
 1 a bound is violated, 2 any error.
 """
 
@@ -38,6 +38,11 @@ from .parsing import parse_model, parse_properties
 from .statespace import build_dtmc
 from .transform import ModelRef, build_argument, regenerate
 
+# Failures a command reports as an error (exit 2) and a watch cycle as a
+# failed cycle: the toolkit's own errors and unreadable input or unwritable
+# output files.
+_FAILURES = (CassureError, OSError)
+
 
 @dataclass
 class PipelineConfig:
@@ -46,7 +51,6 @@ class PipelineConfig:
     out: str
     constants: dict = field(default_factory=dict)
     epsilon: float = 1e-9
-    max_iters: int = 100_000
     poll_ms: int = 1000
     dot: bool = False
 
@@ -64,7 +68,7 @@ class PipelineConfig:
         return Path(self.out) / f"{self.stem}.dot"
 
     def solver(self):
-        return SolverConfig(epsilon=self.epsilon, max_iterations=self.max_iters)
+        return SolverConfig(epsilon=self.epsilon)
 
 
 def atomic_write(path, text):
@@ -104,8 +108,15 @@ def _parse_const(text):
     return name.strip(), value
 
 
-def resolve_config(config_file, model, props, out, const, epsilon, max_iters,
-                   poll_ms, dot) -> PipelineConfig:
+def _config_number(values, key, kind):
+    try:
+        return kind(values[key])
+    except ValueError:
+        raise CassureError(f"config key {key!r} is not a number: {values[key]!r}")
+
+
+def resolve_config(config_file, model, props, out, const, epsilon, poll_ms,
+                   dot) -> PipelineConfig:
     """Layer flags over the optional key=value config file."""
     base = load_config_file(config_file) if config_file else {}
     model = model or base.get("model")
@@ -134,15 +145,13 @@ def resolve_config(config_file, model, props, out, const, epsilon, max_iters,
         out = str(Path(model).parent)
     cfg = PipelineConfig(model, props, out, constants)
     if epsilon is None and "epsilon" in base:
-        epsilon = float(base["epsilon"])
-    if max_iters is None and "max_iters" in base:
-        max_iters = int(base["max_iters"])
+        epsilon = _config_number(base, "epsilon", float)
     if poll_ms is None and "poll_ms" in base:
-        poll_ms = int(base["poll_ms"])
+        poll_ms = _config_number(base, "poll_ms", int)
     if epsilon is not None:
+        if not epsilon > 0:
+            raise CassureError(f"epsilon must be positive, got {epsilon}")
         cfg.epsilon = epsilon
-    if max_iters is not None:
-        cfg.max_iters = max_iters
     if poll_ms is not None:
         cfg.poll_ms = poll_ms
     cfg.dot = dot or base.get("dot", "").lower() in ("1", "true", "yes")
@@ -204,7 +213,7 @@ def run_cycle(config: PipelineConfig):
     try:
         model_text, _, props, results = run_check(config)
         run_generate(config, model_text, props, results)
-    except CassureError as e:
+    except _FAILURES as e:
         return 2, f"cycle failed: {e}"
     violated = sum(1 for r in results if r.verdict is False)
     code = check_exit_code(results)
@@ -213,10 +222,10 @@ def run_cycle(config: PipelineConfig):
 
 
 def _fingerprint_file(path):
-    p = Path(path)
-    if not p.exists():
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except OSError:  # absent or unreadable: wait for it
         return None
-    return hashlib.sha256(p.read_bytes()).hexdigest()
 
 
 def watch_loop(config: PipelineConfig, max_cycles=None, log=None,
@@ -253,7 +262,6 @@ def _common_options(f):
         click.option("--out", type=click.Path(), default=None),
         click.option("--const", multiple=True, metavar="NAME=VALUE"),
         click.option("--epsilon", type=float, default=None),
-        click.option("--max-iters", type=int, default=None),
         click.option("--poll-ms", type=int, default=None),
         click.option("--dot", is_flag=True, default=False),
         click.option("--config", "config_file", type=click.Path(exists=True),
@@ -268,9 +276,8 @@ def _build_config(kwargs):
         return resolve_config(kwargs.pop("config_file"), kwargs.pop("model"),
                               kwargs.pop("props"), kwargs.pop("out"),
                               kwargs.pop("const"), kwargs.pop("epsilon"),
-                              kwargs.pop("max_iters"), kwargs.pop("poll_ms"),
-                              kwargs.pop("dot"))
-    except CassureError as e:
+                              kwargs.pop("poll_ms"), kwargs.pop("dot"))
+    except _FAILURES as e:
         _fail(e)
 
 
@@ -296,7 +303,7 @@ def check(**kwargs):
     try:
         _, _, _, results = run_check(config)
         atomic_write(config.results_path(), serialize_results(results))
-    except CassureError as e:
+    except _FAILURES as e:
         _fail(e)
     for r in results:
         click.echo(f"{r.property}: "
@@ -314,7 +321,7 @@ def generate(**kwargs):
     try:
         model_text, _, props, results = run_check(config)
         arg, warnings = run_generate(config, model_text, props, results)
-    except CassureError as e:
+    except _FAILURES as e:
         _fail(e)
     for w in warnings:
         click.echo(f"warning: {w}", err=True)
@@ -358,7 +365,7 @@ def ingest(events, **kwargs):
         evs = parse_monitor_events(Path(events).read_text())
         arg, report = ingest_monitor_events(arg, evs)
         atomic_write(config.argument_path(), serialize_dsl(arg))
-    except CassureError as e:
+    except _FAILURES as e:
         _fail(e)
     for gid, reason in report.reopened:
         click.echo(f"reopened {gid} ({reason})")
@@ -386,7 +393,7 @@ def impact(package_dir, fresh_results, baseline_results, **kwargs):
         report, arg = impact_analysis(arg, pkg, fresh, baseline)
         atomic_write(config.argument_path(), serialize_dsl(arg))
         atomic_write(Path(config.out) / "impact_report.json", report.to_json())
-    except CassureError as e:
+    except _FAILURES as e:
         _fail(e)
     click.echo(report.summary)
     sys.exit(0)
@@ -406,7 +413,7 @@ def plan(**kwargs):
         entries, arg, warnings = plan_regeneration(report, arg)
         atomic_write(config.argument_path(), serialize_dsl(arg))
         atomic_write(Path(config.out) / "plan.json", serialize_plan(entries))
-    except CassureError as e:
+    except _FAILURES as e:
         _fail(e)
     for w in warnings:
         click.echo(f"warning: {w}", err=True)
@@ -431,7 +438,7 @@ def apply_cmd(fresh_results, **kwargs):
         fresh = parse_results(Path(fresh_results).read_text())
         arg = apply_regeneration(arg, entries, fresh)
         atomic_write(config.argument_path(), serialize_dsl(arg))
-    except CassureError as e:
+    except _FAILURES as e:
         _fail(e)
     click.echo(f"applied {len(entries)} plan entries; wrote "
                f"{config.argument_path()}")

@@ -1,9 +1,10 @@
 """PCTL and expected-reward checking over the explicit DTMC.
 
-Qualitative probability-0/1 sets come from graph fixpoints; remaining states
-are solved by damped fixed-point sweeps (Gauss-Seidel by default) against the
-sparse matrix.  Bounds of exactly 0 or 1 are always decided qualitatively,
-never by comparing floats against 0.0/1.0.
+Qualitative probability-0/1 sets come from graph fixpoints; the remaining
+states are solved exactly by one sparse LU factorization of their linear
+system, and step-bounded reachability by repeated matrix-vector products.
+Bounds of exactly 0 or 1 are always decided qualitatively, never by comparing
+floats against 0.0/1.0.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import SolverError
-from .kernels import get_kernels, kernel_backend
-from .model import Expr, Lit, Unary
-from .parsing import render_path
+from .model import Lit
 from .statespace import StateSpace, label_states
 
 BOUND_TOL = 1e-9
@@ -27,21 +26,13 @@ BOUND_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Convergence is reached when the largest sweep change, scaled by
-    max(1, |value|), drops to epsilon (absolute for values <= 1, relative
-    above)."""
+    """A direct solve is accepted when its residual max|A x - b|, scaled by
+    max(1, max|x|), is at most epsilon."""
     epsilon: float = 1e-9
-    max_iterations: int = 100_000
-    method: str = "gauss-seidel"  # or "jacobi"
-    damping: float = 1.0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.method not in ("gauss-seidel", "jacobi"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -60,27 +51,24 @@ class VerificationResult:
 # Qualitative graph precomputation
 # --------------------------------------------------------------------------
 
-def _predecessors(space: StateSpace):
-    n = space.n_states
-    preds = [[] for _ in range(n)]
-    for i in range(n):
-        lo, hi = space.indptr[i], space.indptr[i + 1]
-        for j in space.indices[lo:hi]:
-            preds[j].append(i)
-    return preds
+def _rows_of(indptr, indices, rows):
+    """Concatenated column indices of the given CSR rows."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return indices[offsets + np.arange(offsets.size)]
 
 
 def _backward_reach(space, seeds_mask, allowed_mask):
     """States that reach a seed via allowed states (seeds always included)."""
-    preds = _predecessors(space)
+    indptr, preds = space.predecessors
     reached = seeds_mask.copy()
-    stack = list(np.flatnonzero(seeds_mask))
-    while stack:
-        j = stack.pop()
-        for i in preds[j]:
-            if not reached[i] and allowed_mask[i]:
-                reached[i] = True
-                stack.append(i)
+    frontier = np.flatnonzero(seeds_mask)
+    while frontier.size:
+        cand = _rows_of(indptr, preds, frontier)
+        cand = np.unique(cand[allowed_mask[cand] & ~reached[cand]])
+        reached[cand] = True
+        frontier = cand
     return reached
 
 
@@ -111,30 +99,51 @@ def prob1_states(space: StateSpace, phi, psi) -> np.ndarray:
 # Numeric solving
 # --------------------------------------------------------------------------
 
-def _solve_fixpoint(space, x, unknown, add, cfg):
-    """Iterate sweeps over the unknown states until convergence.
+def _solve_unknown(space, x, unknown, add, cfg):
+    """Solve (I - P_UU) x_U = add_U + P_UK x_K over the unknown states U,
+    with the known values x_K read from x, and write x_U into x.
 
-    Returns (iterations, residual); raises SolverError on non-convergence.
+    The 0/1 precompute leaves every unknown state a path out of U, which
+    makes I - P_UU nonsingular.  Returns the scaled residual
+    max|A x_U - b| / max(1, max|x_U|); raises SolverError when the
+    factorization is singular or the residual exceeds cfg.epsilon.
     """
-    gs, jacobi, _ = get_kernels()
-    sweep = gs if cfg.method == "gauss-seidel" else jacobi
-    indptr, indices, data = space.indptr, space.indices, space.data
-    unknown = np.asarray(unknown, dtype=np.int64)
-    if unknown.size == 0:
-        return 0, 0.0
-    residual = math.inf
-    for it in range(1, cfg.max_iterations + 1):
-        if cfg.damping != 1.0:
-            before = x[unknown].copy()
-            residual = sweep(indptr, indices, data, x, unknown, add)
-            x[unknown] = before + cfg.damping * (x[unknown] - before)
-        else:
-            residual = sweep(indptr, indices, data, x, unknown, add)
-        if residual <= cfg.epsilon:
-            return it, float(residual)
-    raise SolverError(
-        f"no convergence after {cfg.max_iterations} iterations "
-        f"(residual {residual:.3e})")
+    m = unknown.size
+    if m == 0:
+        return 0.0
+    # Imported here, not at module level: scipy roughly doubles the start-up
+    # time of the `cassure` command, and the lifecycle commands never solve.
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
+    pos = np.full(space.n_states, -1, dtype=np.int64)
+    pos[unknown] = np.arange(m)
+    src = pos[space.row_ids]
+    edges = src >= 0
+    r, c, p = src[edges], space.indices[edges], space.data[edges]
+    rc = pos[c]
+    inner = rc >= 0
+    b = add[unknown] + np.bincount(r[~inner], weights=p[~inner] * x[c[~inner]],
+                                   minlength=m)
+    diag = np.arange(m)
+    a = csc_matrix((np.concatenate([np.ones(m), -p[inner]]),
+                    (np.concatenate([diag, r[inner]]),
+                     np.concatenate([diag, rc[inner]]))), shape=(m, m))
+    try:
+        sol = splu(a).solve(b)
+    except RuntimeError as e:  # SuperLU reports an exactly singular factor
+        raise SolverError(f"singular system over {m} unknown states: {e}")
+    residual = float(np.max(np.abs(a @ sol - b)) / max(1.0, np.max(np.abs(sol))))
+    if not residual <= cfg.epsilon:
+        raise SolverError(f"direct solve over {m} unknown states missed the "
+                          f"residual bound ({residual:.3e} > {cfg.epsilon:g})")
+    x[unknown] = sol
+    return residual
+
+
+def _numeric_stats(unknown, residual):
+    return {"iterations": 0, "residual": residual,
+            "engine": "sparse-lu" if unknown.size else "graph"}
 
 
 def until_probability(space: StateSpace, phi, psi, cfg=SolverConfig()):
@@ -146,10 +155,9 @@ def until_probability(space: StateSpace, phi, psi, cfg=SolverConfig()):
     x = np.zeros(space.n_states, dtype=np.float64)
     x[one] = 1.0
     unknown = np.flatnonzero(~zero & ~one)
-    add = np.zeros(space.n_states, dtype=np.float64)
-    iters, residual = _solve_fixpoint(space, x, unknown, add, cfg)
+    residual = _solve_unknown(space, x, unknown, np.zeros(space.n_states), cfg)
     np.clip(x, 0.0, 1.0, out=x)
-    return x, {"iterations": iters, "residual": residual}
+    return x, _numeric_stats(unknown, residual)
 
 
 def eventually_probability(space, psi, cfg=SolverConfig()):
@@ -168,14 +176,13 @@ def bounded_eventually_probability(space, psi, k, cfg=SolverConfig()):
     if k < 0:
         raise ValueError("step bound must be >= 0")
     psi_m = _as_mask(space, psi)
-    _, _, step = get_kernels()
-    absorbing = np.flatnonzero(psi_m).astype(np.int64)
-    x = np.zeros(space.n_states, dtype=np.float64)
-    x[psi_m] = 1.0
+    x = psi_m.astype(np.float64)
     for _ in range(k):
-        x = step(space.indptr, space.indices, space.data, x, absorbing)
+        x = np.bincount(space.row_ids, weights=space.data * x[space.indices],
+                        minlength=space.n_states)
+        x[psi_m] = 1.0
     np.clip(x, 0.0, 1.0, out=x)
-    return x, {"iterations": k, "residual": 0.0}
+    return x, {"iterations": k, "residual": 0.0, "engine": "matvec"}
 
 
 def reach_reward(space: StateSpace, reward_name, psi, cfg=SolverConfig()):
@@ -189,21 +196,17 @@ def reach_reward(space: StateSpace, reward_name, psi, cfg=SolverConfig()):
     r[~one] = np.inf
     r[psi_m] = 0.0
     unknown = np.flatnonzero(one & ~psi_m)
-    # Successor values outside `one` never feed back into unknown states, but
-    # keep the sweep well-defined by masking infinities out of the accumulator.
+    # Every successor of an unknown state lies in `one`, so the infinities
+    # never enter the system; mask them out of the known values anyway.
     x = np.where(np.isinf(r), 0.0, r)
-    iters, residual = _solve_fixpoint(space, x, unknown, rew, cfg)
+    residual = _solve_unknown(space, x, unknown, rew, cfg)
     r[unknown] = x[unknown]
-    return r, {"iterations": iters, "residual": residual}
+    return r, _numeric_stats(unknown, residual)
 
 
 # --------------------------------------------------------------------------
 # Property dispatch
 # --------------------------------------------------------------------------
-
-def _not(mask):
-    return ~mask
-
 
 def _path_vector(space, path, cfg):
     if path.kind == "F":
@@ -248,12 +251,11 @@ def check_property(space: StateSpace, prop, cfg=SolverConfig()) -> VerificationR
     """Check one property; queries return the initial-state value."""
     t0 = time.perf_counter()
     fingerprint = model_fingerprint(space, prop)
-    tag = f"{cfg.method}/{kernel_backend(get_kernels()[0])}"
 
     if prop.kind == "R_query":
         vec, stats = reach_reward(space, prop.reward, prop.path.target, cfg)
         v = vec[space.initial]
-        stats = dict(stats, wall_ms=_ms(t0), engine=tag)
+        stats = dict(stats, wall_ms=_ms(t0))
         if math.isinf(v):
             return VerificationResult(prop.name, "reward", None, True,
                                       stats=stats, model_fingerprint=fingerprint)
@@ -262,7 +264,7 @@ def check_property(space: StateSpace, prop, cfg=SolverConfig()) -> VerificationR
 
     if prop.kind == "P_query":
         vec, stats = _path_vector(space, prop.path, cfg)
-        stats = dict(stats, wall_ms=_ms(t0), engine=tag)
+        stats = dict(stats, wall_ms=_ms(t0))
         return VerificationResult(prop.name, "probability", float(vec[space.initial]),
                                   stats=stats, model_fingerprint=fingerprint)
 
@@ -272,7 +274,7 @@ def check_property(space: StateSpace, prop, cfg=SolverConfig()) -> VerificationR
     value = None
     if prop.bound in (0.0, 1.0):
         verdict = _qualitative_verdict(space, prop.path, prop.bound_op, prop.bound)
-        stats = {"iterations": 0, "residual": 0.0}
+        stats = {"iterations": 0, "residual": 0.0, "engine": "graph"}
     if verdict is None:
         vec, stats = _path_vector(space, prop.path, cfg)
         value = float(vec[space.initial])
@@ -283,7 +285,7 @@ def check_property(space: StateSpace, prop, cfg=SolverConfig()) -> VerificationR
             verdict = value <= prop.bound + BOUND_TOL if prop.bound in (0.0, 1.0) \
                 else value <= prop.bound
         marginal = abs(value - prop.bound) <= BOUND_TOL
-    stats = dict(stats, wall_ms=_ms(t0), engine=tag)
+    stats = dict(stats, wall_ms=_ms(t0))
     return VerificationResult(prop.name, "boolean", value, verdict=bool(verdict),
                               marginal=marginal, stats=stats,
                               model_fingerprint=fingerprint)

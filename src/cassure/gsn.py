@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .diagnostics import CassureError, Diagnostic
+from .parsing import _unquote
 
 NODE_KINDS = ("goal", "strategy", "solution", "context")
 
@@ -118,9 +119,6 @@ class ArgumentModel:
 
     def node_ids(self):
         return {n.id for n in self.nodes}
-
-    def annotations_of(self, node_id):
-        return [a for a in self.annotations if a.node_id == node_id]
 
     def stereotypes_of(self, node_id):
         return {a.name for a in self.annotations
@@ -283,10 +281,6 @@ def serialize_dsl(arg: ArgumentModel) -> str:
 
 
 _STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
-
-
-def _unquote(s):
-    return s[1:-1].replace('\\"', '"').replace("\\\\", "\\")
 
 
 class _DslParser:

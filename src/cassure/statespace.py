@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,6 @@ class BuildDiagnostics:
     deadlock_states_fixed: int = 0
     deadlock_samples: list = field(default_factory=list)
     nondeterministic_states: int = 0
-    range_violations: list = field(default_factory=list)
 
 
 @dataclass
@@ -58,6 +58,21 @@ class StateSpace:
     def row(self, i):
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.data[lo:hi]
+
+    @cached_property
+    def row_ids(self):
+        """Source state of every stored transition, aligned with `indices`."""
+        return np.repeat(np.arange(self.n_states), np.diff(self.indptr))
+
+    @cached_property
+    def predecessors(self):
+        """The transpose pattern as CSR (indptr, indices): row j lists the
+        states with a transition into j, in ascending order."""
+        order = np.argsort(self.indices, kind="stable")
+        counts = np.bincount(self.indices, minlength=self.n_states)
+        indptr = np.zeros(self.n_states + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return indptr, self.row_ids[order]
 
 
 def _enabled_units(bound, valuation):

@@ -74,14 +74,14 @@ def test_criterion_3_closed_forms(model_ast):
     no_rad = build_dtmc(bind_constants(model_ast, {"p_rad_crit": 0.0,
                                                    "p_rad_med": 0.0}))
     p = check_properties(no_rad, parse_properties('"P_succ": P=? [F loc=4]'))[0]
-    ok = abs(p.value - 0.96059601) <= 1e-9
+    ok = abs(p.value - pinned.P_SUCC_NO_RADIATION) <= 1e-9
 
     determ = build_dtmc(bind_constants(model_ast, {
         "p_rad_crit": 0.0, "p_rad_med": 0.0, "p_err": 0.0}))
     rs = check_properties(determ, parse_properties(
         '"R_moves": R{"moves"}=? [F (loc=4 | loc=5 | loc=6)]\n'
         '"P_forb": P<=0 [F loc=5]'))
-    ok = ok and abs(rs[0].value - 12.0) <= 1e-6
+    ok = ok and abs(rs[0].value - pinned.R_MOVES_DETERMINISTIC) <= 1e-6
     ok = ok and rs[1].verdict is True and rs[1].stats["iterations"] == 0
     report(3, ok, "closed forms: P_succ=0.99^4, R_moves=12, P_forb=0 "
                   "(qualitative)")

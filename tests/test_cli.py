@@ -68,10 +68,33 @@ def test_config_file_overridden_by_flags(tmp_path, workdir):
     values = load_config_file(cfg)
     assert values["epsilon"] == "1e-6"
     config = resolve_config(str(cfg), None, None, None, (), 1e-10, None,
-                            None, False)
+                            False)
     assert config.model == str(workdir / "nuclear.prism")
     assert config.epsilon == 1e-10  # flag wins
     assert config.out == str(workdir / "cfg_out")
+
+
+def test_nonpositive_epsilon_exits_2(workdir):
+    r = invoke("check", "--model", str(workdir / "nuclear.prism"),
+               "--out", str(workdir / "out"), "--epsilon", "0")
+    assert r.exit_code == 2
+    assert "error: epsilon must be positive" in r.output
+
+
+def test_bad_config_number_exits_2(tmp_path, workdir):
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(f"model={workdir / 'nuclear.prism'}\nepsilon=tiny\n")
+    r = invoke("check", "--config", str(cfg), "--out", str(workdir / "out"))
+    assert r.exit_code == 2
+    assert "error: config key 'epsilon' is not a number" in r.output
+
+
+def test_missing_props_file_exits_2(workdir):
+    r = invoke("check", "--model", str(workdir / "nuclear.prism"),
+               "--props", str(workdir / "absent.props"),
+               "--out", str(workdir / "out"))
+    assert r.exit_code == 2
+    assert "error:" in r.output and "absent.props" in r.output
 
 
 def test_const_parsing_errors(workdir):
@@ -164,6 +187,27 @@ def test_watch_failure_isolation(workdir):
     assert "cycle failed" in lines[1]
     # the broken cycle left the previous argument bit-identical
     assert (workdir / "out" / "nuclear.gsn").read_bytes() == good
+
+
+def test_watch_survives_unwritable_output(workdir):
+    # The first cycle cannot create its output directory (an OSError); the
+    # loop logs the failure and runs the next cycle once the inputs change.
+    blocker = workdir / "blocker"
+    blocker.write_text("a file where the output directory should go\n")
+    config = make_config(workdir)
+    config.out = str(blocker / "out")
+    lines = []
+    props_file = workdir / "nuclear.props"
+
+    def fake_sleep(_):
+        blocker.unlink()
+        props_file.write_text(props_file.read_text() + "\n")
+    cycles = watch_loop(config, max_cycles=2, log=lines.append,
+                        sleep=fake_sleep)
+    assert cycles == 2
+    assert "exit=2 cycle failed" in lines[0]
+    assert "exit=1 checked 17 properties" in lines[1]
+    assert (blocker / "out" / "nuclear.gsn").exists()
 
 
 def test_lifecycle_commands_end_to_end(workdir):

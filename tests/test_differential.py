@@ -1,0 +1,100 @@
+"""Differential test of the engine against the exact-rational oracle.
+
+Hypothesis draws small chains as hand-built StateSpaces: every row spreads
+eight eighths of probability over random successors, with random phi/psi
+masks and a reward vector.  The oracle's generic Fraction functions over
+`rows` give the exact answers.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracle
+from cassure import bind_constants, parse_model
+from cassure.engine import (
+    bounded_eventually_probability, prob0_states, prob1_states, reach_reward,
+    until_probability,
+)
+from cassure.statespace import BuildDiagnostics, StateSpace
+
+EIGHTHS = 8
+BOUND = bind_constants(parse_model(
+    "dtmc\nmodule m\n  s : [0..11] init 0;\n  [] true -> (s'=s);\nendmodule\n"))
+
+
+@st.composite
+def chains(draw):
+    n = draw(st.integers(2, 12))
+    state = st.integers(0, n - 1)
+    rows = []
+    for _ in range(n):
+        row = {}
+        for j in draw(st.lists(state, min_size=EIGHTHS, max_size=EIGHTHS)):
+            row[j] = row.get(j, Fraction(0)) + Fraction(1, EIGHTHS)
+        rows.append(row)
+    masks = st.lists(st.booleans(), min_size=n, max_size=n)
+    phi, psi = draw(masks), draw(masks)
+    reward = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    return rows, phi, psi, reward
+
+
+def as_space(rows, reward):
+    n = len(rows)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indices, data = [], []
+    for i, row in enumerate(rows):
+        for j in sorted(row):
+            indices.append(j)
+            data.append(float(row[j]))
+        indptr[i + 1] = len(indices)
+    return StateSpace(BOUND, ("s",), [(i,) for i in range(n)], 0, indptr,
+                      np.array(indices, dtype=np.int64),
+                      np.array(data, dtype=np.float64),
+                      {"r": np.array(reward, dtype=np.float64)},
+                      BuildDiagnostics())
+
+
+def assert_close(vec, exact):
+    for v, e in zip(vec, exact):
+        if e is None:
+            assert v == np.inf
+        else:
+            assert abs(v - float(e)) <= 1e-9 * max(1.0, abs(float(e))), (v, e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chains(), st.integers(0, 6))
+def test_engine_agrees_with_exact_oracle(chain, k):
+    rows, phi, psi, reward = chain
+    n = len(rows)
+    space = as_space(rows, reward)
+    phi_m, psi_m = np.array(phi), np.array(psi)
+    phi_f, psi_f = phi.__getitem__, psi.__getitem__
+
+    def as_set(mask):
+        return set(np.flatnonzero(mask).tolist())
+
+    assert as_set(prob0_states(space, phi_m, psi_m)) == oracle.prob0(rows, n, phi_f, psi_f)
+    assert as_set(prob1_states(space, phi_m, psi_m)) == oracle.prob1(rows, n, phi_f, psi_f)
+    assert_close(until_probability(space, phi_m, psi_m)[0],
+                 oracle.until_probability(rows, n, phi_f, psi_f))
+    assert_close(reach_reward(space, "r", psi_m)[0],
+                 oracle.reach_reward(rows, n, reward.__getitem__, psi_f))
+    assert_close(bounded_eventually_probability(space, psi_m, k)[0],
+                 oracle.bounded_eventually(rows, n, psi_f, k))
+
+
+@pytest.mark.parametrize("n", [2, 12])
+def test_escape_chain_reward(n):
+    # From state i, 1/8 moves on to i+1 and 7/8 falls back to 0; the last
+    # state is the target.  The expected step count grows like 8^n, the
+    # worst-conditioned system the strategy above can draw.
+    rows = [{0: Fraction(7, 8), i + 1: Fraction(1, 8)} for i in range(n - 1)]
+    rows.append({n - 1: Fraction(1)})
+    psi = [i == n - 1 for i in range(n)]
+    space = as_space(rows, [1] * n)
+    exact = oracle.reach_reward(rows, n, lambda i: 1, psi.__getitem__)
+    assert_close(reach_reward(space, "r", np.array(psi))[0], exact)

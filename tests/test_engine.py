@@ -10,8 +10,8 @@ from cassure import (
     result_fingerprint, serialize_results,
 )
 from cassure.engine import (
-    bounded_eventually_probability, eventually_probability, prob0_states,
-    prob1_states, reach_reward, until_probability,
+    _solve_unknown, bounded_eventually_probability, eventually_probability,
+    prob0_states, prob1_states, reach_reward, until_probability,
 )
 from cassure.model import Binary, Lit, Name
 
@@ -51,17 +51,15 @@ def test_qualitative_bounds_report_zero_iterations(by_name):
         if name == "P_noOpOutside":
             continue
         assert by_name[name].stats["iterations"] == 0
+        assert by_name[name].stats["engine"] == "graph"
 
 
-def test_jacobi_agrees_with_gauss_seidel(space, props):
-    jac = check_properties(space, props, SolverConfig(method="jacobi"))
-    gs = {r.property: r for r in check_properties(space, props)}
-    for r in jac:
-        g = gs[r.property]
-        assert r.verdict is g.verdict
-        assert r.infinite == g.infinite
-        if r.value is not None:
-            assert r.value == pytest.approx(g.value, abs=1e-8)
+def test_stats_name_the_engine_that_ran(by_name):
+    assert by_name["P_succ"].stats["engine"] == "sparse-lu"
+    assert by_name["P_succ"].stats["iterations"] == 0
+    assert 0.0 <= by_name["P_succ"].stats["residual"] <= SolverConfig().epsilon
+    assert by_name["P_timeBound"].stats["engine"] == "matvec"
+    assert by_name["P_timeBound"].stats["iterations"] == 5
 
 
 # ---- trivial hand-solvable chains ----
@@ -94,6 +92,14 @@ def test_toy_prob01_sets(toy):
     lab = {toy.valuation(s)["x"]: s for s in range(toy.n_states)}
     assert p0[lab[2]] and not p0[lab[0]] and not p0[lab[1]]
     assert p1[lab[1]] and not p1[lab[0]] and not p1[lab[2]]
+
+
+def test_termination_not_almost_sure(space):
+    terminal = Binary("|", Binary("|", Binary("=", Name("loc"), Lit(4)),
+                                  Binary("=", Name("loc"), Lit(5))),
+                      Binary("=", Name("loc"), Lit(6)))
+    one = prob1_states(space, Lit(True), terminal)
+    assert bool(one[space.initial]) is pinned.INIT_ALMOST_SURELY_TERMINATES
 
 
 def test_toy_bounded(toy):
@@ -135,12 +141,16 @@ def test_bounded_monotone_in_k(space):
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-def test_nonconvergence_raises():
-    props = parse_properties('"p": P=? [F loc = 4]')
-    with pytest.raises(SolverError, match="converge"):
-        space = build_dtmc(bind_constants(parse_model(
-            open("case_study/nuclear.prism").read())))
-        check_properties(space, props, SolverConfig(max_iterations=1))
+def test_singular_block_raises():
+    # A closed 2-cycle never leaves the block, so I - P_UU is singular; the
+    # 0/1 precompute would never hand it to the solve.
+    space = build_dtmc(bind_constants(parse_model(
+        "dtmc\nmodule m\n  x : [0..1] init 0;\n  [] true -> (x'=1-x);\n"
+        "endmodule\n")))
+    x = np.zeros(space.n_states)
+    with pytest.raises(SolverError, match="singular"):
+        _solve_unknown(space, x, np.arange(space.n_states), np.ones(space.n_states),
+                       SolverConfig())
 
 
 # ---- rendering and records ----
