@@ -163,7 +163,7 @@ def resolve_config(config_file, model, props, out, const, epsilon, poll_ms,
 # --------------------------------------------------------------------------
 
 def run_check(config: PipelineConfig):
-    """Parse, build, verify.  Returns (model text, bound model, props, results)."""
+    """Parse, build, verify.  Returns (model text, state space, props, results)."""
     model_text = Path(config.model).read_text()
     props_text = Path(config.props).read_text()
     ast = parse_model(model_text, file=config.model)
@@ -175,7 +175,7 @@ def run_check(config: PipelineConfig):
     bound = bind_constants(ast, config.constants)
     space = build_dtmc(bound)
     results = check_properties(space, props, config.solver())
-    return model_text, bound, props, results
+    return model_text, space, props, results
 
 
 def check_exit_code(results):
@@ -301,10 +301,14 @@ def check(**kwargs):
     """Verify all properties and write result records."""
     config = _build_config(kwargs)
     try:
-        _, _, _, results = run_check(config)
+        _, space, _, results = run_check(config)
         atomic_write(config.results_path(), serialize_results(results))
     except _FAILURES as e:
         _fail(e)
+    d = space.diagnostics
+    click.echo(f"built {space.n_states} states, {space.indices.size} transitions "
+               f"({d.nondeterministic_states} states resolved by uniform choice, "
+               f"{d.deadlock_states_fixed} deadlocks fixed)")
     for r in results:
         click.echo(f"{r.property}: "
                    + ("holds" if r.verdict else "violated" if r.verdict is False

@@ -42,7 +42,12 @@ class BindError(CassureError):
 
 
 class EvalError(CassureError):
-    pass
+    """An expression that cannot be evaluated.  A vectorized evaluation sets
+    `row` to the first row that failed."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class BuildError(CassureError):

@@ -187,11 +187,19 @@ def bounded_eventually_probability(space, psi, k, cfg=SolverConfig()):
 
 def reach_reward(space: StateSpace, reward_name, psi, cfg=SolverConfig()):
     """Expected cumulated reward until psi; +inf where P(F psi) < 1."""
+    rew = _reward_vector(space, reward_name)
+    psi_m = _as_mask(space, psi)
+    return _reach_reward(space, rew, psi_m, prob1_states(space, Lit(True), psi_m),
+                         cfg)
+
+
+def _reward_vector(space, reward_name):
     if reward_name not in space.rewards:
         raise SolverError(f"unknown reward structure '{reward_name}'")
-    rew = space.rewards[reward_name]
-    psi_m = _as_mask(space, psi)
-    one = prob1_states(space, Lit(True), psi_m)
+    return space.rewards[reward_name]
+
+
+def _reach_reward(space, rew, psi_m, one, cfg):
     r = np.zeros(space.n_states, dtype=np.float64)
     r[~one] = np.inf
     r[psi_m] = 0.0
@@ -253,8 +261,14 @@ def check_property(space: StateSpace, prop, cfg=SolverConfig()) -> VerificationR
     fingerprint = model_fingerprint(space, prop)
 
     if prop.kind == "R_query":
-        vec, stats = reach_reward(space, prop.reward, prop.path.target, cfg)
-        v = vec[space.initial]
+        rew = _reward_vector(space, prop.reward)
+        psi_m = _as_mask(space, prop.path.target)
+        one = prob1_states(space, Lit(True), psi_m)
+        if one[space.initial]:
+            vec, stats = _reach_reward(space, rew, psi_m, one, cfg)
+            v = vec[space.initial]
+        else:  # psi is missed with positive probability: +inf, nothing to solve
+            v, stats = math.inf, {"iterations": 0, "residual": 0.0, "engine": "graph"}
         stats = dict(stats, wall_ms=_ms(t0))
         if math.isinf(v):
             return VerificationResult(prop.name, "reward", None, True,

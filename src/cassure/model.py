@@ -6,13 +6,17 @@ formulas, module-local variables with bounded integer or boolean ranges,
 probabilistic guarded commands, state-reward structures, and the property
 forms P=?/P>=b/P<=b over F, bounded F, G and U paths plus R{"name"}=? over F.
 
-All AST values are immutable; evaluation is pure.
+All AST values are immutable; evaluation is pure.  `eval_expr` walks the
+tree for one valuation; `compile_expr` turns a bound expression into one
+numpy evaluation over many states at once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from .diagnostics import BindError, Diagnostic, EvalError, SourceSpan
 
@@ -527,6 +531,216 @@ def _eval(e, valuation, constants, formulas, resolve_const=None):
         if e.op == ">=":
             return l >= r
     raise TypeError(f"not an expression: {e!r}")
+
+
+# --------------------------------------------------------------------------
+# Compiled evaluation over state columns
+# --------------------------------------------------------------------------
+
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "=": np.equal,
+           "!=": np.not_equal, "<": np.less, "<=": np.less_equal,
+           ">": np.greater, ">=": np.greater_equal}
+
+
+def compile_expr(e: Expr, env: BoundModel):
+    """Compile an expression once into a vectorized evaluator.
+
+    The evaluator is called as ``f(cols, n)``.  `cols` holds one length-n
+    column per variable of `env`, in declaration order, with booleans as
+    bool arrays; the result is the length-n array of the expression's value
+    in each row.  Constants and formulas are folded in here.  `&`, `|` and
+    `->` evaluate their right operand only on the rows where `eval_expr`
+    would, so a division by zero counts only there: it raises EvalError with
+    `row` set to the first row where `eval_expr` raises.  Integers are int64
+    unless some integer subexpression can leave [-2**53, 2**53] over the
+    variable ranges (`_is_wide`), where int64 arithmetic would wrap and
+    comparisons with floats would round; such an expression is evaluated on
+    Python ints, in object arrays, and its numeric result is an object array.
+    """
+    slots = {v.name: j for j, v in enumerate(env.variables)}
+    node = _compile(e, slots, env.constants, env.formulas)
+    exact = _is_wide(e, env)
+
+    def evaluate(cols, n):
+        if exact:
+            cols = tuple(c if c.dtype == bool else c.astype(object) for c in cols)
+        errors = []
+        value = node.fn(cols, None, errors) if node.fn else node.value
+        if errors:
+            bad = np.zeros(n, dtype=bool)
+            for rows in errors:
+                bad |= True if rows is None else rows
+            failing = np.flatnonzero(bad)
+            if failing.size:
+                raise EvalError("division by zero", row=int(failing[0]))
+        return np.full(n, value) if np.ndim(value) == 0 else value
+
+    return evaluate
+
+
+class _Node(NamedTuple):
+    """A compiled subexpression: either a folded `value` (fn is None) or
+    fn(cols, live, errors), where `live` masks the rows on which eval_expr
+    would evaluate this node (None: every row) and failing rows are appended
+    to `errors`.  `raises` says whether fn can append anything."""
+    value: object = None
+    fn: object = None
+    raises: bool = False
+
+    def call(self):
+        if self.fn is not None:
+            return self.fn
+        value = self.value
+        return lambda cols, live, errors: value
+
+
+_EXACT_INT = 2 ** 53
+
+
+def _is_wide(e, env):
+    """Whether an integer subexpression of `e` can leave [-2**53, 2**53],
+    by interval arithmetic over the variable ranges and the constants."""
+    ranges = {v.name: None if v.is_bool else (v.low, v.high) for v in env.variables}
+    wide = False
+
+    def point(value):
+        return None if isinstance(value, bool) or not isinstance(value, int) else (value, value)
+
+    def bound(e):  # the integer interval of e, or None if e is not an integer
+        nonlocal wide
+        b = None
+        if isinstance(e, Lit):
+            b = point(e.value)
+        elif isinstance(e, Name):
+            if e.ident in ranges:
+                b = ranges[e.ident]
+            elif e.ident in env.constants:
+                b = point(env.constants[e.ident])
+            elif e.ident in env.formulas:
+                b = bound(env.formulas[e.ident])
+        elif isinstance(e, Unary):
+            a = bound(e.operand)
+            if a is not None and e.op == "-":
+                b = (-a[1], -a[0])
+        elif isinstance(e, Binary):
+            l, r = bound(e.left), bound(e.right)
+            if l is not None and r is not None:
+                if e.op == "+":
+                    b = (l[0] + r[0], l[1] + r[1])
+                elif e.op == "-":
+                    b = (l[0] - r[1], l[1] - r[0])
+                elif e.op == "*":
+                    corners = [x * y for x in l for y in r]
+                    b = (min(corners), max(corners))
+        if b is not None and max(-b[0], b[1]) > _EXACT_INT:
+            wide = True
+        return b
+
+    bound(e)
+    return wide
+
+
+def _fold(e):
+    try:
+        return _Node(_eval(e, {}, {}, {}))
+    except EvalError:  # a constant division by zero fails every live row
+        def fail(cols, live, errors):
+            errors.append(live)
+            return np.nan
+        return _Node(fn=fail, raises=True)
+
+
+def _compile(e, slots, constants, formulas):
+    if isinstance(e, Lit):
+        return _Node(e.value)
+    if isinstance(e, Name):
+        if e.ident in slots:
+            j = slots[e.ident]
+            return _Node(fn=lambda cols, live, errors: cols[j])
+        if e.ident in constants:
+            return _Node(constants[e.ident])
+        if e.ident in formulas:
+            return _compile(formulas[e.ident], slots, constants, formulas)
+        raise EvalError(f"unbound identifier '{e.ident}'")
+    if isinstance(e, Unary):
+        arg = _compile(e.operand, slots, constants, formulas)
+        if arg.fn is None:
+            return _fold(Unary(e.op, Lit(arg.value)))
+        ufunc, f = (np.negative if e.op == "-" else np.logical_not), arg.fn
+        return _Node(fn=lambda cols, live, errors: ufunc(f(cols, live, errors)),
+                     raises=arg.raises)
+    if isinstance(e, Binary):
+        left = _compile(e.left, slots, constants, formulas)
+        right = _compile(e.right, slots, constants, formulas)
+        if e.op in LOGIC:
+            return _logic(e.op, left, right)
+        if left.fn is None and right.fn is None:
+            return _fold(Binary(e.op, Lit(left.value), Lit(right.value)))
+        if e.op == "/":
+            return _divide(left, right)
+        lf, rf = left.call(), right.call()
+        ufunc = _UFUNCS[e.op]
+        return _Node(fn=lambda cols, live, errors: ufunc(lf(cols, live, errors),
+                                                         rf(cols, live, errors)),
+                     raises=left.raises or right.raises)
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _divide(left, right):
+    lf, rf = left.call(), right.call()
+    if right.fn is None and right.value != 0:
+        den = right.value
+        return _Node(fn=lambda cols, live, errors: np.true_divide(
+            lf(cols, live, errors), den), raises=left.raises)
+
+    def divide(cols, live, errors):
+        num, den = lf(cols, live, errors), rf(cols, live, errors)
+        zero = np.equal(den, 0)
+        if np.any(zero):
+            # Python ints in object arrays raise on a zero divisor; the
+            # quotient on those rows is never read.
+            den = np.where(zero, 1, den)
+            if live is not None:
+                zero = zero & live
+            if np.any(zero):
+                errors.append(None if np.ndim(zero) == 0 else zero)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.true_divide(num, den)
+
+    return _Node(fn=divide, raises=True)
+
+
+def _as_bool(node):
+    f = node.fn
+    return _Node(fn=lambda cols, live, errors: np.asarray(f(cols, live, errors),
+                                                          dtype=bool),
+                 raises=node.raises)
+
+
+def _logic(op, left, right):
+    if left.fn is None:  # eval_expr short-circuits the same way
+        if bool(left.value) == (op == "|"):
+            return _Node(op != "&")
+        return _Node(bool(right.value)) if right.fn is None else _as_bool(right)
+    lf, rf = left.fn, right.call()
+    guarded = right.raises
+
+    def logic(cols, live, errors):
+        l = lf(cols, live, errors)
+        if guarded:
+            # The right operand runs where the left is true (& and ->) or
+            # false (|).
+            on = np.logical_not(l) if op == "|" else np.asarray(l, dtype=bool)
+            r = rf(cols, on if live is None else live & on, errors)
+        else:
+            r = rf(cols, live, errors)
+        if op == "&":
+            return np.logical_and(l, r)
+        if op == "|":
+            return np.logical_or(l, r)
+        return np.logical_or(np.logical_not(l), r)
+
+    return _Node(fn=logic, raises=left.raises or right.raises)
 
 
 def expand_formulas(e: Expr, formulas: dict) -> Expr:

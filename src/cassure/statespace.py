@@ -5,23 +5,34 @@ unit is either a single unlabeled command of one module, or the synchronized
 product of same-labeled commands across every module that mentions the label
 (probabilities multiply, assignments merge).  When m > 1 units are enabled in
 a state they are resolved by uniform probabilistic choice: each unit fires
-with probability 1/m.  Duplicate successors are merged by summing.
+with probability 1/m.  Duplicate successors are merged by summing, in the
+order the units and their outcomes are listed.
 
 State order is canonical: BFS layers, with newly discovered successors of a
 state indexed in lexicographic valuation order, so two builds of the same
 bound model are identical.
+
+Exploration goes one BFS layer at a time.  Every guard, probability,
+assignment and reward is compiled once (`model.compile_expr`) and evaluated
+over all states of the layer at once, on the states where the per-state
+semantics evaluates it: a module's guards for a label only where every
+earlier module has an enabled command with that label, probabilities where
+their unit is enabled, assignments where their outcome has nonzero
+probability.  Successors are deduplicated by packing each valuation into a
+mixed-radix key over the variable ranges.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .diagnostics import BuildError
-from .model import BoundModel, Expr, eval_expr
+from .diagnostics import BuildError, EvalError
+from .model import BoundModel, Expr, compile_expr
 
 UNIT_PROB_TOL = 1e-10
 ROW_SUM_TOL = 1e-9
@@ -40,7 +51,7 @@ class StateSpace:
     """Immutable once built; shareable across concurrent property checks."""
     bound: BoundModel
     var_names: tuple
-    states: list              # of valuation tuples, index order
+    states: np.ndarray        # int matrix, one row per state in index order
     initial: int
     indptr: np.ndarray
     indices: np.ndarray
@@ -53,11 +64,16 @@ class StateSpace:
         return len(self.states)
 
     def valuation(self, i):
-        return dict(zip(self.var_names, self.states[i]))
+        return _valuation(self.bound.variables, self.states[i])
 
     def row(self, i):
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.data[lo:hi]
+
+    @cached_property
+    def columns(self):
+        """One column per variable, as `compile_expr` evaluators read them."""
+        return _columns(self.bound.variables, self.states)
 
     @cached_property
     def row_ids(self):
@@ -75,72 +91,233 @@ class StateSpace:
         return indptr, self.row_ids[order]
 
 
-def _enabled_units(bound, valuation):
-    """All enabled transition units; each is a list of enabled commands that
-    fire together (singleton for unlabeled commands)."""
-    units = []
-    labels = {}
+def _valuation(variables, row):
+    return {v.name: bool(x) if v.is_bool else int(x)
+            for v, x in zip(variables, row.tolist())}
+
+
+def _columns(variables, states):
+    return tuple(np.ascontiguousarray(states[:, j], dtype=bool if v.is_bool else None)
+                 for j, v in enumerate(variables))
+
+
+def _where(variables, states, rows, span):
+    """Names row r of an evaluation over states[rows]: valuation and span."""
+    return lambda r: f"{_valuation(variables, states[rows[r]])} [{span}]"
+
+
+def _evaluate(fn, cols, n, where):
+    """Run a compiled evaluator; a failing row is reported as where(row)."""
+    try:
+        return fn(cols, n)
+    except EvalError as e:
+        if e.row is None:
+            raise
+        raise EvalError(f"{e} at state {where(e.row)}") from None
+
+
+# --------------------------------------------------------------------------
+# Transition units, compiled once per build
+# --------------------------------------------------------------------------
+
+class _Outcome(NamedTuple):
+    factors: tuple      # per command: compiled probability, or None for 1
+    assignments: tuple  # of (slot, name, compiled right-hand side)
+
+
+class _Unit(NamedTuple):
+    members: tuple      # indices of the commands that fire together
+    spans: str
+    outcomes: tuple     # of _Outcome, in product order
+
+
+def _compile_units(bound):
+    """(compiled guard, span) of every command, the chains in which guards
+    are evaluated, and the static list of transition units, in the order the
+    uniform choice lists them: unlabeled commands by module and command, then
+    each label (sorted) as the product of its modules' same-labeled commands.
+
+    A chain lists command indices per module: an unlabeled command is a chain
+    of its own, and a label's chain has its commands in each module that
+    mentions it, in module order."""
+    slots = {v.name: j for j, v in enumerate(bound.variables)}
+    guards, commands, updates, labels = [], [], [], {}
     for mod in bound.ast.modules:
-        mod_labels = {c.label for c in mod.commands if c.label}
-        for lab in mod_labels:
-            labels.setdefault(lab, []).append(mod)
         for cmd in mod.commands:
-            if cmd.label is None and eval_expr(cmd.guard, valuation, bound):
-                units.append([cmd])
-    for lab, mods in sorted(labels.items()):
-        per_module = []
-        for mod in mods:
-            enabled = [c for c in mod.commands
-                       if c.label == lab and eval_expr(c.guard, valuation, bound)]
-            if not enabled:
-                per_module = None
-                break
-            per_module.append(enabled)
-        if per_module is None:
+            guards.append((compile_expr(cmd.guard, bound), cmd.span))
+            commands.append(cmd)
+            updates.append([
+                (None if upd.probability is None else compile_expr(upd.probability, bound),
+                 tuple((slots[name], name, compile_expr(rhs, bound))
+                       for name, rhs in upd.assignments))
+                for upd in cmd.updates])
+            if cmd.label:
+                per_module = labels.setdefault(cmd.label, {})
+                per_module.setdefault(mod.name, []).append(len(commands) - 1)
+
+    def unit(members):
+        outcomes = [_Outcome(tuple(p for p, _ in combo),
+                             tuple(a for _, assigns in combo for a in assigns))
+                    for combo in itertools.product(*(updates[k] for k in members))]
+        return _Unit(tuple(members), ", ".join(str(commands[k].span) for k in members),
+                     tuple(outcomes))
+
+    single = [k for k, cmd in enumerate(commands) if cmd.label is None]
+    chains = [[[k]] for k in single]
+    units = [unit((k,)) for k in single]
+    for lab in sorted(labels):
+        chains.append(list(labels[lab].values()))
+        units.extend(unit(members)
+                     for members in itertools.product(*labels[lab].values()))
+    return guards, chains, units
+
+
+# --------------------------------------------------------------------------
+# Mixed-radix keys
+# --------------------------------------------------------------------------
+
+def _key_packer(variables):
+    """A function packing state rows into keys whose order is the
+    lexicographic valuation order.  Variables fill 63-bit words from the
+    first one on; a key is one int64 when one word suffices, else a record
+    of words compared in order."""
+    words, size = [[]], 1
+    for j, v in enumerate(variables):
+        low, radix = (0, 2) if v.is_bool else (v.low, v.high - v.low + 1)
+        if radix >= 2 ** 63:
+            raise BuildError(f"range of '{v.name}' is too wide to pack")
+        if size * radix >= 2 ** 63:
+            words.append([])
+            size = 1
+        words[-1].append((j, low, radix))
+        size *= radix
+    record = np.dtype([(f"w{i}", np.int64) for i in range(len(words))])
+
+    def pack(states):
+        keys = []
+        for word in words:
+            key = np.zeros(len(states), dtype=np.int64)
+            for j, low, radix in word:
+                key *= radix
+                key += states[:, j] - low
+            keys.append(key)
+        if len(keys) == 1:
+            return keys[0]
+        packed = np.empty(len(states), dtype=record)
+        for name, key in zip(record.names, keys):
+            packed[name] = key
+        return packed
+
+    return pack
+
+
+# --------------------------------------------------------------------------
+# Exploration and assembly
+# --------------------------------------------------------------------------
+
+def _layer_transitions(variables, guards, chains, units, frontier, first, diags):
+    """All transitions out of one BFS layer (states first, first+1, ...):
+    source ids, successor valuations and probabilities, in the order the
+    uniform choice lists units and outcomes.  Rows with no enabled unit
+    (deadlocks) produce nothing."""
+    f = len(frontier)
+    cols = _columns(variables, frontier)
+    everyone = np.arange(f)
+    enabled = [None] * len(guards)
+    for chain in chains:
+        rows = everyone  # where every earlier module of the chain can fire
+        for module in chain:
+            sub = cols if rows is everyone else tuple(c[rows] for c in cols)
+            fires = np.zeros(rows.size, dtype=bool)
+            for k in module:
+                g, span = guards[k]
+                on = _evaluate(g, sub, rows.size, _where(variables, frontier, rows, span))
+                enabled[k] = np.zeros(f, dtype=bool)
+                enabled[k][rows] = on
+                fires |= on
+            rows = rows[fires]
+    masks = [np.logical_and.reduce([enabled[k] for k in u.members]) for u in units]
+    m = np.add.reduce(masks, dtype=np.int64) if masks else np.zeros(f, np.int64)
+    diags.nondeterministic_states += int(np.count_nonzero(m > 1))
+
+    src, succ, prob = [], [], []
+    for u, mask in zip(units, masks):
+        rows = np.flatnonzero(mask)
+        if not rows.size:
             continue
-        combos = [[]]
-        for choices in per_module:
-            combos = [prev + [c] for prev in combos for c in choices]
-        units.extend(combos)
-    return units
+        sub = tuple(c[rows] for c in cols)
+        where = _where(variables, frontier, rows, u.spans)
+        values = {}  # each command's update probabilities, evaluated once
+        probs = []
+        for outcome in u.outcomes:
+            p = 1.0
+            for factor in outcome.factors:
+                if factor is not None:
+                    if factor not in values:
+                        values[factor] = _evaluate(factor, sub, rows.size,
+                                                   where).astype(np.float64)
+                    p = p * values[factor]
+            probs.append(np.broadcast_to(p, rows.shape))
+        total = sum(probs)
+        off = np.flatnonzero(np.abs(total - 1.0) > UNIT_PROB_TOL)
+        if off.size:
+            raise BuildError(f"unit outcome probabilities sum to "
+                             f"{float(total[off[0]])} (not 1) at state "
+                             f"{where(off[0])}")
+        for outcome, p in zip(u.outcomes, probs):
+            live = np.flatnonzero(p != 0.0)
+            if not live.size:
+                continue
+            here = rows[live]
+            vals = tuple(c[live] for c in sub)
+            where_live = _where(variables, frontier, here, u.spans)
+            nxt = frontier[here]
+            for slot, name, rhs in outcome.assignments:
+                v = _evaluate(rhs, vals, live.size, where_live)
+                var = variables[slot]
+                if var.is_bool:
+                    nxt[:, slot] = v.astype(bool)
+                    continue
+                v = _truncate(v)
+                out = np.flatnonzero((v < var.low) | (v > var.high))
+                if out.size:
+                    raise BuildError(
+                        f"assignment drives '{name}' to {int(v[out[0]])}, outside "
+                        f"[{var.low}..{var.high}], at state {where_live(out[0])}")
+                nxt[:, slot] = v
+            src.append(first + here)
+            succ.append(nxt)
+            prob.append(p[live] / m[here])
+    if not src:
+        return (np.zeros(0, np.int64), np.zeros((0, len(variables)), np.int64),
+                np.zeros(0))
+    return np.concatenate(src), np.concatenate(succ), np.concatenate(prob)
 
 
-def _unit_outcomes(bound, valuation, commands):
-    """Outcome distribution of one unit: list of (prob, assignment pairs)."""
-    outcomes = [(1.0, [])]
-    for cmd in commands:
-        step = []
-        for upd in cmd.updates:
-            p = 1.0 if upd.probability is None else float(
-                eval_expr(upd.probability, valuation, bound))
-            step.append((p, upd.assignments))
-        outcomes = [(p0 * p1, a0 + list(a1)) for p0, a0 in outcomes
-                    for p1, a1 in step]
-    total = sum(p for p, _ in outcomes)
-    if abs(total - 1.0) > UNIT_PROB_TOL:
-        spans = ", ".join(str(c.span) for c in commands)
-        raise BuildError(
-            f"unit outcome probabilities sum to {total} (not 1) at state "
-            f"{valuation} [{spans}]")
-    return outcomes
+def _truncate(v):
+    """Integer values, truncated toward zero as `int` does."""
+    if v.dtype == object:  # Python numbers from an exact evaluation
+        return np.frompyfunc(int, 1, 1)(v)
+    return np.trunc(v) if v.dtype.kind == "f" else v
 
 
-def _apply(bound, valuation, assignments, cmd_spans, var_index, ranges, state):
-    new = list(state)
-    for name, rhs in assignments:
-        v = eval_expr(rhs, valuation, bound)
-        idx = var_index[name]
-        low, high, is_bool = ranges[idx]
-        if is_bool:
-            new[idx] = bool(v)
-            continue
-        v = int(v)
-        if not low <= v <= high:
-            raise BuildError(
-                f"assignment drives '{name}' to {v}, outside [{low}..{high}], "
-                f"at state {valuation} [{cmd_spans}]")
-        new[idx] = v
-    return tuple(new)
+def _assemble(n, src, dst, val):
+    """CSR arrays from transition triples: rows by source, columns ascending,
+    duplicate (source, target) pairs summed in their listed order."""
+    order = np.lexsort((dst, src))  # stable: equal pairs keep listed order
+    src, dst, val = src[order], dst[order], val[order]
+    head = np.ones(src.size, dtype=bool)
+    head[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    group = np.cumsum(head) - 1
+    starts = np.flatnonzero(head)
+    rank = np.arange(src.size) - starts[group]
+    data = np.zeros(starts.size, dtype=np.float64)
+    for r in range(int(rank.max()) + 1 if rank.size else 0):
+        pick = rank == r
+        data[group[pick]] += val[pick]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src[starts], minlength=n), out=indptr[1:])
+    return indptr, dst[starts].astype(np.int64), data
 
 
 def build_state_space(bound: BoundModel, max_states=DEFAULT_STATE_CAP) -> StateSpace:
@@ -148,107 +325,91 @@ def build_state_space(bound: BoundModel, max_states=DEFAULT_STATE_CAP) -> StateS
 
     Deadlock states get an empty row here; see fix_deadlocks.
     """
-    var_names = bound.var_names()
-    var_index = {n: i for i, n in enumerate(var_names)}
-    ranges = [(v.low, v.high, v.is_bool) for v in bound.variables]
-    init = tuple(v.init for v in bound.variables)
+    guards, chains, units = _compile_units(bound)
+    pack = _key_packer(bound.variables)
     diags = BuildDiagnostics()
 
-    index = {init: 0}
-    states = [init]
-    rows = {}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        state = states[i]
-        valuation = dict(zip(var_names, state))
-        units = _enabled_units(bound, valuation)
-        m = len(units)
-        if m == 0:
-            rows[i] = {}
-            continue
-        if m > 1:
-            diags.nondeterministic_states += 1
-        dist = {}
-        for unit in units:
-            spans = ", ".join(str(c.span) for c in unit)
-            for p, assignments in _unit_outcomes(bound, valuation, unit):
-                if p == 0.0:
-                    continue
-                succ = _apply(bound, valuation, assignments, spans, var_index,
-                              ranges, state)
-                dist[succ] = dist.get(succ, 0.0) + p / m
-        for succ in sorted(dist):
-            if succ not in index:
-                if len(states) >= max_states:
-                    raise BuildError(f"state cap exceeded ({max_states})")
-                index[succ] = len(states)
-                states.append(succ)
-                queue.append(index[succ])
-        rows[i] = {index[s]: p for s, p in dist.items()}
+    frontier = np.array([[int(v.init) for v in bound.variables]], dtype=np.int64)
+    layers = [frontier]
+    # State ids by packed key, the keys kept sorted for searchsorted.
+    index_keys, index_ids = pack(frontier), np.zeros(1, dtype=np.int64)
+    n, first = 1, 0
+    src_all, dst_all, prob_all = [], [], []
+    while len(frontier):
+        src, succ, prob = _layer_transitions(bound.variables, guards, chains,
+                                             units, frontier, first, diags)
+        # Order the successors by source, so the first occurrence of each key
+        # belongs to the state that discovers it.
+        by_src = np.argsort(src, kind="stable")
+        keys, first_at, inverse = np.unique(pack(succ)[by_src],
+                                            return_index=True, return_inverse=True)
+        pos = np.searchsorted(index_keys, keys)
+        hit = index_keys.take(pos, mode="clip") == keys
+        ids = np.where(hit, index_ids.take(pos, mode="clip"), -1)
+        fresh = np.flatnonzero(~hit)
+        if n + fresh.size > max_states:
+            raise BuildError(f"state cap exceeded ({max_states})")
+        # New states: by discovering state, then by valuation (keys ascend).
+        order = np.argsort(src[by_src[first_at[fresh]]], kind="stable")
+        ids[fresh[order]] = n + np.arange(fresh.size)
+        dst = np.empty(src.size, dtype=np.int64)
+        dst[by_src] = ids[inverse]
+        src_all.append(src)
+        dst_all.append(dst)
+        prob_all.append(prob)
 
+        index_keys = np.insert(index_keys, pos[fresh], keys[fresh])
+        index_ids = np.insert(index_ids, pos[fresh], ids[fresh])
+        first += len(frontier)
+        frontier = succ[by_src[first_at[fresh[order]]]]
+        layers.append(frontier)
+        n += fresh.size
+
+    states = np.concatenate(layers)
+    indptr, indices, data = _assemble(n, np.concatenate(src_all),
+                                      np.concatenate(dst_all),
+                                      np.concatenate(prob_all))
+    return StateSpace(bound, bound.var_names(), states, 0, indptr, indices,
+                      data, _reward_vectors(bound, states), diags)
+
+
+def _reward_vectors(bound, states):
     n = len(states)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    nnz = sum(len(rows[i]) for i in range(n))
-    indices = np.empty(nnz, dtype=np.int64)
-    data = np.empty(nnz, dtype=np.float64)
-    k = 0
-    for i in range(n):
-        for j in sorted(rows[i]):
-            indices[k] = j
-            data[k] = rows[i][j]
-            k += 1
-        indptr[i + 1] = k
-
+    cols = _columns(bound.variables, states)
     rewards = {}
+    everyone = np.arange(n)
     for rs in bound.ast.rewards:
         vec = np.zeros(n, dtype=np.float64)
-        for i in range(n):
-            valuation = dict(zip(var_names, states[i]))
-            total = 0.0
-            for item in rs.items:
-                if eval_expr(item.guard, valuation, bound):
-                    r = float(eval_expr(item.value, valuation, bound))
-                    if r < 0:
-                        raise BuildError(
-                            f'negative reward {r} in "{rs.name}" at state {valuation}')
-                    total += r
-            vec[i] = total
+        for item in rs.items:
+            hit = _evaluate(compile_expr(item.guard, bound), cols, n,
+                            _where(bound.variables, states, everyone, item.span))
+            rows = np.flatnonzero(hit)
+            where = _where(bound.variables, states, rows, item.span)
+            r = _evaluate(compile_expr(item.value, bound),
+                          tuple(c[rows] for c in cols), rows.size,
+                          where).astype(np.float64)
+            neg = np.flatnonzero(r < 0)
+            if neg.size:
+                raise BuildError(f'negative reward {r[neg[0]]} in "{rs.name}" '
+                                 f"at state {where(neg[0])}")
+            vec[rows] += r
         rewards[rs.name] = vec
-
-    return StateSpace(bound, var_names, states, 0, indptr, indices, data,
-                      rewards, diags)
+    return rewards
 
 
 def fix_deadlocks(space: StateSpace) -> StateSpace:
     """Give every deadlocked state a probability-1 self-loop. Idempotent."""
-    n = space.n_states
-    dead = [i for i in range(n)
-            if space.indptr[i] == space.indptr[i + 1]]
-    if not dead:
+    dead = np.flatnonzero(np.diff(space.indptr) == 0)
+    if not dead.size:
         return space
-    extra = len(dead)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indices = np.empty(space.indices.size + extra, dtype=np.int64)
-    data = np.empty(space.data.size + extra, dtype=np.float64)
-    dead_set = set(dead)
-    k = 0
-    for i in range(n):
-        lo, hi = space.indptr[i], space.indptr[i + 1]
-        if i in dead_set:
-            indices[k] = i
-            data[k] = 1.0
-            k += 1
-        else:
-            count = hi - lo
-            indices[k:k + count] = space.indices[lo:hi]
-            data[k:k + count] = space.data[lo:hi]
-            k += count
-        indptr[i + 1] = k
+    indptr, indices, data = _assemble(
+        space.n_states, np.concatenate([space.row_ids, dead]),
+        np.concatenate([space.indices, dead]),
+        np.concatenate([space.data, np.ones(dead.size)]))
     diags = replace(space.diagnostics)
-    diags.deadlock_states_fixed = space.diagnostics.deadlock_states_fixed + extra
+    diags.deadlock_states_fixed = space.diagnostics.deadlock_states_fixed + dead.size
     diags.deadlock_samples = (space.diagnostics.deadlock_samples +
-                              [space.states[i] for i in dead[:10]])
+                              [tuple(space.valuation(i).values()) for i in dead[:10]])
     return StateSpace(space.bound, space.var_names, space.states, space.initial,
                       indptr, indices, data, space.rewards, diags)
 
@@ -266,13 +427,12 @@ def build_dtmc(bound: BoundModel, max_states=DEFAULT_STATE_CAP) -> StateSpace:
 
 def label_states(space: StateSpace, phi: Expr) -> np.ndarray:
     """Boolean mask over state indices for a boolean state expression."""
-    out = np.zeros(space.n_states, dtype=bool)
-    for i in range(space.n_states):
-        v = eval_expr(phi, space.valuation(i), space.bound)
-        if not isinstance(v, bool):
-            raise BuildError(f"labeling expression is not boolean (got {v!r})")
-        out[i] = v
-    return out
+    mask = _evaluate(compile_expr(phi, space.bound), space.columns,
+                     space.n_states, lambda r: space.valuation(r))
+    if mask.dtype != bool:
+        raise BuildError("labeling expression is not boolean "
+                         f"(got {mask[0].item()!r})")
+    return mask
 
 
 def export_transitions(space: StateSpace) -> str:
@@ -289,8 +449,6 @@ def export_states(space: StateSpace) -> str:
     """State-valuation table: index then one value per variable."""
     header = "state " + " ".join(space.var_names)
     lines = [header]
-    for i, s in enumerate(space.states):
-        vals = " ".join(str(int(v)) if not isinstance(v, bool) else str(int(v))
-                        for v in s)
-        lines.append(f"{i} {vals}")
+    for i, s in enumerate(space.states.tolist()):
+        lines.append(f"{i} " + " ".join(str(v) for v in s))
     return "\n".join(lines) + "\n"

@@ -35,6 +35,14 @@ def test_check_violated_bound_exits_1(workdir):
     assert len(recs) == 17
 
 
+def test_check_reports_the_build(workdir):
+    r = invoke("check", "--model", str(workdir / "nuclear.prism"),
+               "--out", str(workdir / "out"))
+    assert r.output.splitlines()[0] == (
+        "built 142 states, 353 transitions (92 states resolved by uniform "
+        "choice, 0 deadlocks fixed)")
+
+
 def test_check_all_pass_exits_0(workdir):
     (workdir / "only.props").write_text('"safe": P<=0 [F loc = 5]\n')
     r = invoke("check", "--model", str(workdir / "nuclear.prism"),

@@ -62,6 +62,20 @@ def test_stats_name_the_engine_that_ran(by_name):
     assert by_name["P_timeBound"].stats["iterations"] == 5
 
 
+def test_infinite_rewards_run_no_solve(space, props, monkeypatch):
+    """The initial state misses the target with positive probability, so
+    each reward query is +inf from the graph alone; splu must not run."""
+    def no_splu(*args, **kwargs):
+        raise AssertionError("splu called")
+    monkeypatch.setattr("scipy.sparse.linalg.splu", no_splu)
+    by_prop = {p.name: p for p in props}
+    for name in pinned.INFINITE_REWARDS:
+        r = check_properties(space, [by_prop[name]])[0]
+        assert r.infinite and r.value is None
+        assert r.stats["engine"] == "graph"
+        assert r.stats["iterations"] == 0 and r.stats["residual"] == 0.0
+
+
 # ---- trivial hand-solvable chains ----
 
 TOY = """\

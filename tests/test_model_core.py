@@ -1,7 +1,14 @@
-import pytest
+from dataclasses import replace
 
-from cassure import BindError, bind_constants, parse_model, type_check
-from cassure.model import eval_expr, expand_formulas
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from cassure import BindError, EvalError, bind_constants, parse_model, type_check
+from cassure.model import (
+    Binary, FormulaDecl, Lit, Name, Unary, compile_expr, eval_expr,
+    expand_formulas,
+)
 from cassure.parsing import render_expr
 
 
@@ -113,3 +120,115 @@ def test_expand_formulas_substitutes(bound):
     expanded = expand_formulas(e, {"is_warning": warn.expr})
     assert "rad" in render_expr(expanded)
     assert "is_warning" not in render_expr(expanded)
+
+
+# ---- hypothesis: compiled evaluation equals eval_expr ----
+
+TYPED = parse_model("""\
+dtmc
+const int K = 3;
+const double H = 0.5;
+formula f = a - b;
+formula g = c | a > K;
+module m
+  a : [-3..5] init 0;
+  b : [-3..5] init 0;
+  c : bool init false;
+  [] true -> (a'=a);
+endmodule
+""")
+TYPED_BOUND = bind_constants(TYPED)
+
+
+def numeric(depth):
+    leaf = st.one_of(st.integers(0, 9).map(Lit), st.sampled_from([Lit(0.5), Lit(0.0)]),
+                     st.sampled_from(["a", "b", "K", "H", "f"]).map(Name))
+    if depth == 0:
+        return leaf
+    sub = numeric(depth - 1)
+    return st.one_of(leaf, st.builds(Binary, st.sampled_from("+-*/"), sub, sub),
+                     sub.map(lambda e: Unary("-", e)))
+
+
+def boolean(depth):
+    leaf = st.one_of(st.booleans().map(Lit), st.sampled_from(["c", "g"]).map(Name))
+    if depth == 0:
+        return leaf
+    sub, num = boolean(depth - 1), numeric(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(Binary, st.sampled_from(["&", "|", "->", "=", "!="]), sub, sub),
+        st.builds(Binary, st.sampled_from(["=", "!=", "<", "<=", ">", ">="]), num, num),
+        sub.map(lambda e: Unary("!", e)))
+
+
+# Integers stay far below 2**53 at this depth, where int64 and Python agree.
+typed_exprs = st.one_of(numeric(3), boolean(3))
+valuations = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.booleans()),
+                      min_size=1, max_size=8)
+A_OVER_B = Binary(">", Binary("/", Name("a"), Name("b")), Lit(0))
+B_IS_ZERO = Binary("=", Name("b"), Lit(0))
+SHORT_CIRCUIT_ROWS = [(1, 1, True), (1, 0, False), (1, 0, True)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(typed_exprs, valuations)
+# the right operand of &, | and -> divides by zero only where it is skipped
+@example(Binary("&", Unary("!", B_IS_ZERO), A_OVER_B), SHORT_CIRCUIT_ROWS)
+@example(Binary("|", B_IS_ZERO, A_OVER_B), SHORT_CIRCUIT_ROWS)
+@example(Binary("->", Unary("!", B_IS_ZERO), A_OVER_B), SHORT_CIRCUIT_ROWS)
+# ... and where it is not: the first failing row is reported
+@example(Binary("&", Name("c"), A_OVER_B), SHORT_CIRCUIT_ROWS)
+# two divisions fail on different rows: the earlier row counts
+@example(Binary("+", Binary("/", Lit(1), Name("a")), Binary("/", Lit(1), Name("b"))),
+         [(0, 1, False), (1, 0, False)])
+def test_compiled_evaluation_equals_eval_expr(e, rows):
+    got = assert_compiled_equals_eval_expr(e, rows, TYPED_BOUND)
+    assert got is None or got.dtype != object  # int64 and float64 suffice here
+
+
+def assert_compiled_equals_eval_expr(e, rows, bound):
+    """compile_expr over the rows gives eval_expr's values and types, or
+    raises at eval_expr's first failing row; returns the values, if any."""
+    assert type_check(replace(TYPED, formulas=TYPED.formulas + (FormulaDecl("e", e),))) == []
+    expected, first_error = [], None
+    for i, (a, b, c) in enumerate(rows):
+        try:
+            expected.append(eval_expr(e, {"a": a, "b": b, "c": c}, bound))
+        except EvalError:
+            first_error = i if first_error is None else first_error
+    a, b, c = zip(*rows)
+    cols = (np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
+            np.array(c, dtype=bool))
+    evaluate = compile_expr(e, bound)
+    if first_error is not None:
+        with pytest.raises(EvalError, match="division by zero") as exc:
+            evaluate(cols, len(rows))
+        assert exc.value.row == first_error
+        return None
+    got = evaluate(cols, len(rows))
+    assert got.tolist() == expected
+    assert [type(v) for v in got.tolist()] == [type(v) for v in expected]
+    return got
+
+
+# The same expressions over ranges where products leave int64 and sums pass
+# 2**53: such expressions are evaluated on Python ints.
+WIDE_BOUND = bind_constants(TYPED, {"K": 2 ** 53 + 1})
+WIDE_BOUND = replace(WIDE_BOUND, variables=tuple(
+    v if v.is_bool else replace(v, low=-10 ** 12, high=10 ** 12)
+    for v in WIDE_BOUND.variables))
+wide_valuations = st.lists(
+    st.tuples(st.integers(-10 ** 12, 10 ** 12), st.integers(-10 ** 12, 10 ** 12),
+              st.booleans()), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(typed_exprs, wide_valuations)
+# a*a*a wraps in int64 (to a negative value at this a)
+@example(Binary(">", Binary("*", Binary("*", Name("a"), Name("a")), Name("a")), Lit(0)),
+         [(5_000_000, 0, False)])
+# 2**53 + 1 rounds to 2**53 as a float
+@example(Binary(">", Binary("+", Name("a"), Name("K")), Lit(2.0 ** 53)), [(0, 0, False)])
+def test_compiled_evaluation_equals_eval_expr_on_wide_ranges(e, rows):
+    assert_compiled_equals_eval_expr(e, rows, WIDE_BOUND)

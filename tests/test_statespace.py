@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import oracle
 import pinned
-from cassure import BuildError, bind_constants, build_dtmc, parse_model
+from cassure import BuildError, EvalError, bind_constants, build_dtmc, parse_model
 from cassure.statespace import (
     build_state_space, export_states, export_transitions, fix_deadlocks,
     label_states,
@@ -61,7 +63,7 @@ def test_mode_velocity_invariant(space):
 def test_build_is_deterministic(bound):
     a = build_dtmc(bound)
     b = build_dtmc(bound)
-    assert a.states == b.states
+    assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.indptr, b.indptr)
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.data, b.data)
@@ -135,3 +137,190 @@ def test_synchronized_commands_set_op_used(space):
             # oracle equivalence test; here just ensure such states exist.
             pass
     assert saw_op
+
+
+def test_states_are_in_canonical_order(space):
+    assert_canonical(space)
+
+
+def assert_canonical(space):
+    """Replaying BFS over the built matrix, indexing each state's new
+    successors in valuation order, gives back 0, 1, 2, ..."""
+    order, seen = [space.initial], {space.initial}
+    for i in order:
+        for j in sorted(space.row(i)[0].tolist(),
+                        key=lambda j: tuple(space.states[j].tolist())):
+            if j not in seen:
+                seen.add(j)
+                order.append(j)
+    assert order == list(range(space.n_states))
+
+
+def build(text, **kwargs):
+    return build_dtmc(bind_constants(parse_model(text, file="m.prism")), **kwargs)
+
+
+# ---- error paths: each names the state valuation and the source span ----
+
+@pytest.mark.parametrize("text, span", [
+    # guard
+    ("module m\n  x : [0..2] init 2;\n  [] x>0 -> (x'=x-1);\n"
+     "  [] 1/x > 0 -> (x'=x);\nendmodule\n", "m.prism:5:3"),
+    # probability
+    ("module m\n  x : [0..3] init 3;\n"
+     "  [] true -> 1/x : (x'=x-1) + 1-1/x : (x'=x);\nendmodule\n", "m.prism:4:3"),
+    # update
+    ("module m\n  x : [0..2] init 2;\n  [] x>0 -> (x'=x-1);\n"
+     "  [] x=0 -> (x'=x/x);\nendmodule\n", "m.prism:5:3"),
+    # reward
+    ("module m\n  x : [0..2] init 2;\n  [] x>0 -> (x'=x-1);\n"
+     "  [] x=0 -> (x'=x);\nendmodule\nrewards \"r\"\n  x<2 : 1/x;\nendrewards\n",
+     "m.prism:8:3"),
+])
+def test_division_by_zero_names_state_and_span(text, span):
+    with pytest.raises(EvalError) as exc:
+        build("dtmc\n" + text)
+    assert str(exc.value) == f"division by zero at state {{'x': 0}} [{span}]"
+
+
+def test_guard_short_circuit_skips_division():
+    space = build("dtmc\nmodule m\n  x : [0..2] init 0;\n"
+                  "  [] x!=0 & 1/x>0 -> (x'=x-1);\n  [] x=0 -> (x'=2);\nendmodule\n")
+    assert space.states.tolist() == [[0], [2], [1]]
+
+
+def test_out_of_range_assignment_with_probability_zero_is_skipped():
+    space = build("dtmc\nmodule m\n  x : [0..1] init 0;\n"
+                  "  [] true -> 0 : (x'=x+5) + 1 : (x'=1-x);\nendmodule\n")
+    assert space.states.tolist() == [[0], [1]]
+    assert space.data.tolist() == [1.0, 1.0]
+
+
+def test_real_assignment_truncates_toward_zero():
+    space = build("dtmc\nmodule m\n  x : [-3..3] init -3;\n"
+                  "  [] x!=0 -> (x'=x/2);\n  [] x=0 -> (x'=x);\nendmodule\n")
+    assert space.states.tolist() == [[-3], [-1], [0]]
+
+
+def test_non_boolean_label_is_an_error(space):
+    with pytest.raises(BuildError, match="not boolean"):
+        label_states(space, Binary("+", Name("batt"), Lit(1)))
+    with pytest.raises(BuildError, match="not boolean"):
+        label_states(space, Lit(1))
+
+
+def test_state_cap():
+    text = ("dtmc\nmodule m\n  x : [0..2] init 0;\n"
+            "  [] x<2 -> (x'=x+1);\n  [] x=2 -> (x'=x);\nendmodule\n")
+    assert build(text, max_states=3).n_states == 3
+    with pytest.raises(BuildError, match="state cap exceeded"):
+        build(text, max_states=2)
+
+
+# ---- models beyond the case study ----
+
+SYNC = """\
+dtmc
+module a
+  x : [0..1] init 0;
+  [go] x=0 -> 0.5 : (x'=1) + 0.5 : (x'=0);
+  [go] x=0 -> (x'=1);
+  [] x=1 -> (x'=1);
+endmodule
+module b
+  y : [0..2] init 0;
+  [go] y<2 -> 0.25 : (y'=y+1) + 0.75 : (y'=y);
+  [] y=2 -> (y'=0);
+endmodule
+"""
+
+
+def test_two_module_synchronization_exact():
+    """[go] pairs each of a's two commands with b's: two units, each with
+    probability 1/2, probabilities multiplied across the modules."""
+    space = build(SYNC)
+    q = Fraction(1, 16)
+    expected = {
+        (0, 0): {(0, 0): 3 * q, (0, 1): q, (1, 0): 9 * q, (1, 1): 3 * q},
+        (0, 1): {(0, 1): 3 * q, (0, 2): q, (1, 1): 9 * q, (1, 2): 3 * q},
+        (0, 2): {(0, 0): 1},
+        (1, 0): {(1, 0): 1},
+        (1, 1): {(1, 1): 1},
+        (1, 2): {(1, 0): Fraction(1, 2), (1, 2): Fraction(1, 2)},
+    }
+    states = [tuple(s) for s in space.states.tolist()]
+    assert states == [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (1, 2)]
+    for i, s in enumerate(states):
+        cols, probs = space.row(i)
+        got = {states[j]: p for j, p in zip(cols.tolist(), probs.tolist())}
+        assert got == {t: float(p) for t, p in expected[s].items()}
+    # (0,0) and (0,1) choose between two [go] units, (1,2) between a and b
+    assert space.diagnostics.nondeterministic_states == 3
+
+
+GUARDED_SYNC = """\
+dtmc
+module a
+  x : [0..2] init 0;
+  [] x=0 -> (x'=2);
+  [go] x%s0 -> (x'=x-1);
+endmodule
+module b
+  y : [0..1] init 0;
+  [go] 1/x>0 -> (y'=1-y);
+endmodule
+"""
+
+
+def test_sync_guard_evaluated_only_where_earlier_modules_fire():
+    """b's [go] guard divides by x: it is evaluated only where a has an
+    enabled [go] command, as the per-state semantics does."""
+    space = build(GUARDED_SYNC % ">")
+    assert space.states.tolist() == [[0, 0], [2, 0], [1, 1]]
+    with pytest.raises(EvalError, match=r"at state \{'x': 0, 'y': 0\}"):
+        build(GUARDED_SYNC % ">=")
+
+
+CUBE = """\
+dtmc
+const int W = 5000000;
+module m
+  x : [-W..W] init W;
+  [] x*x*x > 0 -> (x'=x*x*x/(x*x) - 2*x);
+  [] x*x*x <= 0 -> (x'=x);
+endmodule
+"""
+
+
+def test_integers_beyond_int64_are_exact():
+    """W**3 wraps to a negative int64; the guard and the update must see
+    the true cube."""
+    space = build(CUBE)
+    assert space.states.tolist() == [[5000000], [-5000000]]
+    assert space.row(0)[0].tolist() == [1]
+
+
+WIDE = """\
+dtmc
+const int L = 2;
+module m
+  a : [-L..L] init 0;
+  b : [-L..L] init 0;
+  c : [-L..L] init 0;
+  [] a<2 & b>-2 -> 0.5 : (a'=a+1) + 0.5 : (b'=b-1);
+  [] a=2 | b=-2 -> 0.5 : (c'=1-c) + 0.5 : (a'=0) & (b'=0);
+endmodule
+"""
+
+
+def test_keys_wider_than_63_bits_keep_canonical_order():
+    wide = 10 ** 7
+    assert (2 * wide + 1) ** 3 > 2 ** 63  # the packed key needs two words
+    big = build_dtmc(bind_constants(parse_model(WIDE), {"L": wide}))
+    small = build_dtmc(bind_constants(parse_model(WIDE), {"L": 2}))
+    assert big.n_states == small.n_states == 16
+    assert np.array_equal(big.states, small.states)
+    assert np.array_equal(big.indptr, small.indptr)
+    assert np.array_equal(big.indices, small.indices)
+    assert np.array_equal(big.data, small.data)
+    assert_canonical(big)
