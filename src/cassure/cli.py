@@ -408,7 +408,7 @@ def impact(package_dir, fresh_results, baseline_results, **kwargs):
 def plan(**kwargs):
     """Order invalid/uncertain goals into a regeneration plan."""
     config = _build_config(kwargs)
-    report_path = Path(config.out or ".") / "impact_report.json"
+    report_path = Path(config.out) / "impact_report.json"
     try:
         arg = _load_argument(config)
         if not report_path.exists():
@@ -433,7 +433,7 @@ def plan(**kwargs):
 def apply_cmd(fresh_results, **kwargs):
     """Discharge planned goals with fresh verification results."""
     config = _build_config(kwargs)
-    plan_path = Path(config.out or ".") / "plan.json"
+    plan_path = Path(config.out) / "plan.json"
     try:
         arg = _load_argument(config)
         if not plan_path.exists():

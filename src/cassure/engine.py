@@ -66,7 +66,11 @@ def _backward_reach(space, seeds_mask, allowed_mask):
     frontier = np.flatnonzero(seeds_mask)
     while frontier.size:
         cand = _rows_of(indptr, preds, frontier)
-        cand = np.unique(cand[allowed_mask[cand] & ~reached[cand]])
+        # Sorted, first of each run: np.unique would import numpy.ma.
+        cand = np.sort(cand[allowed_mask[cand] & ~reached[cand]])
+        first = np.ones(cand.size, dtype=bool)
+        first[1:] = cand[1:] != cand[:-1]
+        cand = cand[first]
         reached[cand] = True
         frontier = cand
     return reached
@@ -88,11 +92,13 @@ def prob0_states(space: StateSpace, phi, psi) -> np.ndarray:
 
 def prob1_states(space: StateSpace, phi, psi) -> np.ndarray:
     """Mask of states satisfying phi U psi with probability exactly 1."""
-    phi_m = _as_mask(space, phi)
-    psi_m = _as_mask(space, psi)
+    return _prob01(space, _as_mask(space, phi), _as_mask(space, psi))[1]
+
+
+def _prob01(space, phi_m, psi_m):
+    """The (prob0, prob1) masks of phi U psi, from one prob0 search."""
     zero = prob0_states(space, phi_m, psi_m)
-    bad = _backward_reach(space, zero, phi_m & ~psi_m)
-    return ~bad
+    return zero, ~_backward_reach(space, zero, phi_m & ~psi_m)
 
 
 # --------------------------------------------------------------------------
@@ -150,8 +156,7 @@ def until_probability(space: StateSpace, phi, psi, cfg=SolverConfig()):
     """Per-state P(phi U psi); returns (vector, stats dict)."""
     phi_m = _as_mask(space, phi)
     psi_m = _as_mask(space, psi)
-    zero = prob0_states(space, phi_m, psi_m)
-    one = prob1_states(space, phi_m, psi_m)
+    zero, one = _prob01(space, phi_m, psi_m)
     x = np.zeros(space.n_states, dtype=np.float64)
     x[one] = 1.0
     unknown = np.flatnonzero(~zero & ~one)

@@ -14,7 +14,8 @@ links in stored order, then a quarantine section for orphaned entries.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .diagnostics import CassureError, Diagnostic
 from .parsing import _unquote
@@ -53,9 +54,23 @@ ARTIFACT_KINDS = ("model-file", "property", "verification-result",
 
 ALL_PHASES = ("design", "runtime", "evolution")
 
+_NO_ENTRIES = ((), ())
+
 
 class GsnError(CassureError):
     pass
+
+
+def _append_new(entries, new):
+    """``entries`` followed by each of ``new`` that equals no entry before
+    it; duplicates within ``entries`` stay."""
+    out = list(entries)
+    seen = set(out)
+    for entry in new:
+        if entry not in seen:
+            seen.add(entry)
+            out.append(entry)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -120,18 +135,39 @@ class ArgumentModel:
     def node_ids(self):
         return {n.id for n in self.nodes}
 
+    @cached_property
+    def _by_node(self):
+        """node id -> (annotations, trace links), each in stored order; built
+        once per value, which is never mutated."""
+        view = {}
+        for a in self.annotations:
+            view.setdefault(a.node_id, ([], []))[0].append(a)
+        for t in self.trace_links:
+            view.setdefault(t.node_id, ([], []))[1].append(t)
+        return view
+
     def stereotypes_of(self, node_id):
-        return {a.name for a in self.annotations
-                if a.node_id == node_id and a.kind == "stereotype"}
+        return {a.name for a in self._by_node.get(node_id, _NO_ENTRIES)[0]
+                if a.kind == "stereotype"}
 
     def placeholder_of(self, node_id, key):
-        for a in self.annotations:
-            if a.node_id == node_id and a.kind == "placeholder" and a.name == key:
+        for a in self._by_node.get(node_id, _NO_ENTRIES)[0]:
+            if a.kind == "placeholder" and a.name == key:
                 return a.value
         return None
 
     def trace_links_of(self, node_id):
-        return [t for t in self.trace_links if t.node_id == node_id]
+        return list(self._by_node.get(node_id, _NO_ENTRIES)[1])
+
+    def edit_annotations(self, add, drop):
+        """A copy without the annotations whose (node_id, kind, name) is in
+        ``drop``, then with each of ``add`` appended unless an equal
+        annotation is already there.  Stored order is kept, and so are
+        duplicates the argument already holds."""
+        drop = set(drop)
+        kept = [a for a in self.annotations
+                if (a.node_id, a.kind, a.name) not in drop]
+        return replace(self, annotations=_append_new(kept, add))
 
     def goals(self):
         return [n for n in self.nodes if n.kind == "goal"]
@@ -480,30 +516,17 @@ def merge_annotations(regenerated: ArgumentModel,
     Idempotent: merging the same previous argument twice adds nothing new.
     """
     ids = regenerated.node_ids()
-    annotations = list(regenerated.annotations)
-    trace_links = list(regenerated.trace_links)
-    orphans = list(regenerated.orphans)
-
-    for a in previous.annotations:
-        if a.node_id in ids:
-            if a not in annotations:
-                annotations.append(a)
-        elif a not in orphans:
-            orphans.append(a)
-    for t in previous.trace_links:
-        if t.artifact_kind != "external-evidence":
-            continue  # generated trace links are owned by the transformer
-        if t.node_id in ids:
-            if t not in trace_links:
-                trace_links.append(t)
-        elif t not in orphans:
-            orphans.append(t)
-    for entry in previous.orphans:
-        if entry not in orphans:
-            orphans.append(entry)
-
-    return replace(regenerated,
-                   annotations=tuple(annotations),
-                   trace_links=tuple(trace_links),
-                   extensions=regenerated.extensions | previous.extensions,
-                   orphans=tuple(orphans))
+    # Generated trace links are owned by the transformer.
+    external = [t for t in previous.trace_links
+                if t.artifact_kind == "external-evidence"]
+    lost = ([a for a in previous.annotations if a.node_id not in ids]
+            + [t for t in external if t.node_id not in ids])
+    return replace(
+        regenerated,
+        annotations=_append_new(
+            regenerated.annotations,
+            [a for a in previous.annotations if a.node_id in ids]),
+        trace_links=_append_new(
+            regenerated.trace_links, [t for t in external if t.node_id in ids]),
+        extensions=regenerated.extensions | previous.extensions,
+        orphans=_append_new(regenerated.orphans, lost + list(previous.orphans)))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .diagnostics import CassureError
 from .engine import render_value, result_fingerprint
-from .gsn import Annotation, ArgumentModel, TraceLink
+from .gsn import Annotation, ArgumentModel
 from .transform import DEFAULT_TEMPLATE, _render
 
 VALUE_CHANGE_TOL = 1e-6
@@ -86,12 +86,7 @@ def ingest_monitor_events(arg: ArgumentModel, events):
         if a.kind == "placeholder" and a.name == "monitor_id":
             monitors.setdefault(a.value, []).append(a.node_id)
 
-    annotations = list(arg.annotations)
-
-    def add(ann):
-        if ann not in annotations:
-            annotations.append(ann)
-
+    add = []
     for ev in events:
         goal_ids = monitors.get(ev.monitor_id)
         if not goal_ids:
@@ -99,9 +94,9 @@ def ingest_monitor_events(arg: ArgumentModel, events):
             continue
         for gid in goal_ids:
             if ev.kind == "violation":
-                add(Annotation.stereotype(gid, "Reopened"))
                 ref = ev.payload or ev.detail or ev.timestamp
-                add(Annotation.placeholder(gid, "runtime_log", ref))
+                add += (Annotation.stereotype(gid, "Reopened"),
+                        Annotation.placeholder(gid, "runtime_log", ref))
                 report.reopened.append((gid, "violation"))
             else:
                 raw = arg.placeholder_of(gid, "confidence_threshold")
@@ -114,12 +109,12 @@ def ingest_monitor_events(arg: ArgumentModel, events):
                     raise LifecycleError(
                         f"unparseable confidence_threshold {raw!r} on {gid}")
                 if ev.value < threshold:
-                    add(Annotation.stereotype(gid, "Reopened"))
-                    add(Annotation.stereotype(gid, "DeferredEvidence"))
+                    add += (Annotation.stereotype(gid, "Reopened"),
+                            Annotation.stereotype(gid, "DeferredEvidence"))
                     report.reopened.append((gid, "confidence"))
                 else:
                     report.unchanged.append(gid)
-    return replace(arg, annotations=tuple(annotations)), report
+    return arg.edit_annotations(add=add, drop=()), report
 
 
 # --------------------------------------------------------------------------
@@ -212,6 +207,9 @@ def impact_analysis(arg: ArgumentModel, pkg: EvolutionPackage,
     reopened_extra = set(pkg.reopened_goals)
     fresh_by_name = {r.property: r for r in (fresh_results or [])}
     base_by_name = {r.property: r for r in (baseline_results or [])}
+    # The recorded fingerprint of each property's result; the first link wins.
+    recorded = {t.ref: t.fingerprint for t in reversed(arg.trace_links)
+                if t.artifact_kind == "verification-result"}
 
     report = ImpactReport()
     for goal in arg.goals():
@@ -244,8 +242,7 @@ def impact_analysis(arg: ArgumentModel, pkg: EvolutionPackage,
                 if base is not None and not _result_changed(base, fresh):
                     cls, why = "valid", "fresh re-check confirms baseline"
                 elif base is None:
-                    old_fp = _solution_fingerprint(arg, prop_name)
-                    if old_fp == result_fingerprint(fresh):
+                    if recorded.get(prop_name) == result_fingerprint(fresh):
                         cls, why = "valid", "fresh re-check matches recorded result"
                     else:
                         cls, why = "invalid", "fresh re-check changed the result"
@@ -263,15 +260,11 @@ def impact_analysis(arg: ArgumentModel, pkg: EvolutionPackage,
     report.summary = (f"valid={counts['valid']} invalid={counts['invalid']} "
                       f"uncertain={counts['uncertain']}")
 
-    annotations = [a for a in arg.annotations
-                   if not (a.node_id == "S.byProperty" and a.kind == "placeholder"
-                           and a.name == "impact_summary")]
-    stereo = Annotation.stereotype("S.byProperty", "ImpactAnalysis")
-    if stereo not in annotations:
-        annotations.append(stereo)
-    annotations.append(Annotation.placeholder("S.byProperty", "impact_summary",
-                                              report.summary))
-    return report, replace(arg, annotations=tuple(annotations))
+    return report, arg.edit_annotations(
+        add=(Annotation.stereotype("S.byProperty", "ImpactAnalysis"),
+             Annotation.placeholder("S.byProperty", "impact_summary",
+                                    report.summary)),
+        drop=(("S.byProperty", "placeholder", "impact_summary"),))
 
 
 def _result_changed(base, fresh):
@@ -283,13 +276,6 @@ def _result_changed(base, fresh):
     if base.value is None or fresh.value is None:
         return base.value != fresh.value
     return abs(base.value - fresh.value) > VALUE_CHANGE_TOL
-
-
-def _solution_fingerprint(arg, prop_name):
-    for t in arg.trace_links:
-        if t.artifact_kind == "verification-result" and t.ref == prop_name:
-            return t.fingerprint
-    return None
 
 
 # --------------------------------------------------------------------------
@@ -351,19 +337,15 @@ def plan_regeneration(report: ImpactReport, arg: ArgumentModel):
                                gid, strategy, cost_text, hours, critical))
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
 
-    entries = []
-    annotations = list(arg.annotations)
+    entries, add = [], []
     for rank, c in enumerate(candidates, 1):
         _, _, gid, strategy, cost_text, hours, critical = c
         entries.append(RegenerationPlanEntry(gid, strategy, rank, cost_text,
                                              hours, critical))
-        stereo = Annotation.stereotype(gid, "RegenerationPlan")
-        if stereo not in annotations:
-            annotations.append(stereo)
+        add.append(Annotation.stereotype(gid, "RegenerationPlan"))
         if arg.placeholder_of(gid, "regeneration_plan") is None:
-            annotations.append(Annotation.placeholder(gid, "regeneration_plan",
-                                                      strategy))
-    return entries, replace(arg, annotations=tuple(annotations)), warnings
+            add.append(Annotation.placeholder(gid, "regeneration_plan", strategy))
+    return entries, arg.edit_annotations(add=add, drop=()), warnings
 
 
 # --------------------------------------------------------------------------
@@ -381,15 +363,8 @@ def apply_regeneration(arg: ArgumentModel, plan, fresh_results,
     """
     fresh_by_name = {r.property: r for r in fresh_results}
     nodes = {n.id: n for n in arg.nodes}
-    annotations = list(arg.annotations)
-    trace_links = list(arg.trace_links)
-
-    def drop(node_id, kind, name):
-        nonlocal annotations
-        annotations = [a for a in annotations
-                       if not (a.node_id == node_id and a.kind == kind
-                               and a.name == name)]
-
+    fingerprints = {}   # solution id -> fingerprint of its fresh result
+    add, drop = [], []
     for entry in plan:
         if entry.strategy != "re-verify":
             continue
@@ -409,30 +384,30 @@ def apply_regeneration(arg: ArgumentModel, plan, fresh_results,
             if sol.description != new_desc:
                 nodes[eid] = replace(sol, description=new_desc,
                                      version=sol.version + 1)
-            for i, t in enumerate(trace_links):
-                if t.node_id == eid and t.artifact_kind == "verification-result":
-                    trace_links[i] = replace(t, fingerprint=result_fingerprint(res))
+            fingerprints[eid] = result_fingerprint(res)
 
-        drop(gid, "stereotype", "RegenerationPlan")
-        drop(gid, "placeholder", "regeneration_plan")
-        passing = res.verdict is not False
-        if passing:
-            drop(gid, "stereotype", "DeferredEvidence")
-            drop(gid, "stereotype", "Reopened")
-            ev = Annotation.stereotype(gid, "EvidenceProvided")
-            if ev not in annotations:
-                annotations.append(ev)
+        # One goal's drops and adds never touch another goal's annotations,
+        # and a goal's adds are never among its drops, so collecting them
+        # and editing once equals editing entry by entry.
+        drop += ((gid, "stereotype", "RegenerationPlan"),
+                 (gid, "placeholder", "regeneration_plan"))
+        if res.verdict is not False:
+            drop += ((gid, "stereotype", "DeferredEvidence"),
+                     (gid, "stereotype", "Reopened"))
+            add.append(Annotation.stereotype(gid, "EvidenceProvided"))
         else:
-            drop(gid, "stereotype", "EvidenceProvided")
-            deferred = Annotation.stereotype(gid, "DeferredEvidence")
-            if deferred not in annotations:
-                annotations.append(deferred)
+            drop.append((gid, "stereotype", "EvidenceProvided"))
+            add.append(Annotation.stereotype(gid, "DeferredEvidence"))
         goal = nodes[gid]
         nodes[gid] = replace(goal, version=goal.version + 1)
 
-    return replace(arg, nodes=tuple(nodes[n.id] for n in arg.nodes),
-                   annotations=tuple(annotations),
-                   trace_links=tuple(trace_links))
+    trace_links = tuple(
+        replace(t, fingerprint=fingerprints[t.node_id])
+        if t.artifact_kind == "verification-result" and t.node_id in fingerprints
+        else t for t in arg.trace_links)
+    return replace(arg.edit_annotations(add=add, drop=drop),
+                   nodes=tuple(nodes[n.id] for n in arg.nodes),
+                   trace_links=trace_links)
 
 
 def stereotype_state_violations(arg: ArgumentModel):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,9 +201,29 @@ def test_results_round_trip(results):
 
 
 def test_closed_form_no_radiation():
-    model = parse_model(open("case_study/nuclear.prism").read())
+    model = parse_model(Path("case_study/nuclear.prism").read_text())
     b = bind_constants(model, {"p_rad_crit": 0.0, "p_rad_med": 0.0})
     space = build_dtmc(b)
     props = parse_properties('"P_succ": P=? [F loc = 4]')
     r = check_properties(space, props)[0]
     assert r.value == pytest.approx(pinned.P_SUCC_NO_RADIATION, abs=1e-9)
+
+
+
+def test_precompute_does_not_import_numpy_ma(model_path, props_path, tmp_path):
+    # np.unique imports numpy.ma (about 10 ms) on its first call in a process.
+    # scipy.sparse imports it too, so only properties that the 0/1 precompute
+    # decides without a solve are checked: the bounded P and the R queries.
+    lines = [l for l in props_path.read_text().splitlines()
+             if "P>=1" in l or "P<=0" in l or "R{" in l]
+    props = tmp_path / "qualitative.props"
+    props.write_text("\n".join(lines) + "\n")
+    code = ("import sys\n"
+            "from cassure.cli import PipelineConfig, run_check\n"
+            f"run_check(PipelineConfig({str(model_path)!r}, {str(props)!r}, '.'))\n"
+            "print('scipy' in sys.modules, 'numpy.ma' in sys.modules)\n")
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.split() == ["False", "False"]

@@ -147,6 +147,40 @@ def test_merge_reattaches_external_evidence():
     assert set(merged.annotations) == set(prev.annotations)
 
 
+
+def test_merge_keeps_order_and_appends_only_new_entries():
+    prev = small_arg()
+    p, s = Annotation.placeholder, Annotation.stereotype
+    prev = ArgumentModel(
+        prev.name, prev.nodes, prev.links,
+        annotations=prev.annotations + (s("G1", "TraceMonitored"),
+                                        p("G1", "evidence_cost", "1h"),
+                                        p("G1", "evidence_cost", "2h")),
+        trace_links=prev.trace_links + (
+            TraceLink("G1", "external-evidence", "doc-1"),),
+        orphans=(s("G9", "Reopened"),
+                 TraceLink("G9", "external-evidence", "old")))
+    regenerated = ArgumentModel(
+        prev.name,
+        nodes=tuple(n for n in prev.nodes if n.id != "G2"),
+        links=(GsnLink("supported-by", "G1", "S1"),),
+        annotations=(s("G1", "DeferredEvidence"), p("G1", "evidence_cost", "1h")),
+        trace_links=(TraceLink("E1", "verification-result", "P_x", "cd34"),),
+        orphans=(s("G9", "Reopened"),))
+    merged = merge_annotations(regenerated, prev)
+    assert merged.annotations == (
+        s("G1", "DeferredEvidence"), p("G1", "evidence_cost", "1h"),
+        s("G1", "TraceMonitored"), p("G1", "evidence_cost", "2h"))
+    assert merged.placeholder_of("G1", "evidence_cost") == "1h"  # first stored
+    assert merged.trace_links == (
+        TraceLink("E1", "verification-result", "P_x", "cd34"),
+        TraceLink("G1", "external-evidence", "doc-1"))
+    assert merged.orphans == (
+        s("G9", "Reopened"), p("G2", "evidence_cost", "4h"),
+        s("G2", "TraceMonitored"),
+        TraceLink("G2", "external-evidence", "csp-assert-1"),
+        TraceLink("G9", "external-evidence", "old"))
+
 def test_orphans_round_trip_through_dsl():
     prev = small_arg()
     regenerated = ArgumentModel(

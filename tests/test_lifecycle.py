@@ -5,8 +5,9 @@ import pytest
 
 import pinned
 from cassure import (
-    Annotation, LifecycleError, bind_constants, build_dtmc, check_properties,
-    parse_model, validate_argument,
+    Annotation, ArgumentModel, GsnLink, GsnNode, LifecycleError, TraceLink,
+    VerificationResult, bind_constants, build_dtmc, check_properties,
+    parse_model, result_fingerprint, validate_argument,
 )
 from cassure.lifecycle import (
     EvolutionPackage, FileDelta, MonitorEvent, apply_regeneration,
@@ -253,3 +254,80 @@ def test_apply_updates_solution_text_and_fingerprint(arg, results):
     new_fp = next(t.fingerprint for t in applied.trace_links
                   if t.node_id == "E.P_succ")
     assert new_fp != old_fp
+
+
+# ---- annotation order across the whole lifecycle ----
+
+def test_lifecycle_annotation_order():
+    """The exact annotations after each step.  The input holds a duplicate
+    annotation, a regeneration_plan placeholder that planning must not
+    replace, a stale impact_summary, and EvidenceProvided on a goal whose
+    fresh result fails."""
+    P, S = "placeholder", "stereotype"
+    nodes = tuple(GsnNode(i, k, i) for i, k in (
+        ("G.root", "goal"), ("S.byProperty", "strategy"), ("G.A", "goal"),
+        ("G.B", "goal"), ("E.A", "solution"), ("E.B", "solution")))
+    links = tuple(GsnLink("supported-by", a, b) for a, b in (
+        ("G.root", "S.byProperty"), ("S.byProperty", "G.A"),
+        ("S.byProperty", "G.B"), ("G.A", "E.A"), ("G.B", "E.B")))
+    traces = (TraceLink("G.A", "property", "A"),
+              TraceLink("E.A", "verification-result", "A", "fa"),
+              TraceLink("G.B", "property", "B"),
+              TraceLink("E.B", "verification-result", "B", "fb"))
+    given = [("G.A", P, "monitor_id", "mon.a"),
+             ("G.A", S, "TraceMonitored", None),
+             ("G.A", S, "TraceMonitored", None),
+             ("G.B", P, "monitor_id", "mon.b"),
+             ("G.B", P, "confidence_threshold", "0.9"),
+             ("G.B", P, "regeneration_plan", "manual-review"),
+             ("G.B", S, "EvidenceProvided", None),
+             ("S.byProperty", P, "impact_summary", "stale"),
+             ("G.A", P, "evidence_cost", "3h")]
+    anns = tuple(Annotation.placeholder(n, name, v) if k == P
+                 else Annotation.stereotype(n, name) for n, k, name, v in given)
+    arg = ArgumentModel("order", nodes, links, anns, traces)
+
+    def rows(a):
+        return [(x.node_id, x.kind, x.name, x.value) for x in a.annotations]
+
+    v = MonitorEvent("t", "mon.a", "violation", payload="a.log")
+    c = MonitorEvent("t", "mon.b", "confidence", 0.2)
+    arg, _ = ingest_monitor_events(arg, [v, c, v])
+    assert rows(arg) == given + [
+        ("G.A", S, "Reopened", None), ("G.A", P, "runtime_log", "a.log"),
+        ("G.B", S, "Reopened", None), ("G.B", S, "DeferredEvidence", None)]
+
+    report, arg = impact_analysis(arg, EvolutionPackage())
+    impacted = [r for r in given if r[2] != "impact_summary"] + [
+        ("G.A", S, "Reopened", None), ("G.A", P, "runtime_log", "a.log"),
+        ("G.B", S, "Reopened", None), ("G.B", S, "DeferredEvidence", None),
+        ("S.byProperty", S, "ImpactAnalysis", None),
+        ("S.byProperty", P, "impact_summary", "valid=1 invalid=1 uncertain=1")]
+    assert rows(arg) == impacted
+
+    entries, arg, _ = plan_regeneration(report, arg)
+    assert [e.goal_id for e in entries] == ["G.A", "G.B"]
+    assert rows(arg) == impacted + [
+        ("G.A", S, "RegenerationPlan", None),
+        ("G.A", P, "regeneration_plan", "re-verify"),
+        ("G.B", S, "RegenerationPlan", None)]
+
+    fresh = [VerificationResult("A", "probability", value=0.25),
+             VerificationResult("B", "boolean", verdict=False)]
+    arg = apply_regeneration(arg, entries, fresh)
+    assert rows(arg) == [
+        ("G.A", P, "monitor_id", "mon.a"),
+        ("G.A", S, "TraceMonitored", None),
+        ("G.A", S, "TraceMonitored", None),
+        ("G.B", P, "monitor_id", "mon.b"),
+        ("G.B", P, "confidence_threshold", "0.9"),
+        ("G.A", P, "evidence_cost", "3h"),
+        ("G.A", P, "runtime_log", "a.log"),
+        ("G.B", S, "Reopened", None),
+        ("G.B", S, "DeferredEvidence", None),
+        ("S.byProperty", S, "ImpactAnalysis", None),
+        ("S.byProperty", P, "impact_summary", "valid=1 invalid=1 uncertain=1"),
+        ("G.A", S, "EvidenceProvided", None)]
+    assert [t.fingerprint for t in arg.trace_links
+            if t.artifact_kind == "verification-result"] == \
+        [result_fingerprint(r) for r in fresh]
