@@ -39,9 +39,9 @@ from .statespace import build_dtmc
 from .transform import ModelRef, build_argument, regenerate
 
 # Failures a command reports as an error (exit 2) and a watch cycle as a
-# failed cycle: the toolkit's own errors and unreadable input or unwritable
-# output files.
-_FAILURES = (CassureError, OSError)
+# failed cycle: the toolkit's own errors, unreadable or non-UTF-8 input and
+# unwritable output files.
+_FAILURES = (CassureError, OSError, UnicodeDecodeError)
 
 
 @dataclass
@@ -77,6 +77,15 @@ def atomic_write(path, text):
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def _read_file(path, parse):
+    """``parse`` applied to the text of ``path``; the error of a malformed
+    file names it."""
+    try:
+        return parse(Path(path).read_text())
+    except (CassureError, UnicodeDecodeError) as e:
+        raise CassureError(f"{path}: {e}") from None
 
 
 def load_config_file(path):
@@ -191,7 +200,7 @@ def run_generate(config: PipelineConfig, model_text, props, results):
     warnings = []
     arg_path = config.argument_path()
     if arg_path.exists():
-        previous = parse_dsl(arg_path.read_text())
+        previous = _read_file(arg_path, parse_dsl)
         fresh = regenerate(previous, fresh)
         for orphan in fresh.orphans:
             warnings.append(f"orphaned annotation on missing node "
@@ -354,7 +363,7 @@ def _load_argument(config):
     path = config.argument_path()
     if not path.exists():
         _fail(CassureError(f"no argument file at {path}; run generate first"))
-    return parse_dsl(path.read_text())
+    return _read_file(path, parse_dsl)
 
 
 @main.command()
@@ -366,7 +375,7 @@ def ingest(events, **kwargs):
     config = _build_config(kwargs)
     try:
         arg = _load_argument(config)
-        evs = parse_monitor_events(Path(events).read_text())
+        evs = _read_file(events, parse_monitor_events)
         arg, report = ingest_monitor_events(arg, evs)
         atomic_write(config.argument_path(), serialize_dsl(arg))
     except _FAILURES as e:
@@ -390,9 +399,9 @@ def impact(package_dir, fresh_results, baseline_results, **kwargs):
     try:
         arg = _load_argument(config)
         pkg = load_package(package_dir) if package_dir else EvolutionPackage()
-        fresh = parse_results(Path(fresh_results).read_text()) \
+        fresh = _read_file(fresh_results, parse_results) \
             if fresh_results else None
-        baseline = parse_results(Path(baseline_results).read_text()) \
+        baseline = _read_file(baseline_results, parse_results) \
             if baseline_results else None
         report, arg = impact_analysis(arg, pkg, fresh, baseline)
         atomic_write(config.argument_path(), serialize_dsl(arg))
@@ -413,7 +422,7 @@ def plan(**kwargs):
         arg = _load_argument(config)
         if not report_path.exists():
             raise CassureError(f"no impact report at {report_path}; run impact first")
-        report = ImpactReport.from_json(report_path.read_text())
+        report = _read_file(report_path, ImpactReport.from_json)
         entries, arg, warnings = plan_regeneration(report, arg)
         atomic_write(config.argument_path(), serialize_dsl(arg))
         atomic_write(Path(config.out) / "plan.json", serialize_plan(entries))
@@ -438,8 +447,8 @@ def apply_cmd(fresh_results, **kwargs):
         arg = _load_argument(config)
         if not plan_path.exists():
             raise CassureError(f"no plan at {plan_path}; run plan first")
-        entries = parse_plan(plan_path.read_text())
-        fresh = parse_results(Path(fresh_results).read_text())
+        entries = _read_file(plan_path, parse_plan)
+        fresh = _read_file(fresh_results, parse_results)
         arg = apply_regeneration(arg, entries, fresh)
         atomic_write(config.argument_path(), serialize_dsl(arg))
     except _FAILURES as e:

@@ -31,6 +31,13 @@ class CassureError(Exception):
     """Base class for all toolkit errors."""
 
 
+def malformed(what, e):
+    """The message for a JSON record ``what`` that failed to load with ``e``:
+    bad JSON, a missing key or a value of the wrong type."""
+    return f"malformed {what}: " + (f"missing key {e}" if isinstance(e, KeyError)
+                                    else str(e))
+
+
 class ParseError(CassureError):
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)

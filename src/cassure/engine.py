@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import SolverError
+from .diagnostics import CassureError, SolverError, malformed
 from .model import Lit
 from .statespace import StateSpace, label_states
 
@@ -354,14 +354,18 @@ def serialize_results(results) -> str:
 
 def parse_results(text: str):
     out = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        rec = json.loads(line)
-        out.append(VerificationResult(
-            rec["property"], rec["kind"], rec.get("value"),
-            rec.get("infinite", False), rec.get("verdict"),
-            rec.get("marginal", False), rec.get("stats", {}),
-            rec.get("model_fingerprint", "")))
+        try:
+            rec = json.loads(line)
+            out.append(VerificationResult(
+                rec["property"], rec["kind"], rec.get("value"),
+                rec.get("infinite", False), rec.get("verdict"),
+                rec.get("marginal", False), rec.get("stats", {}),
+                rec.get("model_fingerprint", "")))
+        except (KeyError, TypeError, ValueError) as e:
+            raise CassureError(
+                malformed(f"result record on line {lineno}", e)) from None
     return out

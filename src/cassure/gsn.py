@@ -16,9 +16,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
+from json.decoder import scanstring
+from json.encoder import encode_basestring
 
 from .diagnostics import CassureError, Diagnostic
-from .parsing import _unquote
 
 NODE_KINDS = ("goal", "strategy", "solution", "context")
 
@@ -184,6 +185,9 @@ class ArgumentModel:
 _SUPPORT_RULES = {("goal", "strategy"), ("strategy", "goal"),
                   ("goal", "goal"), ("goal", "solution")}
 
+# The ids the .gsn format can hold: no whitespace, no '"', not empty.
+_ID_RE = re.compile(r'[^\s"]+')
+
 
 def validate_argument(arg: ArgumentModel):
     """Well-formedness diagnostics; never raises."""
@@ -194,6 +198,8 @@ def validate_argument(arg: ArgumentModel):
     seen = set()
     kinds = {}
     for n in arg.nodes:
+        if not _ID_RE.fullmatch(n.id):
+            err(f"node id {n.id!r} is empty or holds whitespace or '\"'")
         if n.id in seen:
             err(f"duplicate node id '{n.id}'")
         seen.add(n.id)
@@ -207,6 +213,9 @@ def validate_argument(arg: ArgumentModel):
 
     adjacency = {}
     for l in arg.links:
+        for end in (l.source, l.target):
+            if not _ID_RE.fullmatch(end):
+                err(f"link endpoint {end!r} is empty or holds whitespace or '\"'")
         if l.source not in kinds or l.target not in kinds:
             err(f"dangling link {l.source} -> {l.target}")
             continue
@@ -268,18 +277,15 @@ def validate_argument(arg: ArgumentModel):
 # DSL serialization
 # --------------------------------------------------------------------------
 
-def _quote(s):
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 def _annotation_line(a):
     if a.kind == "placeholder":
-        return f"annotate {a.node_id} placeholder {a.name}={_quote(a.value or '')}"
+        return (f"annotate {a.node_id} placeholder "
+                f"{a.name}={encode_basestring(a.value or '')}")
     return f"annotate {a.node_id} stereotype <<{a.name}>>"
 
 
 def _trace_line(t):
-    line = f"trace {t.node_id} {t.artifact_kind} {_quote(t.ref)}"
+    line = f"trace {t.node_id} {t.artifact_kind} {encode_basestring(t.ref)}"
     if t.fingerprint:
         line += f" fingerprint {t.fingerprint}"
     return line
@@ -287,13 +293,13 @@ def _trace_line(t):
 
 def serialize_dsl(arg: ArgumentModel) -> str:
     """Deterministic text form; byte-identical for structurally equal args."""
-    out = [f"argument {_quote(arg.name)} version {arg.version}"]
+    out = [f"argument {encode_basestring(arg.name)} version {arg.version}"]
     for ext in sorted(arg.extensions):
         out.append(f"extend {ext}")
     out.append("")
     for n in sorted(arg.nodes, key=lambda n: n.id):
         out.append(f"{n.kind} {n.id} version {n.version}")
-        out.append(f"  {_quote(n.description)}")
+        out.append(f"  {encode_basestring(n.description)}")
     out.append("")
     for l in sorted(arg.links, key=lambda l: (l.kind, l.source, l.target)):
         out.append(f"{l.kind} {l.source} {l.target}")
@@ -316,157 +322,91 @@ def serialize_dsl(arg: ArgumentModel) -> str:
     return "\n".join(out).rstrip("\n") + "\n"
 
 
-_STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
+# One anchored pattern per line kind, matched against the stripped line.
+# Strings are JSON string literals; words hold no whitespace and no '"'.
+_STRING = r'("[^"\\]*(?:\\.[^"\\]*)*")'
+_WORD = f"({_ID_RE.pattern})"
+_HEADER_RE = re.compile(rf"argument\s+{_STRING}\s+version\s+(-?\d+)")
+_EXTEND_RE = re.compile(rf"extend\s+{_WORD}")
+_NODE_RE = re.compile(rf"({'|'.join(NODE_KINDS)})\s+{_WORD}\s+version\s+(-?\d+)")
+_DESCRIPTION_RE = re.compile(_STRING)
+_LINK_RE = re.compile(rf"(supported-by|in-context-of)\s+{_WORD}\s+{_WORD}")
+_PLACEHOLDER_RE = re.compile(
+    rf"annotate\s+{_WORD}\s+placeholder\s+(\w+)={_STRING}")
+_STEREOTYPE_RE = re.compile(rf"annotate\s+{_WORD}\s+stereotype\s+<<(\w+)>>")
+_TRACE_RE = re.compile(
+    rf"trace\s+{_WORD}\s+{_WORD}\s+{_STRING}(?:\s+fingerprint\s+{_WORD})?")
 
 
-class _DslParser:
-    def __init__(self, text):
-        self.lines = text.splitlines()
-        self.i = 0
-        self.in_orphans = False
-
-    def error(self, msg):
-        raise GsnError(f"line {self.i + 1}: {msg}")
-
-    def parse(self):
-        name = None
-        version = 1
-        nodes, links, annotations, trace_links, orphans = [], [], [], [], []
-        extensions = set()
-        pending_node = None
-
-        while self.i < len(self.lines):
-            raw = self.lines[self.i]
-            line = raw.strip()
-            if pending_node is not None:
-                if not line.startswith('"'):
-                    self.error(f"expected quoted description for {pending_node[1]}")
-                kind, nid, ver = pending_node
-                nodes.append(GsnNode(nid, kind, _unquote(line), ver))
-                pending_node = None
-                self.i += 1
-                continue
-            if not line:
-                self.i += 1
-                continue
-            if line == "# orphaned":
-                self.in_orphans = True
-                self.i += 1
-                continue
-            if line.startswith("#"):
-                self.i += 1
-                continue
-            parts = self._split(line)
-            head = parts[0]
-            if head == "argument":
-                name = _unquote(parts[1])
-                if len(parts) >= 4 and parts[2] == "version":
-                    version = int(parts[3])
-            elif head == "extend":
-                extensions.add(parts[1])
-            elif head in NODE_KINDS:
-                if len(parts) != 4 or parts[2] != "version":
-                    self.error(f"malformed node line: {line!r}")
-                pending_node = (head, parts[1], int(parts[3]))
-            elif head in ("supported-by", "in-context-of"):
-                if len(parts) != 3:
-                    self.error(f"malformed link line: {line!r}")
-                links.append(GsnLink(head, parts[1], parts[2]))
-            elif head == "annotate":
-                entry = self._annotation(parts, line)
-                (orphans if self.in_orphans else annotations).append(entry)
-            elif head == "trace":
-                entry = self._trace(parts, line)
-                (orphans if self.in_orphans else trace_links).append(entry)
-            else:
-                self.error(f"unrecognized directive {head!r}")
-            self.i += 1
-
-        if pending_node is not None:
-            self.error(f"missing description for {pending_node[1]}")
-        if name is None:
-            raise GsnError("missing 'argument' header")
-        arg = ArgumentModel(name, tuple(nodes), tuple(links), tuple(annotations),
-                            tuple(trace_links), version, frozenset(extensions),
-                            tuple(orphans))
-        self._check_refs(arg)
-        return arg
-
-    def _split(self, line):
-        # Tokenize, keeping quoted strings intact.
-        out = []
-        pos = 0
-        while pos < len(line):
-            if line[pos].isspace():
-                pos += 1
-                continue
-            if line[pos] == '"':
-                m = _STRING_RE.match(line, pos)
-                if not m:
-                    self.error(f"unterminated string in {line!r}")
-                out.append(m.group())
-                pos = m.end()
-            else:
-                # A token may embed a quoted string (key="a b"); spaces
-                # inside the quotes do not end the token.
-                end = pos
-                while end < len(line) and not line[end].isspace():
-                    if line[end] == '"':
-                        m = _STRING_RE.match(line, end)
-                        if not m:
-                            self.error(f"unterminated string in {line!r}")
-                        end = m.end()
-                    else:
-                        end += 1
-                out.append(line[pos:end])
-                pos = end
-        return out
-
-    def _annotation(self, parts, line):
-        if len(parts) < 4:
-            self.error(f"malformed annotate line: {line!r}")
-        node_id = parts[1]
-        if parts[2] == "stereotype":
-            m = re.fullmatch(r"<<(\w+)>>", parts[3])
-            if not m:
-                self.error(f"malformed stereotype in {line!r}")
-            return Annotation.stereotype(node_id, m.group(1))
-        if parts[2] == "placeholder":
-            m = re.fullmatch(r'(\w+)=("(?:[^"\\]|\\.)*")', parts[3])
-            if not m:
-                self.error(f"malformed placeholder in {line!r}")
-            return Annotation.placeholder(node_id, m.group(1), _unquote(m.group(2)))
-        self.error(f"unknown annotation kind {parts[2]!r}")
-
-    def _trace(self, parts, line):
-        if len(parts) < 4:
-            self.error(f"malformed trace line: {line!r}")
-        node_id, artifact_kind = parts[1], parts[2]
-        ref = _unquote(parts[3]) if parts[3].startswith('"') else parts[3]
-        fingerprint = None
-        if len(parts) == 6 and parts[4] == "fingerprint":
-            fingerprint = parts[5]
-        elif len(parts) != 4:
-            self.error(f"malformed trace line: {line!r}")
-        return TraceLink(node_id, artifact_kind, ref, fingerprint)
-
-    def _check_refs(self, arg):
-        ids = arg.node_ids()
-        for l in arg.links:
-            if l.source not in ids or l.target not in ids:
-                raise GsnError(f"link references unknown node: "
-                               f"{l.source} -> {l.target}")
-        for a in arg.annotations:
-            if a.node_id not in ids:
-                raise GsnError(f"annotation references unknown node '{a.node_id}'")
-        for t in arg.trace_links:
-            if t.node_id not in ids:
-                raise GsnError(f"trace link references unknown node '{t.node_id}'")
+def _decode(s):
+    # Non-strict, so a raw tab inside a string (written by older versions)
+    # still reads.
+    return scanstring(s, 1, False)[0]
 
 
 def parse_dsl(text: str) -> ArgumentModel:
-    """Parse the .gsn text format; raises GsnError with line numbers."""
-    return _DslParser(text).parse()
+    """Parse the .gsn text format; raises GsnError naming the line."""
+    header = None
+    nodes, links, annotations, trace_links, orphans = [], [], [], [], []
+    extensions = set()
+    to_annotations, to_traces = annotations, trace_links
+    pending = None  # (kind, id, version) of a node awaiting its description
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        try:
+            if pending:
+                if not (m := _DESCRIPTION_RE.fullmatch(line)):
+                    raise GsnError(f"line {lineno}: expected the quoted "
+                                   f"description of {pending[1]}")
+                kind, nid, version = pending
+                nodes.append(GsnNode(nid, kind, _decode(m[1]), version))
+                pending = None
+            elif not line or line[0] == "#":
+                if line == "# orphaned":
+                    to_annotations = to_traces = orphans
+            elif m := _NODE_RE.fullmatch(line):
+                pending = (m[1], m[2], int(m[3]))
+            elif m := _LINK_RE.fullmatch(line):
+                links.append(GsnLink(m[1], m[2], m[3]))
+            elif m := _PLACEHOLDER_RE.fullmatch(line):
+                to_annotations.append(
+                    Annotation.placeholder(m[1], m[2], _decode(m[3])))
+            elif m := _STEREOTYPE_RE.fullmatch(line):
+                to_annotations.append(Annotation.stereotype(m[1], m[2]))
+            elif m := _TRACE_RE.fullmatch(line):
+                to_traces.append(TraceLink(m[1], m[2], _decode(m[3]), m[4]))
+            elif m := _EXTEND_RE.fullmatch(line):
+                extensions.add(m[1])
+            elif m := _HEADER_RE.fullmatch(line):
+                header = (_decode(m[1]), int(m[2]))
+            else:
+                raise GsnError(f"line {lineno}: malformed line {line!r}")
+        except ValueError as e:  # a string escape that does not decode
+            raise GsnError(f"line {lineno}: {e}") from None
+    if pending:
+        raise GsnError(f"line {lineno + 1}: missing the description of "
+                       f"{pending[1]}")
+    if header is None:
+        raise GsnError("missing 'argument' header")
+    arg = ArgumentModel(header[0], tuple(nodes), tuple(links),
+                        tuple(annotations), tuple(trace_links), header[1],
+                        frozenset(extensions), tuple(orphans))
+    _check_refs(arg)
+    return arg
+
+
+def _check_refs(arg):
+    ids = arg.node_ids()
+    for l in arg.links:
+        if l.source not in ids or l.target not in ids:
+            raise GsnError(f"link references unknown node: "
+                           f"{l.source} -> {l.target}")
+    for a in arg.annotations:
+        if a.node_id not in ids:
+            raise GsnError(f"annotation references unknown node '{a.node_id}'")
+    for t in arg.trace_links:
+        if t.node_id not in ids:
+            raise GsnError(f"trace link references unknown node '{t.node_id}'")
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .diagnostics import CassureError
+from .diagnostics import CassureError, malformed
 from .engine import render_value, result_fingerprint
 from .gsn import Annotation, ArgumentModel
 from .transform import DEFAULT_TEMPLATE, _render
@@ -64,7 +64,8 @@ def parse_monitor_events(text: str):
                 rec["timestamp"], rec["monitor_id"], rec["kind"],
                 rec.get("value"), rec.get("detail"), rec.get("payload")))
         except (KeyError, ValueError, TypeError) as e:
-            raise LifecycleError(f"malformed event record on line {lineno}: {e}")
+            raise LifecycleError(
+                malformed(f"event record on line {lineno}", e)) from None
     return events
 
 
@@ -149,13 +150,17 @@ def load_package(directory) -> EvolutionPackage:
     path = Path(directory) / "package.json"
     if not path.exists():
         raise LifecycleError(f"no package manifest at {path}")
-    rec = json.loads(path.read_text())
-    deltas = tuple(FileDelta(d["path"], d.get("old_fingerprint", ""),
-                             d.get("new_fingerprint", ""))
-                   for d in rec.get("changed_files", []))
-    pkg = EvolutionPackage(deltas, tuple(rec.get("monitor_logs", [])),
-                           rec.get("incident_notes", ""),
-                           tuple(rec.get("reopened_goals", [])))
+    try:
+        rec = json.loads(path.read_text())
+        deltas = tuple(FileDelta(d["path"], d.get("old_fingerprint", ""),
+                                 d.get("new_fingerprint", ""))
+                       for d in rec.get("changed_files", []))
+        pkg = EvolutionPackage(deltas, tuple(rec.get("monitor_logs", [])),
+                               rec.get("incident_notes", ""),
+                               tuple(rec.get("reopened_goals", [])))
+    except (KeyError, ValueError, TypeError, AttributeError) as e:
+        raise LifecycleError(
+            f"{path}: " + malformed("package manifest", e)) from None
     if pkg.is_empty():
         raise LifecycleError("evolution package has no triggering element")
     return pkg
@@ -179,9 +184,12 @@ class ImpactReport:
 
     @staticmethod
     def from_json(text):
-        rec = json.loads(text)
-        return ImpactReport(rec["classifications"], rec["rationales"],
-                            rec["summary"])
+        try:
+            rec = json.loads(text)
+            return ImpactReport(rec["classifications"], rec["rationales"],
+                                rec["summary"])
+        except (KeyError, ValueError, TypeError) as e:
+            raise LifecycleError(malformed("impact report", e)) from None
 
 
 def _goal_reopen_reason(arg, gid):
@@ -311,7 +319,10 @@ def serialize_plan(entries) -> str:
 
 
 def parse_plan(text):
-    return [RegenerationPlanEntry(**rec) for rec in json.loads(text)]
+    try:
+        return [RegenerationPlanEntry(**rec) for rec in json.loads(text)]
+    except (ValueError, TypeError) as e:
+        raise LifecycleError(malformed("plan", e)) from None
 
 
 def plan_regeneration(report: ImpactReport, arg: ArgumentModel):

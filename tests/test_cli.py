@@ -260,3 +260,134 @@ def test_lifecycle_commands_end_to_end(workdir):
 def test_no_model_given_exits_2(tmp_path):
     r = invoke("check", "--out", str(tmp_path))
     assert r.exit_code == 2
+
+
+def _generate(workdir):
+    out = workdir / "out"
+    r = invoke("generate", "--model", str(workdir / "nuclear.prism"),
+               "--out", str(out))
+    assert r.exit_code == 0, r.output
+    return out
+
+
+def test_newline_in_monitor_event_round_trips(workdir):
+    out = _generate(workdir)
+    model = ("--model", str(workdir / "nuclear.prism"), "--out", str(out))
+    gsn = out / "nuclear.gsn"
+    gsn.write_text(gsn.read_text() + "\n"
+                   'annotate G.P_succ placeholder monitor_id="mon.succ"\n')
+    events = workdir / "events.jsonl"
+    events.write_text(json.dumps({
+        "timestamp": "2026-08-20T09:00:00Z", "monitor_id": "mon.succ",
+        "kind": "violation", "payload": "line1\nline2"}) + "\n")
+    r = invoke("ingest", *model, "--events", str(events))
+    assert r.exit_code == 0, r.output
+    assert 'runtime_log="line1\\nline2"' in gsn.read_text()
+    for cmd in ("impact", "plan"):
+        r = invoke(cmd, *model)
+        assert r.exit_code == 0, r.output
+    arg = parse_dsl(gsn.read_text())
+    assert arg.placeholder_of("G.P_succ", "runtime_log") == "line1\nline2"
+
+
+def test_plan_on_malformed_argument_exits_2(workdir):
+    out = _generate(workdir)
+    gsn = out / "nuclear.gsn"
+    gsn.write_text(gsn.read_text().replace("version 1\n", "version one\n", 1))
+    (out / "impact_report.json").write_text(json.dumps(
+        {"classifications": {}, "rationales": {}, "summary": ""}))
+    r = invoke("plan", "--model", str(workdir / "nuclear.prism"),
+               "--out", str(out))
+    assert r.exit_code == 2
+    assert f"error: {gsn}: line 1: malformed line" in r.output
+
+
+def test_watch_survives_malformed_previous_argument(workdir):
+    config = make_config(workdir)
+    gsn = workdir / "out" / "nuclear.gsn"
+    gsn.parent.mkdir()
+    gsn.write_text("argument\n")
+    lines = []
+    props_file = workdir / "nuclear.props"
+
+    def fake_sleep(_):
+        gsn.unlink()
+        props_file.write_text(props_file.read_text() + "\n")
+    cycles = watch_loop(config, max_cycles=2, log=lines.append,
+                        sleep=fake_sleep)
+    assert cycles == 2
+    assert f"exit=2 cycle failed: {gsn}: line 1: malformed line" in lines[0]
+    assert "exit=1 checked 17 properties" in lines[1]
+
+
+def test_generate_rejects_a_node_id_the_format_cannot_hold(workdir):
+    (workdir / "spaced.props").write_text('"my prop": P=? [ F loc=4 ];\n')
+    out = workdir / "out"
+    r = invoke("generate", "--model", str(workdir / "nuclear.prism"),
+               "--props", str(workdir / "spaced.props"), "--out", str(out))
+    assert r.exit_code == 2
+    assert "error: generated argument failed validation: node id 'G.my prop'" \
+        in r.output
+    assert not out.exists()
+
+
+def _lifecycle_case(workdir, case):
+    """Write the malformed input of ``case``; returns (command args, the
+    file the error must name)."""
+    out = workdir / "out"
+    model = ("--model", str(workdir / "nuclear.prism"), "--out", str(out))
+    if case == "fresh-results":
+        bad = workdir / "fresh.jsonl"
+        bad.write_text("not json\n")
+        return ("impact", *model, "--fresh-results", str(bad)), bad
+    if case == "impact-report":
+        bad = out / "impact_report.json"
+        bad.write_text("{}")
+        return ("plan", *model), bad
+    if case == "plan":
+        bad = out / "plan.json"
+        bad.write_text('[{"goal_id": "G.x"}]')
+        return ("apply", *model, "--fresh-results",
+                str(out / "nuclear.results.jsonl")), bad
+    package = workdir / "package"
+    package.mkdir()
+    bad = package / "package.json"
+    bad.write_text(json.dumps({"changed_files": [
+        {"old_fingerprint": "a", "new_fingerprint": "b"}]}))
+    return ("impact", *model, "--package", str(package)), bad
+
+
+@pytest.mark.parametrize("case", ["fresh-results", "impact-report", "plan",
+                                  "package"])
+def test_malformed_lifecycle_input_exits_2(workdir, case):
+    _generate(workdir)
+    args, bad = _lifecycle_case(workdir, case)
+    r = invoke(*args)
+    assert r.exit_code == 2, r.output
+    assert f"error: {bad}: malformed" in r.output
+
+
+def test_non_utf8_input_exits_2(workdir):
+    out = _generate(workdir)
+    events = workdir / "events.jsonl"
+    events.write_bytes(b"\xff\xfe not text\n")
+    r = invoke("ingest", "--model", str(workdir / "nuclear.prism"),
+               "--out", str(out), "--events", str(events))
+    assert r.exit_code == 2
+    assert f"error: {events}: 'utf-8' codec can't decode byte 0xff" in r.output
+
+
+def test_non_utf8_model_fails_one_watch_cycle(workdir):
+    config = make_config(workdir)
+    model = workdir / "nuclear.prism"
+    text = model.read_text()
+    model.write_bytes(b"\xff" + text.encode())
+    lines = []
+
+    def fake_sleep(_):
+        model.write_text(text)
+    cycles = watch_loop(config, max_cycles=2, log=lines.append,
+                        sleep=fake_sleep)
+    assert cycles == 2
+    assert "exit=2 cycle failed: 'utf-8' codec can't decode" in lines[0]
+    assert "exit=1 checked 17 properties" in lines[1]

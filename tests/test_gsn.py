@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cassure import (
     Annotation, ArgumentModel, GsnError, GsnLink, GsnNode, TraceLink,
     export_dot, merge_annotations, parse_dsl, serialize_dsl, validate_argument,
 )
+from cassure.gsn import NODE_KINDS
 
 
 def small_arg():
@@ -114,6 +116,105 @@ def test_parse_error_reports_line():
     text = serialize_dsl(small_arg()) + "\nbogus directive\n"
     with pytest.raises(GsnError, match="line"):
         parse_dsl(text)
+
+
+_HEAD = 'argument "x" version 1\n\ngoal G1 version 1\n  "d"\n'
+
+
+@pytest.mark.parametrize("text,line", [
+    pytest.param("argument\n", 1, id="bare-argument"),
+    pytest.param('argument "x" version 1\nextend\n', 2, id="bare-extend"),
+    pytest.param('argument "x" version 1\ngoal G1 version one\n  "d"\n', 2,
+                 id="word-version"),
+    pytest.param('argument "x" version 1\ngoal G1 version 1\n  "d" trailing\n',
+                 3, id="description-trailing"),
+    pytest.param('argument "x" version 1\ngoal G1 version 1\n  "d\n', 3,
+                 id="description-unterminated"),
+    pytest.param('argument "x" versoin 3\n', 1, id="header-misspelt"),
+    pytest.param(_HEAD + "annotate G1 stereotype <<Reopened>> extra\n", 5,
+                 id="annotate-extra-token"),
+    pytest.param(_HEAD + 'annotate G1 placeholder deferred="a" "b"\n', 5,
+                 id="placeholder-extra-string"),
+    pytest.param(_HEAD + 'annotate G1 placeholder deferred="\\q"\n', 5,
+                 id="bad-escape"),
+    pytest.param(_HEAD + "trace G1 property P_x\n", 5, id="trace-unquoted"),
+    pytest.param(_HEAD + 'trace G1 property "P_x" fingerprint\n', 5,
+                 id="trace-bare-fingerprint"),
+    pytest.param(_HEAD + "supported-by G1\n", 5, id="link-one-end"),
+    pytest.param('argument "x" version 1\ngoal G1 version 1\n', 3,
+                 id="description-blank"),
+    pytest.param('argument "x" version 1\ngoal G1 version 1', 3,
+                 id="description-at-end"),
+])
+def test_malformed_line_names_its_line(text, line):
+    with pytest.raises(GsnError, match=f"^line {line}: "):
+        parse_dsl(text)
+
+
+def test_control_characters_round_trip_as_json_escapes():
+    arg = ArgumentModel("q\tr", nodes=(GsnNode("G1", "goal", "a\nb\x00c"),),
+                        annotations=(Annotation.placeholder(
+                            "G1", "runtime_log", "line1\r\nline2"),))
+    text = serialize_dsl(arg)
+    assert '"a\\nb\\u0000c"' in text and '"line1\\r\\nline2"' in text
+    assert parse_dsl(text) == arg
+
+
+def test_raw_tab_inside_a_string_still_parses():
+    arg = parse_dsl(_HEAD.replace('"d"', '"a\tb"'))
+    assert arg.node("G1").description == "a\tb"
+
+
+@pytest.mark.parametrize("bad", ["my prop", 'say"x"', "", "a\nb"])
+def test_ids_the_format_cannot_hold_are_errors(bad):
+    arg = small_arg()
+    nodes = arg.nodes + (GsnNode(bad, "context", "odd id"),)
+    links = arg.links + (GsnLink("in-context-of", "G1", bad),)
+    errors = [d.message for d in validate_argument(
+        ArgumentModel(arg.name, nodes, links)) if d.severity == "error"]
+    assert any(m.startswith(f"node id {bad!r}") for m in errors)
+    assert any(m.startswith(f"link endpoint {bad!r}") for m in errors)
+
+
+# ---- hypothesis: parse_dsl inverts serialize_dsl ----
+
+_ids = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp"),
+                             blacklist_characters='"'), min_size=1, max_size=8)
+_names = st.from_regex(r"\w+", fullmatch=True)
+
+
+@st.composite
+def arguments(draw):
+    ids = sorted(draw(st.sets(_ids, min_size=1, max_size=5)))
+    nodes = tuple(GsnNode(i, draw(st.sampled_from(NODE_KINDS)), draw(st.text()),
+                          draw(st.integers(-3, 10**6))) for i in ids)
+    node_id = st.sampled_from(ids)
+    links = tuple(sorted(draw(st.lists(st.builds(
+        GsnLink, st.sampled_from(("supported-by", "in-context-of")),
+        node_id, node_id), max_size=4)),
+        key=lambda l: (l.kind, l.source, l.target)))
+    fingerprints = st.none() | _ids
+
+    def annotations(on):
+        return st.builds(Annotation.placeholder, on, _names, st.text()) \
+            | st.builds(Annotation.stereotype, on, _names)
+
+    def traces(on):
+        return st.builds(TraceLink, on, _ids, st.text(), fingerprints)
+    return ArgumentModel(
+        draw(st.text()), nodes, links,
+        tuple(draw(st.lists(annotations(node_id), max_size=4))),
+        tuple(draw(st.lists(traces(node_id), max_size=3))),
+        draw(st.integers(-3, 10**6)), frozenset(draw(st.sets(_ids, max_size=2))),
+        tuple(draw(st.lists(annotations(_ids) | traces(_ids), max_size=3))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(arguments())
+@example(ArgumentModel("line1\nline2\\ \"q\" \t é", nodes=(
+    GsnNode("G1", "goal", "\u2028\x85\x0c"),)))
+def test_parse_inverts_serialize(arg):
+    assert parse_dsl(serialize_dsl(arg)) == arg
 
 
 def test_dangling_reference_rejected():
