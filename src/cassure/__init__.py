@@ -26,8 +26,8 @@ from .parsing import (
 )
 from .statespace import StateSpace, build_dtmc, build_state_space, label_states
 from .transform import (
-    ArgumentTemplate, ModelRef, TransformError, attach_external_evidence,
-    build_argument, regenerate,
+    ModelRef, TransformError, attach_external_evidence, build_argument,
+    regenerate,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ import hashlib
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
@@ -61,6 +61,13 @@ class PipelineConfig:
     def results_path(self):
         return Path(self.out) / f"{self.stem}.results.jsonl"
 
+    def props_path(self):
+        """The props file, which only the commands that verify read."""
+        if not self.props:
+            raise CassureError(f"no props file given and no sibling "
+                               f"{self.stem}.props found")
+        return Path(self.props)
+
     def argument_path(self):
         return Path(self.out) / f"{self.stem}.gsn"
 
@@ -88,6 +95,10 @@ def _read_file(path, parse):
         raise CassureError(f"{path}: {e}") from None
 
 
+# The keys a config file may set; each command reads those of its own flags.
+_CONFIG_KEYS = ("model", "props", "out", "const", "epsilon", "poll_ms", "dot")
+
+
 def load_config_file(path):
     """key=value lines; '#' starts a comment."""
     values = {}
@@ -98,7 +109,10 @@ def load_config_file(path):
         if "=" not in line:
             raise CassureError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise CassureError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -124,18 +138,19 @@ def _config_number(values, key, kind):
         raise CassureError(f"config key {key!r} is not a number: {values[key]!r}")
 
 
-def resolve_config(config_file, model, props, out, const, epsilon, poll_ms,
-                   dot) -> PipelineConfig:
-    """Layer flags over the optional key=value config file."""
+def resolve_config(config_file, flags) -> PipelineConfig:
+    """Layer ``flags`` (option key -> value) over the optional key=value
+    config file; of the file, only the keys of ``flags`` are read."""
     base = load_config_file(config_file) if config_file else {}
-    model = model or base.get("model")
-    props = props or base.get("props")
-    out = out or base.get("out")
+    base = {key: value for key, value in base.items() if key in flags}
+    model = flags["model"] or base.get("model")
+    props = flags["props"] or base.get("props")
+    out = flags["out"] or base.get("out")
     constants = {}
     for item in base.get("const", "").split(","):
         if item.strip():
             constants.update([_parse_const(item)])
-    for item in const:
+    for item in flags.get("const", ()):
         constants.update([_parse_const(item)])
     if model and not props:
         candidate = Path(model).with_suffix(".props")
@@ -147,12 +162,10 @@ def resolve_config(config_file, model, props, out, const, epsilon, poll_ms,
             model = str(candidate)
     if not model:
         raise CassureError("no model file given (use --model or a config file)")
-    if not props:
-        raise CassureError(f"no props file given and no sibling "
-                           f"{Path(model).stem}.props found")
     if not out:
         out = str(Path(model).parent)
     cfg = PipelineConfig(model, props, out, constants)
+    epsilon, poll_ms = flags.get("epsilon"), flags.get("poll_ms")
     if epsilon is None and "epsilon" in base:
         epsilon = _config_number(base, "epsilon", float)
     if poll_ms is None and "poll_ms" in base:
@@ -163,7 +176,7 @@ def resolve_config(config_file, model, props, out, const, epsilon, poll_ms,
         cfg.epsilon = epsilon
     if poll_ms is not None:
         cfg.poll_ms = poll_ms
-    cfg.dot = dot or base.get("dot", "").lower() in ("1", "true", "yes")
+    cfg.dot = flags.get("dot") or base.get("dot", "").lower() in ("1", "true", "yes")
     return cfg
 
 
@@ -174,7 +187,7 @@ def resolve_config(config_file, model, props, out, const, epsilon, poll_ms,
 def run_check(config: PipelineConfig):
     """Parse, build, verify.  Returns (model text, state space, props, results)."""
     model_text = Path(config.model).read_text()
-    props_text = Path(config.props).read_text()
+    props_text = config.props_path().read_text()
     ast = parse_model(model_text, file=config.model)
     diags = type_check(ast)
     errors = [d for d in diags if d.severity == "error"]
@@ -249,7 +262,7 @@ def watch_loop(config: PipelineConfig, max_cycles=None, log=None,
     cycles = 0
     while max_cycles is None or cycles < max_cycles:
         current = (_fingerprint_file(config.model),
-                   _fingerprint_file(config.props))
+                   _fingerprint_file(config.props_path()))
         if current != seen and all(current):
             seen = current
             code, summary = run_cycle(config)
@@ -264,30 +277,21 @@ def watch_loop(config: PipelineConfig, max_cycles=None, log=None,
 # Commands
 # --------------------------------------------------------------------------
 
-def _common_options(f):
-    for opt in reversed([
-        click.option("--model", type=click.Path(), default=None),
-        click.option("--props", type=click.Path(), default=None),
-        click.option("--out", type=click.Path(), default=None),
-        click.option("--const", multiple=True, metavar="NAME=VALUE"),
-        click.option("--epsilon", type=float, default=None),
-        click.option("--poll-ms", type=int, default=None),
-        click.option("--dot", is_flag=True, default=False),
-        click.option("--config", "config_file", type=click.Path(exists=True),
-                     default=None, help="key=value config file"),
-    ]):
-        f = opt(f)
-    return f
-
-
-def _build_config(kwargs):
-    try:
-        return resolve_config(kwargs.pop("config_file"), kwargs.pop("model"),
-                              kwargs.pop("props"), kwargs.pop("out"),
-                              kwargs.pop("const"), kwargs.pop("epsilon"),
-                              kwargs.pop("poll_ms"), kwargs.pop("dot"))
-    except _FAILURES as e:
-        _fail(e)
+# Every option a command may take, declared once; a command lists the keys
+# of those it reads (see _command).
+_OPTIONS = {
+    "model": click.option("--model", type=click.Path(), default=None),
+    "props": click.option("--props", type=click.Path(), default=None),
+    "out": click.option("--out", type=click.Path(), default=None),
+    "const": click.option("--const", multiple=True, metavar="NAME=VALUE"),
+    "epsilon": click.option("--epsilon", type=float, default=None),
+    "dot": click.option("--dot", is_flag=True, default=False),
+    "poll_ms": click.option("--poll-ms", type=int, default=None),
+}
+_LIFECYCLE = ("model", "props", "out")
+_CHECK = _LIFECYCLE + ("const", "epsilon")
+_GENERATE = _CHECK + ("dot",)
+_WATCH = _GENERATE + ("poll_ms",)
 
 
 def _fail(e):
@@ -304,16 +308,33 @@ def main():
     over a DTMC and keep a GSN argument in sync with the evidence."""
 
 
-@main.command()
-@_common_options
-def check(**kwargs):
+def _command(options):
+    """Register the decorated body as a ``main`` subcommand taking
+    ``--config`` plus ``options`` (keys of _OPTIONS) and its own options.
+    The body gets the resolved PipelineConfig and returns the exit code;
+    any of _FAILURES it raises is an error, exit 2."""
+    def register(body):
+        def run(config_file, **kwargs):
+            flags = {key: kwargs.pop(key) for key in options}
+            try:
+                code = body(resolve_config(config_file, flags), **kwargs)
+            except _FAILURES as e:
+                _fail(e)
+            sys.exit(code)
+        run.__click_params__ = list(getattr(body, "__click_params__", []))
+        for key in reversed(options):
+            run = _OPTIONS[key](run)
+        run = click.option("--config", "config_file", type=click.Path(exists=True),
+                           default=None, help="key=value config file")(run)
+        return main.command(body.__name__, help=body.__doc__)(run)
+    return register
+
+
+@_command(_CHECK)
+def check(config):
     """Verify all properties and write result records."""
-    config = _build_config(kwargs)
-    try:
-        _, space, _, results = run_check(config)
-        atomic_write(config.results_path(), serialize_results(results))
-    except _FAILURES as e:
-        _fail(e)
+    _, space, _, results = run_check(config)
+    atomic_write(config.results_path(), serialize_results(results))
     d = space.diagnostics
     click.echo(f"built {space.n_states} states, {space.indices.size} transitions "
                f"({d.nondeterministic_states} states resolved by uniform choice, "
@@ -323,139 +344,111 @@ def check(**kwargs):
                    + ("holds" if r.verdict else "violated" if r.verdict is False
                       else ("+inf" if r.infinite else f"{r.value:.6g}")))
     click.echo(f"wrote {config.results_path()}")
-    sys.exit(check_exit_code(results))
+    return check_exit_code(results)
 
 
-@main.command()
-@_common_options
-def generate(**kwargs):
+@_command(_GENERATE)
+def generate(config):
     """Verify and (re)generate the assurance argument."""
-    config = _build_config(kwargs)
-    try:
-        model_text, _, props, results = run_check(config)
-        arg, warnings = run_generate(config, model_text, props, results)
-    except _FAILURES as e:
-        _fail(e)
+    model_text, _, props, results = run_check(config)
+    arg, warnings = run_generate(config, model_text, props, results)
     for w in warnings:
         click.echo(f"warning: {w}", err=True)
     click.echo(f"wrote {config.argument_path()} "
                f"({len(arg.nodes)} nodes, version {arg.version})")
-    sys.exit(0)
+    return 0
 
 
-@main.command()
-@_common_options
+@_command(_WATCH)
 @click.option("--max-cycles", type=int, default=None,
               help="stop after N cycles (testing aid)")
-def watch(max_cycles, **kwargs):
+def watch(config, max_cycles):
     """Re-run check+generate whenever the model or props file changes."""
-    config = _build_config(kwargs)
     if not Path(config.model).exists():
-        _fail(CassureError(f"model file {config.model} does not exist"))
+        raise CassureError(f"model file {config.model} does not exist")
     try:
         watch_loop(config, max_cycles=max_cycles)
     except KeyboardInterrupt:
         pass
-    sys.exit(0)
+    return 0
 
 
 def _load_argument(config):
     path = config.argument_path()
     if not path.exists():
-        _fail(CassureError(f"no argument file at {path}; run generate first"))
+        raise CassureError(f"no argument file at {path}; run generate first")
     return _read_file(path, parse_dsl)
 
 
-@main.command()
-@_common_options
+@_command(_LIFECYCLE)
 @click.option("--events", type=click.Path(exists=True), required=True,
               help="monitor event log (JSON lines)")
-def ingest(events, **kwargs):
+def ingest(config, events):
     """Fold runtime monitor events into the argument."""
-    config = _build_config(kwargs)
-    try:
-        arg = _load_argument(config)
-        evs = _read_file(events, parse_monitor_events)
-        arg, report = ingest_monitor_events(arg, evs)
-        atomic_write(config.argument_path(), serialize_dsl(arg))
-    except _FAILURES as e:
-        _fail(e)
+    arg = _load_argument(config)
+    evs = _read_file(events, parse_monitor_events)
+    arg, report = ingest_monitor_events(arg, evs)
+    atomic_write(config.argument_path(), serialize_dsl(arg))
     for gid, reason in report.reopened:
         click.echo(f"reopened {gid} ({reason})")
     for mid in report.unmatched:
         click.echo(f"warning: no goal monitors '{mid}'", err=True)
-    sys.exit(0)
+    return 0
 
 
-@main.command()
-@_common_options
+@_command(_LIFECYCLE)
 @click.option("--package", "package_dir", type=click.Path(exists=True),
               default=None, help="evolution package directory")
 @click.option("--fresh-results", type=click.Path(exists=True), default=None)
 @click.option("--baseline-results", type=click.Path(exists=True), default=None)
-def impact(package_dir, fresh_results, baseline_results, **kwargs):
+def impact(config, package_dir, fresh_results, baseline_results):
     """Classify every goal as valid / invalid / uncertain."""
-    config = _build_config(kwargs)
-    try:
-        arg = _load_argument(config)
-        pkg = load_package(package_dir) if package_dir else EvolutionPackage()
-        fresh = _read_file(fresh_results, parse_results) \
-            if fresh_results else None
-        baseline = _read_file(baseline_results, parse_results) \
-            if baseline_results else None
-        report, arg = impact_analysis(arg, pkg, fresh, baseline)
-        atomic_write(config.argument_path(), serialize_dsl(arg))
-        atomic_write(Path(config.out) / "impact_report.json", report.to_json())
-    except _FAILURES as e:
-        _fail(e)
+    arg = _load_argument(config)
+    pkg = load_package(package_dir) if package_dir else EvolutionPackage()
+    fresh = _read_file(fresh_results, parse_results) if fresh_results else None
+    baseline = _read_file(baseline_results, parse_results) \
+        if baseline_results else None
+    report, arg = impact_analysis(arg, pkg, fresh, baseline)
+    atomic_write(config.argument_path(), serialize_dsl(arg))
+    atomic_write(Path(config.out) / "impact_report.json", report.to_json())
     click.echo(report.summary)
-    sys.exit(0)
+    return 0
 
 
-@main.command()
-@_common_options
-def plan(**kwargs):
+@_command(_LIFECYCLE)
+def plan(config):
     """Order invalid/uncertain goals into a regeneration plan."""
-    config = _build_config(kwargs)
     report_path = Path(config.out) / "impact_report.json"
-    try:
-        arg = _load_argument(config)
-        if not report_path.exists():
-            raise CassureError(f"no impact report at {report_path}; run impact first")
-        report = _read_file(report_path, ImpactReport.from_json)
-        entries, arg, warnings = plan_regeneration(report, arg)
-        atomic_write(config.argument_path(), serialize_dsl(arg))
-        atomic_write(Path(config.out) / "plan.json", serialize_plan(entries))
-    except _FAILURES as e:
-        _fail(e)
+    arg = _load_argument(config)
+    if not report_path.exists():
+        raise CassureError(f"no impact report at {report_path}; run impact first")
+    report = _read_file(report_path, ImpactReport.from_json)
+    entries, arg, warnings = plan_regeneration(report, arg)
+    atomic_write(config.argument_path(), serialize_dsl(arg))
+    atomic_write(Path(config.out) / "plan.json", serialize_plan(entries))
     for w in warnings:
         click.echo(f"warning: {w}", err=True)
     for e in entries:
         cost = e.evidence_cost or "?"
         click.echo(f"{e.rank}. {e.goal_id} [{e.strategy}] cost={cost}")
-    sys.exit(0)
+    return 0
 
 
-@main.command(name="apply")
-@_common_options
+@_command(_LIFECYCLE)
 @click.option("--fresh-results", type=click.Path(exists=True), required=True)
-def apply_cmd(fresh_results, **kwargs):
+def apply(config, fresh_results):
     """Discharge planned goals with fresh verification results."""
-    config = _build_config(kwargs)
     plan_path = Path(config.out) / "plan.json"
-    try:
-        arg = _load_argument(config)
-        if not plan_path.exists():
-            raise CassureError(f"no plan at {plan_path}; run plan first")
-        entries = _read_file(plan_path, parse_plan)
-        fresh = _read_file(fresh_results, parse_results)
-        arg = apply_regeneration(arg, entries, fresh)
-        atomic_write(config.argument_path(), serialize_dsl(arg))
-    except _FAILURES as e:
-        _fail(e)
+    arg = _load_argument(config)
+    if not plan_path.exists():
+        raise CassureError(f"no plan at {plan_path}; run plan first")
+    entries = _read_file(plan_path, parse_plan)
+    fresh = _read_file(fresh_results, parse_results)
+    arg = apply_regeneration(arg, entries, fresh)
+    atomic_write(config.argument_path(), serialize_dsl(arg))
     click.echo(f"applied {len(entries)} plan entries; wrote "
                f"{config.argument_path()}")
-    sys.exit(0)
+    return 0
 
 
 if __name__ == "__main__":

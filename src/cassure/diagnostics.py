@@ -38,6 +38,18 @@ def malformed(what, e):
                                     else str(e))
 
 
+def json_field(rec, key, kind, *default):
+    """``rec[key]`` of a loaded JSON object, or ``default`` when one is given
+    and the key is absent.  A value that is not a ``kind`` raises TypeError,
+    which the readers report through ``malformed``."""
+    if not isinstance(rec, dict):
+        raise TypeError(f"expected a JSON object, got {rec!r}")
+    value = rec.get(key, *default) if default else rec[key]
+    if not isinstance(value, kind):
+        raise TypeError(f"{key!r} has the wrong type: {value!r}")
+    return value
+
+
 class ParseError(CassureError):
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)

@@ -14,10 +14,11 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from types import NoneType
 
 import numpy as np
 
-from .diagnostics import CassureError, SolverError, malformed
+from .diagnostics import CassureError, SolverError, json_field, malformed
 from .model import Lit
 from .statespace import StateSpace, label_states
 
@@ -360,11 +361,17 @@ def parse_results(text: str):
             continue
         try:
             rec = json.loads(line)
-            out.append(VerificationResult(
-                rec["property"], rec["kind"], rec.get("value"),
-                rec.get("infinite", False), rec.get("verdict"),
-                rec.get("marginal", False), rec.get("stats", {}),
-                rec.get("model_fingerprint", "")))
+            res = VerificationResult(
+                json_field(rec, "property", str), json_field(rec, "kind", str),
+                json_field(rec, "value", (int, float, NoneType), None),
+                json_field(rec, "infinite", bool, False),
+                json_field(rec, "verdict", (bool, NoneType), None),
+                json_field(rec, "marginal", bool, False),
+                json_field(rec, "stats", dict, {}),
+                json_field(rec, "model_fingerprint", str, ""))
+            if res.value is None and res.kind != "boolean" and not res.infinite:
+                raise TypeError(f"'value' of a {res.kind} result is null")
+            out.append(res)
         except (KeyError, TypeError, ValueError) as e:
             raise CassureError(
                 malformed(f"result record on line {lineno}", e)) from None

@@ -15,11 +15,12 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import NoneType
 
-from .diagnostics import CassureError, malformed
-from .engine import render_value, result_fingerprint
+from .diagnostics import CassureError, json_field, malformed
+from .engine import result_fingerprint
 from .gsn import Annotation, ArgumentModel
-from .transform import DEFAULT_TEMPLATE, _render
+from .transform import solution_description
 
 VALUE_CHANGE_TOL = 1e-6
 
@@ -61,8 +62,11 @@ def parse_monitor_events(text: str):
         try:
             rec = json.loads(line)
             events.append(MonitorEvent(
-                rec["timestamp"], rec["monitor_id"], rec["kind"],
-                rec.get("value"), rec.get("detail"), rec.get("payload")))
+                json_field(rec, "timestamp", str),
+                json_field(rec, "monitor_id", str), json_field(rec, "kind", str),
+                json_field(rec, "value", (int, float, NoneType), None),
+                json_field(rec, "detail", (str, NoneType), None),
+                json_field(rec, "payload", (str, NoneType), None)))
         except (KeyError, ValueError, TypeError) as e:
             raise LifecycleError(
                 malformed(f"event record on line {lineno}", e)) from None
@@ -152,12 +156,17 @@ def load_package(directory) -> EvolutionPackage:
         raise LifecycleError(f"no package manifest at {path}")
     try:
         rec = json.loads(path.read_text())
-        deltas = tuple(FileDelta(d["path"], d.get("old_fingerprint", ""),
-                                 d.get("new_fingerprint", ""))
-                       for d in rec.get("changed_files", []))
-        pkg = EvolutionPackage(deltas, tuple(rec.get("monitor_logs", [])),
-                               rec.get("incident_notes", ""),
-                               tuple(rec.get("reopened_goals", [])))
+        deltas = tuple(FileDelta(json_field(d, "path", str),
+                                 json_field(d, "old_fingerprint", str, ""),
+                                 json_field(d, "new_fingerprint", str, ""))
+                       for d in json_field(rec, "changed_files", list, []))
+        reopened = json_field(rec, "reopened_goals", list, [])
+        if not all(isinstance(gid, str) for gid in reopened):
+            raise TypeError(f"'reopened_goals' holds a non-string: {reopened!r}")
+        pkg = EvolutionPackage(deltas,
+                               tuple(json_field(rec, "monitor_logs", list, [])),
+                               json_field(rec, "incident_notes", str, ""),
+                               tuple(reopened))
     except (KeyError, ValueError, TypeError, AttributeError) as e:
         raise LifecycleError(
             f"{path}: " + malformed("package manifest", e)) from None
@@ -186,8 +195,9 @@ class ImpactReport:
     def from_json(text):
         try:
             rec = json.loads(text)
-            return ImpactReport(rec["classifications"], rec["rationales"],
-                                rec["summary"])
+            return ImpactReport(json_field(rec, "classifications", dict),
+                                json_field(rec, "rationales", dict),
+                                json_field(rec, "summary", str))
         except (KeyError, ValueError, TypeError) as e:
             raise LifecycleError(malformed("impact report", e)) from None
 
@@ -320,8 +330,15 @@ def serialize_plan(entries) -> str:
 
 def parse_plan(text):
     try:
-        return [RegenerationPlanEntry(**rec) for rec in json.loads(text)]
-    except (ValueError, TypeError) as e:
+        return [RegenerationPlanEntry(
+                    json_field(rec, "goal_id", str),
+                    json_field(rec, "strategy", str),
+                    json_field(rec, "rank", int),
+                    json_field(rec, "evidence_cost", (str, NoneType)),
+                    json_field(rec, "cost_hours", (int, float, NoneType)),
+                    json_field(rec, "critical", bool, False))
+                for rec in json.loads(text)]
+    except (KeyError, ValueError, TypeError) as e:
         raise LifecycleError(malformed("plan", e)) from None
 
 
@@ -363,8 +380,7 @@ def plan_regeneration(report: ImpactReport, arg: ArgumentModel):
 # Applying regenerated evidence
 # --------------------------------------------------------------------------
 
-def apply_regeneration(arg: ArgumentModel, plan, fresh_results,
-                       tmpl=DEFAULT_TEMPLATE) -> ArgumentModel:
+def apply_regeneration(arg: ArgumentModel, plan, fresh_results) -> ArgumentModel:
     """Discharge planned goals with fresh verification results.
 
     Re-verify entries require a fresh result; a still-failing result keeps
@@ -389,8 +405,7 @@ def apply_regeneration(arg: ArgumentModel, plan, fresh_results,
 
         eid = f"E.{prop_name}"
         if eid in nodes:
-            new_desc = _render(tmpl.solution,
-                               {"name": prop_name, "result": render_value(res)})
+            new_desc = solution_description(prop_name, res)
             sol = nodes[eid]
             if sol.description != new_desc:
                 nodes[eid] = replace(sol, description=new_desc,

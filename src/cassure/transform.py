@@ -25,18 +25,9 @@ class TransformError(CassureError):
     pass
 
 
-@dataclass(frozen=True)
-class ArgumentTemplate:
-    """Description templates; deliberately timestamp-free so regeneration is
-    deterministic (timestamps live in result records only)."""
-    root_goal: str = "Model {model} satisfies its verified property set"
-    strategy: str = "Argument over each individual verified property"
-    goal: str = "Property {name} holds for model {model}"
-    context: str = "Formula: {formula}"
-    solution: str = "Verification result for {name}: {result}"
-
-
-DEFAULT_TEMPLATE = ArgumentTemplate()
+def solution_description(name, result: VerificationResult) -> str:
+    """The description of the solution node of property ``name``."""
+    return f"Verification result for {name}: {render_value(result)}"
 
 
 @dataclass(frozen=True)
@@ -54,8 +45,7 @@ def property_fingerprint(prop) -> str:
     return hashlib.sha256(prop.source_text.encode()).hexdigest()
 
 
-def build_argument(model_ref: ModelRef, props, results,
-                   tmpl: ArgumentTemplate = DEFAULT_TEMPLATE) -> ArgumentModel:
+def build_argument(model_ref: ModelRef, props, results) -> ArgumentModel:
     """Assemble the argument; results must cover the property list exactly."""
     by_name = {r.property: r for r in results}
     prop_names = [p.name for p in props]
@@ -66,10 +56,14 @@ def build_argument(model_ref: ModelRef, props, results,
             f"results do not match properties (missing={sorted(missing)}, "
             f"extra={sorted(extra)})")
 
-    subst = {"model": model_ref.name}
+    # Descriptions are deliberately timestamp-free so regeneration is
+    # deterministic (timestamps live in result records only).
+    model = model_ref.name
     nodes = [
-        GsnNode("G.root", "goal", _render(tmpl.root_goal, subst)),
-        GsnNode("S.byProperty", "strategy", _render(tmpl.strategy, subst)),
+        GsnNode("G.root", "goal",
+                f"Model {model} satisfies its verified property set"),
+        GsnNode("S.byProperty", "strategy",
+                "Argument over each individual verified property"),
     ]
     links = [GsnLink("supported-by", "G.root", "S.byProperty")]
     annotations = []
@@ -79,11 +73,11 @@ def build_argument(model_ref: ModelRef, props, results,
     for prop in props:
         res = by_name[prop.name]
         gid, cid, eid = f"G.{prop.name}", f"C.{prop.name}", f"E.{prop.name}"
-        ctx = dict(subst, name=prop.name, formula=prop.source_text,
-                   result=render_value(res))
-        nodes.append(GsnNode(gid, "goal", _render(tmpl.goal, ctx)))
-        nodes.append(GsnNode(cid, "context", _render(tmpl.context, ctx)))
-        nodes.append(GsnNode(eid, "solution", _render(tmpl.solution, ctx)))
+        nodes.append(GsnNode(gid, "goal",
+                             f"Property {prop.name} holds for model {model}"))
+        nodes.append(GsnNode(cid, "context", f"Formula: {prop.source_text}"))
+        nodes.append(GsnNode(eid, "solution",
+                             solution_description(prop.name, res)))
         links.append(GsnLink("supported-by", "S.byProperty", gid))
         links.append(GsnLink("supported-by", gid, eid))
         links.append(GsnLink("in-context-of", gid, cid))
@@ -96,13 +90,6 @@ def build_argument(model_ref: ModelRef, props, results,
 
     return ArgumentModel(model_ref.name, tuple(nodes), tuple(links),
                          tuple(annotations), tuple(trace_links))
-
-
-def _render(template, subst):
-    try:
-        return template.format(**subst)
-    except KeyError as e:
-        raise TransformError(f"unresolved template variable {e}") from None
 
 
 def _node_fingerprints(arg):

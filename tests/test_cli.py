@@ -75,11 +75,34 @@ def test_config_file_overridden_by_flags(tmp_path, workdir):
                    "epsilon=1e-6\n")
     values = load_config_file(cfg)
     assert values["epsilon"] == "1e-6"
-    config = resolve_config(str(cfg), None, None, None, (), 1e-10, None,
-                            False)
+    config = resolve_config(str(cfg), {"model": None, "props": None,
+                                       "out": None, "const": (),
+                                       "epsilon": 1e-10})
     assert config.model == str(workdir / "nuclear.prism")
     assert config.epsilon == 1e-10  # flag wins
     assert config.out == str(workdir / "cfg_out")
+
+
+def test_unknown_config_key_exits_2(tmp_path, workdir):
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(f"model={workdir / 'nuclear.prism'}\nepsilom=0\n")
+    r = invoke("check", "--config", str(cfg), "--out", str(workdir / "out"))
+    assert r.exit_code == 2
+    assert f"error: {cfg}:2: unknown key 'epsilom'" in r.output
+
+
+# The options each command used to accept without reading them.
+_UNREAD_OPTIONS = (
+    [("check", "--dot"), ("check", "--poll-ms=5"), ("generate", "--poll-ms=5")]
+    + [(cmd, flag) for cmd in ("ingest", "impact", "plan", "apply")
+       for flag in ("--const=p_err=0", "--epsilon=1e-6", "--poll-ms=5", "--dot")])
+
+
+@pytest.mark.parametrize("cmd,flag", _UNREAD_OPTIONS)
+def test_command_rejects_an_option_it_does_not_read(workdir, cmd, flag):
+    r = invoke(cmd, "--model", str(workdir / "nuclear.prism"), flag)
+    assert r.exit_code == 2
+    assert "No such option" in r.output
 
 
 def test_nonpositive_epsilon_exits_2(workdir):
@@ -257,6 +280,27 @@ def test_lifecycle_commands_end_to_end(workdir):
     assert "<<Reopened>>" not in text
 
 
+def test_lifecycle_round_needs_no_props_file(workdir):
+    out = _generate(workdir)
+    bare = workdir / "bare"
+    bare.mkdir()
+    shutil.copy(workdir / "nuclear.prism", bare)
+    gsn = out / "nuclear.gsn"
+    gsn.write_text(gsn.read_text() + "\n"
+                   'annotate G.P_succ placeholder monitor_id="mon.succ"\n')
+    events = workdir / "events.jsonl"
+    events.write_text(json.dumps({
+        "timestamp": "2026-08-20T09:00:00Z", "monitor_id": "mon.succ",
+        "kind": "violation"}) + "\n")
+    model = ("--model", str(bare / "nuclear.prism"), "--out", str(out))
+    for cmd, *extra in (("ingest", "--events", str(events)), ("impact",),
+                        ("plan",), ("apply", "--fresh-results",
+                                    str(out / "nuclear.results.jsonl"))):
+        r = invoke(cmd, *model, *extra)
+        assert r.exit_code == 0, (cmd, r.output)
+    assert "annotate G.P_succ stereotype <<EvidenceProvided>>" in gsn.read_text()
+
+
 def test_no_model_given_exits_2(tmp_path):
     r = invoke("check", "--out", str(tmp_path))
     assert r.exit_code == 2
@@ -344,21 +388,49 @@ def _lifecycle_case(workdir, case):
         bad = out / "impact_report.json"
         bad.write_text("{}")
         return ("plan", *model), bad
+    if case == "impact-report-types":
+        bad = out / "impact_report.json"
+        bad.write_text(json.dumps(
+            {"classifications": [], "rationales": {}, "summary": ""}))
+        return ("plan", *model), bad
     if case == "plan":
         bad = out / "plan.json"
         bad.write_text('[{"goal_id": "G.x"}]')
         return ("apply", *model, "--fresh-results",
                 str(out / "nuclear.results.jsonl")), bad
+    entry = {"goal_id": "G.P_succ", "strategy": "re-verify", "rank": 1,
+             "evidence_cost": None, "cost_hours": None, "critical": False}
+    if case == "plan-types":
+        bad = out / "plan.json"
+        bad.write_text(json.dumps([dict(entry, goal_id=["G.P_succ"])]))
+        return ("apply", *model, "--fresh-results",
+                str(out / "nuclear.results.jsonl")), bad
+    if case == "result-types":
+        (out / "plan.json").write_text(json.dumps([entry]))
+        bad = workdir / "fresh.jsonl"
+        bad.write_text(json.dumps({"property": "P_succ", "kind": "probability",
+                                   "value": "high"}) + "\n")
+        return ("apply", *model, "--fresh-results", str(bad)), bad
+    if case == "event-types":
+        bad = workdir / "events.jsonl"
+        bad.write_text(json.dumps({"timestamp": "t", "monitor_id": ["m"],
+                                   "kind": "violation"}) + "\n")
+        return ("ingest", *model, "--events", str(bad)), bad
     package = workdir / "package"
     package.mkdir()
     bad = package / "package.json"
-    bad.write_text(json.dumps({"changed_files": [
-        {"old_fingerprint": "a", "new_fingerprint": "b"}]}))
+    if case == "package-types":
+        bad.write_text(json.dumps({"reopened_goals": [["G.P_succ"]]}))
+    else:
+        bad.write_text(json.dumps({"changed_files": [
+            {"old_fingerprint": "a", "new_fingerprint": "b"}]}))
     return ("impact", *model, "--package", str(package)), bad
 
 
-@pytest.mark.parametrize("case", ["fresh-results", "impact-report", "plan",
-                                  "package"])
+@pytest.mark.parametrize("case", ["fresh-results", "impact-report",
+                                  "impact-report-types", "plan", "plan-types",
+                                  "result-types", "event-types", "package",
+                                  "package-types"])
 def test_malformed_lifecycle_input_exits_2(workdir, case):
     _generate(workdir)
     args, bad = _lifecycle_case(workdir, case)
