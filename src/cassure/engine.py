@@ -1,17 +1,22 @@
 """PCTL and expected-reward checking over the explicit DTMC.
 
+Every path that is not step-bounded is put in one until normal form
+(phi, psi, negate): F psi is true U psi, G phi is 1 - P(true U !phi), and a
+reward query accumulates until true U psi.  Each state formula is labelled
+once; "everywhere" is an all-true mask.
+
 Qualitative probability-0/1 sets come from graph fixpoints; the remaining
 states are solved exactly by one sparse LU factorization of their linear
 system, and step-bounded reachability by repeated matrix-vector products.
-Bounds of exactly 0 or 1 are always decided qualitatively, never by comparing
-floats against 0.0/1.0.
+One rule decides a bound of exactly P>=1 or P<=0: the initial state's
+membership in prob1 or prob0 of the until, the two swapped under negate.
+Such bounds are never decided by comparing floats against 0.0/1.0.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from types import NoneType
@@ -19,7 +24,6 @@ from types import NoneType
 import numpy as np
 
 from .diagnostics import CassureError, SolverError, json_field, malformed
-from .model import Lit
 from .statespace import StateSpace, label_states
 
 BOUND_TOL = 1e-9
@@ -148,9 +152,14 @@ def _solve_unknown(space, x, unknown, add, cfg):
     return residual
 
 
+# The stats of a result that the graph alone decides: nothing was solved.
+_GRAPH_STATS = {"iterations": 0, "residual": 0.0, "engine": "graph"}
+
+
 def _numeric_stats(unknown, residual):
-    return {"iterations": 0, "residual": residual,
-            "engine": "sparse-lu" if unknown.size else "graph"}
+    if not unknown.size:
+        return dict(_GRAPH_STATS)
+    return dict(_GRAPH_STATS, residual=residual, engine="sparse-lu")
 
 
 def until_probability(space: StateSpace, phi, psi, cfg=SolverConfig()):
@@ -164,17 +173,6 @@ def until_probability(space: StateSpace, phi, psi, cfg=SolverConfig()):
     residual = _solve_unknown(space, x, unknown, np.zeros(space.n_states), cfg)
     np.clip(x, 0.0, 1.0, out=x)
     return x, _numeric_stats(unknown, residual)
-
-
-def eventually_probability(space, psi, cfg=SolverConfig()):
-    return until_probability(space, Lit(True), psi, cfg)
-
-
-def globally_probability(space, phi, cfg=SolverConfig()):
-    """1 - P(F not phi) per state."""
-    phi_m = _as_mask(space, phi)
-    x, stats = until_probability(space, Lit(True), ~phi_m, cfg)
-    return 1.0 - x, stats
 
 
 def bounded_eventually_probability(space, psi, k, cfg=SolverConfig()):
@@ -195,7 +193,8 @@ def reach_reward(space: StateSpace, reward_name, psi, cfg=SolverConfig()):
     """Expected cumulated reward until psi; +inf where P(F psi) < 1."""
     rew = _reward_vector(space, reward_name)
     psi_m = _as_mask(space, psi)
-    return _reach_reward(space, rew, psi_m, prob1_states(space, Lit(True), psi_m),
+    everywhere = np.ones(space.n_states, dtype=bool)
+    return _reach_reward(space, rew, psi_m, prob1_states(space, everywhere, psi_m),
                          cfg)
 
 
@@ -219,37 +218,20 @@ def _reach_reward(space, rew, psi_m, one, cfg):
 
 
 # --------------------------------------------------------------------------
-# Property dispatch
+# Property checking
 # --------------------------------------------------------------------------
 
-def _path_vector(space, path, cfg):
-    if path.kind == "F":
-        return eventually_probability(space, path.target, cfg)
-    if path.kind == "F<=":
-        return bounded_eventually_probability(space, path.target, path.bound, cfg)
+def _until_form(space, path):
+    """(phi, psi, negate) masks with P(path) = P(phi U psi), or 1 minus it
+    when negate: F psi is true U psi, and G phi is 1 - P(true U !phi)."""
+    if path.kind == "U":
+        return (label_states(space, path.constraint),
+                label_states(space, path.target), False)
+    target = label_states(space, path.target)
+    everywhere = np.ones(space.n_states, dtype=bool)
     if path.kind == "G":
-        return globally_probability(space, path.target, cfg)
-    return until_probability(space, path.constraint, path.target, cfg)
-
-
-def _qualitative_verdict(space, path, bound_op, bound):
-    """Decide P>=1 / P<=0 by graph fixpoints; None if not decidable this way."""
-    if path.kind == "F<=":
-        return None  # step-bounded: no graph characterization
-    if path.kind == "G":
-        # P(G phi) = 1 - P(F !phi)
-        not_phi = ~_as_mask(space, path.target)
-        if bound_op == ">=" and bound == 1.0:
-            return bool(prob0_states(space, Lit(True), not_phi)[space.initial])
-        if bound_op == "<=" and bound == 0.0:
-            return bool(prob1_states(space, Lit(True), not_phi)[space.initial])
-        return None
-    phi = Lit(True) if path.kind == "F" else path.constraint
-    if bound_op == ">=" and bound == 1.0:
-        return bool(prob1_states(space, phi, path.target)[space.initial])
-    if bound_op == "<=" and bound == 0.0:
-        return bool(prob0_states(space, phi, path.target)[space.initial])
-    return None
+        return everywhere, ~target, True
+    return everywhere, target, False
 
 
 def model_fingerprint(space: StateSpace, prop) -> str:
@@ -261,54 +243,48 @@ def model_fingerprint(space: StateSpace, prop) -> str:
     return h.hexdigest()
 
 
+_RESULT_KIND = {"P_query": "probability", "P_bound": "boolean", "R_query": "reward"}
+# Bounds decided on the graph alone, by the initial state's 0/1 membership.
+_QUALITATIVE = ((">=", 1.0), ("<=", 0.0))
+
+
 def check_property(space: StateSpace, prop, cfg=SolverConfig()) -> VerificationResult:
     """Check one property; queries return the initial-state value."""
     t0 = time.perf_counter()
-    fingerprint = model_fingerprint(space, prop)
-
-    if prop.kind == "R_query":
-        rew = _reward_vector(space, prop.reward)
-        psi_m = _as_mask(space, prop.path.target)
-        one = prob1_states(space, Lit(True), psi_m)
-        if one[space.initial]:
-            vec, stats = _reach_reward(space, rew, psi_m, one, cfg)
-            v = vec[space.initial]
-        else:  # psi is missed with positive probability: +inf, nothing to solve
-            v, stats = math.inf, {"iterations": 0, "residual": 0.0, "engine": "graph"}
-        stats = dict(stats, wall_ms=_ms(t0))
-        if math.isinf(v):
-            return VerificationResult(prop.name, "reward", None, True,
-                                      stats=stats, model_fingerprint=fingerprint)
-        return VerificationResult(prop.name, "reward", float(v),
-                                  stats=stats, model_fingerprint=fingerprint)
-
-    if prop.kind == "P_query":
-        vec, stats = _path_vector(space, prop.path, cfg)
-        stats = dict(stats, wall_ms=_ms(t0))
-        return VerificationResult(prop.name, "probability", float(vec[space.initial]),
-                                  stats=stats, model_fingerprint=fingerprint)
-
-    # Bound property: qualitative where the bound is exactly 0 or 1.
-    verdict = None
-    marginal = False
-    value = None
-    if prop.bound in (0.0, 1.0):
-        verdict = _qualitative_verdict(space, prop.path, prop.bound_op, prop.bound)
-        stats = {"iterations": 0, "residual": 0.0, "engine": "graph"}
-    if verdict is None:
-        vec, stats = _path_vector(space, prop.path, cfg)
-        value = float(vec[space.initial])
-        if prop.bound_op == ">=":
-            verdict = value >= prop.bound - BOUND_TOL if prop.bound in (0.0, 1.0) \
-                else value >= prop.bound
+    init, path = space.initial, prop.path
+    value = verdict = None
+    infinite = marginal = False
+    stats = _GRAPH_STATS
+    if path.kind == "F<=":  # step-bounded: no graph characterization
+        vec, stats = bounded_eventually_probability(space, path.target, path.bound, cfg)
+        value = float(vec[init])
+    else:
+        phi, psi, negate = _until_form(space, path)
+        if prop.kind == "R_query":
+            rew = _reward_vector(space, prop.reward)
+            one = prob1_states(space, phi, psi)
+            infinite = not one[init]  # psi is missed with positive probability
+            if not infinite:
+                vec, stats = _reach_reward(space, rew, psi, one, cfg)
+                value = float(vec[init])
+        elif prop.kind == "P_bound" and (prop.bound_op, prop.bound) in _QUALITATIVE:
+            zero = prob0_states(space, phi, psi)
+            # P >= 1 holds on prob1 and P <= 0 on prob0; the complement swaps them.
+            at_one = (prop.bound_op == ">=") != negate
+            decided = ~_backward_reach(space, zero, phi & ~psi) if at_one else zero
+            verdict = bool(decided[init])
         else:
-            verdict = value <= prop.bound + BOUND_TOL if prop.bound in (0.0, 1.0) \
-                else value <= prop.bound
+            vec, stats = until_probability(space, phi, psi, cfg)
+            value = float(1.0 - vec[init] if negate else vec[init])
+    if prop.kind == "P_bound" and verdict is None:
+        # Bounds of 0 or 1 on a numeric value allow for rounding.
+        tol = BOUND_TOL if prop.bound in (0.0, 1.0) else 0.0
+        verdict = (value >= prop.bound - tol if prop.bound_op == ">="
+                   else value <= prop.bound + tol)
         marginal = abs(value - prop.bound) <= BOUND_TOL
-    stats = dict(stats, wall_ms=_ms(t0))
-    return VerificationResult(prop.name, "boolean", value, verdict=bool(verdict),
-                              marginal=marginal, stats=stats,
-                              model_fingerprint=fingerprint)
+    return VerificationResult(prop.name, _RESULT_KIND[prop.kind], value, infinite,
+                              verdict, marginal, dict(stats, wall_ms=_ms(t0)),
+                              model_fingerprint(space, prop))
 
 
 def check_properties(space, props, cfg=SolverConfig()):

@@ -138,12 +138,6 @@ class ModelAst:
     rewards: tuple     # of RewardStructureDecl
     source: str = field(default="", compare=False)
 
-    def constant(self, name):
-        for c in self.constants:
-            if c.name == name:
-                return c
-        return None
-
     def all_variables(self):
         """Variable declarations across modules, in declaration order."""
         out = []

@@ -254,12 +254,11 @@ def _layer_transitions(variables, guards, chains, units, frontier, first, diags)
             for factor in outcome.factors:
                 if factor is not None:
                     if factor not in values:
-                        values[factor] = _evaluate(factor, sub, rows.size,
-                                                   where).astype(np.float64)
+                        values[factor] = _probability(factor, sub, rows.size, where)
                     p = p * values[factor]
             probs.append(np.broadcast_to(p, rows.shape))
         total = sum(probs)
-        off = np.flatnonzero(np.abs(total - 1.0) > UNIT_PROB_TOL)
+        off = np.flatnonzero(~(np.abs(total - 1.0) <= UNIT_PROB_TOL))
         if off.size:
             raise BuildError(f"unit outcome probabilities sum to "
                              f"{float(total[off[0]])} (not 1) at state "
@@ -292,6 +291,17 @@ def _layer_transitions(variables, guards, chains, units, frontier, first, diags)
         return (np.zeros(0, np.int64), np.zeros((0, len(variables)), np.int64),
                 np.zeros(0))
     return np.concatenate(src), np.concatenate(succ), np.concatenate(prob)
+
+
+def _probability(factor, cols, n, where):
+    """A compiled update probability over n states, each in [0, 1] up to
+    UNIT_PROB_TOL; the comparison is written so that NaN fails it too."""
+    p = _evaluate(factor, cols, n, where).astype(np.float64)
+    bad = np.flatnonzero(~((p >= -UNIT_PROB_TOL) & (p <= 1 + UNIT_PROB_TOL)))
+    if bad.size:
+        raise BuildError(f"update probability {float(p[bad[0]])} outside [0,1] "
+                         f"at state {where(bad[0])}")
+    return p
 
 
 def _truncate(v):
@@ -388,10 +398,10 @@ def _reward_vectors(bound, states):
             r = _evaluate(compile_expr(item.value, bound),
                           tuple(c[rows] for c in cols), rows.size,
                           where).astype(np.float64)
-            neg = np.flatnonzero(r < 0)
-            if neg.size:
-                raise BuildError(f'negative reward {r[neg[0]]} in "{rs.name}" '
-                                 f"at state {where(neg[0])}")
+            bad = np.flatnonzero(~(r >= 0))  # NaN fails the comparison too
+            if bad.size:
+                raise BuildError(f'reward {r[bad[0]]} in "{rs.name}" is not >= 0 '
+                                 f"at state {where(bad[0])}")
             vec[rows] += r
         rewards[rs.name] = vec
     return rewards
@@ -433,22 +443,3 @@ def label_states(space: StateSpace, phi: Expr) -> np.ndarray:
         raise BuildError("labeling expression is not boolean "
                          f"(got {mask[0].item()!r})")
     return mask
-
-
-def export_transitions(space: StateSpace) -> str:
-    """Plain-text 'src dst prob' triples, one per line, for oracle checks."""
-    lines = []
-    for i in range(space.n_states):
-        cols, probs = space.row(i)
-        for j, p in zip(cols, probs):
-            lines.append(f"{i} {j} {p!r}")
-    return "\n".join(lines) + "\n"
-
-
-def export_states(space: StateSpace) -> str:
-    """State-valuation table: index then one value per variable."""
-    header = "state " + " ".join(space.var_names)
-    lines = [header]
-    for i, s in enumerate(space.states.tolist()):
-        lines.append(f"{i} " + " ".join(str(v) for v in s))
-    return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from cassure import bind_constants, parse_model
+from cassure import bind_constants, check_property, parse_model, parse_properties
 from cassure.engine import (
     bounded_eventually_probability, prob0_states, prob1_states, reach_reward,
     until_probability,
@@ -85,6 +85,37 @@ def test_engine_agrees_with_exact_oracle(chain, k):
                  oracle.reach_reward(rows, n, reward.__getitem__, psi_f))
     assert_close(bounded_eventually_probability(space, psi_m, k)[0],
                  oracle.bounded_eventually(rows, n, psi_f, k))
+
+
+def predicate(mask):
+    """The states of a mask as a formula over BOUND's variable s."""
+    return " | ".join(f"s = {i}" for i in np.flatnonzero(mask)) or "false"
+
+
+@settings(max_examples=150, deadline=None)
+@given(chains())
+def test_every_path_form_agrees_with_exact_oracle(chain):
+    """P=?, P>=1 and P<=0 over F, U and G through check_property; a verdict
+    on a bound of 0 or 1 must equal the exact value being exactly 1 or 0."""
+    rows, phi, psi, reward = chain
+    n = len(rows)
+    space = as_space(rows, reward)
+    true = lambda i: True
+    phi_f, psi_f = phi.__getitem__, psi.__getitem__
+    exact = {
+        f"F ({predicate(psi)})": oracle.until_probability(rows, n, true, psi_f)[0],
+        f"({predicate(phi)}) U ({predicate(psi)})":
+            oracle.until_probability(rows, n, phi_f, psi_f)[0],
+        f"G ({predicate(phi)})":
+            1 - oracle.until_probability(rows, n, true, lambda i: not phi[i])[0],
+    }
+    for path, e in exact.items():
+        query, at_one, at_zero = (
+            check_property(space, parse_properties(f"P{b} [ {path} ]")[0])
+            for b in ("=?", ">=1", "<=0"))
+        assert abs(query.value - float(e)) <= 1e-9, (path, query.value, e)
+        assert at_one.verdict is (e == 1), (path, e)
+        assert at_zero.verdict is (e == 0), (path, e)
 
 
 @pytest.mark.parametrize("n", [2, 12])

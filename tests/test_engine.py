@@ -7,17 +7,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cassure.engine as engine
 import pinned
 from cassure import (
     SolverConfig, SolverError, bind_constants, build_dtmc, check_properties,
-    parse_model, parse_properties, parse_results, render_value,
+    check_property, parse_model, parse_properties, parse_results, render_value,
     result_fingerprint, serialize_results,
 )
 from cassure.engine import (
-    _solve_unknown, bounded_eventually_probability, eventually_probability,
-    prob0_states, prob1_states, reach_reward, until_probability,
+    _solve_unknown, bounded_eventually_probability, prob0_states, prob1_states,
+    reach_reward, until_probability,
 )
 from cassure.model import Binary, Lit, Name
+from cassure.statespace import label_states
 
 TOL = 1e-7
 
@@ -80,6 +82,16 @@ def test_infinite_rewards_run_no_solve(space, props, monkeypatch):
         assert r.stats["iterations"] == 0 and r.stats["residual"] == 0.0
 
 
+def test_each_state_formula_is_labelled_once(space, props, monkeypatch):
+    # "everywhere" in F, G and R paths is a mask, not a labelled Lit(True)
+    labelled = []
+    monkeypatch.setattr(engine, "label_states",
+                        lambda s, phi: labelled.append(phi) or label_states(s, phi))
+    check_properties(space, props)
+    assert len(labelled) == sum(2 if p.path.kind == "U" else 1 for p in props) == 18
+    assert Lit(True) not in labelled
+
+
 # ---- trivial hand-solvable chains ----
 
 TOY = """\
@@ -129,8 +141,8 @@ def test_toy_bounded(toy):
 
 def test_toy_globally(toy):
     # G x != 1 holds with probability 0.5 from the start
-    vec, _ = eventually_probability(toy, Binary("!=", Name("x"), Lit(1)), SolverConfig())
-    assert vec[toy.initial] == pytest.approx(1.0)
+    r = check_property(toy, parse_properties("P=? [ G x != 1 ]")[0])
+    assert r.value == pytest.approx(0.5, abs=1e-12)
 
 
 def test_toy_reward_infinite_on_nonreaching():

@@ -6,10 +6,7 @@ import pytest
 import oracle
 import pinned
 from cassure import BuildError, EvalError, bind_constants, build_dtmc, parse_model
-from cassure.statespace import (
-    build_state_space, export_states, export_transitions, fix_deadlocks,
-    label_states,
-)
+from cassure.statespace import build_state_space, fix_deadlocks, label_states
 from cassure.model import Binary, Lit, Name
 
 
@@ -67,8 +64,6 @@ def test_build_is_deterministic(bound):
     assert np.array_equal(a.indptr, b.indptr)
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.data, b.data)
-    assert export_transitions(a) == export_transitions(b)
-    assert export_states(a) == export_states(b)
 
 
 def test_deadlock_fixing_reports_and_self_loops():
@@ -181,6 +176,38 @@ def test_division_by_zero_names_state_and_span(text, span):
     with pytest.raises(EvalError) as exc:
         build("dtmc\n" + text)
     assert str(exc.value) == f"division by zero at state {{'x': 0}} [{span}]"
+
+
+RANGE_MODEL = """\
+dtmc
+const double p = 0.1;
+module m
+  x : [0..4] init 3;
+  [] x<4 -> {update};
+  [] x=4 -> (x'=4);
+endmodule
+rewards "r"
+  true : {reward};
+endrewards
+"""
+
+
+@pytest.mark.parametrize("update, reward, p, message", [
+    # outcomes sum to 1, but x/2 is 1.5 and 1 - x/2 is -0.5 at x = 3
+    ("(x/2) : (x'=x+1) + (1 - x/2) : (x'=0)", "1", 0.1,
+     "update probability 1.5 outside [0,1] at state {'x': 3} [m.prism:5:3]"),
+    ("(p*x + 0.5) : (x'=x+1) + (0.5 - p*x) : (x'=0)", "1", float("nan"),
+     "update probability nan outside [0,1] at state {'x': 3} [m.prism:5:3]"),
+    ("0.5 : (x'=x+1) + 0.5 : (x'=0)", "p*x", float("nan"),
+     "reward nan in \"r\" is not >= 0 at state {'x': 3} [m.prism:9:3]"),
+    ("0.5 : (x'=x+1) + 0.5 : (x'=0)", "p*x", -1.0,
+     "reward -3.0 in \"r\" is not >= 0 at state {'x': 3} [m.prism:9:3]"),
+], ids=["probability-out-of-range", "probability-nan", "reward-nan", "reward-negative"])
+def test_probabilities_and_rewards_out_of_range_are_errors(update, reward, p, message):
+    model = parse_model(RANGE_MODEL.format(update=update, reward=reward), file="m.prism")
+    with pytest.raises(BuildError) as exc:
+        build_dtmc(bind_constants(model, {"p": p}))
+    assert str(exc.value) == message
 
 
 def test_guard_short_circuit_skips_division():
