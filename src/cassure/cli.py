@@ -184,18 +184,24 @@ def resolve_config(config_file, flags) -> PipelineConfig:
 # Pipeline core (shared by check/generate/watch)
 # --------------------------------------------------------------------------
 
-def run_check(config: PipelineConfig):
-    """Parse, build, verify.  Returns (model text, state space, props, results)."""
+def run_check(config: PipelineConfig, space=None):
+    """Parse, build, verify.  Returns (model text, state space, props, results).
+
+    ``space``, from an earlier run_check with this config, is checked again,
+    with the results in its memo, when the model text has not changed since:
+    the model is then not parsed, type-checked, bound or built.
+    """
     model_text = Path(config.model).read_text()
     props_text = config.props_path().read_text()
-    ast = parse_model(model_text, file=config.model)
-    diags = type_check(ast)
-    errors = [d for d in diags if d.severity == "error"]
-    if errors:
-        raise ParseError(errors)
+    rebuild = space is None or space.bound.ast.source != model_text
+    if rebuild:
+        ast = parse_model(model_text, file=config.model)
+        errors = [d for d in type_check(ast) if d.severity == "error"]
+        if errors:
+            raise ParseError(errors)
     props = parse_properties(props_text, file=config.props)
-    bound = bind_constants(ast, config.constants)
-    space = build_dtmc(bound)
+    if rebuild:
+        space = build_dtmc(bind_constants(ast, config.constants))
     results = check_properties(space, props, config.solver())
     return model_text, space, props, results
 
@@ -229,18 +235,21 @@ def run_generate(config: PipelineConfig, model_text, props, results):
     return fresh, warnings
 
 
-def run_cycle(config: PipelineConfig):
-    """One check+generate cycle.  Returns (exit code, summary line);
-    failures leave previous artifacts untouched."""
+def run_cycle(config: PipelineConfig, space=None):
+    """One check+generate cycle, reusing ``space`` as run_check does.
+    Returns (exit code, summary line, state space to pass to the next
+    cycle); failures leave previous artifacts untouched and return
+    ``space``."""
     try:
-        model_text, _, props, results = run_check(config)
+        model_text, checked, props, results = run_check(config, space)
         run_generate(config, model_text, props, results)
     except _FAILURES as e:
-        return 2, f"cycle failed: {e}"
+        return 2, f"cycle failed: {e}", space
     violated = sum(1 for r in results if r.verdict is False)
     code = check_exit_code(results)
     return code, (f"checked {len(results)} properties "
-                  f"({violated} violated), wrote {config.argument_path()}")
+                  f"({violated} violated), wrote {config.argument_path()}; "
+                  f"state space {'reused' if checked is space else 'built'}"), checked
 
 
 def _fingerprint_file(path):
@@ -255,17 +264,19 @@ def watch_loop(config: PipelineConfig, max_cycles=None, log=None,
     """Poll model+props fingerprints; run one cycle per observed change.
 
     ``max_cycles`` bounds the number of cycles (None = run forever); the
-    first cycle runs immediately against the initial content.
+    first cycle runs immediately against the initial content.  The state
+    space of the last good cycle is kept for the next one.
     """
     log = log or (lambda line: click.echo(line))
     seen = (None, None)
+    space = None
     cycles = 0
     while max_cycles is None or cycles < max_cycles:
         current = (_fingerprint_file(config.model),
                    _fingerprint_file(config.props_path()))
         if current != seen and all(current):
             seen = current
-            code, summary = run_cycle(config)
+            code, summary, space = run_cycle(config, space)
             cycles += 1
             log(f"[cycle {cycles}] exit={code} {summary}")
         else:

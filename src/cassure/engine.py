@@ -2,8 +2,7 @@
 
 Every path that is not step-bounded is put in one until normal form
 (phi, psi, negate): F psi is true U psi, G phi is 1 - P(true U !phi), and a
-reward query accumulates until true U psi.  Each state formula is labelled
-once; "everywhere" is an all-true mask.
+reward query accumulates until true U psi.  "Everywhere" is an all-true mask.
 
 Qualitative probability-0/1 sets come from graph fixpoints; the remaining
 states are solved exactly by one sparse LU factorization of their linear
@@ -11,6 +10,13 @@ system, and step-bounded reachability by repeated matrix-vector products.
 One rule decides a bound of exactly P>=1 or P<=0: the initial state's
 membership in prob1 or prob0 of the until, the two swapped under negate.
 Such bounds are never decided by comparing floats against 0.0/1.0.
+
+Every label, 0/1 set and solution goes through the space's memo, so each is
+computed once per space: a label per distinct state formula, the 0/1 sets
+per distinct (phi, psi) mask pair, and a solution per mask pair and
+SolverConfig (and reward name, for a reward), or per target mask, step
+bound and SolverConfig for F<=k.  `check_properties` then keeps only the
+entries its properties used.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from types import NoneType
 import numpy as np
 
 from .diagnostics import CassureError, SolverError, json_field, malformed
+from .parsing import render_expr
 from .statespace import StateSpace, label_states
 
 BOUND_TOL = 1e-9
@@ -164,9 +171,11 @@ def _numeric_stats(unknown, residual):
 
 def until_probability(space: StateSpace, phi, psi, cfg=SolverConfig()):
     """Per-state P(phi U psi); returns (vector, stats dict)."""
-    phi_m = _as_mask(space, phi)
-    psi_m = _as_mask(space, psi)
-    zero, one = _prob01(space, phi_m, psi_m)
+    zero, one = _prob01(space, _as_mask(space, phi), _as_mask(space, psi))
+    return _until_vector(space, zero, one, cfg)
+
+
+def _until_vector(space, zero, one, cfg):
     x = np.zeros(space.n_states, dtype=np.float64)
     x[one] = 1.0
     unknown = np.flatnonzero(~zero & ~one)
@@ -221,24 +230,61 @@ def _reach_reward(space, rew, psi_m, one, cfg):
 # Property checking
 # --------------------------------------------------------------------------
 
+def _label(space, phi):
+    """The memoized mask of a state formula, keyed by its rendered text:
+    unlike Expr equality, the text tells 1, 1.0 and true apart."""
+    return space.memo.get(("label", render_expr(phi)),
+                          lambda: label_states(space, phi))
+
+
+def _mask_key(mask):
+    return np.packbits(mask).tobytes()
+
+
 def _until_form(space, path):
     """(phi, psi, negate) masks with P(path) = P(phi U psi), or 1 minus it
     when negate: F psi is true U psi, and G phi is 1 - P(true U !phi)."""
     if path.kind == "U":
-        return (label_states(space, path.constraint),
-                label_states(space, path.target), False)
-    target = label_states(space, path.target)
+        return (_label(space, path.constraint), _label(space, path.target), False)
+    target = _label(space, path.target)
     everywhere = np.ones(space.n_states, dtype=bool)
     if path.kind == "G":
         return everywhere, ~target, True
     return everywhere, target, False
 
 
+class _Until:
+    """The until problem phi U psi on one space.  Its 0/1 sets and
+    solutions go through the space's memo, keyed by the two masks, so the
+    properties that reduce to one problem share them."""
+
+    def __init__(self, space, phi, psi):
+        self.space, self.phi, self.psi = space, phi, psi
+        self.key = (_mask_key(phi), _mask_key(psi))
+
+    def _memo(self, kind, compute, *extra):
+        return self.space.memo.get((kind, *self.key, *extra), compute)
+
+    def prob0(self):
+        return self._memo("prob0", lambda: prob0_states(self.space, self.phi, self.psi))
+
+    def prob1(self):
+        return self._memo("prob1", lambda: ~_backward_reach(
+            self.space, self.prob0(), self.phi & ~self.psi))
+
+    def probability(self, cfg):
+        return self._memo("P", lambda: _until_vector(
+            self.space, self.prob0(), self.prob1(), cfg), cfg)
+
+    def reward(self, name, cfg):
+        return self._memo("R", lambda: _reach_reward(
+            self.space, _reward_vector(self.space, name), self.psi, self.prob1(),
+            cfg), name, cfg)
+
+
 def model_fingerprint(space: StateSpace, prop) -> str:
     """Content hash of (model text, bound constants, property text)."""
-    h = hashlib.sha256()
-    h.update(space.bound.ast.source.encode())
-    h.update(json.dumps(space.bound.constants, sort_keys=True).encode())
+    h = space.model_digest.copy()
     h.update(prop.source_text.encode())
     return h.hexdigest()
 
@@ -256,25 +302,26 @@ def check_property(space: StateSpace, prop, cfg=SolverConfig()) -> VerificationR
     infinite = marginal = False
     stats = _GRAPH_STATS
     if path.kind == "F<=":  # step-bounded: no graph characterization
-        vec, stats = bounded_eventually_probability(space, path.target, path.bound, cfg)
+        psi = _label(space, path.target)
+        vec, stats = space.memo.get(
+            ("F<=", _mask_key(psi), path.bound, cfg),
+            lambda: bounded_eventually_probability(space, psi, path.bound, cfg))
         value = float(vec[init])
     else:
         phi, psi, negate = _until_form(space, path)
+        until = _Until(space, phi, psi)
         if prop.kind == "R_query":
-            rew = _reward_vector(space, prop.reward)
-            one = prob1_states(space, phi, psi)
-            infinite = not one[init]  # psi is missed with positive probability
+            _reward_vector(space, prop.reward)  # an unknown name is an error first
+            infinite = not until.prob1()[init]  # psi is missed with positive probability
             if not infinite:
-                vec, stats = _reach_reward(space, rew, psi, one, cfg)
+                vec, stats = until.reward(prop.reward, cfg)
                 value = float(vec[init])
         elif prop.kind == "P_bound" and (prop.bound_op, prop.bound) in _QUALITATIVE:
-            zero = prob0_states(space, phi, psi)
             # P >= 1 holds on prob1 and P <= 0 on prob0; the complement swaps them.
             at_one = (prop.bound_op == ">=") != negate
-            decided = ~_backward_reach(space, zero, phi & ~psi) if at_one else zero
-            verdict = bool(decided[init])
+            verdict = bool((until.prob1() if at_one else until.prob0())[init])
         else:
-            vec, stats = until_probability(space, phi, psi, cfg)
+            vec, stats = until.probability(cfg)
             value = float(1.0 - vec[init] if negate else vec[init])
     if prop.kind == "P_bound" and verdict is None:
         # Bounds of 0 or 1 on a numeric value allow for rounding.
@@ -288,7 +335,11 @@ def check_property(space: StateSpace, prop, cfg=SolverConfig()) -> VerificationR
 
 
 def check_properties(space, props, cfg=SolverConfig()):
-    return [check_property(space, p, cfg) for p in props]
+    """Check each property; then the space's memo keeps only the entries
+    that these checks used."""
+    results = [check_property(space, p, cfg) for p in props]
+    space.memo.keep_used()
+    return results
 
 
 def _ms(t0):

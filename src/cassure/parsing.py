@@ -28,6 +28,14 @@ UNSUPPORTED = {
     "observables", "endinit", "invariant",
 }
 
+# The deepest expression accepted: both its tree and its nesting of
+# parentheses, '!', unary '-' and '->' have at most this many levels.  The
+# passes over an expression (parse, type check, compile, evaluation,
+# _is_wide, hashing) recurse once or twice per tree level and the parser
+# about eleven times per parenthesis, so each stays well inside Python's
+# default limit of 1000 frames.
+MAX_EXPR_DEPTH = 50
+
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
   | (?P<comment>//[^\n]*)
@@ -86,6 +94,7 @@ class _Parser:
         self.tokens = tokenize(text, file)
         self.i = 0
         self.diags = []
+        self.nesting = 0
 
     @property
     def tok(self):
@@ -127,13 +136,28 @@ class _Parser:
     # ---- expression grammar (shared by models and properties) ----
     # ->  |  &  comparisons  + -  * /  unary  atom
 
-    def parse_expr(self):
-        return self._implies()
+    def parse_expr(self, level=None):
+        """An expression from `level` of the grammar down (default: the
+        whole grammar), at most MAX_EXPR_DEPTH deep."""
+        span = self.tok.span
+        e = (level or self._implies)()
+        if _height(e) > MAX_EXPR_DEPTH:
+            self.fail(f"expression deeper than {MAX_EXPR_DEPTH} levels", span)
+        return e
+
+    def _nested(self, parse):
+        """parse(), one level deeper in the parser's recursion."""
+        if self.nesting == MAX_EXPR_DEPTH:
+            self.fail(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
+        self.nesting += 1
+        e = parse()
+        self.nesting -= 1
+        return e
 
     def _implies(self):
         left = self._or()
         if self.accept("->"):
-            return Binary("->", left, self._implies())
+            return Binary("->", left, self._nested(self._implies))
         return left
 
     def _or(self):
@@ -150,7 +174,7 @@ class _Parser:
 
     def _not(self):
         if self.accept("!"):
-            return Unary("!", self._not())
+            return Unary("!", self._nested(self._not))
         return self._comparison()
 
     def _comparison(self):
@@ -178,7 +202,7 @@ class _Parser:
     def _unary(self):
         if self.tok.kind == "op" and self.tok.text == "-":
             self.advance()
-            return Unary("-", self._unary())
+            return Unary("-", self._nested(self._unary))
         return self._atom()
 
     def _atom(self):
@@ -203,10 +227,25 @@ class _Parser:
             self.advance()
             return Name(t.text, t.span)
         if self.accept("("):
-            e = self.parse_expr()
+            e = self._nested(self._implies)
             self.expect(")")
             return e
         self.fail(f"expected expression, found {t.text!r}")
+
+
+def _height(e):
+    """The number of levels of an expression tree, counted without recursion."""
+    height, level = 0, [e]
+    while level:
+        height += 1
+        below = []
+        for node in level:
+            if isinstance(node, Unary):
+                below.append(node.operand)
+            elif isinstance(node, Binary):
+                below += (node.left, node.right)
+        level = below
+    return height
 
 
 # --------------------------------------------------------------------------
@@ -304,7 +343,7 @@ class _ModelParser(_Parser):
         self.expect("]")
         # Guards stop below the implication level so the command arrow is
         # unambiguous; a parenthesized implication is still fine.
-        guard = self._or()
+        guard = self.parse_expr(self._or)
         self.expect("->")
         updates = [self._update()]
         while self.accept("+"):
@@ -527,16 +566,14 @@ def render_expr(e: Expr, parent_prec=0) -> str:
     if isinstance(e, Binary):
         prec = _PREC[e.op]
         # Right operand of -, / and chained comparisons must keep grouping.
-        left = render_expr(e.left, prec)
-        right = render_expr(e.right, prec + 1)
+        left_prec, right_prec = prec, prec + 1
         if prec == 4:
             # comparisons are non-associative: both operands need grouping
-            left = render_expr(e.left, prec + 1)
+            left_prec = prec + 1
         elif e.op == "->":
             # right-associative
-            left = render_expr(e.left, prec + 1)
-            right = render_expr(e.right, prec)
-        s = f"{left} {e.op} {right}"
+            left_prec, right_prec = prec + 1, prec
+        s = f"{render_expr(e.left, left_prec)} {e.op} {render_expr(e.right, right_prec)}"
         if prec < parent_prec:
             return f"({s})"
         return s

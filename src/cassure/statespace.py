@@ -24,7 +24,9 @@ mixed-radix key over the variable ranges.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -46,9 +48,38 @@ class BuildDiagnostics:
     nondeterministic_states: int = 0
 
 
+class Memo:
+    """Results computed on one state space, by key.
+
+    `get` computes a missing entry once and returns the stored one from then
+    on; a computation that raises stores nothing.  Stored arrays are made
+    read-only, since every caller shares them.  `keep_used` drops every
+    entry that no `get` asked for since its previous call.
+    """
+
+    def __init__(self):
+        self.entries = {}
+        self._used = set()
+
+    def get(self, key, compute):
+        if key not in self.entries:
+            value = compute()
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
+            self.entries[key] = value
+        self._used.add(key)
+        return self.entries[key]
+
+    def keep_used(self):
+        self.entries = {k: v for k, v in self.entries.items() if k in self._used}
+        self._used = set()
+
+
 @dataclass
 class StateSpace:
-    """Immutable once built; shareable across concurrent property checks."""
+    """The arrays are immutable once built; `memo` caches what is computed
+    from them, so checks on one space run one at a time."""
     bound: BoundModel
     var_names: tuple
     states: np.ndarray        # int matrix, one row per state in index order
@@ -69,6 +100,19 @@ class StateSpace:
     def row(self, i):
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.data[lo:hi]
+
+    @cached_property
+    def memo(self):
+        """Labels, 0/1 sets and solutions computed on this space."""
+        return Memo()
+
+    @cached_property
+    def model_digest(self):
+        """sha256 state after the model text and the bound constants."""
+        h = hashlib.sha256()
+        h.update(self.bound.ast.source.encode())
+        h.update(json.dumps(self.bound.constants, sort_keys=True).encode())
+        return h
 
     @cached_property
     def columns(self):

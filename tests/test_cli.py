@@ -5,11 +5,15 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import cassure.cli as cli
 from cassure.cli import (
     PipelineConfig, load_config_file, main, resolve_config, run_cycle,
     watch_loop,
 )
-from cassure import parse_dsl
+from cassure import (
+    bind_constants, build_dtmc, check_properties, parse_dsl, parse_model,
+    parse_properties,
+)
 
 CASE_STUDY = Path(__file__).parent.parent / "case_study"
 
@@ -218,6 +222,45 @@ def test_watch_failure_isolation(workdir):
     assert "cycle failed" in lines[1]
     # the broken cycle left the previous argument bit-identical
     assert (workdir / "out" / "nuclear.gsn").read_bytes() == good
+
+
+# Two inputs whose expressions once ended in a RecursionError traceback.
+DEEP_PROPS = {
+    "parentheses": '"deep": P=? [ F ' + "(" * 200 + "loc=1" + ")" * 200 + " ];\n",
+    "long sum": '"long": P=? [ F ' + "+".join(["loc"] * 1500) + " >= 1 ];\n",
+}
+
+
+@pytest.mark.parametrize("case", DEEP_PROPS)
+def test_deep_expression_exits_2(workdir, case):
+    props = workdir / "deep.props"
+    props.write_text(DEEP_PROPS[case])
+    r = invoke("check", "--model", str(workdir / "nuclear.prism"),
+               "--props", str(props), "--out", str(workdir / "out"))
+    assert r.exit_code == 2
+    assert f"error: {props}:1:" in r.output
+    assert "deeper than" in r.output
+
+
+def _artifacts(out):
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("case", DEEP_PROPS)
+def test_deep_expression_fails_one_watch_cycle(workdir, case):
+    config = make_config(workdir)
+    lines = []
+    good = {}
+
+    def fake_sleep(_):
+        if not good:
+            good.update(_artifacts(workdir / "out"))
+            (workdir / "nuclear.props").write_text(DEEP_PROPS[case])
+    cycles = watch_loop(config, max_cycles=2, log=lines.append,
+                        sleep=fake_sleep)
+    assert cycles == 2
+    assert "exit=2 cycle failed" in lines[1] and "deeper than" in lines[1]
+    assert _artifacts(workdir / "out") == good
 
 
 def test_watch_survives_unwritable_output(workdir):
@@ -463,3 +506,110 @@ def test_non_utf8_model_fails_one_watch_cycle(workdir):
     assert cycles == 2
     assert "exit=2 cycle failed: 'utf-8' codec can't decode" in lines[0]
     assert "exit=1 checked 17 properties" in lines[1]
+
+
+# ---- the watcher reuses the state space while the model text is unchanged ----
+
+def _watch(config, edits, monkeypatch):
+    """Run one watch cycle, then one per edit (a function called before the
+    cycle it triggers).  Returns the log lines and, per cycle, the calls to
+    parse_model and build_dtmc and the keys left in the space's memo."""
+    calls = {"parse_model": 0, "build_dtmc": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(cli, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    memo_keys = []
+
+    def checked(space, props, cfg):
+        results = check_properties(space, props, cfg)
+        memo_keys.append(set(space.memo.entries))
+        return results
+    monkeypatch.setattr(cli, "check_properties", checked)
+    per_cycle, lines = [], []
+
+    def log(line):
+        lines.append(line)
+        per_cycle.append(dict(calls))
+        for name in calls:
+            calls[name] = 0
+    pending = list(edits)
+
+    def sleep(_):
+        pending.pop(0)()
+    watch_loop(config, max_cycles=len(edits) + 1, log=log, sleep=sleep)
+    return lines, per_cycle, memo_keys
+
+
+def _edit(path, old, new):
+    def edit():
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+    return edit
+
+
+def _untimed(path):
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    for rec in recs:
+        del rec["stats"]["wall_ms"]
+    return recs
+
+
+def test_props_only_edit_reuses_the_state_space(workdir, monkeypatch):
+    out = workdir / "out"
+    before = workdir / "before"
+    props = workdir / "nuclear.props"
+
+    def edit():
+        shutil.copytree(out, before)
+        _edit(props, "F<=5", "F<=6")()
+    lines, per_cycle, _ = _watch(make_config(workdir), [edit], monkeypatch)
+    assert lines[0].endswith("; state space built")
+    assert lines[1].endswith("; state space reused")
+    assert per_cycle == [{"parse_model": 1, "build_dtmc": 1},
+                         {"parse_model": 0, "build_dtmc": 0}]
+    # A fresh generate from the same inputs writes the same artifacts.
+    watched = (out / "nuclear.gsn").read_bytes(), _untimed(out / "nuclear.results.jsonl")
+    shutil.rmtree(out)
+    shutil.copytree(before, out)
+    r = invoke("generate", "--model", str(workdir / "nuclear.prism"),
+               "--out", str(out))
+    assert r.exit_code == 0, r.output
+    assert watched == ((out / "nuclear.gsn").read_bytes(),
+                       _untimed(out / "nuclear.results.jsonl"))
+
+
+def test_model_edit_rebuilds_the_state_space(workdir, monkeypatch):
+    edit = _edit(workdir / "nuclear.prism", "p_err = 0.01;", "p_err = 0.015;")
+    lines, per_cycle, _ = _watch(make_config(workdir), [edit], monkeypatch)
+    assert lines[1].endswith("; state space built")
+    assert per_cycle[1] == {"parse_model": 1, "build_dtmc": 1}
+
+
+def test_memo_keeps_only_the_current_cycles_entries(workdir, monkeypatch):
+    props = workdir / "nuclear.props"
+    first, second = props.read_text(), '"P_other": P=? [ F loc = 3 ];\n'
+    edits = [lambda: props.write_text(second), lambda: props.write_text(first)] * 2
+    lines, _, memo_keys = _watch(make_config(workdir), edits, monkeypatch)
+    assert all(line.endswith("; state space reused") for line in lines[1:])
+    bound = bind_constants(parse_model((workdir / "nuclear.prism").read_text()))
+    fresh = {}
+    for text in (first, second):
+        space = build_dtmc(bound)
+        check_properties(space, parse_properties(text))
+        fresh[text] = set(space.memo.entries)
+    assert fresh[first].isdisjoint(fresh[second])
+    assert memo_keys == [fresh[first], fresh[second]] * 2 + [fresh[first]]
+
+
+def test_failed_cycle_keeps_the_cached_state_space(workdir, monkeypatch):
+    props = workdir / "nuclear.props"
+    good = props.read_text()
+    edits = [lambda: props.write_text("this is ( not a props file\n"),
+             lambda: props.write_text(good + "\n")]
+    lines, per_cycle, _ = _watch(make_config(workdir), edits, monkeypatch)
+    assert "exit=2 cycle failed" in lines[1]
+    assert lines[2].endswith("; state space reused")
+    assert per_cycle[2] == {"parse_model": 0, "build_dtmc": 0}

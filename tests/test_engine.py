@@ -19,6 +19,7 @@ from cassure.engine import (
     reach_reward, until_probability,
 )
 from cassure.model import Binary, Lit, Name
+from cassure.parsing import render_expr
 from cassure.statespace import label_states
 
 TOL = 1e-7
@@ -82,14 +83,73 @@ def test_infinite_rewards_run_no_solve(space, props, monkeypatch):
         assert r.stats["iterations"] == 0 and r.stats["residual"] == 0.0
 
 
-def test_each_state_formula_is_labelled_once(space, props, monkeypatch):
-    # "everywhere" in F, G and R paths is a mask, not a labelled Lit(True)
+def test_each_state_formula_is_labelled_once(bound, props, monkeypatch):
+    # A fresh space: the shared one carries memo entries between tests.
+    # "everywhere" in F, G and R paths is a mask, not a labelled Lit(True).
     labelled = []
     monkeypatch.setattr(engine, "label_states",
                         lambda s, phi: labelled.append(phi) or label_states(s, phi))
-    check_properties(space, props)
-    assert len(labelled) == sum(2 if p.path.kind == "U" else 1 for p in props) == 18
+    check_properties(build_dtmc(bound), props)
+    formulas = {render_expr(e) for p in props
+                for e in (p.path.constraint, p.path.target) if e is not None}
+    assert sorted(map(render_expr, labelled)) == sorted(formulas)
+    assert len(labelled) == 12  # against 18 label calls, one per formula occurrence
     assert Lit(True) not in labelled
+
+
+def _records(results):
+    """The result records without their timings."""
+    recs = [json.loads(line) for line in serialize_results(results).splitlines()]
+    for rec in recs:
+        del rec["stats"]["wall_ms"]
+    return recs
+
+
+SHARED = ('"q": P=? [ F x=1 ]; "b": P>=0.5 [ F x=1 ]; '
+          '"u": P<=0.4 [ true U x=1 ]; "g": P=? [ G x!=1 ];')
+
+
+def test_properties_sharing_masks_solve_once(toy, monkeypatch):
+    # F x=1 and true U x=1 are one until problem, and G x!=1 is its
+    # complement: one numeric solve serves all four.
+    props = parse_properties(SHARED)
+    fresh = [check_property(build_dtmc(toy.bound), p) for p in props]
+    solves = []
+    monkeypatch.setattr(engine, "_solve_unknown",
+                        lambda *a: solves.append(1) or _solve_unknown(*a))
+    shared = check_properties(build_dtmc(toy.bound), props)
+    assert len(solves) == 1
+    assert _records(shared) == _records(fresh)
+    assert [r.value for r in shared] == [0.5, 0.5, 0.5, 0.5]
+    assert [r.verdict for r in shared] == [None, True, False, None]
+
+
+def test_memo_entries_never_cross_solver_configs(bound, props):
+    p_succ = next(p for p in props if p.name == "P_succ")
+    space = build_dtmc(bound)
+    residual = check_property(space, p_succ).stats["residual"]
+    assert residual > 0.0
+    tight = SolverConfig(epsilon=residual / 2)
+    for s in (space, build_dtmc(bound)):
+        with pytest.raises(SolverError, match="missed the residual bound"):
+            check_property(s, p_succ, tight)
+
+
+def test_a_solve_that_raised_is_not_memoized(toy, monkeypatch):
+    prop = parse_properties(SHARED)[0]
+    space = build_dtmc(toy.bound)
+    calls = []
+
+    def fail_once(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise SolverError("injected")
+        return _solve_unknown(*args)
+    monkeypatch.setattr(engine, "_solve_unknown", fail_once)
+    with pytest.raises(SolverError, match="injected"):
+        check_property(space, prop)
+    assert check_property(space, prop).value == pytest.approx(0.5, abs=1e-12)
+    assert len(calls) == 2
 
 
 # ---- trivial hand-solvable chains ----

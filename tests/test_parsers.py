@@ -3,7 +3,9 @@ from hypothesis import example, given, strategies as st
 
 from cassure import ParseError, parse_model, parse_properties
 from cassure.model import Binary, Lit, Name, Unary
-from cassure.parsing import render_expr, render_model, render_property
+from cassure.parsing import (
+    MAX_EXPR_DEPTH, render_expr, render_model, render_property,
+)
 
 
 def test_case_study_parses_clean(model_ast):
@@ -86,6 +88,47 @@ def test_parse_error_carries_span():
     d = exc.value.diagnostics[0]
     assert d.span.file == "bad.prism"
     assert d.span.line == 3
+
+
+# Expressions with exactly `depth` levels, in tree height or in nesting.
+DEEP = {
+    "parentheses": lambda depth: "(" * depth + "a" + ")" * depth,
+    "sum": lambda depth: " + ".join(["a"] * depth),
+    "negation": lambda depth: "!" * (depth - 2) + "a = 1",
+    "implication": lambda depth: " -> ".join(["a = 1"] * (depth - 1)),
+}
+
+
+@pytest.mark.parametrize("shape", DEEP)
+def test_expression_depth_limit(shape):
+    # Deeper expressions would exhaust the stack in the recursive passes
+    # over them; the parser rejects them with a located error.
+    fine = DEEP[shape](MAX_EXPR_DEPTH)
+    parse_properties(f"P=? [ F {fine} ]")
+    with pytest.raises(ParseError, match=f"deeper than {MAX_EXPR_DEPTH} levels") as exc:
+        parse_properties(f"P=? [ F {DEEP[shape](MAX_EXPR_DEPTH + 1)} ]", file="deep.props")
+    assert str(exc.value).startswith("deep.props:1:")
+
+
+def test_deep_expression_in_a_model_rejected():
+    sum_ = " + ".join(["1"] * (MAX_EXPR_DEPTH + 1))
+    with pytest.raises(ParseError, match="deeper than") as exc:
+        parse_model(f"dtmc\nconst int k = {sum_};\n", file="deep.prism")
+    assert str(exc.value).startswith("deep.prism:2:15:")
+
+
+def test_render_visits_each_node_once(monkeypatch):
+    # A right-nested chain of '->' once rendered each operand twice, which
+    # doubled the cost with every level.
+    import cassure.parsing as parsing
+    calls = []
+    render = parsing.render_expr
+    monkeypatch.setattr(parsing, "render_expr",
+                        lambda e, prec=0: calls.append(e) or render(e, prec))
+    text = DEEP["implication"](20)  # 18 "->" over 19 comparisons a = 1
+    e = parse_properties(f"P=? [ F {text} ]")[0].path.target
+    assert parsing.render_expr(e) == text
+    assert len(calls) == 18 + 19 * 3
 
 
 # ---- hypothesis: render/parse is the identity on expression trees ----
