@@ -20,6 +20,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import click
 
@@ -35,7 +36,7 @@ from .lifecycle import (
 )
 from .model import bind_constants, type_check
 from .parsing import parse_model, parse_properties
-from .statespace import build_dtmc
+from .statespace import StateSpace, build_dtmc
 from .transform import ModelRef, build_argument, regenerate
 
 # Failures a command reports as an error (exit 2) and a watch cycle as a
@@ -184,36 +185,55 @@ def resolve_config(config_file, flags) -> PipelineConfig:
 # Pipeline core (shared by check/generate/watch)
 # --------------------------------------------------------------------------
 
-def run_check(config: PipelineConfig, space=None):
-    """Parse, build, verify.  Returns (model text, state space, props, results).
+class Checked(NamedTuple):
+    """What one run_check read and computed, for the next run to reuse."""
+    space: StateSpace
+    props_text: str
+    props: list
+    results: list
 
-    ``space``, from an earlier run_check with this config, is checked again,
-    with the results in its memo, when the model text has not changed since:
-    the model is then not parsed, type-checked, bound or built.
+    @property
+    def model_text(self):
+        return self.space.bound.ast.source
+
+
+def run_check(config: PipelineConfig, last: Checked | None = None) -> Checked:
+    """Parse, build, verify.
+
+    ``last``, from an earlier run_check with this config, saves the work on
+    the inputs that have not changed since.  An unchanged model text is not
+    parsed, type-checked, bound or built: its state space is checked again,
+    with the results in its memo.  A changed one is built with that space as
+    build_dtmc's ``previous``.  An unchanged props text is not parsed.
     """
     model_text = Path(config.model).read_text()
     props_text = config.props_path().read_text()
-    rebuild = space is None or space.bound.ast.source != model_text
+    rebuild = last is None or last.model_text != model_text
     if rebuild:
         ast = parse_model(model_text, file=config.model)
         errors = [d for d in type_check(ast) if d.severity == "error"]
         if errors:
             raise ParseError(errors)
-    props = parse_properties(props_text, file=config.props)
-    if rebuild:
-        space = build_dtmc(bind_constants(ast, config.constants))
-    results = check_properties(space, props, config.solver())
-    return model_text, space, props, results
+    if last and last.props_text == props_text:
+        props = last.props
+    else:
+        props = parse_properties(props_text, file=config.props)
+    space = (build_dtmc(bind_constants(ast, config.constants),
+                        previous=last and last.space) if rebuild else last.space)
+    return Checked(space, props_text, props,
+                   check_properties(space, props, config.solver()))
 
 
 def check_exit_code(results):
     return 1 if any(r.verdict is False for r in results) else 0
 
 
-def run_generate(config: PipelineConfig, model_text, props, results):
-    """Build (or regenerate) the argument and write all artifacts.
+def run_generate(config: PipelineConfig, checked: Checked):
+    """Build (or regenerate) the argument from ``checked`` and write all
+    artifacts.
 
     Returns (argument, orphan warnings)."""
+    model_text, props, results = checked.model_text, checked.props, checked.results
     ref = ModelRef.for_text(config.stem, config.model, model_text)
     fresh = build_argument(ref, props, results)
     warnings = []
@@ -235,21 +255,27 @@ def run_generate(config: PipelineConfig, model_text, props, results):
     return fresh, warnings
 
 
-def run_cycle(config: PipelineConfig, space=None):
-    """One check+generate cycle, reusing ``space`` as run_check does.
-    Returns (exit code, summary line, state space to pass to the next
-    cycle); failures leave previous artifacts untouched and return
-    ``space``."""
+def run_cycle(config: PipelineConfig, last: Checked | None = None):
+    """One check+generate cycle, reusing ``last`` as run_check does.
+    Returns (exit code, summary line, Checked to pass to the next cycle);
+    failures leave previous artifacts untouched and return ``last``.
+
+    The summary ends with what became of the state space: ``reused`` (the
+    model text is unchanged), ``re-evaluated`` (the edit kept the states and
+    the transition pattern, see build_dtmc) or ``built``."""
     try:
-        model_text, checked, props, results = run_check(config, space)
-        run_generate(config, model_text, props, results)
+        checked = run_check(config, last)
+        run_generate(config, checked)
     except _FAILURES as e:
-        return 2, f"cycle failed: {e}", space
+        return 2, f"cycle failed: {e}", last
+    results, space = checked.results, checked.space
     violated = sum(1 for r in results if r.verdict is False)
-    code = check_exit_code(results)
-    return code, (f"checked {len(results)} properties "
-                  f"({violated} violated), wrote {config.argument_path()}; "
-                  f"state space {'reused' if checked is space else 'built'}"), checked
+    reuse = ("reused" if last and space is last.space else
+             "re-evaluated" if last and space.states is last.space.states else
+             "built")
+    return check_exit_code(results), (
+        f"checked {len(results)} properties ({violated} violated), wrote "
+        f"{config.argument_path()}; state space {reuse}"), checked
 
 
 def _fingerprint_file(path):
@@ -264,19 +290,19 @@ def watch_loop(config: PipelineConfig, max_cycles=None, log=None,
     """Poll model+props fingerprints; run one cycle per observed change.
 
     ``max_cycles`` bounds the number of cycles (None = run forever); the
-    first cycle runs immediately against the initial content.  The state
-    space of the last good cycle is kept for the next one.
+    first cycle runs immediately against the initial content.  What the
+    last good cycle read and computed is kept for the next one.
     """
     log = log or (lambda line: click.echo(line))
     seen = (None, None)
-    space = None
+    last = None
     cycles = 0
     while max_cycles is None or cycles < max_cycles:
         current = (_fingerprint_file(config.model),
                    _fingerprint_file(config.props_path()))
         if current != seen and all(current):
             seen = current
-            code, summary, space = run_cycle(config, space)
+            code, summary, last = run_cycle(config, last)
             cycles += 1
             log(f"[cycle {cycles}] exit={code} {summary}")
         else:
@@ -344,7 +370,8 @@ def _command(options):
 @_command(_CHECK)
 def check(config):
     """Verify all properties and write result records."""
-    _, space, _, results = run_check(config)
+    checked = run_check(config)
+    space, results = checked.space, checked.results
     atomic_write(config.results_path(), serialize_results(results))
     d = space.diagnostics
     click.echo(f"built {space.n_states} states, {space.indices.size} transitions "
@@ -361,8 +388,7 @@ def check(config):
 @_command(_GENERATE)
 def generate(config):
     """Verify and (re)generate the assurance argument."""
-    model_text, _, props, results = run_check(config)
-    arg, warnings = run_generate(config, model_text, props, results)
+    arg, warnings = run_generate(config, run_check(config))
     for w in warnings:
         click.echo(f"warning: {w}", err=True)
     click.echo(f"wrote {config.argument_path()} "

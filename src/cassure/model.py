@@ -13,6 +13,7 @@ numpy evaluation over many states at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -63,6 +64,68 @@ TRUE = Lit(True)
 COMPARISONS = {"=", "!=", "<", "<=", ">", ">="}
 ARITH = {"+", "-", "*", "/"}
 LOGIC = {"&", "|", "->"}
+
+# The deepest expression accepted: both its tree and its nesting of
+# parentheses, '!', unary '-' and '->' have at most this many levels, and so
+# has every expression of a model once its formulas are expanded.  The
+# passes over an expression (parse, type check, compile, evaluation,
+# _is_wide, hashing) recurse once or twice per tree level and the parser
+# about eleven times per parenthesis, so each stays well inside Python's
+# default limit of 1000 frames.
+MAX_EXPR_DEPTH = 50
+
+
+def expr_depth(e, formula_depths=None):
+    """The number of levels of an expression tree, counted without recursion.
+
+    A name in ``formula_depths`` counts its level plus the depth given
+    there, as passes that expand the formula recurse into its body."""
+    formula_depths = formula_depths or {}
+    deepest, stack = 0, [(e, 1)]
+    while stack:
+        node, level = stack.pop()
+        if isinstance(node, Unary):
+            stack.append((node.operand, level + 1))
+        elif isinstance(node, Binary):
+            stack += ((node.left, level + 1), (node.right, level + 1))
+        else:
+            if isinstance(node, Name):
+                level += formula_depths.get(node.ident, 0)
+            deepest = max(deepest, level)
+    return deepest
+
+
+def _names(e):
+    """The identifiers an expression names, found without recursion."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Name):
+            yield node.ident
+        elif isinstance(node, Unary):
+            stack.append(node.operand)
+        elif isinstance(node, Binary):
+            stack += (node.left, node.right)
+
+
+def _dependency_order(formulas):
+    """Formula names (of a name -> FormulaDecl dict), each after the
+    formulas its body names; a cycle is cut where the search meets it."""
+    order, state = [], {}
+    for root in formulas:
+        stack = [root]
+        while stack:
+            name = stack[-1]
+            if name not in state:
+                state[name] = "open"
+                stack += [n for n in _names(formulas[name].expr)
+                          if n in formulas and n not in state]
+            else:
+                stack.pop()
+                if state[name] == "open":
+                    state[name] = "done"
+                    order.append(name)
+    return order
 
 
 # --------------------------------------------------------------------------
@@ -189,16 +252,19 @@ class _TypeChecker:
             for v in m.variables:
                 self.vars[v.name] = v
         self._formula_state = {}  # name -> "visiting" | type
+        # name -> depth with formulas expanded; inf once reported too deep
+        self.depths = {}
 
     def error(self, msg, span=None):
         self.diags.append(Diagnostic("error", msg, span))
 
     def run(self):
         self._check_duplicates()
+        self._check_formula_depths()
         for f in self.model.formulas:
             self._formula_type(f.name, f.span)
         for c in self.model.constants:
-            self.infer(c.value)
+            self.infer(c.value, c.span)
         for m in self.model.modules:
             declared = {v.name for v in m.variables}
             for v in m.variables:
@@ -207,9 +273,9 @@ class _TypeChecker:
                 self._check_command(cmd, declared)
         for rs in self.model.rewards:
             for item in rs.items:
-                if self.infer(item.guard) not in (BOOL, None):
+                if self.infer(item.guard, item.span) not in (BOOL, None):
                     self.error(f'reward guard in "{rs.name}" is not boolean', item.span)
-                t = self.infer(item.value)
+                t = self.infer(item.value, item.span)
                 if t not in (INT, REAL, None):
                     self.error(f'reward value in "{rs.name}" is not numeric', item.span)
         return self.diags
@@ -225,19 +291,19 @@ class _TypeChecker:
 
     def _check_vardecl(self, v):
         if v.is_bool:
-            if self.infer(v.init) not in (BOOL, None):
+            if self.infer(v.init, v.span) not in (BOOL, None):
                 self.error(f"init of boolean variable '{v.name}' is not boolean", v.span)
             return
         for e, what in ((v.low, "lower bound"), (v.high, "upper bound"), (v.init, "init")):
-            if self.infer(e) not in (INT, None):
+            if self.infer(e, v.span) not in (INT, None):
                 self.error(f"{what} of '{v.name}' is not an integer expression", v.span)
 
     def _check_command(self, cmd, declared):
-        if self.infer(cmd.guard) not in (BOOL, None):
+        if self.infer(cmd.guard, cmd.span) not in (BOOL, None):
             self.error("command guard is not boolean", cmd.span)
         for upd in cmd.updates:
             if upd.probability is not None:
-                if self.infer(upd.probability) not in (INT, REAL, None):
+                if self.infer(upd.probability, cmd.span) not in (INT, REAL, None):
                     self.error("update probability is not numeric", cmd.span)
             for name, rhs in upd.assignments:
                 var = self.vars.get(name)
@@ -246,13 +312,29 @@ class _TypeChecker:
                         f"assignment target '{name}' is not a variable of this module",
                         cmd.span)
                     continue
-                t = self.infer(rhs)
+                t = self.infer(rhs, cmd.span)
                 if t is None:
                     continue
                 if var.is_bool and t != BOOL:
                     self.error(f"assignment to boolean '{name}' is not boolean", cmd.span)
                 if not var.is_bool and t not in (INT, REAL):
                     self.error(f"assignment to '{name}' is not numeric", cmd.span)
+
+    def _check_formula_depths(self):
+        """The depth of each formula with the formulas it names expanded.  A
+        formula deeper than MAX_EXPR_DEPTH is reported where the chain
+        crosses the limit, and is left untyped, as is any formula or
+        expression that names it."""
+        for name in _dependency_order(self.formulas):
+            f = self.formulas[name]
+            depth = expr_depth(f.expr, self.depths)
+            if depth > MAX_EXPR_DEPTH:
+                if depth != math.inf:
+                    self.error(f"formula '{name}' is deeper than {MAX_EXPR_DEPTH} "
+                               "levels with formulas expanded", f.span)
+                depth = math.inf
+                self._formula_state[name] = None
+            self.depths[name] = depth
 
     def _formula_type(self, name, span=None):
         state = self._formula_state.get(name)
@@ -263,12 +345,23 @@ class _TypeChecker:
         if name in self._formula_state:
             return self._formula_state[name]
         self._formula_state[name] = "visiting"
-        t = self.infer(self.formulas[name].expr)
+        t = self._infer(self.formulas[name].expr)
         self._formula_state[name] = t
         return t
 
-    def infer(self, e):
-        """Expression type, or None if a diagnostic was already emitted."""
+    def infer(self, e, span):
+        """Type of a whole expression, or None if a diagnostic was already
+        emitted.  The expression may be at most MAX_EXPR_DEPTH deep with its
+        formulas expanded."""
+        depth = expr_depth(e, self.depths)
+        if depth > MAX_EXPR_DEPTH:
+            if depth != math.inf:
+                self.error(f"expression deeper than {MAX_EXPR_DEPTH} levels "
+                           "with formulas expanded", span)
+            return None
+        return self._infer(e)
+
+    def _infer(self, e):
         if isinstance(e, Lit):
             if isinstance(e.value, bool):
                 return BOOL
@@ -283,7 +376,7 @@ class _TypeChecker:
             self.error(f"unknown identifier '{e.ident}'", e.span)
             return None
         if isinstance(e, Unary):
-            t = self.infer(e.operand)
+            t = self._infer(e.operand)
             if t is None:
                 return None
             if e.op == "-":
@@ -296,8 +389,8 @@ class _TypeChecker:
                 return None
             return BOOL
         if isinstance(e, Binary):
-            lt = self.infer(e.left)
-            rt = self.infer(e.right)
+            lt = self._infer(e.left)
+            rt = self._infer(e.right)
             if lt is None or rt is None:
                 return None
             if e.op in ARITH:

@@ -11,9 +11,9 @@ import re
 
 from .diagnostics import Diagnostic, ParseError, SourceSpan
 from .model import (
-    Binary, Command, ConstantDecl, Expr, FormulaDecl, Lit, ModelAst,
-    ModuleDecl, Name, PathFormula, PropertySpec, RewardItem,
-    RewardStructureDecl, Unary, Update, VarDecl,
+    MAX_EXPR_DEPTH, Binary, Command, ConstantDecl, Expr, FormulaDecl, Lit,
+    ModelAst, ModuleDecl, Name, PathFormula, PropertySpec, RewardItem,
+    RewardStructureDecl, Unary, Update, VarDecl, expr_depth,
 )
 
 KEYWORDS = {
@@ -27,14 +27,6 @@ UNSUPPORTED = {
     "label", "system", "endsystem", "global", "player", "endplayer",
     "observables", "endinit", "invariant",
 }
-
-# The deepest expression accepted: both its tree and its nesting of
-# parentheses, '!', unary '-' and '->' have at most this many levels.  The
-# passes over an expression (parse, type check, compile, evaluation,
-# _is_wide, hashing) recurse once or twice per tree level and the parser
-# about eleven times per parenthesis, so each stays well inside Python's
-# default limit of 1000 frames.
-MAX_EXPR_DEPTH = 50
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -141,7 +133,7 @@ class _Parser:
         whole grammar), at most MAX_EXPR_DEPTH deep."""
         span = self.tok.span
         e = (level or self._implies)()
-        if _height(e) > MAX_EXPR_DEPTH:
+        if expr_depth(e) > MAX_EXPR_DEPTH:
             self.fail(f"expression deeper than {MAX_EXPR_DEPTH} levels", span)
         return e
 
@@ -231,21 +223,6 @@ class _Parser:
             self.expect(")")
             return e
         self.fail(f"expected expression, found {t.text!r}")
-
-
-def _height(e):
-    """The number of levels of an expression tree, counted without recursion."""
-    height, level = 0, [e]
-    while level:
-        height += 1
-        below = []
-        for node in level:
-            if isinstance(node, Unary):
-                below.append(node.operand)
-            elif isinstance(node, Binary):
-                below += (node.left, node.right)
-        level = below
-    return height
 
 
 # --------------------------------------------------------------------------

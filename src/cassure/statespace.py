@@ -20,6 +20,17 @@ earlier module has an enabled command with that label, probabilities where
 their unit is enabled, assignments where their outcome has nonzero
 probability.  Successors are deduplicated by packing each valuation into a
 mixed-radix key over the variable ranges.
+
+`build_dtmc` may be given the space of an earlier model with the same
+variables (`previous`).  Its states are then evaluated as one layer of the
+new model, and the result is kept if every successor is a cached state and
+the transition pattern (indptr, indices) equals `previous`'s.  BFS over the
+same pattern from the same initial state visits the same states in the same
+order, and each row sums its duplicate successors in the same order, so the
+arrays are those of a fresh build.  Anything else -- a successor outside the
+cached states, a different pattern, or an error in the batch -- runs the
+full exploration, which decides every structural change and names every
+error at its canonical state.
 """
 
 from __future__ import annotations
@@ -468,9 +479,47 @@ def fix_deadlocks(space: StateSpace) -> StateSpace:
                       indptr, indices, data, space.rewards, diags)
 
 
-def build_dtmc(bound: BoundModel, max_states=DEFAULT_STATE_CAP) -> StateSpace:
-    """build_state_space followed by fix_deadlocks; validates row sums."""
-    space = fix_deadlocks(build_state_space(bound, max_states))
+def _reevaluate(bound, previous):
+    """The space of ``bound`` over the states of ``previous``, evaluated as
+    one layer, or None when it may differ from a fresh build (see the module
+    docstring)."""
+    states = previous.states
+    try:
+        guards, chains, units = _compile_units(bound)
+        diags = BuildDiagnostics()
+        src, succ, prob = _layer_transitions(bound.variables, guards, chains,
+                                             units, states, 0, diags)
+        pack = _key_packer(bound.variables)
+        keys, succ_keys = pack(states), pack(succ)
+        order = np.argsort(keys)
+        dst = order.take(np.searchsorted(keys, succ_keys, sorter=order), mode="clip")
+        if not np.array_equal(keys[dst], succ_keys):
+            return None  # a successor outside the cached states
+        space = fix_deadlocks(StateSpace(
+            bound, bound.var_names(), states, 0,
+            *_assemble(len(states), src, dst, prob), {}, diags))
+        if not (np.array_equal(space.indptr, previous.indptr)
+                and np.array_equal(space.indices, previous.indices)):
+            return None
+        space.rewards = _reward_vectors(bound, states)
+    except (BuildError, EvalError):
+        return None
+    return space
+
+
+def build_dtmc(bound: BoundModel, max_states=DEFAULT_STATE_CAP,
+               previous: StateSpace | None = None) -> StateSpace:
+    """build_state_space followed by fix_deadlocks; validates row sums.
+
+    With ``previous`` (a space built from a model with the same variables),
+    its states are re-evaluated in one batch first; the full build runs
+    when that may not give its result (see _reevaluate)."""
+    space = None
+    if (previous is not None and previous.bound.variables == bound.variables
+            and previous.n_states <= max_states):
+        space = _reevaluate(bound, previous)
+    if space is None:
+        space = fix_deadlocks(build_state_space(bound, max_states))
     sums = np.add.reduceat(space.data, space.indptr[:-1]) if space.data.size else np.array([])
     if space.data.size and np.max(np.abs(sums - 1.0)) > ROW_SUM_TOL:
         worst = int(np.argmax(np.abs(sums - 1.0)))

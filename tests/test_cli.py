@@ -263,6 +263,45 @@ def test_deep_expression_fails_one_watch_cycle(workdir, case):
     assert _artifacts(workdir / "out") == good
 
 
+def _formula_chain(text):
+    """The model ``text`` with a chain of 39 formulas of 41 terms each (every
+    one within the depth limit on its own) and a guard that names the last;
+    expanded, the guard is about 1,600 levels deep."""
+    ones = " + ".join(["1"] * 40)
+    chain = [f"formula f1 = 1 + {ones};"]
+    chain += [f"formula f{i} = f{i - 1} + {ones};" for i in range(2, 40)]
+    text = text.replace("formula is_warning", "\n".join(chain) + "\nformula is_warning")
+    return text.replace("[] loc = 4 ->", "[] loc = 4 & f39 > 0 ->")
+
+
+def test_formula_chain_exits_2(workdir):
+    model = workdir / "nuclear.prism"
+    model.write_text(_formula_chain(model.read_text()))
+    line = model.read_text().splitlines().index(
+        "formula f2 = f1 + " + " + ".join(["1"] * 40) + ";") + 1
+    r = invoke("check", "--model", str(model), "--out", str(workdir / "out"))
+    assert r.exit_code == 2, r.output
+    assert (f"error: {model}:{line}:1: error: formula 'f2' is deeper than "
+            "50 levels with formulas expanded") in r.output
+
+
+def test_formula_chain_fails_one_watch_cycle(workdir):
+    config = make_config(workdir)
+    model = workdir / "nuclear.prism"
+    lines = []
+    good = {}
+
+    def fake_sleep(_):
+        if not good:
+            good.update(_artifacts(workdir / "out"))
+            model.write_text(_formula_chain(model.read_text()))
+    cycles = watch_loop(config, max_cycles=2, log=lines.append,
+                        sleep=fake_sleep)
+    assert cycles == 2
+    assert "exit=2 cycle failed" in lines[1] and "deeper than" in lines[1]
+    assert _artifacts(workdir / "out") == good
+
+
 def test_watch_survives_unwritable_output(workdir):
     # The first cycle cannot create its output directory (an OSError); the
     # loop logs the failure and runs the next cycle once the inputs change.
@@ -584,8 +623,52 @@ def test_props_only_edit_reuses_the_state_space(workdir, monkeypatch):
 def test_model_edit_rebuilds_the_state_space(workdir, monkeypatch):
     edit = _edit(workdir / "nuclear.prism", "p_err = 0.01;", "p_err = 0.015;")
     lines, per_cycle, _ = _watch(make_config(workdir), [edit], monkeypatch)
+    assert lines[1].endswith("; state space re-evaluated")
+    assert per_cycle[1] == {"parse_model": 1, "build_dtmc": 1}
+
+
+def test_guard_edit_builds_the_state_space(workdir, monkeypatch):
+    edit = _edit(workdir / "nuclear.prism", "[] loc = 4 -> (loc' = 4);",
+                 "[] loc = 4 -> (loc' = 4);\n  [] loc = 5 & rad = 2 -> (loc' = 4);")
+    lines, per_cycle, _ = _watch(make_config(workdir), [edit], monkeypatch)
     assert lines[1].endswith("; state space built")
     assert per_cycle[1] == {"parse_model": 1, "build_dtmc": 1}
+
+
+def test_model_only_edit_reuses_the_parsed_props(workdir, monkeypatch):
+    parsed = []
+    monkeypatch.setattr(cli, "parse_properties",
+                        lambda *args, _real=cli.parse_properties, **kwargs:
+                        parsed.append(args) or _real(*args, **kwargs))
+    model, props = workdir / "nuclear.prism", workdir / "nuclear.props"
+    edits = [_edit(model, "p_err = 0.01;", "p_err = 0.015;"),
+             _edit(props, "F<=5", "F<=6"),
+             _edit(model, "p_err = 0.015;", "p_err = 0.01;")]
+    lines, _, _ = _watch(make_config(workdir), edits, monkeypatch)
+    assert [line.rsplit("; ", 1)[1] for line in lines] == [
+        "state space built", "state space re-evaluated",
+        "state space reused", "state space re-evaluated"]
+    assert len(parsed) == 2  # the first cycle and the props edit
+
+
+def test_model_edit_writes_what_generate_writes(workdir, monkeypatch):
+    """A watch cycle after a p_err edit, against generate run twice into one
+    directory around the same edit."""
+    edit = _edit(workdir / "nuclear.prism", "p_err = 0.01;", "p_err = 0.015;")
+    lines, _, _ = _watch(make_config(workdir), [edit], monkeypatch)
+    assert lines[1].endswith("; state space re-evaluated")
+    out = workdir / "out"
+    watched = (out / "nuclear.gsn").read_bytes(), _untimed(out / "nuclear.results.jsonl")
+    _edit(workdir / "nuclear.prism", "p_err = 0.015;", "p_err = 0.01;")()
+    fresh = workdir / "fresh"
+    for step in (None, edit):
+        if step:
+            step()
+        r = invoke("generate", "--model", str(workdir / "nuclear.prism"),
+                   "--out", str(fresh))
+        assert r.exit_code == 0, r.output
+    assert watched == ((fresh / "nuclear.gsn").read_bytes(),
+                       _untimed(fresh / "nuclear.results.jsonl"))
 
 
 def test_memo_keeps_only_the_current_cycles_entries(workdir, monkeypatch):

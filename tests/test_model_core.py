@@ -83,6 +83,52 @@ endmodule
     assert any("x" in d.message and d.severity == "error" for d in diags)
 
 
+def _with_formulas(formulas, guard):
+    return ("dtmc\n" + "".join(f"formula {f};\n" for f in formulas)
+            + f"module m\n  x : [0..1] init 0;\n  [] {guard} -> (x'=1);\nendmodule\n")
+
+
+def _errors(text):
+    return [str(d) for d in type_check(parse_model(text, file="m.prism"))]
+
+
+ONES = " + ".join(["1"] * 40)
+CHAIN = [f"f1 = 1 + {ONES}"] + [f"f{i} = f{i - 1} + {ONES}" for i in range(2, 40)]
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_formula_chain_deeper_than_the_limit_is_located(order):
+    # Each formula is 41 levels deep, but inlining f2 puts f1 under 41
+    # levels of its own: the first one over the limit is reported, once,
+    # in either declaration order.  The guard naming f39 adds nothing.
+    formulas = CHAIN[::order]
+    line = formulas.index(CHAIN[1]) + 2
+    assert _errors(_with_formulas(formulas, "f39 > 0")) == [
+        f"m.prism:{line}:1: error: formula 'f2' is deeper than 50 levels "
+        "with formulas expanded"]
+    assert _errors(_with_formulas(CHAIN[:1], "f1 > 0")) == []
+
+
+def test_expression_deeper_than_the_limit_with_formulas_expanded():
+    a = " + ".join(["1"] * 30)
+    assert _errors(_with_formulas([f"a = {a}"], "a" + " + 1" * 18 + " > 0")) == []
+    assert _errors(_with_formulas([f"a = {a}"], "a" + " + 1" * 19 + " > 0")) == [
+        "m.prism:5:3: error: expression deeper than 50 levels with formulas expanded"]
+
+
+def test_long_formula_chains_and_cycles_are_checked_without_recursion():
+    # A 3,000-formula chain of plain references and a 2,000-formula cycle:
+    # each reference counts one level, so both stop at the limit.
+    chain = ["f0 = 1"] + [f"f{i} = f{i - 1}" for i in range(1, 3000)]
+    assert _errors(_with_formulas(chain, "f2999 > 0")) == [
+        "m.prism:52:1: error: formula 'f50' is deeper than 50 levels with "
+        "formulas expanded"]
+    cycle = [f"f{i} = f{(i + 1) % 2000} + 1" for i in range(2000)]
+    assert len(_errors(_with_formulas(cycle, "f0 > 0"))) == 1
+    assert _errors(_with_formulas(["a = b + 1", "b = a"], "a > 0")) == [
+        "m.prism:3:13: error: recursive formula 'a'"]
+
+
 def test_assignment_to_foreign_variable_flagged():
     text = """\
 dtmc

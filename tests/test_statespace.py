@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
 import pinned
 from cassure import BuildError, EvalError, bind_constants, build_dtmc, parse_model
+import cassure.statespace as statespace
 from cassure.statespace import build_state_space, fix_deadlocks, label_states
 from cassure.model import Binary, Lit, Name
 
@@ -351,3 +353,134 @@ def test_keys_wider_than_63_bits_keep_canonical_order():
     assert np.array_equal(big.indices, small.indices)
     assert np.array_equal(big.data, small.data)
     assert_canonical(big)
+
+
+# ---- a model edit that keeps the transition pattern is re-evaluated ----
+
+def assert_same_space(a, b):
+    """Bit for bit: states, CSR arrays, rewards and build diagnostics."""
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert a.data.tobytes() == b.data.tobytes()
+    assert a.rewards.keys() == b.rewards.keys()
+    for name in a.rewards:
+        assert a.rewards[name].tobytes() == b.rewards[name].tobytes()
+    assert a.diagnostics == b.diagnostics
+
+
+def rebuilt(ast, before, after):
+    """(space of ``after`` built with the space of ``before`` as previous,
+    that previous space, a fresh build of ``after``)."""
+    previous = build_dtmc(bind_constants(ast, before))
+    bound = bind_constants(ast, after)
+    return build_dtmc(bound, previous=previous), previous, build_dtmc(bound)
+
+
+@settings(max_examples=20, deadline=None)
+@given(p_err=st.sampled_from([0.015, 0.01, 0.2]) | st.floats(1e-9, 0.99),
+       p_rad_crit=st.floats(0.001, 0.4), p_rad_med=st.floats(0.001, 0.4))
+def test_probability_edit_equals_a_fresh_build(model_ast, p_err, p_rad_crit, p_rad_med):
+    after = {"p_err": p_err, "p_rad_crit": p_rad_crit, "p_rad_med": p_rad_med}
+    space, previous, fresh = rebuilt(model_ast, {}, after)
+    assert space.states is previous.states  # re-evaluated, not explored
+    assert_same_space(space, fresh)
+
+
+@pytest.mark.parametrize("before, after, n_states", [
+    ({}, {"p_err": 0}, 90),                    # drops states
+    ({"p_err": 0}, {"p_err": 0.01}, 142),      # adds states
+    ({}, {"p_rad_crit": 0}, None),             # an outcome drops to 0
+])
+def test_edit_that_changes_the_states_runs_the_full_build(model_ast, before, after,
+                                                          n_states):
+    space, previous, fresh = rebuilt(model_ast, before, after)
+    assert space.states is not previous.states
+    assert n_states is None or space.n_states == n_states
+    assert_same_space(space, fresh)
+
+
+EDITABLE = """\
+dtmc
+const double p = 0.5;
+const double q = 0;
+const int T = 3;
+const int K = 3;
+module m
+  x : [0..3] init 0;
+  [] x < 3 -> p : (x'=x+1) + q : (x'=x+1) + 1-p-q : (x'=x);
+  [] x >= T -> (x - 2*K) / (x - 2*K) : (x'=0);
+endmodule
+rewards "r"
+  x > 0 : p * x;
+endrewards
+"""
+
+BASE = {"p": 0.5, "q": 0.0, "T": 3, "K": 3}
+
+
+@pytest.mark.parametrize("after, reevaluated", [
+    ({"p": 0.25}, True),
+    ({"q": 0.125}, True),   # a 0 outcome turns live onto an existing successor
+    ({"T": 2}, False),      # a guard edit adds the edge 2 -> 0
+])
+def test_reevaluation_or_full_build_equals_a_fresh_build(after, reevaluated):
+    ast = parse_model(EDITABLE)
+    space, previous, fresh = rebuilt(ast, BASE, {**BASE, **after})
+    assert (space.states is previous.states) == reevaluated
+    assert_same_space(space, fresh)
+
+
+def test_rewritten_probability_expression_is_reevaluated():
+    previous = build_dtmc(bind_constants(parse_model(EDITABLE)))
+    text = EDITABLE.replace("p : (x'=x+1)", "p/2 : (x'=x+1)").replace("1-p-q", "1-p/2-q")
+    bound = bind_constants(parse_model(text))
+    space = build_dtmc(bound, previous=previous)
+    assert space.states is previous.states
+    assert not np.array_equal(space.data, previous.data)
+    assert_same_space(space, build_dtmc(bound))
+
+
+def test_error_only_in_an_unreachable_cached_state_is_not_reported():
+    """With x < 1 only x = 0 and 1 stay reachable; the batch over the cached
+    states divides by zero at x = 2, the full build does not reach it."""
+    ast = parse_model(EDITABLE.replace("x < 3 ->", "x < K ->"))
+    space, previous, fresh = rebuilt(ast, {**BASE, "K": 2, "T": 2},
+                                     {**BASE, "K": 1, "T": 1})
+    assert previous.n_states == 3 and space.n_states == 2
+    assert_same_space(space, fresh)
+
+
+def test_error_in_a_reachable_state_names_it_as_the_full_build_does():
+    ast = parse_model(EDITABLE)
+    previous = build_dtmc(bind_constants(ast, BASE))
+    bound = bind_constants(ast, {**BASE, "K": 1, "T": 2})
+    with pytest.raises(EvalError) as fresh:
+        build_dtmc(bound)
+    with pytest.raises(EvalError) as reused:
+        build_dtmc(bound, previous=previous)
+    assert str(reused.value) == str(fresh.value)
+    assert "{'x': 2}" in str(fresh.value)
+
+
+@pytest.mark.parametrize("text", [
+    EDITABLE.replace("x : [0..3]", "x : [0..4]"),
+    EDITABLE.replace("init 0", "init 1"),
+])
+def test_changed_variables_skip_the_batch(monkeypatch, text):
+    calls = []
+    monkeypatch.setattr(statespace, "_reevaluate",
+                        lambda *args: calls.append(args) or None)
+    previous = build_dtmc(bind_constants(parse_model(EDITABLE), BASE))
+    bound = bind_constants(parse_model(text), BASE)
+    space = build_dtmc(bound, previous=previous)
+    assert calls == []
+    assert_same_space(space, build_dtmc(bound))
+
+
+def test_reevaluation_keeps_keys_wider_than_63_bits():
+    previous = build_dtmc(bind_constants(parse_model(WIDE), {"L": 10 ** 7}))
+    bound = bind_constants(parse_model(WIDE), {"L": 10 ** 7})
+    space = build_dtmc(bound, previous=previous)
+    assert space.states is previous.states
+    assert_same_space(space, build_dtmc(bound))
