@@ -24,7 +24,7 @@ from .model import BoundModel, ModelAst, PropertySpec, bind_constants, type_chec
 from .parsing import (
     parse_model, parse_properties, render_expr, render_model, render_property,
 )
-from .statespace import StateSpace, build_dtmc, build_state_space, label_states
+from .statespace import StateSpace, build_dtmc, label_states
 from .transform import (
     ModelRef, TransformError, attach_external_evidence, build_argument,
     regenerate,

@@ -29,7 +29,9 @@ from types import NoneType
 
 import numpy as np
 
-from .diagnostics import CassureError, SolverError, json_field, malformed
+from .diagnostics import (
+    BuildError, CassureError, EvalError, SolverError, json_field, malformed,
+)
 from .parsing import render_expr
 from .statespace import StateSpace, label_states
 
@@ -230,23 +232,31 @@ def _reach_reward(space, rew, psi_m, one, cfg):
 # Property checking
 # --------------------------------------------------------------------------
 
-def _label(space, phi):
-    """The memoized mask of a state formula, keyed by its rendered text:
-    unlike Expr equality, the text tells 1, 1.0 and true apart."""
-    return space.memo.get(("label", render_expr(phi)),
-                          lambda: label_states(space, phi))
+def _label(space, phi, prop):
+    """The memoized mask of a state formula of ``prop``, keyed by its
+    rendered text: unlike Expr equality, the text tells 1, 1.0 and true
+    apart.  An error in the formula names the property's place."""
+    try:
+        return space.memo.get(("label", render_expr(phi)),
+                              lambda: label_states(space, phi))
+    except (BuildError, EvalError) as e:
+        if prop.span is None:
+            raise
+        raise type(e)(f"{prop.span}: {e}") from None
 
 
 def _mask_key(mask):
     return np.packbits(mask).tobytes()
 
 
-def _until_form(space, path):
+def _until_form(space, prop):
     """(phi, psi, negate) masks with P(path) = P(phi U psi), or 1 minus it
     when negate: F psi is true U psi, and G phi is 1 - P(true U !phi)."""
+    path = prop.path
     if path.kind == "U":
-        return (_label(space, path.constraint), _label(space, path.target), False)
-    target = _label(space, path.target)
+        return (_label(space, path.constraint, prop), _label(space, path.target, prop),
+                False)
+    target = _label(space, path.target, prop)
     everywhere = np.ones(space.n_states, dtype=bool)
     if path.kind == "G":
         return everywhere, ~target, True
@@ -302,13 +312,13 @@ def check_property(space: StateSpace, prop, cfg=SolverConfig()) -> VerificationR
     infinite = marginal = False
     stats = _GRAPH_STATS
     if path.kind == "F<=":  # step-bounded: no graph characterization
-        psi = _label(space, path.target)
+        psi = _label(space, path.target, prop)
         vec, stats = space.memo.get(
             ("F<=", _mask_key(psi), path.bound, cfg),
             lambda: bounded_eventually_probability(space, psi, path.bound, cfg))
         value = float(vec[init])
     else:
-        phi, psi, negate = _until_form(space, path)
+        phi, psi, negate = _until_form(space, prop)
         until = _Until(space, phi, psi)
         if prop.kind == "R_query":
             _reward_vector(space, prop.reward)  # an unknown name is an error first

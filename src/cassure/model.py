@@ -828,15 +828,3 @@ def _logic(op, left, right):
         return np.logical_or(np.logical_not(l), r)
 
     return _Node(fn=logic, raises=left.raises or right.raises)
-
-
-def expand_formulas(e: Expr, formulas: dict) -> Expr:
-    """Inline every formula reference (assumes acyclicity)."""
-    if isinstance(e, Name) and e.ident in formulas:
-        return expand_formulas(formulas[e.ident], formulas)
-    if isinstance(e, Unary):
-        return Unary(e.op, expand_formulas(e.operand, formulas))
-    if isinstance(e, Binary):
-        return Binary(e.op, expand_formulas(e.left, formulas),
-                      expand_formulas(e.right, formulas))
-    return e

@@ -7,6 +7,7 @@ identical AST.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .diagnostics import Diagnostic, ParseError, SourceSpan
@@ -31,7 +32,7 @@ UNSUPPORTED = {
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
   | (?P<comment>//[^\n]*)
-  | (?P<real>\d+\.\d+|\.\d+)
+  | (?P<real>(?:\d+\.\d+|\.\d+)(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)
   | (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"(?:[^"\\]|\\.)*")
@@ -119,6 +120,15 @@ class _Parser:
             self.fail(f"expected {what or text!r}, found {self.tok.text!r}")
         return self.advance()
 
+    def real(self):
+        """The float value of the current number token, which is consumed;
+        a literal beyond the float range is an error."""
+        t = self.advance()
+        v = float(t.text)
+        if math.isinf(v):
+            self.fail(f"number {t.text!r} is out of range", t.span)
+        return v
+
     def expect_ident(self, what="identifier"):
         t = self.tok
         if t.kind != "ident" or t.text in KEYWORDS or t.text in UNSUPPORTED:
@@ -203,8 +213,7 @@ class _Parser:
             self.advance()
             return Lit(int(t.text))
         if t.kind == "real":
-            self.advance()
-            return Lit(float(t.text))
+            return Lit(self.real())
         if t.kind == "ident":
             if t.text == "true":
                 self.advance()
@@ -474,8 +483,7 @@ class _PropertyParser(_Parser):
         t = self.tok
         if t.kind not in ("int", "real"):
             self.fail(f"expected number, found {t.text!r}")
-        self.advance()
-        v = float(t.text)
+        v = self.real()
         return -v if neg else v
 
     def _path(self):

@@ -6,7 +6,9 @@ product of same-labeled commands across every module that mentions the label
 (probabilities multiply, assignments merge).  When m > 1 units are enabled in
 a state they are resolved by uniform probabilistic choice: each unit fires
 with probability 1/m.  Duplicate successors are merged by summing, in the
-order the units and their outcomes are listed.
+order the units and their outcomes are listed.  A state with no enabled unit
+(a deadlock) gets a probability-1 self-loop, PRISM's default, and is counted
+in `BuildDiagnostics.deadlock_states_fixed`.
 
 State order is canonical: BFS layers, with newly discovered successors of a
 state indexed in lexicographic valuation order, so two builds of the same
@@ -19,12 +21,13 @@ semantics evaluates it: a module's guards for a label only where every
 earlier module has an enabled command with that label, probabilities where
 their unit is enabled, assignments where their outcome has nonzero
 probability.  Successors are deduplicated by packing each valuation into a
-mixed-radix key over the variable ranges.
+mixed-radix key over the variable ranges.  `build_dtmc` compiles the units
+and the key packer once and assembles the matrix once per build.
 
 `build_dtmc` may be given the space of an earlier model with the same
 variables (`previous`).  Its states are then evaluated as one layer of the
 new model, and the result is kept if every successor is a cached state and
-the transition pattern (indptr, indices) equals `previous`'s.  BFS over the
+the (source, target) pairs are `previous`'s transition pattern.  BFS over the
 same pattern from the same initial state visits the same states in the same
 order, and each row sums its duplicate successors in the same order, so the
 arrays are those of a fresh build.  Anything else -- a successor outside the
@@ -38,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -55,7 +58,6 @@ DEFAULT_STATE_CAP = 10_000_000
 @dataclass
 class BuildDiagnostics:
     deadlock_states_fixed: int = 0
-    deadlock_samples: list = field(default_factory=list)
     nondeterministic_states: int = 0
 
 
@@ -92,7 +94,6 @@ class StateSpace:
     """The arrays are immutable once built; `memo` caches what is computed
     from them, so checks on one space run one at a time."""
     bound: BoundModel
-    var_names: tuple
     states: np.ndarray        # int matrix, one row per state in index order
     initial: int
     indptr: np.ndarray
@@ -270,11 +271,12 @@ def _key_packer(variables):
 # Exploration and assembly
 # --------------------------------------------------------------------------
 
-def _layer_transitions(variables, guards, chains, units, frontier, first, diags):
+def _layer_transitions(variables, compiled, frontier, first, diags):
     """All transitions out of one BFS layer (states first, first+1, ...):
     source ids, successor valuations and probabilities, in the order the
-    uniform choice lists units and outcomes.  Rows with no enabled unit
-    (deadlocks) produce nothing."""
+    uniform choice lists units and outcomes.  A row with no enabled unit (a
+    deadlock) has its self-loop, listed after every unit's transitions."""
+    guards, chains, units = compiled
     f = len(frontier)
     cols = _columns(variables, frontier)
     everyone = np.arange(f)
@@ -294,6 +296,8 @@ def _layer_transitions(variables, guards, chains, units, frontier, first, diags)
     masks = [np.logical_and.reduce([enabled[k] for k in u.members]) for u in units]
     m = np.add.reduce(masks, dtype=np.int64) if masks else np.zeros(f, np.int64)
     diags.nondeterministic_states += int(np.count_nonzero(m > 1))
+    dead = np.flatnonzero(m == 0)
+    diags.deadlock_states_fixed += int(dead.size)
 
     src, succ, prob = [], [], []
     for u, mask in zip(units, masks):
@@ -342,9 +346,9 @@ def _layer_transitions(variables, guards, chains, units, frontier, first, diags)
             src.append(first + here)
             succ.append(nxt)
             prob.append(p[live] / m[here])
-    if not src:
-        return (np.zeros(0, np.int64), np.zeros((0, len(variables)), np.int64),
-                np.zeros(0))
+    src.append(first + dead)
+    succ.append(frontier[dead])
+    prob.append(np.ones(dead.size))
     return np.concatenate(src), np.concatenate(succ), np.concatenate(prob)
 
 
@@ -377,7 +381,7 @@ def _assemble(n, src, dst, val):
     starts = np.flatnonzero(head)
     rank = np.arange(src.size) - starts[group]
     data = np.zeros(starts.size, dtype=np.float64)
-    for r in range(int(rank.max()) + 1 if rank.size else 0):
+    for r in range(int(rank.max()) + 1):
         pick = rank == r
         data[group[pick]] += val[pick]
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -385,24 +389,19 @@ def _assemble(n, src, dst, val):
     return indptr, dst[starts].astype(np.int64), data
 
 
-def build_state_space(bound: BoundModel, max_states=DEFAULT_STATE_CAP) -> StateSpace:
-    """Explore the reachable state space and assemble the sparse matrix.
-
-    Deadlock states get an empty row here; see fix_deadlocks.
-    """
-    guards, chains, units = _compile_units(bound)
-    pack = _key_packer(bound.variables)
+def _explore(variables, compiled, pack, max_states):
+    """The reachable states by BFS from the initial valuation, with their
+    transitions (source ids, target ids, probabilities) and diagnostics."""
     diags = BuildDiagnostics()
-
-    frontier = np.array([[int(v.init) for v in bound.variables]], dtype=np.int64)
+    frontier = np.array([[int(v.init) for v in variables]], dtype=np.int64)
     layers = [frontier]
     # State ids by packed key, the keys kept sorted for searchsorted.
     index_keys, index_ids = pack(frontier), np.zeros(1, dtype=np.int64)
     n, first = 1, 0
     src_all, dst_all, prob_all = [], [], []
     while len(frontier):
-        src, succ, prob = _layer_transitions(bound.variables, guards, chains,
-                                             units, frontier, first, diags)
+        src, succ, prob = _layer_transitions(variables, compiled, frontier,
+                                             first, diags)
         # Order the successors by source, so the first occurrence of each key
         # belongs to the state that discovers it.
         by_src = np.argsort(src, kind="stable")
@@ -430,12 +429,8 @@ def build_state_space(bound: BoundModel, max_states=DEFAULT_STATE_CAP) -> StateS
         layers.append(frontier)
         n += fresh.size
 
-    states = np.concatenate(layers)
-    indptr, indices, data = _assemble(n, np.concatenate(src_all),
-                                      np.concatenate(dst_all),
-                                      np.concatenate(prob_all))
-    return StateSpace(bound, bound.var_names(), states, 0, indptr, indices,
-                      data, _reward_vectors(bound, states), diags)
+    return (np.concatenate(layers), np.concatenate(src_all),
+            np.concatenate(dst_all), np.concatenate(prob_all), diags)
 
 
 def _reward_vectors(bound, states):
@@ -462,66 +457,50 @@ def _reward_vectors(bound, states):
     return rewards
 
 
-def fix_deadlocks(space: StateSpace) -> StateSpace:
-    """Give every deadlocked state a probability-1 self-loop. Idempotent."""
-    dead = np.flatnonzero(np.diff(space.indptr) == 0)
-    if not dead.size:
-        return space
-    indptr, indices, data = _assemble(
-        space.n_states, np.concatenate([space.row_ids, dead]),
-        np.concatenate([space.indices, dead]),
-        np.concatenate([space.data, np.ones(dead.size)]))
-    diags = replace(space.diagnostics)
-    diags.deadlock_states_fixed = space.diagnostics.deadlock_states_fixed + dead.size
-    diags.deadlock_samples = (space.diagnostics.deadlock_samples +
-                              [tuple(space.valuation(i).values()) for i in dead[:10]])
-    return StateSpace(space.bound, space.var_names, space.states, space.initial,
-                      indptr, indices, data, space.rewards, diags)
-
-
-def _reevaluate(bound, previous):
-    """The space of ``bound`` over the states of ``previous``, evaluated as
-    one layer, or None when it may differ from a fresh build (see the module
-    docstring)."""
+def _reevaluate(bound, previous, compiled, pack):
+    """What _explore returns for ``bound``, from the states of ``previous``
+    evaluated as one layer, or None when it may differ from what _explore
+    returns (see the module docstring)."""
     states = previous.states
+    diags = BuildDiagnostics()
     try:
-        guards, chains, units = _compile_units(bound)
-        diags = BuildDiagnostics()
-        src, succ, prob = _layer_transitions(bound.variables, guards, chains,
-                                             units, states, 0, diags)
-        pack = _key_packer(bound.variables)
-        keys, succ_keys = pack(states), pack(succ)
-        order = np.argsort(keys)
-        dst = order.take(np.searchsorted(keys, succ_keys, sorter=order), mode="clip")
-        if not np.array_equal(keys[dst], succ_keys):
-            return None  # a successor outside the cached states
-        space = fix_deadlocks(StateSpace(
-            bound, bound.var_names(), states, 0,
-            *_assemble(len(states), src, dst, prob), {}, diags))
-        if not (np.array_equal(space.indptr, previous.indptr)
-                and np.array_equal(space.indices, previous.indices)):
-            return None
-        space.rewards = _reward_vectors(bound, states)
+        src, succ, prob = _layer_transitions(bound.variables, compiled, states,
+                                             0, diags)
     except (BuildError, EvalError):
         return None
-    return space
+    keys, succ_keys = pack(states), pack(succ)
+    order = np.argsort(keys)
+    dst = order.take(np.searchsorted(keys, succ_keys, sorter=order), mode="clip")
+    if not np.array_equal(keys[dst], succ_keys):
+        return None  # a successor outside the cached states
+    n = len(states)
+    if not np.array_equal(np.unique(src * n + dst),
+                          previous.row_ids * n + previous.indices):
+        return None  # a different transition pattern
+    return states, src, dst, prob, diags
 
 
 def build_dtmc(bound: BoundModel, max_states=DEFAULT_STATE_CAP,
                previous: StateSpace | None = None) -> StateSpace:
-    """build_state_space followed by fix_deadlocks; validates row sums.
+    """The DTMC of ``bound``: reachable states, transition matrix, rewards
+    and build diagnostics; validates row sums.
 
     With ``previous`` (a space built from a model with the same variables),
-    its states are re-evaluated in one batch first; the full build runs
+    its states are re-evaluated in one batch first; the full exploration runs
     when that may not give its result (see _reevaluate)."""
-    space = None
+    compiled = _compile_units(bound)
+    pack = _key_packer(bound.variables)
+    built = None
     if (previous is not None and previous.bound.variables == bound.variables
             and previous.n_states <= max_states):
-        space = _reevaluate(bound, previous)
-    if space is None:
-        space = fix_deadlocks(build_state_space(bound, max_states))
-    sums = np.add.reduceat(space.data, space.indptr[:-1]) if space.data.size else np.array([])
-    if space.data.size and np.max(np.abs(sums - 1.0)) > ROW_SUM_TOL:
+        built = _reevaluate(bound, previous, compiled, pack)
+    if built is None:
+        built = _explore(bound.variables, compiled, pack, max_states)
+    states, src, dst, prob, diags = built
+    space = StateSpace(bound, states, 0, *_assemble(len(states), src, dst, prob),
+                       _reward_vectors(bound, states), diags)
+    sums = np.add.reduceat(space.data, space.indptr[:-1])
+    if np.max(np.abs(sums - 1.0)) > ROW_SUM_TOL:
         worst = int(np.argmax(np.abs(sums - 1.0)))
         raise BuildError(
             f"row {worst} sums to {sums[worst]}, violating stochasticity")

@@ -66,6 +66,20 @@ def test_broken_props_exit_2(workdir):
     assert "error" in r.output
 
 
+@pytest.mark.parametrize("props, error", [
+    ('"z": P=? [ F zz = 1 ]\n', "bad.props:1:1: unbound identifier 'zz'"),
+    ('\n  "f": P=? [ F batt ]\n',
+     "bad.props:2:3: labeling expression is not boolean (got 100)"),
+], ids=["unbound", "not-boolean"])
+def test_error_in_a_state_formula_names_its_place(workdir, monkeypatch, props, error):
+    monkeypatch.chdir(workdir)
+    (workdir / "bad.props").write_text(props)
+    r = invoke("check", "--model", str(workdir / "nuclear.prism"),
+               "--props", "bad.props", "--out", str(workdir / "out"))
+    assert r.exit_code == 2
+    assert r.output.splitlines()[-1] == f"error: {error}"
+
+
 def test_props_discovered_by_basename(workdir):
     r = invoke("check", "--model", str(workdir / "nuclear.prism"),
                "--out", str(workdir / "out"))

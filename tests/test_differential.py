@@ -50,7 +50,7 @@ def as_space(rows, reward):
             indices.append(j)
             data.append(float(row[j]))
         indptr[i + 1] = len(indices)
-    return StateSpace(BOUND, ("s",), np.arange(n).reshape(n, 1), 0, indptr,
+    return StateSpace(BOUND, np.arange(n).reshape(n, 1), 0, indptr,
                       np.array(indices, dtype=np.int64),
                       np.array(data, dtype=np.float64),
                       {"r": np.array(reward, dtype=np.float64)},

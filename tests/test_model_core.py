@@ -7,9 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from cassure import BindError, EvalError, bind_constants, parse_model, type_check
 from cassure.model import (
     Binary, FormulaDecl, Lit, Name, Unary, compile_expr, eval_expr,
-    expand_formulas,
 )
-from cassure.parsing import render_expr
 
 
 MINI = """\
@@ -157,15 +155,6 @@ def test_eval_expr_with_formulas(bound):
     warn = next(f for f in bound.ast.formulas if f.name == "is_warning")
     assert eval_expr(warn.expr, {"rad": 1}, bound) is True
     assert eval_expr(warn.expr, {"rad": 0}, bound) is False
-
-
-def test_expand_formulas_substitutes(bound):
-    warn = next(f for f in bound.ast.formulas if f.name == "is_warning")
-    import cassure.model as m
-    e = m.Binary("&", m.Name("is_warning"), m.Name("sw"))
-    expanded = expand_formulas(e, {"is_warning": warn.expr})
-    assert "rad" in render_expr(expanded)
-    assert "is_warning" not in render_expr(expanded)
 
 
 # ---- hypothesis: compiled evaluation equals eval_expr ----

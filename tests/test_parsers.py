@@ -25,6 +25,47 @@ def test_model_round_trip(model_ast):
     assert render_model(again) == rendered
 
 
+SMALL_P = """\
+dtmc
+const double p = 0.00001;
+module m
+  x : [0..1] init 0;
+  [] x=0 -> p : (x'=1) + 1-p : (x'=0);
+  [] x=1 -> (x'=x);
+endmodule
+rewards "r"
+  x=0 : 2.5E+3;
+endrewards
+"""
+
+
+def test_model_round_trip_keeps_exponent_literals():
+    ast = parse_model(SMALL_P)
+    rendered = render_model(ast)
+    assert "1e-05" in rendered and "2500.0" in rendered
+    assert parse_model(rendered) == ast
+    assert ast.constants[0].value == Lit(0.00001)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e-05", 1e-05), ("2.5E+3", 2500.0), ("1e16", 1e16), (".5e-1", 0.05),
+])
+def test_exponent_literals(text, value):
+    prop = parse_properties(f"P>=0.00001 [ F x>{text} ]")[0]
+    assert prop.bound == 1e-05 and prop.path.target.right == Lit(value)
+    assert parse_properties(render_property(prop))[0] == prop
+
+
+@pytest.mark.parametrize("text, column", [
+    ("P=? [ F x > 1e999 ]", 13),
+    ("P>=1e400 [ F x > 1 ]", 4),
+])
+def test_literal_beyond_float_range_rejected(text, column):
+    with pytest.raises(ParseError, match="out of range") as exc:
+        parse_properties(text, file="p.props")
+    assert str(exc.value.diagnostics[0].span) == f"p.props:1:{column}"
+
+
 def test_seventeen_properties(props):
     assert len(props) == 17
     assert props[0].name == "P_succ"
@@ -153,6 +194,9 @@ exprs = st.recursive(
 # chained comparisons: the parser's comparisons are non-associative
 @example(Binary("=", Binary("=", Lit(0), Lit(0)), Lit(0)))
 @example(Unary("-", Binary("=", Binary("=", Lit(0), Lit(0)), Lit(0))))
+# exponent literals, as repr writes them
+@example(Lit(1e-05))
+@example(Binary("*", Lit(1e+16), Unary("-", Lit(1e-05))))
 def test_expression_render_parse_round_trip(e):
     text = f"dtmc\nformula f = {render_expr(e)};\nmodule m\n" \
            f"  a : [0..1] init 0;\n  [] a=0 -> (a'=a);\nendmodule\n"

@@ -8,7 +8,7 @@ import oracle
 import pinned
 from cassure import BuildError, EvalError, bind_constants, build_dtmc, parse_model
 import cassure.statespace as statespace
-from cassure.statespace import build_state_space, fix_deadlocks, label_states
+from cassure.statespace import label_states
 from cassure.model import Binary, Lit, Name
 
 
@@ -33,7 +33,6 @@ def test_matrix_matches_oracle_exactly(space):
     """Every engine transition equals the oracle's exact fraction."""
     states, index, rows = oracle.build_chain(dict(oracle.DEFAULTS))
     assert len(states) == space.n_states
-    names = space.var_names
     for s in range(space.n_states):
         val = space.valuation(s)
         key = tuple(val[n] for n in ("loc", "batt", "rad", "sw", "vel", "op_used"))
@@ -68,27 +67,27 @@ def test_build_is_deterministic(bound):
     assert np.array_equal(a.data, b.data)
 
 
-def test_deadlock_fixing_reports_and_self_loops():
-    text = """\
+DEADLOCK = """\
 dtmc
+const double p = 0.5;
 module m
   x : [0..2] init 0;
-  [] x = 0 -> 0.5 : (x'=1) + 0.5 : (x'=2);
+  [] x = 0 -> p : (x'=1) + 1-p : (x'=2);
   [] x = 1 -> (x'=1);
 endmodule
+rewards "r"
+  x = 2 : p;
+endrewards
 """
-    bound = bind_constants(parse_model(text))
-    raw = build_state_space(bound)
-    fixed = fix_deadlocks(raw)
-    assert fixed.diagnostics.deadlock_states_fixed == 1
-    two = next(s for s in range(fixed.n_states)
-               if fixed.valuation(s)["x"] == 2)
-    cols, probs = fixed.row(two)
+
+
+def test_deadlock_fixing_reports_and_self_loops():
+    space = build_dtmc(bind_constants(parse_model(DEADLOCK)))
+    assert space.diagnostics.deadlock_states_fixed == 1
+    two = next(s for s in range(space.n_states)
+               if space.valuation(s)["x"] == 2)
+    cols, probs = space.row(two)
     assert cols.tolist() == [two] and probs.tolist() == [1.0]
-    # idempotent
-    again = fix_deadlocks(fixed)
-    assert again.diagnostics.deadlock_states_fixed == 1
-    assert np.array_equal(again.data, fixed.data)
 
 
 def test_out_of_range_assignment_is_an_error():
@@ -101,7 +100,7 @@ endmodule
 """
     bound = bind_constants(parse_model(text))
     with pytest.raises(BuildError, match="outside"):
-        build_state_space(bound)
+        build_dtmc(bound)
 
 
 def test_rewards_vectors(space):
@@ -484,3 +483,67 @@ def test_reevaluation_keeps_keys_wider_than_63_bits():
     space = build_dtmc(bound, previous=previous)
     assert space.states is previous.states
     assert_same_space(space, build_dtmc(bound))
+
+
+# A 20x20 walk whose border states deadlock, beside a [go] pair that
+# deadlocks once both of its modules have moved.
+DEADLOCK_GRID = """\
+dtmc
+const double p = 0.3;
+module walk
+  x : [0..20] init 0;
+  y : [0..20] init 0;
+  [] x<20 & y<20 -> p : (x'=x+1) + 0.5 : (y'=y+1) + 0.5-p : (x'=0);
+endmodule
+module c
+  z : [0..1] init 0;
+  [go] z=0 -> 0.5 : (z'=1) + 0.5 : (z'=0);
+endmodule
+module d
+  w : [0..1] init 0;
+  [go] w=0 -> (w'=1);
+endmodule
+rewards "steps"
+  true : p;
+endrewards
+"""
+
+
+@pytest.mark.parametrize("text, p", [(DEADLOCK, 0.25), (DEADLOCK_GRID, 0.1)],
+                         ids=["three-states", "grid"])
+def test_probability_edit_with_deadlocks_equals_a_fresh_build(text, p):
+    space, previous, fresh = rebuilt(parse_model(text), {}, {"p": p})
+    assert previous.diagnostics.deadlock_states_fixed > 0
+    assert space.states is previous.states
+    assert not np.array_equal(space.data, previous.data)
+    assert_same_space(space, fresh)
+
+
+@pytest.mark.parametrize("text, before, after, reevaluated", [
+    (EDITABLE, None, BASE, False),
+    (EDITABLE, BASE, {**BASE, "p": 0.25}, True),
+    (EDITABLE, BASE, {**BASE, "T": 2}, False),         # the batch falls back
+    (EDITABLE, BASE, {**BASE, "K": 1, "T": 2}, None),  # the batch raises
+    (DEADLOCK, None, {}, False),
+    (DEADLOCK, {}, {"p": 0.25}, True),
+    (DEADLOCK, {}, {"p": 1.0}, False),
+], ids=["fresh", "reevaluated", "falls-back", "raises", "deadlock-fresh",
+        "deadlock-reevaluated", "deadlock-falls-back"])
+def test_each_build_compiles_and_assembles_once(monkeypatch, text, before, after,
+                                                reevaluated):
+    ast = parse_model(text)
+    previous = None if before is None else build_dtmc(bind_constants(ast, before))
+    bound = bind_constants(ast, after)
+    calls = []
+    for name in ("_compile_units", "_assemble"):
+        real = getattr(statespace, name)
+        monkeypatch.setattr(statespace, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    if reevaluated is None:
+        with pytest.raises(EvalError):
+            build_dtmc(bound, previous=previous)
+        assert calls == ["_compile_units"]
+        return
+    space = build_dtmc(bound, previous=previous)
+    assert sorted(calls) == ["_assemble", "_compile_units"]
+    assert (previous is not None and space.states is previous.states) == reevaluated
