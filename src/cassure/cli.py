@@ -176,6 +176,8 @@ def resolve_config(config_file, flags) -> PipelineConfig:
             raise CassureError(f"epsilon must be positive, got {epsilon}")
         cfg.epsilon = epsilon
     if poll_ms is not None:
+        if poll_ms < 0:
+            raise CassureError(f"poll_ms must not be negative, got {poll_ms}")
         cfg.poll_ms = poll_ms
     cfg.dot = flags.get("dot") or base.get("dot", "").lower() in ("1", "true", "yes")
     return cfg

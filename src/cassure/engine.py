@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import NoneType
 
@@ -232,17 +233,24 @@ def _reach_reward(space, rew, psi_m, one, cfg):
 # Property checking
 # --------------------------------------------------------------------------
 
+@contextmanager
+def _located(prop, *errors):
+    """Re-raise one of ``errors`` with the place of ``prop`` in front."""
+    try:
+        yield
+    except errors as e:
+        if prop.span is None:
+            raise
+        raise type(e)(f"{prop.span}: {e}") from None
+
+
 def _label(space, phi, prop):
     """The memoized mask of a state formula of ``prop``, keyed by its
     rendered text: unlike Expr equality, the text tells 1, 1.0 and true
     apart.  An error in the formula names the property's place."""
-    try:
+    with _located(prop, BuildError, EvalError):
         return space.memo.get(("label", render_expr(phi)),
                               lambda: label_states(space, phi))
-    except (BuildError, EvalError) as e:
-        if prop.span is None:
-            raise
-        raise type(e)(f"{prop.span}: {e}") from None
 
 
 def _mask_key(mask):
@@ -321,7 +329,8 @@ def check_property(space: StateSpace, prop, cfg=SolverConfig()) -> VerificationR
         phi, psi, negate = _until_form(space, prop)
         until = _Until(space, phi, psi)
         if prop.kind == "R_query":
-            _reward_vector(space, prop.reward)  # an unknown name is an error first
+            with _located(prop, SolverError):  # an unknown name is an error first
+                _reward_vector(space, prop.reward)
             infinite = not until.prob1()[init]  # psi is missed with positive probability
             if not infinite:
                 vec, stats = until.reward(prop.reward, cfg)

@@ -70,8 +70,9 @@ LOGIC = {"&", "|", "->"}
 # has every expression of a model once its formulas are expanded.  The
 # passes over an expression (parse, type check, compile, evaluation,
 # _is_wide, hashing) recurse once or twice per tree level and the parser
-# about eleven times per parenthesis, so each stays well inside Python's
-# default limit of 1000 frames.
+# three times per parenthesis (eight when operators of every precedence
+# stand before it), so each stays well inside Python's default limit of
+# 1000 frames.
 MAX_EXPR_DEPTH = 50
 
 

@@ -1,20 +1,27 @@
 """Text parsers for `.prism`-style models and `.props`-style property files.
 
-Hand-written tokenizer and recursive-descent parsers with source-located
-diagnostics, plus a pretty-printer whose output re-parses to a structurally
-identical AST.
+The tokenizer is one compiled pattern that skips whitespace and comments
+inside each match; a token keeps its start offset, and its line and column
+are looked up in the text's newline offsets only when its span is read.
+Declarations and properties are parsed by recursive descent.  Expressions
+are parsed by precedence climbing over one table, `_PREC`, from '->'
+(loosest, right-associative) through '|', '&', the non-associative
+comparisons, '+ -' and '* /'; the prefix '!' takes a comparison and unary
+'-' an atom.  Every diagnostic names its `file:line:col`.  A pretty-printer
+writes text that re-parses to a structurally identical AST.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 
 from .diagnostics import Diagnostic, ParseError, SourceSpan
 from .model import (
-    MAX_EXPR_DEPTH, Binary, Command, ConstantDecl, Expr, FormulaDecl, Lit,
-    ModelAst, ModuleDecl, Name, PathFormula, PropertySpec, RewardItem,
-    RewardStructureDecl, Unary, Update, VarDecl, expr_depth,
+    COMPARISONS, MAX_EXPR_DEPTH, Binary, Command, ConstantDecl, Expr,
+    FormulaDecl, Lit, ModelAst, ModuleDecl, Name, PathFormula, PropertySpec,
+    RewardItem, RewardStructureDecl, Unary, Update, VarDecl, expr_depth,
 )
 
 KEYWORDS = {
@@ -29,53 +36,86 @@ UNSUPPORTED = {
     "observables", "endinit", "invariant",
 }
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
+_PREC = {
+    "->": 1, "|": 2, "&": 3,
+    "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6, "/": 6,
+}
+_TIGHTEST = max(_PREC.values())
+# Per binary operator: its precedence, its right operand's, and the ceiling
+# for the operators after it.  '->' is right-associative: its right operand
+# starts over at its own level, which nests.  A comparison is
+# non-associative: no comparison may follow it.
+_BINARY = {op: (p, p, p - 1) if op == "->" else
+           (p, p + 1, p - 1 if op in COMPARISONS else p)
+           for op, p in _PREC.items()}
+# Per prefix operator: the level of its operand, which is also the tightest
+# level it may stand at.  '!' takes a comparison, so it binds looser than
+# one and is no operand of a comparison or of arithmetic; unary '-' takes an
+# atom or another '-'.
+_PREFIX = {"!": _PREC["="], "-": _TIGHTEST + 1}
+
+
+# One match per token: whitespace and comments are skipped inside the match,
+# ahead of the token's own group.  The empty `eof` group always matches, so a
+# match never fails and never backs off into the skipped text; it marks the
+# end of the text, or a character that starts no token.
+_TOKEN_RE = re.compile(r"""(?:\s+|//[^\n]*)*(?:
+    (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op><=|>=|!=|->|\.\.|=\?|[-+*/=<>!&|()\[\]{}:;,'?])
   | (?P<real>(?:\d+\.\d+|\.\d+)(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)
   | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<op><=|>=|!=|->|\.\.|=\?|[-+*/=<>!&|()\[\]{}:;,'?])
-""", re.VERBOSE)
+  | (?P<eof>)
+)""", re.VERBOSE)
+_KINDS = {index: kind for kind, index in _TOKEN_RE.groupindex.items()}
+
+
+class _Source:
+    """A text's file name and newline offsets, to place an offset."""
+    __slots__ = ("file", "newlines")
+
+    def __init__(self, text, file):
+        self.file = file
+        self.newlines = [m.start() for m in re.finditer("\n", text)]
+
+    def span(self, pos, length=1):
+        line = bisect_right(self.newlines, pos)
+        column = pos - self.newlines[line - 1] if line else pos + 1
+        return SourceSpan(self.file, line + 1, column, length)
 
 
 class Token:
-    __slots__ = ("kind", "text", "span")
+    __slots__ = ("kind", "text", "pos", "source")
 
-    def __init__(self, kind, text, span):
+    def __init__(self, kind, text, pos, source):
         self.kind = kind
         self.text = text
-        self.span = span
+        self.pos = pos
+        self.source = source
+
+    @property
+    def span(self):
+        return self.source.span(self.pos, len(self.text))
 
     def __repr__(self):
         return f"Token({self.kind}, {self.text!r})"
 
 
 def tokenize(text, file="<string>"):
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    diags = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            diags.append(Diagnostic(
-                "error", f"unexpected character {text[pos]!r}",
-                SourceSpan(file, line, col)))
-            raise ParseError(diags)
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, lexeme, SourceSpan(file, line, col, len(lexeme))))
-        nl = lexeme.count("\n")
-        if nl:
-            line += nl
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", SourceSpan(file, line, col, 0)))
+    """The tokens of ``text``, ending with one ``eof`` token.  Each keeps its
+    start offset; its line and column are found only when its span is read."""
+    source = _Source(text, file)
+    # Successive anchored matches; the scan ends after the first `eof` match,
+    # or after a second, empty one when the first skipped some text.
+    tokens = [Token(_KINDS[m.lastindex], m[m.lastindex], m.start(m.lastindex), source)
+              for m in iter(_TOKEN_RE.scanner(text).match, None)]
+    if len(tokens) > 1 and tokens[-2].kind == "eof":
+        tokens.pop()
+    end = tokens[-1].pos
+    if end < len(text):
+        raise ParseError([Diagnostic("error", f"unexpected character {text[end]!r}",
+                                     source.span(end))])
     return tokens
 
 
@@ -83,7 +123,6 @@ class _Parser:
     """Common token-stream machinery for both grammars."""
 
     def __init__(self, text, file):
-        self.file = file
         self.tokens = tokenize(text, file)
         self.i = 0
         self.diags = []
@@ -104,10 +143,11 @@ class _Parser:
         return t
 
     def at(self, text):
-        return self.tok.text == text and self.tok.kind in ("op", "ident")
+        # A keyword or operator: no other kind of token has such a text.
+        return self.tokens[self.i].text == text
 
     def accept(self, text):
-        if self.at(text):
+        if self.tokens[self.i].text == text:
             return self.advance()
         return None
 
@@ -136,99 +176,74 @@ class _Parser:
         return self.advance()
 
     # ---- expression grammar (shared by models and properties) ----
-    # ->  |  &  comparisons  + -  * /  unary  atom
 
-    def parse_expr(self, level=None):
-        """An expression from `level` of the grammar down (default: the
-        whole grammar), at most MAX_EXPR_DEPTH deep."""
-        span = self.tok.span
-        e = (level or self._implies)()
-        if expr_depth(e) > MAX_EXPR_DEPTH:
-            self.fail(f"expression deeper than {MAX_EXPR_DEPTH} levels", span)
+    def parse_expr(self, min_prec=1):
+        """An expression of operators binding at least as tightly as
+        `min_prec` (default: the whole grammar), at most MAX_EXPR_DEPTH
+        deep."""
+        start = self.i
+        e = self._expr(min_prec)
+        # A tree of depth d spans at least d tokens.
+        if self.i - start > MAX_EXPR_DEPTH and expr_depth(e) > MAX_EXPR_DEPTH:
+            self.fail(f"expression deeper than {MAX_EXPR_DEPTH} levels",
+                      self.tokens[start].span)
         return e
 
-    def _nested(self, parse):
-        """parse(), one level deeper in the parser's recursion."""
+    def _nested(self, min_prec):
+        """_expr(min_prec), one level deeper in the parser's recursion."""
         if self.nesting == MAX_EXPR_DEPTH:
             self.fail(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
         self.nesting += 1
-        e = parse()
+        e = self._expr(min_prec)
         self.nesting -= 1
         return e
 
-    def _implies(self):
-        left = self._or()
-        if self.accept("->"):
-            return Binary("->", left, self._nested(self._implies))
-        return left
-
-    def _or(self):
-        e = self._and()
-        while self.accept("|"):
-            e = Binary("|", e, self._and())
-        return e
-
-    def _and(self):
-        e = self._not()
-        while self.accept("&"):
-            e = Binary("&", e, self._not())
-        return e
-
-    def _not(self):
-        if self.accept("!"):
-            return Unary("!", self._nested(self._not))
-        return self._comparison()
-
-    def _comparison(self):
-        e = self._additive()
-        for op in ("<=", ">=", "!=", "=", "<", ">"):
-            if self.at(op):
-                self.advance()
-                return Binary(op, e, self._additive())
-        return e
-
-    def _additive(self):
-        e = self._multiplicative()
-        while self.tok.text in ("+", "-") and self.tok.kind == "op":
-            op = self.advance().text
-            e = Binary(op, e, self._multiplicative())
-        return e
-
-    def _multiplicative(self):
-        e = self._unary()
-        while self.tok.text in ("*", "/") and self.tok.kind == "op":
-            op = self.advance().text
-            e = Binary(op, e, self._unary())
-        return e
-
-    def _unary(self):
-        if self.tok.kind == "op" and self.tok.text == "-":
-            self.advance()
-            return Unary("-", self._nested(self._unary))
-        return self._atom()
+    def _expr(self, min_prec):
+        """Precedence climbing over _BINARY: a prefix operator or an atom,
+        then every binary operator in [min_prec, ceiling], where the ceiling
+        is lowered by what came before to keep the associativity."""
+        op = self.tokens[self.i].text
+        prec = _PREFIX.get(op)
+        if prec is not None and min_prec <= prec:
+            self.i += 1
+            left = Unary(op, self._nested(prec))
+            ceiling = prec - 1
+        else:
+            left = self._atom()
+            ceiling = _TIGHTEST
+        while True:
+            op = self.tokens[self.i].text
+            rule = _BINARY.get(op)
+            if rule is None or not min_prec <= rule[0] <= ceiling:
+                return left
+            self.i += 1
+            prec, right_prec, ceiling = rule
+            right = (self._nested(right_prec) if right_prec == prec
+                     else self._expr(right_prec))
+            left = Binary(op, left, right)
 
     def _atom(self):
-        t = self.tok
-        if t.kind == "int":
-            self.advance()
-            return Lit(int(t.text))
-        if t.kind == "real":
-            return Lit(self.real())
+        t = self.tokens[self.i]
         if t.kind == "ident":
             if t.text == "true":
-                self.advance()
+                self.i += 1
                 return Lit(True)
             if t.text == "false":
-                self.advance()
+                self.i += 1
                 return Lit(False)
             if t.text in UNSUPPORTED:
                 self.fail(f"unsupported construct '{t.text}'")
             if t.text in KEYWORDS:
                 self.fail(f"unexpected keyword '{t.text}' in expression")
-            self.advance()
+            self.i += 1
             return Name(t.text, t.span)
+        if t.kind == "int":
+            self.i += 1
+            return Lit(int(t.text))
+        if t.kind == "real":
+            return Lit(self.real())
         if self.accept("("):
-            e = self._nested(self._implies)
+            e = self._nested(1)
             self.expect(")")
             return e
         self.fail(f"expected expression, found {t.text!r}")
@@ -329,7 +344,7 @@ class _ModelParser(_Parser):
         self.expect("]")
         # Guards stop below the implication level so the command arrow is
         # unambiguous; a parenthesized implication is still fine.
-        guard = self.parse_expr(self._or)
+        guard = self.parse_expr(_PREC["|"])
         self.expect("->")
         updates = [self._update()]
         while self.accept("+"):
@@ -413,10 +428,6 @@ def parse_model(text: str, file="<string>") -> ModelAst:
 # --------------------------------------------------------------------------
 
 class _PropertyParser(_Parser):
-    def __init__(self, text, file):
-        super().__init__(text, file)
-        self.text = text
-
     def parse(self):
         props = []
         counter = 0
@@ -430,11 +441,9 @@ class _PropertyParser(_Parser):
                 counter += 1
                 name = f"prop{counter}"
             start_i = self.i
-            spec = self._property(name, start)
-            source = self._source_slice(start_i, self.i)
-            props.append(PropertySpec(
-                spec.name, spec.kind, spec.path, spec.bound_op, spec.bound,
-                spec.reward, source_text=source, span=start))
+            fields = self._property()
+            source = " ".join([t.text for t in self.tokens[start_i:self.i]])
+            props.append(PropertySpec(name, **fields, source_text=source, span=start))
             self.accept(";")  # optional terminator, kept out of source_text
         seen = set()
         for p in props:
@@ -443,25 +452,18 @@ class _PropertyParser(_Parser):
             seen.add(p.name)
         return props
 
-    def _source_slice(self, start_i, end_i):
-        parts = []
-        for t in self.tokens[start_i:end_i]:
-            parts.append(t.text)
-        return " ".join(parts)
-
-    def _property(self, name, span):
+    def _property(self):
+        """The PropertySpec fields of one property other than its name."""
         if self.accept("P"):
             if self.accept("=?"):
-                path = self._path()
-                return PropertySpec(name, "P_query", path, span=span)
+                return dict(kind="P_query", path=self._path())
             for op in ("<=", ">="):
                 if self.accept(op):
                     bound = self._number()
                     if not 0.0 <= bound <= 1.0:
                         self.fail(f"probability bound {bound} outside [0,1]")
-                    path = self._path()
-                    return PropertySpec(name, "P_bound", path, bound_op=op,
-                                        bound=bound, span=span)
+                    return dict(kind="P_bound", path=self._path(), bound_op=op,
+                                bound=bound)
             self.fail("expected '=?', '>=' or '<=' after 'P'")
         if self.accept("R"):
             self.expect("{")
@@ -474,8 +476,7 @@ class _PropertyParser(_Parser):
             self.expect("F", "'F' (reward queries pair with an F target)")
             target = self.parse_expr()
             self.expect("]")
-            return PropertySpec(name, "R_query", PathFormula("F", target),
-                                reward=reward, span=span)
+            return dict(kind="R_query", path=PathFormula("F", target), reward=reward)
         self.fail(f"expected 'P' or 'R' property, found {self.tok.text!r}")
 
     def _number(self):
@@ -525,13 +526,6 @@ def _unquote(s):
 # --------------------------------------------------------------------------
 # Rendering
 # --------------------------------------------------------------------------
-
-_PREC = {
-    "->": 1, "|": 2, "&": 3,
-    "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5, "*": 6, "/": 6,
-}
-
 
 def render_expr(e: Expr, parent_prec=0) -> str:
     if isinstance(e, Lit):

@@ -70,7 +70,9 @@ def test_broken_props_exit_2(workdir):
     ('"z": P=? [ F zz = 1 ]\n', "bad.props:1:1: unbound identifier 'zz'"),
     ('\n  "f": P=? [ F batt ]\n',
      "bad.props:2:3: labeling expression is not boolean (got 100)"),
-], ids=["unbound", "not-boolean"])
+    ('"r": P=? [ F loc=4 ];\n"n": R{"nope"}=? [ F loc=4 ]\n',
+     "bad.props:2:1: unknown reward structure 'nope'"),
+], ids=["unbound", "not-boolean", "unknown-reward"])
 def test_error_in_a_state_formula_names_its_place(workdir, monkeypatch, props, error):
     monkeypatch.chdir(workdir)
     (workdir / "bad.props").write_text(props)
@@ -128,6 +130,22 @@ def test_nonpositive_epsilon_exits_2(workdir):
                "--out", str(workdir / "out"), "--epsilon", "0")
     assert r.exit_code == 2
     assert "error: epsilon must be positive" in r.output
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_poll_interval_exits_2(tmp_path, workdir, source):
+    # It once ran a cycle and then died in time.sleep with a traceback.
+    args = ["--out", str(workdir / "out"), "--max-cycles", "2"]
+    if source == "flag":
+        args += ["--model", str(workdir / "nuclear.prism"), "--poll-ms", "-5"]
+    else:
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(f"model={workdir / 'nuclear.prism'}\npoll_ms = -5\n")
+        args += ["--config", str(cfg)]
+    r = invoke("watch", *args)
+    assert r.exit_code == 2
+    assert "error: poll_ms must not be negative, got -5" in r.output
+    assert not (workdir / "out").exists()
 
 
 def test_bad_config_number_exits_2(tmp_path, workdir):
