@@ -96,12 +96,9 @@ def _read_file(path, parse):
         raise CassureError(f"{path}: {e}") from None
 
 
-# The keys a config file may set; each command reads those of its own flags.
-_CONFIG_KEYS = ("model", "props", "out", "const", "epsilon", "poll_ms", "dot")
-
-
 def load_config_file(path):
-    """key=value lines; '#' starts a comment."""
+    """key=value lines; '#' starts a comment.  The keys are those of
+    _OPTIONS; each command reads those of its own flags."""
     values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -111,7 +108,7 @@ def load_config_file(path):
             raise CassureError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise CassureError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value.strip()
     return values
@@ -399,7 +396,7 @@ def generate(config):
 
 
 @_command(_WATCH)
-@click.option("--max-cycles", type=int, default=None,
+@click.option("--max-cycles", type=click.IntRange(min=1), default=None,
               help="stop after N cycles (testing aid)")
 def watch(config, max_cycles):
     """Re-run check+generate whenever the model or props file changes."""

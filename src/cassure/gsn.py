@@ -23,6 +23,8 @@ from .diagnostics import CassureError, Diagnostic
 
 NODE_KINDS = ("goal", "strategy", "solution", "context")
 
+# The closed annotation vocabularies, each name with the lifecycle phases it
+# serves; validate_argument warns on a name outside them.
 PLACEHOLDER_PHASES = {
     "trace_expr": ("design", "runtime"),
     "monitor_id": ("design", "runtime", "evolution"),
@@ -52,8 +54,6 @@ BUILTIN_EXTENSIONS = frozenset({"runtime_log", "safety_critical"})
 
 ARTIFACT_KINDS = ("model-file", "property", "verification-result",
                   "external-evidence")
-
-ALL_PHASES = ("design", "runtime", "evolution")
 
 _NO_ENTRIES = ((), ())
 
@@ -95,17 +95,14 @@ class Annotation:
     name: str
     node_id: str
     value: str | None = None   # placeholders only
-    phases: tuple = ()
 
     @staticmethod
     def placeholder(node_id, key, value):
-        phases = PLACEHOLDER_PHASES.get(key, ALL_PHASES)
-        return Annotation("placeholder", key, node_id, value, phases)
+        return Annotation("placeholder", key, node_id, value)
 
     @staticmethod
     def stereotype(node_id, name):
-        phases = STEREOTYPE_PHASES.get(name, ALL_PHASES)
-        return Annotation("stereotype", name, node_id, None, phases)
+        return Annotation("stereotype", name, node_id)
 
 
 @dataclass(frozen=True)
@@ -232,21 +229,26 @@ def validate_argument(arg: ArgumentModel):
         else:
             err(f"unknown link kind '{l.kind}'")
 
-    # Cycle detection over supported-by.
+    # Cycle detection over supported-by: a depth-first search on an explicit
+    # stack of (node, its unvisited targets), so no chain is too long for it.
     state = {}
-
-    def visit(u):
-        state[u] = "open"
-        for v in adjacency.get(u, ()):
-            if state.get(v) == "open":
-                err(f"supported-by cycle through '{v}'")
-            elif v not in state:
-                visit(v)
-        state[u] = "done"
-
-    for u in list(kinds):
-        if u not in state:
-            visit(u)
+    for root in kinds:
+        if root in state:
+            continue
+        state[root] = "open"
+        stack = [(root, iter(adjacency.get(root, ())))]
+        while stack:
+            u, targets = stack[-1]
+            for v in targets:
+                if state.get(v) == "open":
+                    err(f"supported-by cycle through '{v}'")
+                elif v not in state:
+                    state[v] = "open"
+                    stack.append((v, iter(adjacency.get(v, ()))))
+                    break
+            else:
+                state[u] = "done"
+                stack.pop()
 
     roots = arg.root_goals()
     if len(roots) == 0 and arg.goals():

@@ -69,7 +69,7 @@ LOGIC = {"&", "|", "->"}
 # parentheses, '!', unary '-' and '->' have at most this many levels, and so
 # has every expression of a model once its formulas are expanded.  The
 # passes over an expression (parse, type check, compile, evaluation,
-# _is_wide, hashing) recurse once or twice per tree level and the parser
+# hashing) recurse once or twice per tree level and the parser
 # three times per parenthesis (eight when operators of every precedence
 # stand before it), so each stays well inside Python's default limit of
 # 1000 frames.
@@ -96,13 +96,19 @@ def expr_depth(e, formula_depths=None):
     return deepest
 
 
-def _names(e):
-    """The identifiers an expression names, found without recursion."""
-    stack = [e]
+def _names(e, formulas=()):
+    """The identifiers an expression names, found without recursion.  The
+    body of a name in `formulas` (name -> Expr) is searched in place of the
+    name, once per name."""
+    stack, expanded = [e], set()
     while stack:
         node = stack.pop()
         if isinstance(node, Name):
-            yield node.ident
+            if node.ident not in formulas:
+                yield node.ident
+            elif node.ident not in expanded:
+                expanded.add(node.ident)
+                stack.append(formulas[node.ident])
         elif isinstance(node, Unary):
             stack.append(node.operand)
         elif isinstance(node, Binary):
@@ -443,11 +449,10 @@ class BoundModel:
     formulas: dict         # name -> Expr
     variables: tuple       # of VarInfo, declaration order
 
-    def var_names(self):
-        return tuple(v.name for v in self.variables)
 
-
-_PROB_SUM_TOL = 1e-10
+# How far an update probability may lie outside [0, 1], and the
+# probabilities of a command (or a synchronized unit) from summing to 1.
+PROB_TOL = 1e-10
 
 
 def bind_constants(model: ModelAst, overrides=None) -> BoundModel:
@@ -479,7 +484,9 @@ def bind_constants(model: ModelAst, overrides=None) -> BoundModel:
             return values[name]
         if name in visiting:
             raise BindError(f"cyclic constant definition involving '{name}'")
-        decl = decls[name]
+        decl = decls.get(name)
+        if decl is None:
+            raise EvalError(f"unbound identifier '{name}'")
         visiting.add(name)
         if name in overrides:
             v = overrides[name]
@@ -521,42 +528,30 @@ def bind_constants(model: ModelAst, overrides=None) -> BoundModel:
 
 
 def _check_closed_probabilities(bound):
-    """Validate update probabilities that do not depend on state variables."""
-    var_names = set(bound.var_names())
+    """Validate the update probabilities of a command up to the first one
+    that reads a state variable, with formulas expanded; their sum too if
+    none does."""
+    variables = {v.name for v in bound.variables}
     for mod in bound.ast.modules:
         for cmd in mod.commands:
             probs = []
-            closed = True
             for upd in cmd.updates:
                 if upd.probability is None:
                     probs.append(1.0)
                     continue
-                if _refers_to(upd.probability, var_names, bound.formulas):
-                    closed = False
+                if not variables.isdisjoint(_names(upd.probability, bound.formulas)):
                     break
                 p = float(eval_expr(upd.probability, {}, bound))
-                if not -_PROB_SUM_TOL <= p <= 1 + _PROB_SUM_TOL:
+                if not -PROB_TOL <= p <= 1 + PROB_TOL:
                     raise BindError(
                         f"update probability {p} outside [0,1] in module "
                         f"'{mod.name}' ({cmd.span})")
                 probs.append(p)
-            if closed and abs(sum(probs) - 1.0) > _PROB_SUM_TOL:
-                raise BindError(
-                    f"update probabilities sum to {sum(probs)} (not 1) in module "
-                    f"'{mod.name}' ({cmd.span})")
-
-
-def _refers_to(e, names, formulas):
-    if isinstance(e, Name):
-        if e.ident in names:
-            return True
-        body = formulas.get(e.ident)
-        return body is not None and _refers_to(body, names, formulas)
-    if isinstance(e, Unary):
-        return _refers_to(e.operand, names, formulas)
-    if isinstance(e, Binary):
-        return _refers_to(e.left, names, formulas) or _refers_to(e.right, names, formulas)
-    return False
+            else:
+                if abs(sum(probs) - 1.0) > PROB_TOL:
+                    raise BindError(
+                        f"update probabilities sum to {sum(probs)} (not 1) in "
+                        f"module '{mod.name}' ({cmd.span})")
 
 
 # --------------------------------------------------------------------------
@@ -641,13 +636,17 @@ def compile_expr(e: Expr, env: BoundModel):
     would, so a division by zero counts only there: it raises EvalError with
     `row` set to the first row where `eval_expr` raises.  Integers are int64
     unless some integer subexpression can leave [-2**53, 2**53] over the
-    variable ranges (`_is_wide`), where int64 arithmetic would wrap and
-    comparisons with floats would round; such an expression is evaluated on
-    Python ints, in object arrays, and its numeric result is an object array.
+    variable ranges, where int64 arithmetic would wrap and comparisons with
+    floats would round; such an expression is evaluated on Python ints, in
+    object arrays, and its numeric result is an object array.  The walk that
+    compiles the expression also finds each subexpression's interval, by
+    interval arithmetic over the variable ranges and the constants.
     """
-    slots = {v.name: j for j, v in enumerate(env.variables)}
-    node = _compile(e, slots, env.constants, env.formulas)
-    exact = _is_wide(e, env)
+    slots = {v.name: (j, None if v.is_bool else (v.low, v.high))
+             for j, v in enumerate(env.variables)}
+    wide = []
+    node = _compile(e, env, slots, wide)
+    exact = bool(wide)
 
     def evaluate(cols, n):
         if exact:
@@ -670,10 +669,12 @@ class _Node(NamedTuple):
     """A compiled subexpression: either a folded `value` (fn is None) or
     fn(cols, live, errors), where `live` masks the rows on which eval_expr
     would evaluate this node (None: every row) and failing rows are appended
-    to `errors`.  `raises` says whether fn can append anything."""
+    to `errors`.  `raises` says whether fn can append anything.  `bounds` is
+    the (low, high) interval of an integer subexpression, else None."""
     value: object = None
     fn: object = None
     raises: bool = False
+    bounds: tuple | None = None
 
     def call(self):
         if self.fn is not None:
@@ -685,52 +686,29 @@ class _Node(NamedTuple):
 _EXACT_INT = 2 ** 53
 
 
-def _is_wide(e, env):
-    """Whether an integer subexpression of `e` can leave [-2**53, 2**53],
-    by interval arithmetic over the variable ranges and the constants."""
-    ranges = {v.name: None if v.is_bool else (v.low, v.high) for v in env.variables}
-    wide = False
-
-    def point(value):
-        return None if isinstance(value, bool) or not isinstance(value, int) else (value, value)
-
-    def bound(e):  # the integer interval of e, or None if e is not an integer
-        nonlocal wide
-        b = None
-        if isinstance(e, Lit):
-            b = point(e.value)
-        elif isinstance(e, Name):
-            if e.ident in ranges:
-                b = ranges[e.ident]
-            elif e.ident in env.constants:
-                b = point(env.constants[e.ident])
-            elif e.ident in env.formulas:
-                b = bound(env.formulas[e.ident])
-        elif isinstance(e, Unary):
-            a = bound(e.operand)
-            if a is not None and e.op == "-":
-                b = (-a[1], -a[0])
-        elif isinstance(e, Binary):
-            l, r = bound(e.left), bound(e.right)
-            if l is not None and r is not None:
-                if e.op == "+":
-                    b = (l[0] + r[0], l[1] + r[1])
-                elif e.op == "-":
-                    b = (l[0] - r[1], l[1] - r[0])
-                elif e.op == "*":
-                    corners = [x * y for x in l for y in r]
-                    b = (min(corners), max(corners))
-        if b is not None and max(-b[0], b[1]) > _EXACT_INT:
-            wide = True
-        return b
-
-    bound(e)
-    return wide
+def _point(value):
+    """The interval of a folded value: (value, value) for an int, else None."""
+    return None if isinstance(value, bool) or not isinstance(value, int) else (value, value)
 
 
-def _fold(e):
+def _arithmetic_bounds(op, l, r):
+    """The interval of `l op r` from the operands' intervals; None unless
+    both are integers and `op` is +, - or *."""
+    if l is None or r is None:
+        return None
+    if op == "+":
+        return l[0] + r[0], l[1] + r[1]
+    if op == "-":
+        return l[0] - r[1], l[1] - r[0]
+    if op == "*":
+        corners = [x * y for x in l for y in r]
+        return min(corners), max(corners)
+    return None
+
+
+def _fold(e, bounds=None):
     try:
-        return _Node(_eval(e, {}, {}, {}))
+        return _Node(_eval(e, {}, {}, {}), bounds=bounds)
     except EvalError:  # a constant division by zero fails every live row
         def fail(cols, live, errors):
             errors.append(live)
@@ -738,39 +716,51 @@ def _fold(e):
         return _Node(fn=fail, raises=True)
 
 
-def _compile(e, slots, constants, formulas):
+def _compile(e, env, slots, wide):
+    """The node of `e`; `e` is appended to `wide` if its interval leaves
+    [-2**53, 2**53].  `slots` maps each variable to its column and range."""
+    node = _compile_node(e, env, slots, wide)
+    if node.bounds is not None and max(-node.bounds[0], node.bounds[1]) > _EXACT_INT:
+        wide.append(e)
+    return node
+
+
+def _compile_node(e, env, slots, wide):
     if isinstance(e, Lit):
-        return _Node(e.value)
+        return _Node(e.value, bounds=_point(e.value))
     if isinstance(e, Name):
         if e.ident in slots:
-            j = slots[e.ident]
-            return _Node(fn=lambda cols, live, errors: cols[j])
-        if e.ident in constants:
-            return _Node(constants[e.ident])
-        if e.ident in formulas:
-            return _compile(formulas[e.ident], slots, constants, formulas)
+            j, bounds = slots[e.ident]
+            return _Node(fn=lambda cols, live, errors: cols[j], bounds=bounds)
+        if e.ident in env.constants:
+            value = env.constants[e.ident]
+            return _Node(value, bounds=_point(value))
+        if e.ident in env.formulas:
+            return _compile(env.formulas[e.ident], env, slots, wide)
         raise EvalError(f"unbound identifier '{e.ident}'")
     if isinstance(e, Unary):
-        arg = _compile(e.operand, slots, constants, formulas)
+        arg = _compile(e.operand, env, slots, wide)
+        bounds = (-arg.bounds[1], -arg.bounds[0]) if arg.bounds and e.op == "-" else None
         if arg.fn is None:
-            return _fold(Unary(e.op, Lit(arg.value)))
+            return _fold(Unary(e.op, Lit(arg.value)), bounds)
         ufunc, f = (np.negative if e.op == "-" else np.logical_not), arg.fn
         return _Node(fn=lambda cols, live, errors: ufunc(f(cols, live, errors)),
-                     raises=arg.raises)
+                     raises=arg.raises, bounds=bounds)
     if isinstance(e, Binary):
-        left = _compile(e.left, slots, constants, formulas)
-        right = _compile(e.right, slots, constants, formulas)
+        left = _compile(e.left, env, slots, wide)
+        right = _compile(e.right, env, slots, wide)
         if e.op in LOGIC:
             return _logic(e.op, left, right)
+        bounds = _arithmetic_bounds(e.op, left.bounds, right.bounds)
         if left.fn is None and right.fn is None:
-            return _fold(Binary(e.op, Lit(left.value), Lit(right.value)))
+            return _fold(Binary(e.op, Lit(left.value), Lit(right.value)), bounds)
         if e.op == "/":
             return _divide(left, right)
         lf, rf = left.call(), right.call()
         ufunc = _UFUNCS[e.op]
         return _Node(fn=lambda cols, live, errors: ufunc(lf(cols, live, errors),
                                                          rf(cols, live, errors)),
-                     raises=left.raises or right.raises)
+                     raises=left.raises or right.raises, bounds=bounds)
     raise TypeError(f"not an expression: {e!r}")
 
 

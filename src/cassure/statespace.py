@@ -48,9 +48,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .diagnostics import BuildError, EvalError
-from .model import BoundModel, Expr, compile_expr
+from .model import PROB_TOL, BoundModel, Expr, compile_expr
 
-UNIT_PROB_TOL = 1e-10
 ROW_SUM_TOL = 1e-9
 DEFAULT_STATE_CAP = 10_000_000
 
@@ -317,7 +316,7 @@ def _layer_transitions(variables, compiled, frontier, first, diags):
                     p = p * values[factor]
             probs.append(np.broadcast_to(p, rows.shape))
         total = sum(probs)
-        off = np.flatnonzero(~(np.abs(total - 1.0) <= UNIT_PROB_TOL))
+        off = np.flatnonzero(~(np.abs(total - 1.0) <= PROB_TOL))
         if off.size:
             raise BuildError(f"unit outcome probabilities sum to "
                              f"{float(total[off[0]])} (not 1) at state "
@@ -354,9 +353,9 @@ def _layer_transitions(variables, compiled, frontier, first, diags):
 
 def _probability(factor, cols, n, where):
     """A compiled update probability over n states, each in [0, 1] up to
-    UNIT_PROB_TOL; the comparison is written so that NaN fails it too."""
+    PROB_TOL; the comparison is written so that NaN fails it too."""
     p = _evaluate(factor, cols, n, where).astype(np.float64)
-    bad = np.flatnonzero(~((p >= -UNIT_PROB_TOL) & (p <= 1 + UNIT_PROB_TOL)))
+    bad = np.flatnonzero(~((p >= -PROB_TOL) & (p <= 1 + PROB_TOL)))
     if bad.size:
         raise BuildError(f"update probability {float(p[bad[0]])} outside [0,1] "
                          f"at state {where(bad[0])}")

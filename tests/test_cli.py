@@ -148,6 +148,16 @@ def test_negative_poll_interval_exits_2(tmp_path, workdir, source):
     assert not (workdir / "out").exists()
 
 
+@pytest.mark.parametrize("cycles", ["0", "-1"])
+def test_max_cycles_below_one_exits_2(workdir, cycles):
+    # It once ran no cycle, wrote nothing and exited 0.
+    r = invoke("watch", "--model", str(workdir / "nuclear.prism"),
+               "--out", str(workdir / "out"), "--max-cycles", cycles)
+    assert r.exit_code == 2
+    assert "--max-cycles" in r.output
+    assert not (workdir / "out").exists()
+
+
 def test_bad_config_number_exits_2(tmp_path, workdir):
     cfg = tmp_path / "pipeline.cfg"
     cfg.write_text(f"model={workdir / 'nuclear.prism'}\nepsilon=tiny\n")

@@ -81,6 +81,27 @@ def test_cycle_detected():
     assert any("cycle" in d.message for d in validate_argument(arg))
 
 
+def _chain_text(n, back_to=None):
+    """A parsed-able argument whose goals G0..G(n-1) form one supported-by
+    chain, closed into a cycle from the last goal to G`back_to` if given."""
+    lines = ['argument "chain" version 1', ""]
+    for i in range(n):
+        lines += [f"goal G{i} version 1", f'  "claim {i}"']
+    lines.append("")
+    lines += [f"supported-by G{i} G{i + 1}" for i in range(n - 1)]
+    if back_to is not None:
+        lines.append(f"supported-by G{n - 1} G{back_to}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("back_to,expected", [
+    (None, []), (1000, ["supported-by cycle through 'G1000'"])])
+def test_long_supported_by_chain_validates(back_to, expected):
+    # The cycle search once recursed per link and overflowed on such chains.
+    arg = parse_dsl(_chain_text(1500, back_to))
+    assert [d.message for d in validate_argument(arg)] == expected
+
+
 def test_multiple_roots_detected():
     arg = small_arg()
     nodes = arg.nodes + (GsnNode("G9", "goal", "Floating claim"),)

@@ -151,6 +151,14 @@ def test_cyclic_constants_rejected():
         bind_constants(parse_model(text))
 
 
+def test_unknown_name_in_constant_is_an_eval_error():
+    # Without type_check first, this was once a bare KeyError.
+    text = "dtmc\nconst int a = zz;\n" \
+           "module m\n  x : [0..1] init 0;\n  [] x=0 -> (x'=1);\nendmodule\n"
+    with pytest.raises(EvalError, match="unbound identifier 'zz'"):
+        bind_constants(parse_model(text))
+
+
 def test_eval_expr_with_formulas(bound):
     warn = next(f for f in bound.ast.formulas if f.name == "is_warning")
     assert eval_expr(warn.expr, {"rad": 1}, bound) is True
