@@ -26,8 +26,7 @@ from .parsing import (
 )
 from .statespace import StateSpace, build_dtmc, label_states
 from .transform import (
-    ModelRef, TransformError, attach_external_evidence, build_argument,
-    regenerate,
+    ModelRef, TransformError, build_argument, regenerate,
 )
 
 __version__ = "0.1.0"

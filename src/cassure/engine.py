@@ -14,9 +14,9 @@ Such bounds are never decided by comparing floats against 0.0/1.0.
 Every label, 0/1 set and solution goes through the space's memo, so each is
 computed once per space: a label per distinct state formula, the 0/1 sets
 per distinct (phi, psi) mask pair, and a solution per mask pair and
-SolverConfig (and reward name, for a reward), or per target mask, step
-bound and SolverConfig for F<=k.  `check_properties` then keeps only the
-entries its properties used.
+SolverConfig (and reward name, for a reward), or per target mask and step
+bound for F<=k, whose result does not depend on the SolverConfig.
+`check_properties` then keeps only the entries its properties used.
 """
 
 from __future__ import annotations
@@ -107,13 +107,14 @@ def prob0_states(space: StateSpace, phi, psi) -> np.ndarray:
 
 def prob1_states(space: StateSpace, phi, psi) -> np.ndarray:
     """Mask of states satisfying phi U psi with probability exactly 1."""
-    return _prob01(space, _as_mask(space, phi), _as_mask(space, psi))[1]
+    phi_m, psi_m = _as_mask(space, phi), _as_mask(space, psi)
+    return _prob1(space, phi_m, psi_m, prob0_states(space, phi_m, psi_m))
 
 
-def _prob01(space, phi_m, psi_m):
-    """The (prob0, prob1) masks of phi U psi, from one prob0 search."""
-    zero = prob0_states(space, phi_m, psi_m)
-    return zero, ~_backward_reach(space, zero, phi_m & ~psi_m)
+def _prob1(space, phi_m, psi_m, zero):
+    """The prob1 mask of phi U psi from its prob0 mask `zero`: the states
+    that cannot reach `zero` through phi & !psi states."""
+    return ~_backward_reach(space, zero, phi_m & ~psi_m)
 
 
 # --------------------------------------------------------------------------
@@ -172,13 +173,8 @@ def _numeric_stats(unknown, residual):
     return dict(_GRAPH_STATS, residual=residual, engine="sparse-lu")
 
 
-def until_probability(space: StateSpace, phi, psi, cfg=SolverConfig()):
-    """Per-state P(phi U psi); returns (vector, stats dict)."""
-    zero, one = _prob01(space, _as_mask(space, phi), _as_mask(space, psi))
-    return _until_vector(space, zero, one, cfg)
-
-
 def _until_vector(space, zero, one, cfg):
+    """Per-state P(phi U psi) from its 0/1 masks; returns (vector, stats)."""
     x = np.zeros(space.n_states, dtype=np.float64)
     x[one] = 1.0
     unknown = np.flatnonzero(~zero & ~one)
@@ -187,7 +183,7 @@ def _until_vector(space, zero, one, cfg):
     return x, _numeric_stats(unknown, residual)
 
 
-def bounded_eventually_probability(space, psi, k, cfg=SolverConfig()):
+def bounded_eventually_probability(space, psi, k):
     """k backward steps from the target indicator, targets absorbing."""
     if k < 0:
         raise ValueError("step bound must be >= 0")
@@ -201,15 +197,6 @@ def bounded_eventually_probability(space, psi, k, cfg=SolverConfig()):
     return x, {"iterations": k, "residual": 0.0, "engine": "matvec"}
 
 
-def reach_reward(space: StateSpace, reward_name, psi, cfg=SolverConfig()):
-    """Expected cumulated reward until psi; +inf where P(F psi) < 1."""
-    rew = _reward_vector(space, reward_name)
-    psi_m = _as_mask(space, psi)
-    everywhere = np.ones(space.n_states, dtype=bool)
-    return _reach_reward(space, rew, psi_m, prob1_states(space, everywhere, psi_m),
-                         cfg)
-
-
 def _reward_vector(space, reward_name):
     if reward_name not in space.rewards:
         raise SolverError(f"unknown reward structure '{reward_name}'")
@@ -217,6 +204,8 @@ def _reward_vector(space, reward_name):
 
 
 def _reach_reward(space, rew, psi_m, one, cfg):
+    """Expected cumulated reward until psi, given the prob1 mask `one` of
+    F psi; +inf where P(F psi) < 1."""
     r = np.zeros(space.n_states, dtype=np.float64)
     r[~one] = np.inf
     r[psi_m] = 0.0
@@ -287,8 +276,8 @@ class _Until:
         return self._memo("prob0", lambda: prob0_states(self.space, self.phi, self.psi))
 
     def prob1(self):
-        return self._memo("prob1", lambda: ~_backward_reach(
-            self.space, self.prob0(), self.phi & ~self.psi))
+        return self._memo("prob1", lambda: _prob1(
+            self.space, self.phi, self.psi, self.prob0()))
 
     def probability(self, cfg):
         return self._memo("P", lambda: _until_vector(
@@ -322,8 +311,8 @@ def check_property(space: StateSpace, prop, cfg=SolverConfig()) -> VerificationR
     if path.kind == "F<=":  # step-bounded: no graph characterization
         psi = _label(space, path.target, prop)
         vec, stats = space.memo.get(
-            ("F<=", _mask_key(psi), path.bound, cfg),
-            lambda: bounded_eventually_probability(space, psi, path.bound, cfg))
+            ("F<=", _mask_key(psi), path.bound),
+            lambda: bounded_eventually_probability(space, psi, path.bound))
         value = float(vec[init])
     else:
         phi, psi, negate = _until_form(space, prop)

@@ -435,12 +435,3 @@ def apply_regeneration(arg: ArgumentModel, plan, fresh_results) -> ArgumentModel
                    nodes=tuple(nodes[n.id] for n in arg.nodes),
                    trace_links=trace_links)
 
-
-def stereotype_state_violations(arg: ArgumentModel):
-    """Goals holding DeferredEvidence and EvidenceProvided simultaneously."""
-    bad = []
-    for goal in arg.goals():
-        s = arg.stereotypes_of(goal.id)
-        if "DeferredEvidence" in s and "EvidenceProvided" in s:
-            bad.append(goal.id)
-    return bad

@@ -8,7 +8,9 @@ forms P=?/P>=b/P<=b over F, bounded F, G and U paths plus R{"name"}=? over F.
 
 All AST values are immutable; evaluation is pure.  `eval_expr` walks the
 tree for one valuation; `compile_expr` turns a bound expression into one
-numpy evaluation over many states at once.
+numpy evaluation over many states at once.  The type check and the binding
+of constants follow one order of the definitions, `_dependency_order`,
+which also finds the cycles among them.
 """
 
 from __future__ import annotations
@@ -96,43 +98,61 @@ def expr_depth(e, formula_depths=None):
     return deepest
 
 
-def _names(e, formulas=()):
-    """The identifiers an expression names, found without recursion.  The
-    body of a name in `formulas` (name -> Expr) is searched in place of the
-    name, once per name."""
-    stack, expanded = [e], set()
+def _references(e):
+    """The Name nodes of an expression, left to right, without recursion."""
+    stack = [e]
     while stack:
         node = stack.pop()
         if isinstance(node, Name):
-            if node.ident not in formulas:
-                yield node.ident
-            elif node.ident not in expanded:
-                expanded.add(node.ident)
-                stack.append(formulas[node.ident])
+            yield node
         elif isinstance(node, Unary):
             stack.append(node.operand)
         elif isinstance(node, Binary):
-            stack += (node.left, node.right)
+            stack += (node.right, node.left)
 
 
-def _dependency_order(formulas):
-    """Formula names (of a name -> FormulaDecl dict), each after the
-    formulas its body names; a cycle is cut where the search meets it."""
-    order, state = [], {}
-    for root in formulas:
-        stack = [root]
+def _names(e, formulas=()):
+    """The identifiers an expression names.  The body of a name in
+    `formulas` (name -> Expr) is searched in place of the name, once per
+    name."""
+    pending, expanded = [e], set()
+    while pending:
+        for ref in _references(pending.pop()):
+            if ref.ident not in formulas:
+                yield ref.ident
+            elif ref.ident not in expanded:
+                expanded.add(ref.ident)
+                pending.append(formulas[ref.ident])
+
+
+def _dependency_order(defs):
+    """(order, closing) for definitions `defs` (name -> Expr), found by one
+    depth-first search without recursion that follows references left to
+    right.  `order` lists the names, each after the names of `defs` that
+    its expression refers to; `closing` holds the references (Name nodes)
+    that close a cycle, where the search met a name still open."""
+    order, closing, state = [], [], {}
+    for root in defs:
+        if root in state:
+            continue
+        state[root] = "open"
+        stack = [(root, _references(defs[root]))]
         while stack:
-            name = stack[-1]
-            if name not in state:
-                state[name] = "open"
-                stack += [n for n in _names(formulas[name].expr)
-                          if n in formulas and n not in state]
+            name, refs = stack[-1]
+            for ref in refs:
+                if ref.ident not in defs:
+                    continue
+                if ref.ident not in state:
+                    state[ref.ident] = "open"
+                    stack.append((ref.ident, _references(defs[ref.ident])))
+                    break
+                if state[ref.ident] == "open":
+                    closing.append(ref)
             else:
                 stack.pop()
-                if state[name] == "open":
-                    state[name] = "done"
-                    order.append(name)
-    return order
+                state[name] = "done"
+                order.append(name)
+    return order, closing
 
 
 # --------------------------------------------------------------------------
@@ -254,22 +274,17 @@ class _TypeChecker:
         self.diags = []
         self.consts = {c.name: c for c in model.constants}
         self.formulas = {f.name: f for f in model.formulas}
-        self.vars = {}
-        for m in model.modules:
-            for v in m.variables:
-                self.vars[v.name] = v
-        self._formula_state = {}  # name -> "visiting" | type
+        self.vars = {v.name: v for v in model.all_variables()}
         # name -> depth with formulas expanded; inf once reported too deep
         self.depths = {}
+        self.formula_types = {}  # name -> type, or None once reported
 
     def error(self, msg, span=None):
         self.diags.append(Diagnostic("error", msg, span))
 
     def run(self):
         self._check_duplicates()
-        self._check_formula_depths()
-        for f in self.model.formulas:
-            self._formula_type(f.name, f.span)
+        self._check_formulas()
         for c in self.model.constants:
             self.infer(c.value, c.span)
         for m in self.model.modules:
@@ -327,12 +342,15 @@ class _TypeChecker:
                 if not var.is_bool and t not in (INT, REAL):
                     self.error(f"assignment to '{name}' is not numeric", cmd.span)
 
-    def _check_formula_depths(self):
-        """The depth of each formula with the formulas it names expanded.  A
-        formula deeper than MAX_EXPR_DEPTH is reported where the chain
-        crosses the limit, and is left untyped, as is any formula or
-        expression that names it."""
-        for name in _dependency_order(self.formulas):
+    def _check_formulas(self):
+        """Depth, cycles and type of each formula, in dependency order.  A
+        formula deeper than MAX_EXPR_DEPTH with its formulas expanded is
+        reported where the chain crosses the limit, and is left untyped, as
+        is any formula or expression that names it.  A reference that closes
+        a cycle is reported unless its formula is already too deep."""
+        order, closing = _dependency_order(
+            {name: f.expr for name, f in self.formulas.items()})
+        for name in order:
             f = self.formulas[name]
             depth = expr_depth(f.expr, self.depths)
             if depth > MAX_EXPR_DEPTH:
@@ -340,21 +358,13 @@ class _TypeChecker:
                     self.error(f"formula '{name}' is deeper than {MAX_EXPR_DEPTH} "
                                "levels with formulas expanded", f.span)
                 depth = math.inf
-                self._formula_state[name] = None
             self.depths[name] = depth
-
-    def _formula_type(self, name, span=None):
-        state = self._formula_state.get(name)
-        if state == "visiting":
-            self.error(f"recursive formula '{name}'", span)
-            self._formula_state[name] = None
-            return None
-        if name in self._formula_state:
-            return self._formula_state[name]
-        self._formula_state[name] = "visiting"
-        t = self._infer(self.formulas[name].expr)
-        self._formula_state[name] = t
-        return t
+        for ref in closing:
+            if self.depths[ref.ident] != math.inf:
+                self.error(f"recursive formula '{ref.ident}'", ref.span)
+        for name in order:
+            if self.depths[name] != math.inf:
+                self.formula_types[name] = self._infer(self.formulas[name].expr)
 
     def infer(self, e, span):
         """Type of a whole expression, or None if a diagnostic was already
@@ -379,7 +389,7 @@ class _TypeChecker:
             if e.ident in self.consts:
                 return INT if self.consts[e.ident].kind == "int" else REAL
             if e.ident in self.formulas:
-                return self._formula_type(e.ident, e.span)
+                return self.formula_types.get(e.ident)
             self.error(f"unknown identifier '{e.ident}'", e.span)
             return None
         if isinstance(e, Unary):
@@ -460,55 +470,45 @@ def bind_constants(model: ModelAst, overrides=None) -> BoundModel:
 
     Overrides replace a constant's defining expression; derived constants are
     then re-evaluated, so overriding e.g. one branch probability flows into
-    constants defined in terms of it.
+    constants defined in terms of it.  Constants are evaluated in dependency
+    order; a cycle among constants and formulas is a BindError.
     """
-    overrides = dict(overrides or {})
     decls = {c.name: c for c in model.constants}
-    for name, value in overrides.items():
+    defs = {name: decl.value for name, decl in decls.items()}
+    for name, value in (overrides or {}).items():
         decl = decls.get(name)
         if decl is None:
             raise BindError(f"unknown constant '{name}'")
-        if decl.kind == "int":
-            if isinstance(value, bool) or not float(value).is_integer():
-                raise BindError(f"constant '{name}' is int but override is {value!r}")
-            overrides[name] = int(value)
-        else:
-            overrides[name] = float(value)
+        if decl.kind == "int" and (isinstance(value, bool)
+                                   or not float(value).is_integer()):
+            raise BindError(f"constant '{name}' is int but override is {value!r}")
+        # An overridden constant depends on nothing.
+        defs[name] = Lit(int(value) if decl.kind == "int" else float(value))
 
     formulas = {f.name: f.expr for f in model.formulas}
+    # A constant hides a formula of the same name, as in _eval.
+    defs.update((name, e) for name, e in formulas.items() if name not in defs)
+    order, closing = _dependency_order(defs)
+    if closing:
+        name = closing[0].ident
+        raise BindError(f"cyclic constant definition involving '{name}'"
+                        if name in decls else f"recursive formula '{name}'")
     values = {}
-    visiting = set()
-
-    def resolve(name):
-        if name in values:
-            return values[name]
-        if name in visiting:
-            raise BindError(f"cyclic constant definition involving '{name}'")
-        decl = decls.get(name)
-        if decl is None:
-            raise EvalError(f"unbound identifier '{name}'")
-        visiting.add(name)
-        if name in overrides:
-            v = overrides[name]
-        else:
-            v = _eval(decl.value, {}, values, formulas, resolve_const=resolve)
-            if decl.kind == "int":
-                if isinstance(v, float):
-                    if not v.is_integer():
-                        raise BindError(f"constant '{name}' is int but evaluates to {v}")
-                    v = int(v)
-            else:
-                v = float(v)
-        visiting.discard(name)
+    for name in order:
+        if name not in decls:
+            continue
+        v = _eval(defs[name], {}, values, formulas)
+        if decls[name].kind != "int":
+            v = float(v)
+        elif isinstance(v, float):
+            if not v.is_integer():
+                raise BindError(f"constant '{name}' is int but evaluates to {v}")
+            v = int(v)
         values[name] = v
-        return v
-
-    for name in decls:
-        resolve(name)
 
     variables = []
+    env = BoundModel(model, values, formulas, ())
     for v in model.all_variables():
-        env = BoundModel(model, values, formulas, ())
         if v.is_bool:
             init = eval_expr(v.init, {}, env)
             variables.append(VarInfo(v.name, None, None, bool(init), True))
@@ -566,7 +566,7 @@ def eval_expr(e: Expr, valuation: dict, env: BoundModel):
     return _eval(e, valuation, env.constants, env.formulas)
 
 
-def _eval(e, valuation, constants, formulas, resolve_const=None):
+def _eval(e, valuation, constants, formulas):
     if isinstance(e, Lit):
         return e.value
     if isinstance(e, Name):
@@ -574,23 +574,21 @@ def _eval(e, valuation, constants, formulas, resolve_const=None):
             return valuation[e.ident]
         if e.ident in constants:
             return constants[e.ident]
-        if resolve_const is not None and e.ident not in formulas:
-            return resolve_const(e.ident)
         if e.ident in formulas:
-            return _eval(formulas[e.ident], valuation, constants, formulas, resolve_const)
+            return _eval(formulas[e.ident], valuation, constants, formulas)
         raise EvalError(f"unbound identifier '{e.ident}'")
     if isinstance(e, Unary):
-        v = _eval(e.operand, valuation, constants, formulas, resolve_const)
+        v = _eval(e.operand, valuation, constants, formulas)
         return -v if e.op == "-" else not v
     if isinstance(e, Binary):
-        l = _eval(e.left, valuation, constants, formulas, resolve_const)
+        l = _eval(e.left, valuation, constants, formulas)
         if e.op == "&":
-            return bool(l) and bool(_eval(e.right, valuation, constants, formulas, resolve_const))
+            return bool(l) and bool(_eval(e.right, valuation, constants, formulas))
         if e.op == "|":
-            return bool(l) or bool(_eval(e.right, valuation, constants, formulas, resolve_const))
+            return bool(l) or bool(_eval(e.right, valuation, constants, formulas))
         if e.op == "->":
-            return (not l) or bool(_eval(e.right, valuation, constants, formulas, resolve_const))
-        r = _eval(e.right, valuation, constants, formulas, resolve_const)
+            return (not l) or bool(_eval(e.right, valuation, constants, formulas))
+        r = _eval(e.right, valuation, constants, formulas)
         if e.op == "+":
             return l + r
         if e.op == "-":

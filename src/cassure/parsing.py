@@ -523,6 +523,11 @@ def _unquote(s):
     return s[1:-1].replace('\\"', '"').replace("\\\\", "\\")
 
 
+def _quote(s):
+    """The string literal that _unquote reads back as `s`."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 # --------------------------------------------------------------------------
 # Rendering
 # --------------------------------------------------------------------------
@@ -587,7 +592,7 @@ def render_model(ast: ModelAst) -> str:
         out.append("endmodule")
         out.append("")
     for rs in ast.rewards:
-        out.append(f'rewards "{rs.name}"')
+        out.append(f"rewards {_quote(rs.name)}")
         for item in rs.items:
             out.append(f"  {render_expr(item.guard)} : {render_expr(item.value)};")
         out.append("endrewards")
@@ -610,8 +615,8 @@ def render_property(p: PropertySpec) -> str:
         bound = f"{p.bound:g}"
         body = f"P{p.bound_op}{bound} [ {path} ]"
     else:
-        body = f'R{{"{p.reward}"}}=? [ {path} ]'
-    return f'"{p.name}": {body}'
+        body = f"R{{{_quote(p.reward)}}}=? [ {path} ]"
+    return f"{_quote(p.name)}: {body}"
 
 
 def render_path(path: PathFormula) -> str:

@@ -132,11 +132,3 @@ def regenerate(previous: ArgumentModel, fresh: ArgumentModel) -> ArgumentModel:
     version = previous.version + 1 if bumped else previous.version
     return replace(merged, nodes=tuple(nodes), version=version)
 
-
-def attach_external_evidence(arg: ArgumentModel, node_id: str,
-                             ref: str) -> ArgumentModel:
-    """Manually link outside evidence (e.g. a CSP assertion name) to a node."""
-    if arg.node(node_id) is None:
-        raise TransformError(f"unknown node '{node_id}'")
-    link = TraceLink(node_id, "external-evidence", ref)
-    return replace(arg, trace_links=arg.trace_links + (link,))

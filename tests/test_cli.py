@@ -327,6 +327,19 @@ def test_formula_chain_exits_2(workdir):
             "50 levels with formulas expanded") in r.output
 
 
+def test_constants_defined_by_later_ones_exit_0(tmp_path):
+    # Each constant is defined by the one declared after it, 1,000 deep.
+    chain = "".join(f"const int c{i} = c{i + 1};\n" for i in range(1000))
+    (tmp_path / "chain.prism").write_text(
+        f"dtmc\n{chain}const int c1000 = 1;\n"
+        "module m\n  x : [0..1] init 0;\n  [] x=0 -> (x'=c0);\nendmodule\n")
+    (tmp_path / "chain.props").write_text('"reach": P>=1 [ F x=1 ]\n')
+    r = invoke("check", "--model", str(tmp_path / "chain.prism"),
+               "--out", str(tmp_path / "out"))
+    assert r.exit_code == 0, r.output
+    assert "reach: holds" in r.output
+
+
 def test_formula_chain_fails_one_watch_cycle(workdir):
     config = make_config(workdir)
     model = workdir / "nuclear.prism"

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from cassure import bind_constants, check_property, parse_model, parse_properties
+from cassure import (
+    SolverConfig, bind_constants, check_property, parse_model, parse_properties,
+)
 from cassure.engine import (
-    bounded_eventually_probability, prob0_states, prob1_states, reach_reward,
-    until_probability,
+    _Until, bounded_eventually_probability, prob0_states, prob1_states,
 )
 from cassure.statespace import BuildDiagnostics, StateSpace
 
@@ -79,12 +80,18 @@ def test_engine_agrees_with_exact_oracle(chain, k):
 
     assert as_set(prob0_states(space, phi_m, psi_m)) == oracle.prob0(rows, n, phi_f, psi_f)
     assert as_set(prob1_states(space, phi_m, psi_m)) == oracle.prob1(rows, n, phi_f, psi_f)
-    assert_close(until_probability(space, phi_m, psi_m)[0],
+    assert_close(_Until(space, phi_m, psi_m).probability(SolverConfig())[0],
                  oracle.until_probability(rows, n, phi_f, psi_f))
-    assert_close(reach_reward(space, "r", psi_m)[0],
+    assert_close(reward_until(space, psi_m),
                  oracle.reach_reward(rows, n, reward.__getitem__, psi_f))
     assert_close(bounded_eventually_probability(space, psi_m, k)[0],
                  oracle.bounded_eventually(rows, n, psi_f, k))
+
+
+def reward_until(space, psi_m):
+    """Expected reward "r" until psi_m per state, as check_property solves it."""
+    everywhere = np.ones(space.n_states, dtype=bool)
+    return _Until(space, everywhere, psi_m).reward("r", SolverConfig())[0]
 
 
 def predicate(mask):
@@ -128,4 +135,4 @@ def test_escape_chain_reward(n):
     psi = [i == n - 1 for i in range(n)]
     space = as_space(rows, [1] * n)
     exact = oracle.reach_reward(rows, n, lambda i: 1, psi.__getitem__)
-    assert_close(reach_reward(space, "r", np.array(psi))[0], exact)
+    assert_close(reward_until(space, np.array(psi)), exact)

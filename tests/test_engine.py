@@ -15,8 +15,8 @@ from cassure import (
     result_fingerprint, serialize_results,
 )
 from cassure.engine import (
-    _solve_unknown, bounded_eventually_probability, prob0_states, prob1_states,
-    reach_reward, until_probability,
+    _Until, _solve_unknown, bounded_eventually_probability, prob0_states,
+    prob1_states,
 )
 from cassure.model import Binary, Lit, Name
 from cassure.parsing import render_expr
@@ -170,8 +170,9 @@ def toy():
 
 
 def test_toy_until(toy):
-    vec, _ = until_probability(toy, Lit(True), Binary("=", Name("x"), Lit(1)),
-                               SolverConfig())
+    until = _Until(toy, np.ones(toy.n_states, dtype=bool),
+                   label_states(toy, Binary("=", Name("x"), Lit(1))))
+    vec, _ = until.probability(SolverConfig())
     assert vec[toy.initial] == pytest.approx(0.5, abs=1e-12)
 
 
@@ -195,7 +196,7 @@ def test_termination_not_almost_sure(space):
 def test_toy_bounded(toy):
     psi = Binary("=", Name("x"), Lit(1))
     for k, expected in [(0, 0.0), (1, 0.5), (5, 0.5)]:
-        vec, _ = bounded_eventually_probability(toy, psi, k, SolverConfig())
+        vec, _ = bounded_eventually_probability(toy, psi, k)
         assert vec[toy.initial] == pytest.approx(expected, abs=1e-12)
 
 
@@ -218,14 +219,15 @@ rewards "steps"
 endrewards
 """
     space = build_dtmc(bind_constants(parse_model(text)))
-    vec, _ = reach_reward(space, "steps", Binary("=", Name("x"), Lit(1)),
-                          SolverConfig())
+    until = _Until(space, np.ones(space.n_states, dtype=bool),
+                   label_states(space, Binary("=", Name("x"), Lit(1))))
+    vec, _ = until.reward("steps", SolverConfig())
     assert np.isinf(vec[space.initial])
 
 
 def test_bounded_monotone_in_k(space):
     psi = Binary("=", Name("loc"), Lit(4))
-    vals = [bounded_eventually_probability(space, psi, k, SolverConfig())[0][space.initial]
+    vals = [bounded_eventually_probability(space, psi, k)[0][space.initial]
             for k in range(11)]
     assert vals == pytest.approx(pinned.BOUNDED_SUCCESS, abs=TOL)
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))

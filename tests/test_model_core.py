@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cassure import BindError, EvalError, bind_constants, parse_model, type_check
 from cassure.model import (
-    Binary, FormulaDecl, Lit, Name, Unary, compile_expr, eval_expr,
+    Binary, BoundModel, FormulaDecl, Lit, Name, Unary, compile_expr, eval_expr,
 )
 
 
@@ -149,6 +149,81 @@ def test_cyclic_constants_rejected():
            "module m\n  x : [0..1] init 0;\n  [] x=0 -> (x'=1);\nendmodule\n"
     with pytest.raises(BindError, match="cycl"):
         bind_constants(parse_model(text))
+
+
+def test_formula_cycle_is_a_bind_error():
+    # Without type_check first, this was once a RecursionError.
+    text = "dtmc\nformula f = g;\nformula g = f;\nconst int c = f;\n" \
+           "module m\n  x : [0..1] init 0;\n  [] x=0 -> (x'=1);\nendmodule\n"
+    with pytest.raises(BindError, match="recursive formula 'f'"):
+        bind_constants(parse_model(text))
+
+
+@st.composite
+def definition_graphs(draw):
+    """Model text with constants and formulas d0..dn-1, each defined in
+    terms of earlier ones and declared in shuffled order; one definition
+    may also name itself or a later one, which closes a cycle."""
+    n = draw(st.integers(1, 8))
+    bodies = []
+    for i in range(n):
+        names = [f"d{j}" for j in range(i)]
+        terms = draw(st.lists(st.sampled_from(names), max_size=3)) if names else []
+        terms.append(draw(st.sampled_from(["0", "1", "2", "0.5"])))
+        ops = draw(st.lists(st.sampled_from("+-*"), min_size=len(terms) - 1,
+                            max_size=len(terms) - 1))
+        bodies.append(" ".join(t + " " + op for t, op in zip(terms, ops)) + " " + terms[-1])
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        bodies[i] += f" + d{draw(st.integers(i, n - 1))}"
+    lines = []
+    for i in draw(st.permutations(range(n))):
+        kind = draw(st.sampled_from(["const int", "const double", "formula"]))
+        lines.append(f"{kind} d{i} = {bodies[i]};")
+    return "dtmc\n" + "\n".join(lines) + \
+        "\nmodule m\n  x : [0..1] init 0;\n  [] x=0 -> (x'=1);\nendmodule\n"
+
+
+def bind_by_sweeps(ast):
+    """The constants of `ast` found by sweeps: each evaluates every
+    definition whose names all have values.  None when a sweep makes no
+    progress (a cycle) or an int constant takes a fractional value."""
+    def names(e):
+        if isinstance(e, Name):
+            return {e.ident}
+        if isinstance(e, Binary):
+            return names(e.left) | names(e.right)
+        return set()
+
+    kinds = {c.name: c.kind for c in ast.constants}
+    defs = {f.name: f.expr for f in ast.formulas}
+    defs.update((c.name, c.value) for c in ast.constants)
+    values = {}
+    while len(values) < len(defs):
+        ready = [d for d in defs if d not in values and names(defs[d]) <= set(values)]
+        if not ready:
+            return None
+        for d in ready:
+            v = eval_expr(defs[d], {}, BoundModel(ast, values, {}, ()))
+            kind = kinds.get(d)  # None for a formula
+            if kind == "int" and v != int(v):
+                return None
+            values[d] = int(v) if kind == "int" else float(v) if kind else v
+    return {name: values[name] for name in kinds}
+
+
+@settings(max_examples=200, deadline=None)
+@given(definition_graphs())
+def test_binding_equals_a_reference_by_sweeps(text):
+    ast = parse_model(text)
+    expected = bind_by_sweeps(ast)
+    if expected is None:
+        with pytest.raises(BindError):
+            bind_constants(ast)
+        return
+    got = bind_constants(ast).constants
+    assert {k: (type(v), v) for k, v in got.items()} == \
+        {k: (type(v), v) for k, v in expected.items()}
 
 
 def test_unknown_name_in_constant_is_an_eval_error():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -45,6 +47,19 @@ def test_model_round_trip_keeps_exponent_literals():
     assert "1e-05" in rendered and "2500.0" in rendered
     assert parse_model(rendered) == ast
     assert ast.constants[0].value == Lit(0.00001)
+
+
+@given(st.text(alphabet='ab"\\:{} '))
+@example('a"b')
+@example("a\\b")
+@example('\\"')
+def test_names_with_quotes_and_backslashes_round_trip(name):
+    ast = parse_model(SMALL_P)
+    ast = replace(ast, rewards=(replace(ast.rewards[0], name=name),))
+    assert parse_model(render_model(ast)) == ast
+    prop = replace(parse_properties('R{"r"}=? [ F x=1 ]')[0], name=name, reward=name)
+    again = parse_properties(render_property(prop))[0]
+    assert (again.name, again.reward) == (name, name)
 
 
 @pytest.mark.parametrize("text, value", [

@@ -4,10 +4,7 @@ from cassure import (
     Annotation, bind_constants, build_dtmc, check_properties, parse_model,
     serialize_dsl, validate_argument,
 )
-from cassure.transform import (
-    ModelRef, TransformError, attach_external_evidence, build_argument,
-    regenerate,
-)
+from cassure.transform import ModelRef, TransformError, build_argument, regenerate
 
 
 @pytest.fixture(scope="module")
@@ -117,12 +114,3 @@ def test_regenerate_keeps_manual_annotations(arg, ref, props, results):
     fresh = build_argument(ref, props, results)
     merged = regenerate(previous, fresh)
     assert merged.placeholder_of("G.P_succ", "evidence_cost") == "2h"
-
-
-def test_attach_external_evidence(arg):
-    out = attach_external_evidence(arg, "G.P_succ", "csp-deadlock-free")
-    links = out.trace_links_of("G.P_succ")
-    assert any(t.artifact_kind == "external-evidence"
-               and t.ref == "csp-deadlock-free" for t in links)
-    with pytest.raises(TransformError):
-        attach_external_evidence(arg, "G.nothere", "x")
