@@ -348,8 +348,14 @@ class _TypeChecker:
         reported where the chain crosses the limit, and is left untyped, as
         is any formula or expression that names it.  A reference that closes
         a cycle is reported unless its formula is already too deep."""
+        # A name that is also a variable or a constant means that one, as in
+        # _infer: nothing refers to a formula of that name, so it comes last
+        # and its depth is not recorded.
+        hidden = [name for name in self.formulas if name in self.vars or name in self.consts]
         order, closing = _dependency_order(
-            {name: f.expr for name, f in self.formulas.items()})
+            {name: f.expr for name, f in self.formulas.items() if name not in hidden})
+        order += hidden
+        too_deep = set()
         for name in order:
             f = self.formulas[name]
             depth = expr_depth(f.expr, self.depths)
@@ -357,13 +363,15 @@ class _TypeChecker:
                 if depth != math.inf:
                     self.error(f"formula '{name}' is deeper than {MAX_EXPR_DEPTH} "
                                "levels with formulas expanded", f.span)
+                too_deep.add(name)
                 depth = math.inf
-            self.depths[name] = depth
+            if name not in hidden:
+                self.depths[name] = depth
         for ref in closing:
-            if self.depths[ref.ident] != math.inf:
+            if ref.ident not in too_deep:
                 self.error(f"recursive formula '{ref.ident}'", ref.span)
         for name in order:
-            if self.depths[name] != math.inf:
+            if name not in too_deep:
                 self.formula_types[name] = self._infer(self.formulas[name].expr)
 
     def infer(self, e, span):
@@ -493,18 +501,27 @@ def bind_constants(model: ModelAst, overrides=None) -> BoundModel:
         name = closing[0].ident
         raise BindError(f"cyclic constant definition involving '{name}'"
                         if name in decls else f"recursive formula '{name}'")
-    values = {}
+    # The formulas that constants reach are evaluated in this order too, so
+    # that no evaluation expands a formula.
+    reached = set()
+    for name in reversed(order):
+        if name in decls or name in reached:
+            reached.update(ref.ident for ref in _references(defs[name])
+                           if ref.ident in defs and ref.ident not in decls)
+    values, known = {}, {}  # constants; constants and reached formulas
     for name in order:
         if name not in decls:
+            if name in reached:
+                known[name] = _eval(defs[name], {}, known, formulas)
             continue
-        v = _eval(defs[name], {}, values, formulas)
+        v = _eval(defs[name], {}, known, formulas)
         if decls[name].kind != "int":
             v = float(v)
         elif isinstance(v, float):
             if not v.is_integer():
                 raise BindError(f"constant '{name}' is int but evaluates to {v}")
             v = int(v)
-        values[name] = v
+        values[name] = known[name] = v
 
     variables = []
     env = BoundModel(model, values, formulas, ())
@@ -639,6 +656,9 @@ def compile_expr(e: Expr, env: BoundModel):
     object arrays, and its numeric result is an object array.  The walk that
     compiles the expression also finds each subexpression's interval, by
     interval arithmetic over the variable ranges and the constants.
+
+    ``evaluate.folded`` is the expression's value when it folded to a
+    constant, so that a caller may use it without evaluating; else None.
     """
     slots = {v.name: (j, None if v.is_bool else (v.low, v.high))
              for j, v in enumerate(env.variables)}
@@ -658,8 +678,9 @@ def compile_expr(e: Expr, env: BoundModel):
             failing = np.flatnonzero(bad)
             if failing.size:
                 raise EvalError("division by zero", row=int(failing[0]))
-        return np.full(n, value) if np.ndim(value) == 0 else value
+        return value if isinstance(value, np.ndarray) else np.full(n, value)
 
+    evaluate.folded = node.value if node.fn is None else None
     return evaluate
 
 

@@ -20,9 +20,18 @@ over all states of the layer at once, on the states where the per-state
 semantics evaluates it: a module's guards for a label only where every
 earlier module has an enabled command with that label, probabilities where
 their unit is enabled, assignments where their outcome has nonzero
-probability.  Successors are deduplicated by packing each valuation into a
-mixed-radix key over the variable ranges.  `build_dtmc` compiles the units
-and the key packer once and assembles the matrix once per build.
+probability.  A probability or an integer assignment that folds to a
+constant is kept as one Python number and range-checked once per layer, and
+an outcome with a nonzero constant probability is live on every enabled
+row, so a layer's fixed cost does not grow with such expressions.
+Successors are deduplicated by packing each valuation into a mixed-radix key
+over the variable ranges.  The ids of the states found so far are kept by
+key in `_RunsIndex`: sorted runs whose sizes more than double toward the
+oldest, one `searchsorted` per run for a lookup and a merge only when a new
+run grows to half the size of the one before it, so that a layer costs time
+in its own size and the logarithm of the states, not in all the states
+found.  `build_dtmc` compiles the units and the key packer once and
+assembles the matrix once per build.
 
 `build_dtmc` may be given the space of an earlier model with the same
 variables (`previous`).  Its states are then evaluated as one layer of the
@@ -274,7 +283,10 @@ def _layer_transitions(variables, compiled, frontier, first, diags):
     """All transitions out of one BFS layer (states first, first+1, ...):
     source ids, successor valuations and probabilities, in the order the
     uniform choice lists units and outcomes.  A row with no enabled unit (a
-    deadlock) has its self-loop, listed after every unit's transitions."""
+    deadlock) has its self-loop, listed after every unit's transitions.
+
+    A probability that folded to a constant stays one Python float: its
+    outcome is live on every row where the unit is enabled, or on none."""
     guards, chains, units = compiled
     f = len(frontier)
     cols = _columns(variables, frontier)
@@ -284,26 +296,32 @@ def _layer_transitions(variables, compiled, frontier, first, diags):
         rows = everyone  # where every earlier module of the chain can fire
         for module in chain:
             sub = cols if rows is everyone else tuple(c[rows] for c in cols)
-            fires = np.zeros(rows.size, dtype=bool)
+            fires = None  # rows where this module can fire, for the next one
             for k in module:
                 g, span = guards[k]
                 on = _evaluate(g, sub, rows.size, _where(variables, frontier, rows, span))
-                enabled[k] = np.zeros(f, dtype=bool)
-                enabled[k][rows] = on
-                fires |= on
-            rows = rows[fires]
-    masks = [np.logical_and.reduce([enabled[k] for k in u.members]) for u in units]
+                if rows is everyone:
+                    enabled[k] = on
+                else:
+                    enabled[k] = np.zeros(f, dtype=bool)
+                    enabled[k][rows] = on
+                if module is not chain[-1]:
+                    fires = on if fires is None else fires | on
+            if fires is not None:
+                rows = rows[fires]
+    masks = [enabled[u.members[0]] if len(u.members) == 1
+             else np.logical_and.reduce([enabled[k] for k in u.members]) for u in units]
     m = np.add.reduce(masks, dtype=np.int64) if masks else np.zeros(f, np.int64)
-    diags.nondeterministic_states += int(np.count_nonzero(m > 1))
-    dead = np.flatnonzero(m == 0)
-    diags.deadlock_states_fixed += int(dead.size)
+    counts = np.bincount(m, minlength=2)  # rows with 0, 1, ... enabled units
+    diags.nondeterministic_states += f - int(counts[0]) - int(counts[1])
+    diags.deadlock_states_fixed += int(counts[0])
 
     src, succ, prob = [], [], []
     for u, mask in zip(units, masks):
-        rows = np.flatnonzero(mask)
+        rows = mask.nonzero()[0]
         if not rows.size:
             continue
-        sub = tuple(c[rows] for c in cols)
+        sub = cols if rows.size == f else tuple(c[rows] for c in cols)
         where = _where(variables, frontier, rows, u.spans)
         values = {}  # each command's update probabilities, evaluated once
         probs = []
@@ -314,51 +332,77 @@ def _layer_transitions(variables, compiled, frontier, first, diags):
                     if factor not in values:
                         values[factor] = _probability(factor, sub, rows.size, where)
                     p = p * values[factor]
-            probs.append(np.broadcast_to(p, rows.shape))
+            probs.append(p)
         total = sum(probs)
-        off = np.flatnonzero(~(np.abs(total - 1.0) <= PROB_TOL))
-        if off.size:
+        if isinstance(total, float):  # every probability folded
+            off = None if abs(total - 1.0) <= PROB_TOL else 0
+        else:
+            off = _first(~(np.abs(total - 1.0) <= PROB_TOL))
+        if off is not None:
             raise BuildError(f"unit outcome probabilities sum to "
-                             f"{float(total[off[0]])} (not 1) at state "
-                             f"{where(off[0])}")
+                             f"{float(np.ravel(total)[off])} (not 1) at state "
+                             f"{where(off)}")
+        states, shares = frontier[rows], m[rows]
         for outcome, p in zip(u.outcomes, probs):
-            live = np.flatnonzero(p != 0.0)
-            if not live.size:
-                continue
-            here = rows[live]
-            vals = tuple(c[live] for c in sub)
-            where_live = _where(variables, frontier, here, u.spans)
-            nxt = frontier[here]
-            for slot, name, rhs in outcome.assignments:
-                v = _evaluate(rhs, vals, live.size, where_live)
-                var = variables[slot]
-                if var.is_bool:
-                    nxt[:, slot] = v.astype(bool)
+            if isinstance(p, float):  # folded: live on every row, or on none
+                if p == 0.0:
                     continue
-                v = _truncate(v)
-                out = np.flatnonzero((v < var.low) | (v > var.high))
-                if out.size:
+                here, vals, nxt, p = rows, sub, states.copy(), p / shares
+            else:
+                live = (p != 0.0).nonzero()[0]
+                if not live.size:
+                    continue
+                here, vals, nxt = rows[live], tuple(c[live] for c in sub), states[live]
+                p = p[live] / shares[live]
+            where_live = _where(variables, frontier, here, u.spans)
+            for slot, name, rhs in outcome.assignments:
+                var, v = variables[slot], rhs.folded
+                if var.is_bool:
+                    nxt[:, slot] = (bool(v) if v is not None else
+                                    _evaluate(rhs, vals, here.size, where_live).astype(bool))
+                    continue
+                if type(v) is int:  # folded: one check for every row
+                    out = None if var.low <= v <= var.high else 0
+                else:
+                    v = _truncate(_evaluate(rhs, vals, here.size, where_live))
+                    out = _first((v < var.low) | (v > var.high))
+                if out is not None:
                     raise BuildError(
-                        f"assignment drives '{name}' to {int(v[out[0]])}, outside "
-                        f"[{var.low}..{var.high}], at state {where_live(out[0])}")
+                        f"assignment drives '{name}' to {int(np.ravel(v)[out])}, outside "
+                        f"[{var.low}..{var.high}], at state {where_live(out)}")
                 nxt[:, slot] = v
-            src.append(first + here)
+            src.append(here)
             succ.append(nxt)
-            prob.append(p[live] / m[here])
-    src.append(first + dead)
-    succ.append(frontier[dead])
-    prob.append(np.ones(dead.size))
-    return np.concatenate(src), np.concatenate(succ), np.concatenate(prob)
+            prob.append(p)
+    if counts[0]:
+        dead = (m == 0).nonzero()[0]
+        src.append(dead)
+        succ.append(frontier[dead])
+        prob.append(np.ones(dead.size))
+    src = np.concatenate(src)
+    src += first
+    return src, np.concatenate(succ), np.concatenate(prob)
+
+
+def _first(bad):
+    """The first row where the bool array `bad` holds, or None."""
+    rows = bad.nonzero()[0]
+    return int(rows[0]) if rows.size else None
 
 
 def _probability(factor, cols, n, where):
     """A compiled update probability over n states, each in [0, 1] up to
-    PROB_TOL; the comparison is written so that NaN fails it too."""
-    p = _evaluate(factor, cols, n, where).astype(np.float64)
-    bad = np.flatnonzero(~((p >= -PROB_TOL) & (p <= 1 + PROB_TOL)))
-    if bad.size:
-        raise BuildError(f"update probability {float(p[bad[0]])} outside [0,1] "
-                         f"at state {where(bad[0])}")
+    PROB_TOL; the comparison is written so that NaN fails it too.  A folded
+    probability is one float, checked once for every row."""
+    if factor.folded is not None:
+        p = float(factor.folded)
+        bad = None if -PROB_TOL <= p <= 1 + PROB_TOL else 0
+    else:
+        p = _evaluate(factor, cols, n, where).astype(np.float64)
+        bad = _first(~((p >= -PROB_TOL) & (p <= 1 + PROB_TOL)))
+    if bad is not None:
+        raise BuildError(f"update probability {float(np.ravel(p)[bad])} outside [0,1] "
+                         f"at state {where(bad)}")
     return p
 
 
@@ -374,11 +418,14 @@ def _assemble(n, src, dst, val):
     duplicate (source, target) pairs summed in their listed order."""
     order = np.lexsort((dst, src))  # stable: equal pairs keep listed order
     src, dst, val = src[order], dst[order], val[order]
+    del order  # the build's peak memory is here: free early, update in place
     head = np.ones(src.size, dtype=bool)
     head[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-    group = np.cumsum(head) - 1
+    group = np.cumsum(head)
+    group -= 1
     starts = np.flatnonzero(head)
-    rank = np.arange(src.size) - starts[group]
+    rank = np.arange(src.size)
+    rank -= starts[group]
     data = np.zeros(starts.size, dtype=np.float64)
     for r in range(int(rank.max()) + 1):
         pick = rank == r
@@ -388,45 +435,83 @@ def _assemble(n, src, dst, val):
     return indptr, dst[starts].astype(np.int64), data
 
 
+class _RunsIndex:
+    """State ids by packed key, for keys added in batches: sorted runs of
+    (keys, ids) whose sizes at least double toward the oldest run (the
+    logarithmic method of Bentley and Saxe).  A lookup searches each run; a
+    new run is merged with the one before it while that one is at most
+    twice its size, so there are at most log2(n) runs and each key takes part
+    in at most log2(n) merges."""
+
+    def __init__(self):
+        self.runs = []
+
+    def find(self, keys):
+        """Ids of the sorted keys `keys`, -1 where a key is in no run."""
+        ids = np.empty(len(keys), dtype=np.int64)
+        ids.fill(-1)
+        for run_keys, run_ids in self.runs:
+            pos = run_keys.searchsorted(keys)
+            hit = run_keys.take(pos, mode="clip") == keys
+            np.copyto(ids, run_ids.take(pos, mode="clip"), where=hit)
+        return ids
+
+    def add(self, keys, ids):
+        """Add sorted keys, none of them in a run yet, with their ids."""
+        merged, size = [(keys, ids)], len(keys)
+        while self.runs and len(self.runs[-1][0]) <= 2 * size:
+            merged.append(self.runs.pop())
+            size += len(merged[-1][0])
+        if len(merged) > 1:
+            # A stable sort merges the sorted runs in linear time.
+            keys = np.concatenate([k for k, _ in merged])
+            order = keys.argsort(kind="stable")
+            keys, ids = keys[order], np.concatenate([i for _, i in merged])[order]
+        self.runs.append((keys, ids))
+
+
 def _explore(variables, compiled, pack, max_states):
     """The reachable states by BFS from the initial valuation, with their
     transitions (source ids, target ids, probabilities) and diagnostics."""
     diags = BuildDiagnostics()
     frontier = np.array([[int(v.init) for v in variables]], dtype=np.int64)
     layers = [frontier]
-    # State ids by packed key, the keys kept sorted for searchsorted.
-    index_keys, index_ids = pack(frontier), np.zeros(1, dtype=np.int64)
+    index = _RunsIndex()
+    index.add(pack(frontier), np.zeros(1, dtype=np.int64))
     n, first = 1, 0
     src_all, dst_all, prob_all = [], [], []
     while len(frontier):
         src, succ, prob = _layer_transitions(variables, compiled, frontier,
                                              first, diags)
-        # Order the successors by source, so the first occurrence of each key
-        # belongs to the state that discovers it.
-        by_src = np.argsort(src, kind="stable")
-        keys, first_at, inverse = np.unique(pack(succ)[by_src],
-                                            return_index=True, return_inverse=True)
-        pos = np.searchsorted(index_keys, keys)
-        hit = index_keys.take(pos, mode="clip") == keys
-        ids = np.where(hit, index_ids.take(pos, mode="clip"), -1)
-        fresh = np.flatnonzero(~hit)
+        # Group the transitions by successor key.
+        keys = pack(succ)
+        by_key = keys.argsort(kind="stable")
+        keys = keys[by_key]
+        head = np.empty(len(keys), dtype=bool)
+        head[0] = True
+        head[1:] = keys[1:] != keys[:-1]
+        starts = head.nonzero()[0]
+        keys = keys[starts]
+        ids = index.find(keys)
+        fresh = (ids < 0).nonzero()[0]
         if n + fresh.size > max_states:
             raise BuildError(f"state cap exceeded ({max_states})")
-        # New states: by discovering state, then by valuation (keys ascend).
-        order = np.argsort(src[by_src[first_at[fresh]]], kind="stable")
-        ids[fresh[order]] = n + np.arange(fresh.size)
+        # New states: by discovering state (the least source of the key),
+        # then by valuation (keys ascend).
+        discoverer = np.minimum.reduceat(src[by_key], starts)[fresh]
+        new = fresh[np.argsort(discoverer, kind="stable")]
+        ids[new] = np.arange(n, n + new.size)
         dst = np.empty(src.size, dtype=np.int64)
-        dst[by_src] = ids[inverse]
+        dst[by_key] = ids[np.cumsum(head) - 1]
         src_all.append(src)
         dst_all.append(dst)
         prob_all.append(prob)
 
-        index_keys = np.insert(index_keys, pos[fresh], keys[fresh])
-        index_ids = np.insert(index_ids, pos[fresh], ids[fresh])
+        index.add(keys[fresh], ids[fresh])
         first += len(frontier)
-        frontier = succ[by_src[first_at[fresh[order]]]]
+        frontier = succ[by_key[starts[new]]]
         layers.append(frontier)
-        n += fresh.size
+        n += new.size
 
     return (np.concatenate(layers), np.concatenate(src_all),
             np.concatenate(dst_all), np.concatenate(prob_all), diags)

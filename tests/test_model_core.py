@@ -159,6 +159,28 @@ def test_formula_cycle_is_a_bind_error():
         bind_constants(parse_model(text))
 
 
+def test_long_formula_chain_binds_without_type_check():
+    # type_check rejects the chain as too deep; bind_constants alone once
+    # expanded it by recursion.
+    chain = ["f0 = 1"] + [f"f{i} = f{i - 1}" for i in range(1, 1500)]
+    text = _with_formulas(chain, "x=0").replace(
+        "module m", "const int c = f1499 + 0;\nmodule m")
+    assert bind_constants(parse_model(text)).constants == {"c": 1}
+
+
+@pytest.mark.parametrize("text", [
+    "dtmc\nformula x = x + 1;\n"
+    "module m\n  x : [0..1] init 0;\n  [] x=0 -> (x'=1);\nendmodule\n",
+    "dtmc\nconst int x = 1;\nformula x = x + 1;\n"
+    "module m\n  y : [0..1] init 0;\n  [] y=0 -> (y'=1);\nendmodule\n",
+], ids=["variable", "constant"])
+def test_formula_named_like_a_variable_or_constant_is_only_a_duplicate(text):
+    # `x` in the body means the variable (or constant), as everywhere else,
+    # so the formula does not refer to itself.
+    assert [d.message for d in type_check(parse_model(text))] == [
+        "duplicate identifier 'x'"]
+
+
 @st.composite
 def definition_graphs(draw):
     """Model text with constants and formulas d0..dn-1, each defined in
