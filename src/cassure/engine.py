@@ -34,7 +34,7 @@ from .diagnostics import (
     BuildError, CassureError, EvalError, SolverError, json_field, malformed,
 )
 from .parsing import render_expr
-from .statespace import StateSpace, label_states
+from .statespace import StateSpace, label_states, run_heads
 
 BOUND_TOL = 1e-9
 
@@ -83,9 +83,7 @@ def _backward_reach(space, seeds_mask, allowed_mask):
         cand = _rows_of(indptr, preds, frontier)
         # Sorted, first of each run: np.unique would import numpy.ma.
         cand = np.sort(cand[allowed_mask[cand] & ~reached[cand]])
-        first = np.ones(cand.size, dtype=bool)
-        first[1:] = cand[1:] != cand[:-1]
-        cand = cand[first]
+        cand = cand[run_heads(cand)]
         reached[cand] = True
         frontier = cand
     return reached

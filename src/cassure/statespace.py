@@ -31,7 +31,9 @@ oldest, one `searchsorted` per run for a lookup and a merge only when a new
 run grows to half the size of the one before it, so that a layer costs time
 in its own size and the logarithm of the states, not in all the states
 found.  `build_dtmc` compiles the units and the key packer once and
-assembles the matrix once per build.
+assembles the matrix once per build: one stable sort of the pair keys
+`source * n + target` puts the transitions in CSR order, and a weighted
+`bincount` over the runs of equal keys sums duplicates in listed order.
 
 `build_dtmc` may be given the space of an earlier model with the same
 variables (`previous`).  Its states are then evaluated as one layer of the
@@ -50,6 +52,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -365,11 +368,11 @@ def _layer_transitions(variables, compiled, frontier, first, diags):
                     out = None if var.low <= v <= var.high else 0
                 else:
                     v = _truncate(_evaluate(rhs, vals, here.size, where_live))
-                    out = _first((v < var.low) | (v > var.high))
+                    out = _first(~((v >= var.low) & (v <= var.high)))  # NaN fails
                 if out is not None:
                     raise BuildError(
-                        f"assignment drives '{name}' to {int(np.ravel(v)[out])}, outside "
-                        f"[{var.low}..{var.high}], at state {where_live(out)}")
+                        f"assignment drives '{name}' to {_integral(np.ravel(v)[out])}, "
+                        f"outside [{var.low}..{var.high}], at state {where_live(out)}")
                 nxt[:, slot] = v
             src.append(here)
             succ.append(nxt)
@@ -407,32 +410,39 @@ def _probability(factor, cols, n, where):
 
 
 def _truncate(v):
-    """Integer values, truncated toward zero as `int` does."""
+    """Integer values, truncated toward zero as `int` does; NaN and ±inf
+    are kept, for the range check to reject."""
     if v.dtype == object:  # Python numbers from an exact evaluation
-        return np.frompyfunc(int, 1, 1)(v)
+        return np.frompyfunc(_integral, 1, 1)(v)
     return np.trunc(v) if v.dtype.kind == "f" else v
+
+
+def _integral(x):
+    """int(x) for a finite x; NaN and ±inf as they are."""
+    return int(x) if abs(x) < math.inf else x
+
+
+def run_heads(keys):
+    """Mask of the first of each run of equal keys in the sorted `keys`."""
+    head = np.empty(len(keys), dtype=bool)
+    head[:1] = True
+    head[1:] = keys[1:] != keys[:-1]
+    return head
 
 
 def _assemble(n, src, dst, val):
     """CSR arrays from transition triples: rows by source, columns ascending,
     duplicate (source, target) pairs summed in their listed order."""
-    order = np.lexsort((dst, src))  # stable: equal pairs keep listed order
-    src, dst, val = src[order], dst[order], val[order]
-    del order  # the build's peak memory is here: free early, update in place
-    head = np.ones(src.size, dtype=bool)
-    head[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-    group = np.cumsum(head)
-    group -= 1
-    starts = np.flatnonzero(head)
-    rank = np.arange(src.size)
-    rank -= starts[group]
-    data = np.zeros(starts.size, dtype=np.float64)
-    for r in range(int(rank.max()) + 1):
-        pick = rank == r
-        data[group[pick]] += val[pick]
+    pairs = src * n + dst  # no overflow: n * n < 2**63 for any n below 3e9
+    order = pairs.argsort(kind="stable")  # equal pairs keep listed order
+    pairs = pairs[order]
+    head = run_heads(pairs)
+    # bincount adds the weights one by one, in input order.
+    data = np.bincount(np.cumsum(head) - 1, weights=val[order])
+    rows, cols = np.divmod(pairs[head], n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src[starts], minlength=n), out=indptr[1:])
-    return indptr, dst[starts].astype(np.int64), data
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols, data
 
 
 class _RunsIndex:
@@ -487,9 +497,7 @@ def _explore(variables, compiled, pack, max_states):
         keys = pack(succ)
         by_key = keys.argsort(kind="stable")
         keys = keys[by_key]
-        head = np.empty(len(keys), dtype=bool)
-        head[0] = True
-        head[1:] = keys[1:] != keys[:-1]
+        head = run_heads(keys)
         starts = head.nonzero()[0]
         keys = keys[starts]
         ids = index.find(keys)
@@ -558,7 +566,8 @@ def _reevaluate(bound, previous, compiled, pack):
     if not np.array_equal(keys[dst], succ_keys):
         return None  # a successor outside the cached states
     n = len(states)
-    if not np.array_equal(np.unique(src * n + dst),
+    pairs = np.sort(src * n + dst)
+    if not np.array_equal(pairs[run_heads(pairs)],
                           previous.row_ids * n + previous.indices):
         return None  # a different transition pattern
     return states, src, dst, prob, diags

@@ -266,6 +266,18 @@ def test_watch_failure_isolation(workdir):
     assert (workdir / "out" / "nuclear.gsn").read_bytes() == good
 
 
+def test_non_finite_integer_assignment_exits_2(tmp_path):
+    (tmp_path / "m.prism").write_text(
+        "dtmc\nconst double p = 0.5;\nmodule m\n  x : [0..3] init 0;\n"
+        "  [] x=0 -> (x'=p*2);\n  [] x>0 -> (x'=x);\nendmodule\n")
+    (tmp_path / "m.props").write_text('"r": P=? [ F x=1 ]\n')
+    r = invoke("check", "--model", str(tmp_path / "m.prism"),
+               "--out", str(tmp_path / "out"), "--const", "p=nan")
+    assert r.exit_code == 2, r.output
+    assert ("error: assignment drives 'x' to nan, outside [0..3], "
+            "at state {'x': 0}") in r.output
+
+
 # Two inputs whose expressions once ended in a RecursionError traceback.
 DEEP_PROPS = {
     "parentheses": '"deep": P=? [ F ' + "(" * 200 + "loc=1" + ")" * 200 + " ];\n",

@@ -288,16 +288,27 @@ def test_precompute_does_not_import_numpy_ma(model_path, props_path, tmp_path):
     # np.unique imports numpy.ma (about 10 ms) on its first call in a process.
     # scipy.sparse imports it too, so only properties that the 0/1 precompute
     # decides without a solve are checked: the bounded P and the R queries.
+    # The second check follows a p_err edit, which re-evaluates the space.
     lines = [l for l in props_path.read_text().splitlines()
              if "P>=1" in l or "P<=0" in l or "R{" in l]
     props = tmp_path / "qualitative.props"
     props.write_text("\n".join(lines) + "\n")
+    model = tmp_path / "nuclear.prism"
+    model.write_text(model_path.read_text())
     code = ("import sys\n"
+            "from pathlib import Path\n"
             "from cassure.cli import PipelineConfig, run_check\n"
-            f"run_check(PipelineConfig({str(model_path)!r}, {str(props)!r}, '.'))\n"
+            f"cfg = PipelineConfig({str(model)!r}, {str(props)!r}, '.')\n"
+            "last = run_check(cfg)\n"
+            "print('scipy' in sys.modules, 'numpy.ma' in sys.modules)\n"
+            f"model = Path({str(model)!r})\n"
+            "model.write_text(model.read_text().replace('p_err = 0.01;',\n"
+            "                                           'p_err = 0.015;'))\n"
+            "again = run_check(cfg, last)\n"
+            "print(again.space.states is last.space.states, again.space is last.space)\n"
             "print('scipy' in sys.modules, 'numpy.ma' in sys.modules)\n")
     src = Path(__file__).parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["False", "False", "True", "False", "False", "False"]

@@ -211,6 +211,48 @@ def test_probabilities_and_rewards_out_of_range_are_errors(update, reward, p, me
     assert str(exc.value) == message
 
 
+NONFINITE_MODEL = """\
+dtmc
+const double p = 0.5;
+const int W = 10000000000000000;
+module m
+  x : [0..3] init 0;
+  [] x=0 -> {update};
+  [] x>0 -> (x'=x);
+endmodule
+"""
+
+
+@pytest.mark.parametrize("update, p, value", [
+    ("(x'=p*2)", float("nan"), "nan"),
+    ("(x'=p*2)", float("inf"), "inf"),
+    ("(x'=p*x + 1)", float("nan"), "nan"),
+    ("(x'=p*x + 1)", float("inf"), "nan"),  # inf * 0
+    # W - W leaves int64, so the right-hand side is evaluated exactly
+    ("(x'=p*2 + x + (W - W))", float("nan"), "nan"),
+    ("(x'=p*2 + x + (W - W))", float("inf"), "inf"),
+], ids=["nan", "inf", "nan-times-x", "inf-times-zero", "exact-nan", "exact-inf"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_integer_assignment_is_an_error(update, p, value):
+    # It once stored -2**63 silently (NaN passed the range check) or raised
+    # ValueError or OverflowError from int().
+    model = parse_model(NONFINITE_MODEL.format(update=update), file="m.prism")
+    with pytest.raises(BuildError) as exc:
+        build_dtmc(bind_constants(model, {"p": p}))
+    assert str(exc.value) == (f"assignment drives 'x' to {value}, outside [0..3], "
+                              "at state {'x': 0} [m.prism:6:3]")
+
+
+def test_duplicate_successors_are_summed_in_listed_order():
+    space = build("dtmc\nmodule m\n  x : [0..1] init 0;\n"
+                  "  [] x=0 -> 0.1:(x'=1) + 0.2:(x'=1) + 0.3:(x'=1) + 0.4:(x'=0);\n"
+                  "  [] x=1 -> (x'=1);\nendmodule\n")
+    assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    cols, probs = space.row(0)
+    assert cols.tolist() == [0, 1]
+    assert probs.tolist() == [0.4, (0.1 + 0.2) + 0.3]
+
+
 def test_guard_short_circuit_skips_division():
     space = build("dtmc\nmodule m\n  x : [0..2] init 0;\n"
                   "  [] x!=0 & 1/x>0 -> (x'=x-1);\n  [] x=0 -> (x'=2);\nendmodule\n")
