@@ -6,16 +6,20 @@ formulas, module-local variables with bounded integer or boolean ranges,
 probabilistic guarded commands, state-reward structures, and the property
 forms P=?/P>=b/P<=b over F, bounded F, G and U paths plus R{"name"}=? over F.
 
-All AST values are immutable; evaluation is pure.  `eval_expr` walks the
-tree for one valuation; `compile_expr` turns a bound expression into one
-numpy evaluation over many states at once.  The type check and the binding
-of constants follow one order of the definitions, `_dependency_order`,
-which also finds the cycles among them.
+All AST values are immutable; evaluation is pure.  `compile_expr` turns a
+bound expression into one numpy evaluation over many states at once, and
+folds every subexpression that names no variable; constants, variable
+ranges and inits are evaluated by that folding too.  The per-state
+semantics it follows is written out, one state at a time, in
+`tests/reference_builder.py`.  The type check and the binding of constants
+follow one order of the definitions, `_dependency_order`, which also finds
+the cycles among them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -70,8 +74,8 @@ LOGIC = {"&", "|", "->"}
 # The deepest expression accepted: both its tree and its nesting of
 # parentheses, '!', unary '-' and '->' have at most this many levels, and so
 # has every expression of a model once its formulas are expanded.  The
-# passes over an expression (parse, type check, compile, evaluation,
-# hashing) recurse once or twice per tree level and the parser
+# passes over an expression (parse, type check, compile, hashing) recurse
+# once or twice per tree level and the parser
 # three times per parenthesis (eight when operators of every precedence
 # stand before it), so each stays well inside Python's default limit of
 # 1000 frames.
@@ -163,7 +167,7 @@ def _dependency_order(defs):
 class ConstantDecl:
     name: str
     kind: str  # "int" | "double"
-    value: Expr
+    value: Expr | None  # None when undefined: an override must give it
     span: SourceSpan | None = field(default=None, compare=False)
 
 
@@ -278,6 +282,7 @@ class _TypeChecker:
         # name -> depth with formulas expanded; inf once reported too deep
         self.depths = {}
         self.formula_types = {}  # name -> type, or None once reported
+        self.bodies = {}  # name -> Expr of each formula that a reference may name
 
     def error(self, msg, span=None):
         self.diags.append(Diagnostic("error", msg, span))
@@ -286,7 +291,8 @@ class _TypeChecker:
         self._check_duplicates()
         self._check_formulas()
         for c in self.model.constants:
-            self.infer(c.value, c.span)
+            if c.value is not None:
+                self._check_constant(c.value, c.span, f"value of constant '{c.name}'")
         for m in self.model.modules:
             declared = {v.name for v in m.variables}
             for v in m.variables:
@@ -313,12 +319,23 @@ class _TypeChecker:
 
     def _check_vardecl(self, v):
         if v.is_bool:
-            if self.infer(v.init, v.span) not in (BOOL, None):
+            t = self._check_constant(v.init, v.span, f"init of '{v.name}'")
+            if t not in (BOOL, None):
                 self.error(f"init of boolean variable '{v.name}' is not boolean", v.span)
             return
         for e, what in ((v.low, "lower bound"), (v.high, "upper bound"), (v.init, "init")):
-            if self.infer(e, v.span) not in (INT, None):
+            if self._check_constant(e, v.span, f"{what} of '{v.name}'") not in (INT, None):
                 self.error(f"{what} of '{v.name}' is not an integer expression", v.span)
+
+    def _check_constant(self, e, span, what):
+        """Type of `e`, which must not name a variable, not even through
+        formulas; None if a diagnostic was emitted."""
+        t = self.infer(e, span)
+        named = next((n for n in _names(e, self.bodies) if n in self.vars), None)
+        if named is not None:
+            self.error(f"{what} refers to variable '{named}'; it must be constant", span)
+            return None
+        return t
 
     def _check_command(self, cmd, declared):
         if self.infer(cmd.guard, cmd.span) not in (BOOL, None):
@@ -352,8 +369,9 @@ class _TypeChecker:
         # _infer: nothing refers to a formula of that name, so it comes last
         # and its depth is not recorded.
         hidden = [name for name in self.formulas if name in self.vars or name in self.consts]
-        order, closing = _dependency_order(
-            {name: f.expr for name, f in self.formulas.items() if name not in hidden})
+        self.bodies = {name: f.expr for name, f in self.formulas.items()
+                       if name not in hidden}
+        order, closing = _dependency_order(self.bodies)
         order += hidden
         too_deep = set()
         for name in order:
@@ -372,7 +390,8 @@ class _TypeChecker:
                 self.error(f"recursive formula '{ref.ident}'", ref.span)
         for name in order:
             if name not in too_deep:
-                self.formula_types[name] = self._infer(self.formulas[name].expr)
+                f = self.formulas[name]
+                self.formula_types[name] = self._infer(f.expr, f.span)
 
     def infer(self, e, span):
         """Type of a whole expression, or None if a diagnostic was already
@@ -384,9 +403,9 @@ class _TypeChecker:
                 self.error(f"expression deeper than {MAX_EXPR_DEPTH} levels "
                            "with formulas expanded", span)
             return None
-        return self._infer(e)
+        return self._infer(e, span)
 
-    def _infer(self, e):
+    def _infer(self, e, span):
         if isinstance(e, Lit):
             if isinstance(e.value, bool):
                 return BOOL
@@ -401,41 +420,41 @@ class _TypeChecker:
             self.error(f"unknown identifier '{e.ident}'", e.span)
             return None
         if isinstance(e, Unary):
-            t = self._infer(e.operand)
+            t = self._infer(e.operand, span)
             if t is None:
                 return None
             if e.op == "-":
                 if t not in (INT, REAL):
-                    self.error("operand of unary '-' is not numeric")
+                    self.error("operand of unary '-' is not numeric", span)
                     return None
                 return t
             if t != BOOL:
-                self.error("operand of '!' is not boolean")
+                self.error("operand of '!' is not boolean", span)
                 return None
             return BOOL
         if isinstance(e, Binary):
-            lt = self._infer(e.left)
-            rt = self._infer(e.right)
+            lt = self._infer(e.left, span)
+            rt = self._infer(e.right, span)
             if lt is None or rt is None:
                 return None
             if e.op in ARITH:
                 if lt == BOOL or rt == BOOL:
-                    self.error(f"operands of '{e.op}' are not numeric")
+                    self.error(f"operands of '{e.op}' are not numeric", span)
                     return None
                 return REAL if e.op == "/" else _join_numeric(lt, rt)
             if e.op in ("=", "!="):
                 if (lt == BOOL) != (rt == BOOL):
-                    self.error(f"operands of '{e.op}' have incompatible types")
+                    self.error(f"operands of '{e.op}' have incompatible types", span)
                     return None
                 return BOOL
             if e.op in COMPARISONS:
                 if lt == BOOL or rt == BOOL:
-                    self.error(f"operands of '{e.op}' are not numeric")
+                    self.error(f"operands of '{e.op}' are not numeric", span)
                     return None
                 return BOOL
             if e.op in LOGIC:
                 if lt != BOOL or rt != BOOL:
-                    self.error(f"operands of '{e.op}' are not boolean")
+                    self.error(f"operands of '{e.op}' are not boolean", span)
                     return None
                 return BOOL
         raise TypeError(f"not an expression: {e!r}")
@@ -479,7 +498,8 @@ def bind_constants(model: ModelAst, overrides=None) -> BoundModel:
     Overrides replace a constant's defining expression; derived constants are
     then re-evaluated, so overriding e.g. one branch probability flows into
     constants defined in terms of it.  Constants are evaluated in dependency
-    order; a cycle among constants and formulas is a BindError.
+    order; a cycle among constants and formulas is a BindError, and so is an
+    undefined constant (``const int N;``) that no override gives a value.
     """
     decls = {c.name: c for c in model.constants}
     defs = {name: decl.value for name, decl in decls.items()}
@@ -492,9 +512,12 @@ def bind_constants(model: ModelAst, overrides=None) -> BoundModel:
             raise BindError(f"constant '{name}' is int but override is {value!r}")
         # An overridden constant depends on nothing.
         defs[name] = Lit(int(value) if decl.kind == "int" else float(value))
+    for name, e in defs.items():
+        if e is None:
+            raise BindError(f"undefined constant '{name}': no override gives it a value")
 
     formulas = {f.name: f.expr for f in model.formulas}
-    # A constant hides a formula of the same name, as in _eval.
+    # A constant hides a formula of the same name, as in _compile.
     defs.update((name, e) for name, e in formulas.items() if name not in defs)
     order, closing = _dependency_order(defs)
     if closing:
@@ -509,12 +532,13 @@ def bind_constants(model: ModelAst, overrides=None) -> BoundModel:
             reached.update(ref.ident for ref in _references(defs[name])
                            if ref.ident in defs and ref.ident not in decls)
     values, known = {}, {}  # constants; constants and reached formulas
+    scope = BoundModel(model, known, formulas, ())
     for name in order:
         if name not in decls:
             if name in reached:
-                known[name] = _eval(defs[name], {}, known, formulas)
+                known[name] = _constant(defs[name], scope)
             continue
-        v = _eval(defs[name], {}, known, formulas)
+        v = _constant(defs[name], scope)
         if decls[name].kind != "int":
             v = float(v)
         elif isinstance(v, float):
@@ -527,12 +551,12 @@ def bind_constants(model: ModelAst, overrides=None) -> BoundModel:
     env = BoundModel(model, values, formulas, ())
     for v in model.all_variables():
         if v.is_bool:
-            init = eval_expr(v.init, {}, env)
+            init = _constant(v.init, env)
             variables.append(VarInfo(v.name, None, None, bool(init), True))
             continue
-        low = int(eval_expr(v.low, {}, env))
-        high = int(eval_expr(v.high, {}, env))
-        init = int(eval_expr(v.init, {}, env))
+        low = int(_constant(v.low, env))
+        high = int(_constant(v.high, env))
+        init = int(_constant(v.init, env))
         if low > high:
             raise BindError(f"variable '{v.name}' has empty range [{low}..{high}]")
         if not low <= init <= high:
@@ -558,7 +582,7 @@ def _check_closed_probabilities(bound):
                     continue
                 if not variables.isdisjoint(_names(upd.probability, bound.formulas)):
                     break
-                p = float(eval_expr(upd.probability, {}, bound))
+                p = float(_constant(upd.probability, bound))
                 if not -PROB_TOL <= p <= 1 + PROB_TOL:
                     raise BindError(
                         f"update probability {p} outside [0,1] in module "
@@ -572,72 +596,21 @@ def _check_closed_probabilities(bound):
 
 
 # --------------------------------------------------------------------------
-# Evaluation
-# --------------------------------------------------------------------------
-
-def eval_expr(e: Expr, valuation: dict, env: BoundModel):
-    """Evaluate an expression under a variable valuation.
-
-    Formulas are expanded by substitution; division is real-valued.
-    """
-    return _eval(e, valuation, env.constants, env.formulas)
-
-
-def _eval(e, valuation, constants, formulas):
-    if isinstance(e, Lit):
-        return e.value
-    if isinstance(e, Name):
-        if e.ident in valuation:
-            return valuation[e.ident]
-        if e.ident in constants:
-            return constants[e.ident]
-        if e.ident in formulas:
-            return _eval(formulas[e.ident], valuation, constants, formulas)
-        raise EvalError(f"unbound identifier '{e.ident}'")
-    if isinstance(e, Unary):
-        v = _eval(e.operand, valuation, constants, formulas)
-        return -v if e.op == "-" else not v
-    if isinstance(e, Binary):
-        l = _eval(e.left, valuation, constants, formulas)
-        if e.op == "&":
-            return bool(l) and bool(_eval(e.right, valuation, constants, formulas))
-        if e.op == "|":
-            return bool(l) or bool(_eval(e.right, valuation, constants, formulas))
-        if e.op == "->":
-            return (not l) or bool(_eval(e.right, valuation, constants, formulas))
-        r = _eval(e.right, valuation, constants, formulas)
-        if e.op == "+":
-            return l + r
-        if e.op == "-":
-            return l - r
-        if e.op == "*":
-            return l * r
-        if e.op == "/":
-            if r == 0:
-                raise EvalError("division by zero")
-            return l / r
-        if e.op == "=":
-            return l == r
-        if e.op == "!=":
-            return l != r
-        if e.op == "<":
-            return l < r
-        if e.op == "<=":
-            return l <= r
-        if e.op == ">":
-            return l > r
-        if e.op == ">=":
-            return l >= r
-    raise TypeError(f"not an expression: {e!r}")
-
-
-# --------------------------------------------------------------------------
 # Compiled evaluation over state columns
 # --------------------------------------------------------------------------
 
-_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "=": np.equal,
-           "!=": np.not_equal, "<": np.less, "<=": np.less_equal,
-           ">": np.greater, ">=": np.greater_equal}
+def _quotient(l, r):
+    """l / r, real-valued, for two folded values."""
+    if r == 0:
+        raise EvalError("division by zero")
+    return l / r
+
+
+# The binary operators other than &, | and ->, on Python numbers and, but for
+# `/` (see _divide), on the numpy arrays of a compiled evaluation.
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _quotient,
+        "=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+        ">": operator.gt, ">=": operator.ge}
 
 
 def compile_expr(e: Expr, env: BoundModel):
@@ -647,15 +620,16 @@ def compile_expr(e: Expr, env: BoundModel):
     column per variable of `env`, in declaration order, with booleans as
     bool arrays; the result is the length-n array of the expression's value
     in each row.  Constants and formulas are folded in here.  `&`, `|` and
-    `->` evaluate their right operand only on the rows where `eval_expr`
-    would, so a division by zero counts only there: it raises EvalError with
-    `row` set to the first row where `eval_expr` raises.  Integers are int64
-    unless some integer subexpression can leave [-2**53, 2**53] over the
-    variable ranges, where int64 arithmetic would wrap and comparisons with
-    floats would round; such an expression is evaluated on Python ints, in
-    object arrays, and its numeric result is an object array.  The walk that
-    compiles the expression also finds each subexpression's interval, by
-    interval arithmetic over the variable ranges and the constants.
+    `->` evaluate their right operand only on the rows where the left one
+    does not decide the result, so a division by zero counts only there; the
+    EvalError it raises has `row` set to the first row where it counts.
+    Integers are int64 unless some integer subexpression can leave
+    [-2**53, 2**53] over the variable ranges, where int64 arithmetic would
+    wrap and comparisons with floats would round; such an expression is
+    evaluated on Python ints, in object arrays, and its numeric result is an
+    object array.  The walk that compiles the expression also finds each
+    subexpression's interval, by interval arithmetic over the variable
+    ranges and the constants.
 
     ``evaluate.folded`` is the expression's value when it folded to a
     constant, so that a caller may use it without evaluating; else None.
@@ -684,12 +658,23 @@ def compile_expr(e: Expr, env: BoundModel):
     return evaluate
 
 
+def _constant(e, env):
+    """The value of `e`, which names constants and formulas of `env` but no
+    variable.  `_compile` folds such an expression completely unless it
+    divides by zero."""
+    node = _compile(e, env, {}, [])
+    if node.fn is not None:
+        raise EvalError("division by zero")
+    return node.value
+
+
 class _Node(NamedTuple):
     """A compiled subexpression: either a folded `value` (fn is None) or
-    fn(cols, live, errors), where `live` masks the rows on which eval_expr
-    would evaluate this node (None: every row) and failing rows are appended
-    to `errors`.  `raises` says whether fn can append anything.  `bounds` is
-    the (low, high) interval of an integer subexpression, else None."""
+    fn(cols, live, errors), where `live` masks the rows on which the
+    per-state semantics (tests/reference_builder.py) evaluates this node
+    (None: every row) and failing rows are appended to `errors`.  `raises`
+    says whether fn can append anything.  `bounds` is the (low, high)
+    interval of an integer subexpression, else None."""
     value: object = None
     fn: object = None
     raises: bool = False
@@ -725,9 +710,9 @@ def _arithmetic_bounds(op, l, r):
     return None
 
 
-def _fold(e, bounds=None):
+def _fold(op, l, r, bounds):
     try:
-        return _Node(_eval(e, {}, {}, {}), bounds=bounds)
+        return _Node(_OPS[op](l, r), bounds=bounds)
     except EvalError:  # a constant division by zero fails every live row
         def fail(cols, live, errors):
             errors.append(live)
@@ -761,7 +746,7 @@ def _compile_node(e, env, slots, wide):
         arg = _compile(e.operand, env, slots, wide)
         bounds = (-arg.bounds[1], -arg.bounds[0]) if arg.bounds and e.op == "-" else None
         if arg.fn is None:
-            return _fold(Unary(e.op, Lit(arg.value)), bounds)
+            return _Node(-arg.value if e.op == "-" else not arg.value, bounds=bounds)
         ufunc, f = (np.negative if e.op == "-" else np.logical_not), arg.fn
         return _Node(fn=lambda cols, live, errors: ufunc(f(cols, live, errors)),
                      raises=arg.raises, bounds=bounds)
@@ -772,13 +757,13 @@ def _compile_node(e, env, slots, wide):
             return _logic(e.op, left, right)
         bounds = _arithmetic_bounds(e.op, left.bounds, right.bounds)
         if left.fn is None and right.fn is None:
-            return _fold(Binary(e.op, Lit(left.value), Lit(right.value)), bounds)
+            return _fold(e.op, left.value, right.value, bounds)
         if e.op == "/":
             return _divide(left, right)
         lf, rf = left.call(), right.call()
-        ufunc = _UFUNCS[e.op]
-        return _Node(fn=lambda cols, live, errors: ufunc(lf(cols, live, errors),
-                                                         rf(cols, live, errors)),
+        op = _OPS[e.op]
+        return _Node(fn=lambda cols, live, errors: op(lf(cols, live, errors),
+                                                      rf(cols, live, errors)),
                      raises=left.raises or right.raises, bounds=bounds)
     raise TypeError(f"not an expression: {e!r}")
 
@@ -815,7 +800,7 @@ def _as_bool(node):
 
 
 def _logic(op, left, right):
-    if left.fn is None:  # eval_expr short-circuits the same way
+    if left.fn is None:  # a folded left operand short-circuits for every row
         if bool(left.value) == (op == "|"):
             return _Node(op != "&")
         return _Node(bool(right.value)) if right.fn is None else _as_bool(right)

@@ -291,8 +291,10 @@ class _ModelParser(_Parser):
             self.fail("expected 'int' or 'double' after 'const'")
         self.advance()
         name = self.expect_ident("constant name").text
-        self.expect("=")
-        value = self.parse_expr()
+        value = None
+        if not self.at(";"):
+            self.expect("=")
+            value = self.parse_expr()
         self.expect(";")
         return ConstantDecl(name, kind, value, span)
 
@@ -568,7 +570,8 @@ def render_model(ast: ModelAst) -> str:
     """Pretty-print a model; parse(render(ast)) is structurally equal to ast."""
     out = ["dtmc", ""]
     for c in ast.constants:
-        out.append(f"const {c.kind} {c.name} = {render_expr(c.value)};")
+        value = "" if c.value is None else f" = {render_expr(c.value)}"
+        out.append(f"const {c.kind} {c.name}{value};")
     if ast.constants:
         out.append("")
     for f in ast.formulas:

@@ -573,6 +573,11 @@ def _reevaluate(bound, previous, compiled, pack):
     return states, src, dst, prob, diags
 
 
+# A build rejects NaN in a probability, an assignment or a reward by a
+# located check, and a comparison with NaN is false, so numpy's warning that
+# an evaluation made NaN would only name internal lines.  It is silenced once
+# per call, not per evaluation.
+@np.errstate(invalid="ignore")
 def build_dtmc(bound: BoundModel, max_states=DEFAULT_STATE_CAP,
                previous: StateSpace | None = None) -> StateSpace:
     """The DTMC of ``bound``: reachable states, transition matrix, rewards
@@ -600,6 +605,7 @@ def build_dtmc(bound: BoundModel, max_states=DEFAULT_STATE_CAP,
     return space
 
 
+@np.errstate(invalid="ignore")
 def label_states(space: StateSpace, phi: Expr) -> np.ndarray:
     """Boolean mask over state indices for a boolean state expression."""
     mask = _evaluate(compile_expr(phi, space.bound), space.columns,

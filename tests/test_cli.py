@@ -278,6 +278,39 @@ def test_non_finite_integer_assignment_exits_2(tmp_path):
             "at state {'x': 0}") in r.output
 
 
+@pytest.mark.parametrize("decl, var, expected", [
+    ("const int c = x;", "y : [0..1] init 0;",
+     "m.prism:2:1: error: value of constant 'c' refers to variable 'x'"),
+    ("", "b : bool init true | x = 1;",
+     "m.prism:5:3: error: init of 'b' refers to variable 'x'"),
+    ("", "y : [0..x] init 0;",
+     "m.prism:5:3: error: upper bound of 'y' refers to variable 'x'"),
+], ids=["constant", "init", "bound"])
+def test_variable_in_a_constant_context_exits_2(tmp_path, decl, var, expected):
+    (tmp_path / "m.prism").write_text(
+        f"dtmc\n{decl}\nmodule m\n  x : [0..1] init 0;\n  {var}\n"
+        "  [] x=0 -> (x'=1);\nendmodule\n")
+    (tmp_path / "m.props").write_text('"r": P=? [ F x=1 ]\n')
+    r = invoke("check", "--model", str(tmp_path / "m.prism"),
+               "--out", str(tmp_path / "out"))
+    assert r.exit_code == 2, r.output
+    assert expected in r.output
+
+
+def test_undefined_constant_needs_an_override(tmp_path):
+    (tmp_path / "m.prism").write_text(
+        "dtmc\nconst int N;\nmodule m\n  x : [0..N] init 0;\n"
+        "  [] x<N -> (x'=x+1);\nendmodule\n")
+    (tmp_path / "m.props").write_text('"r": P=? [ F x=N ]\n')
+    args = ("check", "--model", str(tmp_path / "m.prism"), "--out", str(tmp_path / "out"))
+    r = invoke(*args)
+    assert r.exit_code == 2, r.output
+    assert "error: undefined constant 'N'" in r.output
+    r = invoke(*args, "--const", "N=3")
+    assert r.exit_code == 0, r.output
+    assert r.output.startswith("built 4 states")
+
+
 # Two inputs whose expressions once ended in a RecursionError traceback.
 DEEP_PROPS = {
     "parentheses": '"deep": P=? [ F ' + "(" * 200 + "loc=1" + ")" * 200 + " ];\n",

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cassure import BindError, EvalError, bind_constants, parse_model, type_check
-from cassure.model import (
-    Binary, BoundModel, FormulaDecl, Lit, Name, Unary, compile_expr, eval_expr,
-)
+from cassure.model import Binary, FormulaDecl, Lit, Name, Unary, Update, compile_expr
+from reference_builder import evaluate
 
 
 MINI = """\
@@ -226,7 +225,7 @@ def bind_by_sweeps(ast):
         if not ready:
             return None
         for d in ready:
-            v = eval_expr(defs[d], {}, BoundModel(ast, values, {}, ()))
+            v = evaluate(defs[d], {}, values, {})
             kind = kinds.get(d)  # None for a formula
             if kind == "int" and v != int(v):
                 return None
@@ -256,13 +255,17 @@ def test_unknown_name_in_constant_is_an_eval_error():
         bind_constants(parse_model(text))
 
 
-def test_eval_expr_with_formulas(bound):
-    warn = next(f for f in bound.ast.formulas if f.name == "is_warning")
-    assert eval_expr(warn.expr, {"rad": 1}, bound) is True
-    assert eval_expr(warn.expr, {"rad": 0}, bound) is False
+def test_compiled_formulas_equal_the_reference(space):
+    # Every state of the case study; each formula is true on some, false on others.
+    for name in ("is_warning", "is_critical"):
+        expected = [evaluate(Name(name), space.valuation(i), space.bound.constants,
+                             space.bound.formulas) for i in range(space.n_states)]
+        assert True in expected and False in expected
+        got = compile_expr(Name(name), space.bound)(space.columns, space.n_states)
+        assert got.tolist() == expected
 
 
-# ---- hypothesis: compiled evaluation equals eval_expr ----
+# ---- hypothesis: compiled evaluation equals the reference interpreter ----
 
 TYPED = parse_model("""\
 dtmc
@@ -311,8 +314,22 @@ B_IS_ZERO = Binary("=", Name("b"), Lit(0))
 SHORT_CIRCUIT_ROWS = [(1, 1, True), (1, 0, False), (1, 0, True)]
 
 
+def at_ties(test):
+    """Examples of each comparison on columns and on folded constants, with
+    operands tied, lower and higher: a strict operator and its non-strict
+    twin differ only at a tie, which random expressions seldom meet."""
+    K = Name("K")
+    for op in ["=", "!=", "<", "<=", ">", ">="]:
+        test = example(Binary(op, Name("a"), Name("b")),
+                       [(0, 0, False), (0, 1, False), (1, 0, False)])(test)
+        for left, right in [(K, K), (Lit(2), K), (K, Lit(2))]:  # K >= 3
+            test = example(Binary(op, left, right), [(0, 0, False)])(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
 @given(typed_exprs, valuations)
+@at_ties
 # the right operand of &, | and -> divides by zero only where it is skipped
 @example(Binary("&", Unary("!", B_IS_ZERO), A_OVER_B), SHORT_CIRCUIT_ROWS)
 @example(Binary("|", B_IS_ZERO, A_OVER_B), SHORT_CIRCUIT_ROWS)
@@ -322,31 +339,34 @@ SHORT_CIRCUIT_ROWS = [(1, 1, True), (1, 0, False), (1, 0, True)]
 # two divisions fail on different rows: the earlier row counts
 @example(Binary("+", Binary("/", Lit(1), Name("a")), Binary("/", Lit(1), Name("b"))),
          [(0, 1, False), (1, 0, False)])
-def test_compiled_evaluation_equals_eval_expr(e, rows):
-    got = assert_compiled_equals_eval_expr(e, rows, TYPED_BOUND)
+def test_compiled_evaluation_equals_the_reference(e, rows):
+    got = assert_compiled_equals_reference(e, rows, TYPED_BOUND)
     assert got is None or got.dtype != object  # int64 and float64 suffice here
 
 
-def assert_compiled_equals_eval_expr(e, rows, bound):
-    """compile_expr over the rows gives eval_expr's values and types, or
-    raises at eval_expr's first failing row; returns the values, if any."""
+def assert_compiled_equals_reference(e, rows, bound):
+    """compile_expr over the rows gives the values and types of
+    `reference_builder.evaluate`, which shares no code with it, or raises
+    EvalError at the reference's first failing row; returns the values, if
+    any."""
     assert type_check(replace(TYPED, formulas=TYPED.formulas + (FormulaDecl("e", e),))) == []
     expected, first_error = [], None
     for i, (a, b, c) in enumerate(rows):
         try:
-            expected.append(eval_expr(e, {"a": a, "b": b, "c": c}, bound))
-        except EvalError:
+            expected.append(evaluate(e, {"a": a, "b": b, "c": c}, bound.constants,
+                                     bound.formulas))
+        except ZeroDivisionError:
             first_error = i if first_error is None else first_error
     a, b, c = zip(*rows)
     cols = (np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
             np.array(c, dtype=bool))
-    evaluate = compile_expr(e, bound)
+    compiled = compile_expr(e, bound)
     if first_error is not None:
         with pytest.raises(EvalError, match="division by zero") as exc:
-            evaluate(cols, len(rows))
+            compiled(cols, len(rows))
         assert exc.value.row == first_error
         return None
-    got = evaluate(cols, len(rows))
+    got = compiled(cols, len(rows))
     assert got.tolist() == expected
     assert [type(v) for v in got.tolist()] == [type(v) for v in expected]
     return got
@@ -365,10 +385,89 @@ wide_valuations = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(typed_exprs, wide_valuations)
+@at_ties
 # a*a*a wraps in int64 (to a negative value at this a)
 @example(Binary(">", Binary("*", Binary("*", Name("a"), Name("a")), Name("a")), Lit(0)),
          [(5_000_000, 0, False)])
 # 2**53 + 1 rounds to 2**53 as a float
 @example(Binary(">", Binary("+", Name("a"), Name("K")), Lit(2.0 ** 53)), [(0, 0, False)])
-def test_compiled_evaluation_equals_eval_expr_on_wide_ranges(e, rows):
-    assert_compiled_equals_eval_expr(e, rows, WIDE_BOUND)
+def test_compiled_evaluation_equals_the_reference_on_wide_ranges(e, rows):
+    assert_compiled_equals_reference(e, rows, WIDE_BOUND)
+
+
+# ---- the type checker's diagnostics, one per message ----
+
+def _typed_model(decl="const int K = 1;", var="y : [0..1] init 0;", guard="x=0",
+                 update="(x'=1)", reward="true : 1"):
+    """A model with one line for each part; the lines are numbered 2 (decl),
+    6 (var), 7 (command) and 10 (reward item)."""
+    return (f"dtmc\n{decl}\nmodule m\n  x : [0..1] init 0;\n  b : bool init false;\n"
+            f"  {var}\n  [] {guard} -> {update};\nendmodule\n"
+            f'rewards "r"\n  {reward};\nendrewards\n')
+
+
+@pytest.mark.parametrize("parts, expected", [
+    ({"guard": "x=0 & zz>0"}, "7:12: error: unknown identifier 'zz'"),
+    ({"guard": "-b"}, "7:3: error: operand of unary '-' is not numeric"),
+    ({"guard": "!x"}, "7:3: error: operand of '!' is not boolean"),
+    ({"guard": "x + b > 0"}, "7:3: error: operands of '+' are not numeric"),
+    ({"guard": "x = b"}, "7:3: error: operands of '=' have incompatible types"),
+    ({"guard": "b < 1"}, "7:3: error: operands of '<' are not numeric"),
+    ({"guard": "x & b"}, "7:3: error: operands of '&' are not boolean"),
+    ({"guard": "x"}, "7:3: error: command guard is not boolean"),
+    ({"update": "b : (x'=1)"}, "7:3: error: update probability is not numeric"),
+    ({"update": "(b'=1)"}, "7:3: error: assignment to boolean 'b' is not boolean"),
+    ({"update": "(x'=b)"}, "7:3: error: assignment to 'x' is not numeric"),
+    ({"reward": "x : 1"}, '10:3: error: reward guard in "r" is not boolean'),
+    ({"reward": "true : b"}, '10:3: error: reward value in "r" is not numeric'),
+    ({"var": "c : bool init 1;"},
+     "6:3: error: init of boolean variable 'c' is not boolean"),
+    ({"var": "y : [0.5..1] init 1;"},
+     "6:3: error: lower bound of 'y' is not an integer expression"),
+    ({"var": "y : [0..K/1] init 0;"},
+     "6:3: error: upper bound of 'y' is not an integer expression"),
+    ({"var": "y : [0..1] init true;"},
+     "6:3: error: init of 'y' is not an integer expression"),
+    # PRISM requires constants, bounds and inits to be constant.
+    ({"decl": "const int K = x;"},
+     "2:1: error: value of constant 'K' refers to variable 'x'; it must be constant"),
+    ({"var": "c : bool init true | x = 1;"},
+     "6:3: error: init of 'c' refers to variable 'x'; it must be constant"),
+    ({"var": "y : [0..y] init 0;"},
+     "6:3: error: upper bound of 'y' refers to variable 'y'; it must be constant"),
+    ({"decl": "formula f = x + 1;", "var": "y : [f..2] init 1;"},
+     "6:3: error: lower bound of 'y' refers to variable 'x'; it must be constant"),
+    ({"decl": "const double K;", "var": "y : [0..K] init 0;"},
+     "6:3: error: upper bound of 'y' is not an integer expression"),
+])
+def test_type_checker_diagnostic(parts, expected):
+    assert _errors(_typed_model(**parts)) == [f"m.prism:{expected}"]
+
+
+def test_type_checker_locates_an_assignment_to_another_module():
+    # The parser rejects such a model first; an AST built otherwise is
+    # still checked.
+    ast = parse_model(_typed_model() + "module n\n  z : [0..1] init 0;\n"
+                      "  [] z=0 -> (z'=1);\nendmodule\n", file="m.prism")
+    module = ast.modules[1]
+    command = replace(module.commands[0], updates=(Update(None, (("x", Lit(1)),)),))
+    ast = replace(ast, modules=(ast.modules[0], replace(module, commands=(command,))))
+    assert [str(d) for d in type_check(ast)] == [
+        "m.prism:14:3: error: assignment target 'x' is not a variable of this module"]
+
+
+def test_undefined_constant_is_typed_by_its_kind_and_bound_by_an_override():
+    ast = parse_model(_typed_model(decl="const int N;", var="y : [0..N] init N;"))
+    assert type_check(ast) == []
+    with pytest.raises(BindError, match="undefined constant 'N'"):
+        bind_constants(ast)
+    assert bind_constants(ast, {"N": 2}).variables[2].high == 2
+
+
+@pytest.mark.parametrize("var, message", [
+    ("y : [2..1] init 1;", r"variable 'y' has empty range \[2..1\]"),
+    ("y : [0..1] init 2;", r"init of 'y' \(2\) outside \[0..1\]"),
+])
+def test_variable_range_errors_are_bind_errors(var, message):
+    with pytest.raises(BindError, match=message):
+        bind_constants(parse_model(_typed_model(var=var)))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cassure import ParseError, parse_model, parse_properties
-from cassure.model import Binary, Lit, Name, Unary
+from cassure.model import Binary, ConstantDecl, Lit, Name, Unary
 from cassure.parsing import (
     MAX_EXPR_DEPTH, render_expr, render_model, render_property,
 )
@@ -25,6 +25,11 @@ def test_model_round_trip(model_ast):
     assert again == model_ast
     # and the round trip is a fixpoint on text
     assert render_model(again) == rendered
+    # an undefined constant has no value
+    undefined = replace(model_ast, constants=model_ast.constants
+                        + (ConstantDecl("N", "int", None),))
+    assert "\nconst int N;\n" in render_model(undefined)
+    assert parse_model(render_model(undefined)) == undefined
 
 
 SMALL_P = """\

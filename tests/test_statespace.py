@@ -232,7 +232,7 @@ endmodule
     ("(x'=p*2 + x + (W - W))", float("nan"), "nan"),
     ("(x'=p*2 + x + (W - W))", float("inf"), "inf"),
 ], ids=["nan", "inf", "nan-times-x", "inf-times-zero", "exact-nan", "exact-inf"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_integer_assignment_is_an_error(update, p, value):
     # It once stored -2**63 silently (NaN passed the range check) or raised
     # ValueError or OverflowError from int().
@@ -241,6 +241,17 @@ def test_non_finite_integer_assignment_is_an_error(update, p, value):
         build_dtmc(bind_constants(model, {"p": p}))
     assert str(exc.value) == (f"assignment drives 'x' to {value}, outside [0..3], "
                               "at state {'x': 0} [m.prism:6:3]")
+
+
+def test_probabilities_that_read_the_state_must_sum_to_one_in_each_state():
+    # bind_constants checks only the sums of constant probabilities.
+    model = parse_model("dtmc\nmodule m\n  x : [0..1] init 1;\n"
+                        "  [] true -> x/2 : (x'=0) + 0.5 : (x'=1-x);\nendmodule\n",
+                        file="m.prism")
+    with pytest.raises(BuildError) as exc:
+        build_dtmc(bind_constants(model))
+    assert str(exc.value) == ("unit outcome probabilities sum to 0.5 (not 1) at "
+                              "state {'x': 0} [m.prism:4:3]")
 
 
 def test_duplicate_successors_are_summed_in_listed_order():
