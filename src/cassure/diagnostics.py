@@ -1,4 +1,6 @@
-"""Source locations and diagnostics shared by the parsers and checkers."""
+"""Source locations and diagnostics shared by the parsers and checkers, and
+`depth_first`, the one graph search of the checks: the order of a model's
+constants and formulas and the supported-by cycles of a GSN argument."""
 
 from __future__ import annotations
 
@@ -48,6 +50,36 @@ def json_field(rec, key, kind, *default):
     if not isinstance(value, kind):
         raise TypeError(f"{key!r} has the wrong type: {value!r}")
     return value
+
+
+def depth_first(nodes, edges):
+    """(order, closing) of one depth-first search without recursion, so no
+    chain is too long for it.  The search starts from each of `nodes` in
+    turn; `edges(u)` gives u's out-edges as (target, label) pairs, followed
+    in that order.  `order` lists each node reached once, in post-order:
+    after the targets of its edges, except where a cycle passes.  `closing`
+    holds the labels of the edges that close a cycle, where the search met
+    a target still open, in the order met."""
+    order, closing, state = [], [], {}
+    for root in nodes:
+        if root in state:
+            continue
+        state[root] = "open"
+        stack = [(root, iter(edges(root)))]
+        while stack:
+            u, out = stack[-1]
+            for v, label in out:
+                if v not in state:
+                    state[v] = "open"
+                    stack.append((v, iter(edges(v))))
+                    break
+                if state[v] == "open":
+                    closing.append(label)
+            else:
+                stack.pop()
+                state[u] = "done"
+                order.append(u)
+    return order, closing
 
 
 class ParseError(CassureError):

@@ -19,7 +19,7 @@ from functools import cached_property
 from json.decoder import scanstring
 from json.encoder import encode_basestring
 
-from .diagnostics import CassureError, Diagnostic
+from .diagnostics import CassureError, Diagnostic, depth_first
 
 NODE_KINDS = ("goal", "strategy", "solution", "context")
 
@@ -208,6 +208,8 @@ def validate_argument(arg: ArgumentModel):
         if n.version < 1:
             err(f"node '{n.id}' has version {n.version} (< 1)")
 
+    # Supported-by edges for depth_first: source -> [(target, label)], where
+    # a cycle is reported by the target of the edge that closes it.
     adjacency = {}
     for l in arg.links:
         for end in (l.source, l.target):
@@ -221,7 +223,7 @@ def validate_argument(arg: ArgumentModel):
             if pair not in _SUPPORT_RULES:
                 err(f"supported-by link {l.source} -> {l.target} violates "
                     f"kind rules ({pair[0]} -> {pair[1]})")
-            adjacency.setdefault(l.source, []).append(l.target)
+            adjacency.setdefault(l.source, []).append((l.target, l.target))
         elif l.kind == "in-context-of":
             if pair != ("goal", "context"):
                 err(f"in-context-of link {l.source} -> {l.target} violates "
@@ -229,26 +231,9 @@ def validate_argument(arg: ArgumentModel):
         else:
             err(f"unknown link kind '{l.kind}'")
 
-    # Cycle detection over supported-by: a depth-first search on an explicit
-    # stack of (node, its unvisited targets), so no chain is too long for it.
-    state = {}
-    for root in kinds:
-        if root in state:
-            continue
-        state[root] = "open"
-        stack = [(root, iter(adjacency.get(root, ())))]
-        while stack:
-            u, targets = stack[-1]
-            for v in targets:
-                if state.get(v) == "open":
-                    err(f"supported-by cycle through '{v}'")
-                elif v not in state:
-                    state[v] = "open"
-                    stack.append((v, iter(adjacency.get(v, ()))))
-                    break
-            else:
-                state[u] = "done"
-                stack.pop()
+    _, closing = depth_first(kinds, lambda u: adjacency.get(u, ()))
+    for v in closing:
+        err(f"supported-by cycle through '{v}'")
 
     roots = arg.root_goals()
     if len(roots) == 0 and arg.goals():

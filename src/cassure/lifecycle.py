@@ -211,6 +211,13 @@ def _goal_reopen_reason(arg, gid):
     return "confidence"
 
 
+def _property_of(arg, gid):
+    """The property a goal is trace-linked to; the first link wins, as for
+    recorded results.  None for a goal with no property link."""
+    return next((t.ref for t in arg.trace_links_of(gid)
+                 if t.artifact_kind == "property"), None)
+
+
 def impact_analysis(arg: ArgumentModel, pkg: EvolutionPackage,
                     fresh_results=None, baseline_results=None):
     """Classify every goal as valid / invalid / uncertain.
@@ -232,17 +239,12 @@ def impact_analysis(arg: ArgumentModel, pkg: EvolutionPackage,
     report = ImpactReport()
     for goal in arg.goals():
         gid = goal.id
-        prop_name = None
-        artifact_changed = False
-        for t in arg.trace_links_of(gid):
-            if t.artifact_kind == "property":
-                prop_name = t.ref
-            if t.artifact_kind in ("model-file", "property") and changed_paths:
-                # File-level granularity: any changed model/props file touches
-                # every goal linked into the verification pipeline.
-                artifact_changed = True
-        if gid == "G.root" and changed_paths:
-            artifact_changed = True
+        prop_name = _property_of(arg, gid)
+        # File-level granularity: any changed model/props file touches every
+        # goal linked into the verification pipeline.
+        artifact_changed = bool(changed_paths) and any(
+            t.artifact_kind in ("model-file", "property")
+            for t in arg.trace_links_of(gid))
 
         reason = _goal_reopen_reason(arg, gid)
         if gid in reopened_extra and reason is None:
@@ -358,8 +360,8 @@ def plan_regeneration(report: ImpactReport, arg: ArgumentModel):
             hours = parse_evidence_cost(cost_text)
             if cost_text is not None and hours is None:
                 warnings.append(f"unparseable evidence_cost {cost_text!r} on {gid}")
-            kinds = {t.artifact_kind for t in arg.trace_links_of(gid)}
-            strategy = "re-verify" if "property" in kinds else "manual-review"
+            strategy = ("re-verify" if _property_of(arg, gid) is not None
+                        else "manual-review")
             critical = (arg.placeholder_of(gid, "safety_critical") or "") == "true"
             candidates.append((cls_rank, hours if hours is not None else float("inf"),
                                gid, strategy, cost_text, hours, critical))
@@ -396,8 +398,7 @@ def apply_regeneration(arg: ArgumentModel, plan, fresh_results) -> ArgumentModel
         if entry.strategy != "re-verify":
             continue
         gid = entry.goal_id
-        prop_name = next((t.ref for t in arg.trace_links_of(gid)
-                          if t.artifact_kind == "property"), None)
+        prop_name = _property_of(arg, gid)
         res = fresh_by_name.get(prop_name)
         if res is None:
             raise LifecycleError(

@@ -11,9 +11,11 @@ bound expression into one numpy evaluation over many states at once, and
 folds every subexpression that names no variable; constants, variable
 ranges and inits are evaluated by that folding too.  The per-state
 semantics it follows is written out, one state at a time, in
-`tests/reference_builder.py`.  The type check and the binding of constants
-follow one order of the definitions, `_dependency_order`, which also finds
-the cycles among them.
+`tests/reference_builder.py`.  The passes that need no recursion over an
+expression (its depth, the names it refers to) read the one walk, `_walk`.
+The type check and the binding of constants follow one order of the
+definitions, `_dependency_order`: `diagnostics.depth_first` over their
+references, which also finds the cycles among them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diagnostics import BindError, Diagnostic, EvalError, SourceSpan
+from .diagnostics import BindError, Diagnostic, EvalError, SourceSpan, depth_first
 
 INT = "int"
 REAL = "real"
@@ -65,8 +67,6 @@ class Binary(Expr):
     right: Expr
 
 
-TRUE = Lit(True)
-
 COMPARISONS = {"=", "!=", "<", "<=", ">", ">="}
 ARITH = {"+", "-", "*", "/"}
 LOGIC = {"&", "|", "->"}
@@ -82,37 +82,32 @@ LOGIC = {"&", "|", "->"}
 MAX_EXPR_DEPTH = 50
 
 
+def _walk(e):
+    """Each node of an expression with its level, 1 at the root, in
+    pre-order and left to right, without recursion."""
+    stack = [(e, 1)]
+    while stack:
+        node, level = stack.pop()
+        yield node, level
+        if isinstance(node, Unary):
+            stack.append((node.operand, level + 1))
+        elif isinstance(node, Binary):
+            stack += ((node.right, level + 1), (node.left, level + 1))
+
+
 def expr_depth(e, formula_depths=None):
-    """The number of levels of an expression tree, counted without recursion.
+    """The number of levels of an expression tree.
 
     A name in ``formula_depths`` counts its level plus the depth given
     there, as passes that expand the formula recurse into its body."""
     formula_depths = formula_depths or {}
-    deepest, stack = 0, [(e, 1)]
-    while stack:
-        node, level = stack.pop()
-        if isinstance(node, Unary):
-            stack.append((node.operand, level + 1))
-        elif isinstance(node, Binary):
-            stack += ((node.left, level + 1), (node.right, level + 1))
-        else:
-            if isinstance(node, Name):
-                level += formula_depths.get(node.ident, 0)
-            deepest = max(deepest, level)
-    return deepest
+    return max(level + formula_depths.get(node.ident, 0) if isinstance(node, Name)
+               else level for node, level in _walk(e))
 
 
 def _references(e):
-    """The Name nodes of an expression, left to right, without recursion."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Name):
-            yield node
-        elif isinstance(node, Unary):
-            stack.append(node.operand)
-        elif isinstance(node, Binary):
-            stack += (node.right, node.left)
+    """The Name nodes of an expression, left to right."""
+    return (node for node, _ in _walk(e) if isinstance(node, Name))
 
 
 def _names(e, formulas=()):
@@ -130,33 +125,13 @@ def _names(e, formulas=()):
 
 
 def _dependency_order(defs):
-    """(order, closing) for definitions `defs` (name -> Expr), found by one
-    depth-first search without recursion that follows references left to
-    right.  `order` lists the names, each after the names of `defs` that
-    its expression refers to; `closing` holds the references (Name nodes)
-    that close a cycle, where the search met a name still open."""
-    order, closing, state = [], [], {}
-    for root in defs:
-        if root in state:
-            continue
-        state[root] = "open"
-        stack = [(root, _references(defs[root]))]
-        while stack:
-            name, refs = stack[-1]
-            for ref in refs:
-                if ref.ident not in defs:
-                    continue
-                if ref.ident not in state:
-                    state[ref.ident] = "open"
-                    stack.append((ref.ident, _references(defs[ref.ident])))
-                    break
-                if state[ref.ident] == "open":
-                    closing.append(ref)
-            else:
-                stack.pop()
-                state[name] = "done"
-                order.append(name)
-    return order, closing
+    """`depth_first` over definitions `defs` (name -> Expr), following
+    references left to right: (order, closing), where `order` lists the
+    names, each after the names of `defs` that its expression refers to,
+    and `closing` holds the references (Name nodes) that close a cycle."""
+    return depth_first(defs, lambda name: ((ref.ident, ref)
+                                           for ref in _references(defs[name])
+                                           if ref.ident in defs))
 
 
 # --------------------------------------------------------------------------
@@ -291,8 +266,14 @@ class _TypeChecker:
         self._check_duplicates()
         self._check_formulas()
         for c in self.model.constants:
-            if c.value is not None:
-                self._check_constant(c.value, c.span, f"value of constant '{c.name}'")
+            if c.value is None:
+                continue
+            what = f"value of constant '{c.name}'"
+            t = self._check_constant(c.value, c.span, what)
+            if c.kind == "int" and t not in (INT, None):
+                self.error(f"{what} is not an integer", c.span)
+            elif t == BOOL:
+                self.error(f"{what} is not numeric", c.span)
         for m in self.model.modules:
             declared = {v.name for v in m.variables}
             for v in m.variables:

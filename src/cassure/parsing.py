@@ -274,10 +274,8 @@ class _ModelParser(_Parser):
                 self.fail(f"unsupported construct '{self.tok.text}'")
             else:
                 self.fail(f"expected declaration, found {self.tok.text!r}")
-        ast = ModelAst(tuple(constants), tuple(formulas), tuple(modules),
-                       tuple(rewards))
-        self._validate(ast)
-        return ast
+        return ModelAst(tuple(constants), tuple(formulas), tuple(modules),
+                        tuple(rewards))
 
     def _const(self):
         span = self.expect("const").span
@@ -400,22 +398,6 @@ class _ModelParser(_Parser):
             items.append(RewardItem(guard, value, item_span))
         self.advance()
         return RewardStructureDecl(name, tuple(items), span)
-
-    def _validate(self, ast):
-        declared = {v.name for v in ast.all_variables()}
-        for mod in ast.modules:
-            local = {v.name for v in mod.variables}
-            for cmd in mod.commands:
-                for upd in cmd.updates:
-                    for name, _ in upd.assignments:
-                        if name not in declared:
-                            self.fail(
-                                f"update references undeclared variable '{name}'",
-                                cmd.span)
-                        if name not in local:
-                            self.fail(
-                                f"update assigns '{name}', which is not local to "
-                                f"module '{mod.name}'", cmd.span)
 
 
 def parse_model(text: str, file="<string>") -> ModelAst:

@@ -5,6 +5,7 @@ from cassure import (
     Annotation, ArgumentModel, GsnError, GsnLink, GsnNode, TraceLink,
     export_dot, merge_annotations, parse_dsl, serialize_dsl, validate_argument,
 )
+from cassure.diagnostics import depth_first
 from cassure.gsn import NODE_KINDS
 
 
@@ -100,6 +101,16 @@ def test_long_supported_by_chain_validates(back_to, expected):
     # The cycle search once recursed per link and overflowed on such chains.
     arg = parse_dsl(_chain_text(1500, back_to))
     assert [d.message for d in validate_argument(arg)] == expected
+
+
+def test_depth_first_reports_each_closing_edge_and_reaches_each_node_once():
+    # Two cycles pass through b: b -> c -> b and a -> b -> a.  e reaches c
+    # after c is done, which closes no cycle.
+    edges = {"a": [("b", "ab")], "b": [("c", "bc"), ("a", "ba"), ("d", "bd")],
+             "c": [("b", "cb")], "d": [], "e": [("c", "ec")]}
+    order, closing = depth_first("abcde", lambda u: edges[u])
+    assert closing == ["cb", "ba"]
+    assert order == ["c", "d", "b", "a", "e"]
 
 
 def test_multiple_roots_detected():

@@ -256,6 +256,25 @@ def test_apply_updates_solution_text_and_fingerprint(arg, results):
     assert new_fp != old_fp
 
 
+def test_a_goal_with_two_property_links_follows_the_first(arg, model_path, results):
+    # Impact, planning and apply all read the first of G.P_succ's property
+    # links, P_succ, whose fresh result moved; P_forb did not move.
+    arg = replace(arg, trace_links=arg.trace_links + (
+        TraceLink("G.P_succ", "property", "P_forb"),))
+    moved = [replace(r, value=pinned.P_SUCC_PERR_015)
+             if r.property == "P_succ" else r for r in results]
+    pkg = EvolutionPackage(changed_files=(FileDelta(str(model_path), "a", "b"),))
+    report, out = impact_analysis(arg, pkg, fresh_results=moved,
+                                  baseline_results=results)
+    assert report.goals_in("invalid") == ["G.P_succ"]
+    entries, out, _ = plan_regeneration(report, out)
+    assert [(e.goal_id, e.strategy) for e in entries] == [
+        ("G.P_succ", "re-verify"), ("G.root", "manual-review")]
+    applied = apply_regeneration(out, entries, moved)
+    assert "0.913378" in applied.node("E.P_succ").description
+    assert "EvidenceProvided" in applied.stereotypes_of("G.P_succ")
+
+
 # ---- annotation order across the whole lifecycle ----
 
 def test_lifecycle_annotation_order():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cassure import BindError, EvalError, bind_constants, parse_model, type_check
-from cassure.model import Binary, FormulaDecl, Lit, Name, Unary, Update, compile_expr
+from cassure.model import Binary, FormulaDecl, Lit, Name, Unary, compile_expr
 from reference_builder import evaluate
 
 
@@ -138,9 +138,8 @@ module b
   [] y=0 -> (y'=1);
 endmodule
 """
-    from cassure import ParseError
-    with pytest.raises(ParseError):
-        parse_model(text)
+    assert _errors(text) == [
+        "m.prism:4:3: error: assignment target 'y' is not a variable of this module"]
 
 
 def test_cyclic_constants_rejected():
@@ -439,21 +438,32 @@ def _typed_model(decl="const int K = 1;", var="y : [0..1] init 0;", guard="x=0",
      "6:3: error: lower bound of 'y' refers to variable 'x'; it must be constant"),
     ({"decl": "const double K;", "var": "y : [0..K] init 0;"},
      "6:3: error: upper bound of 'y' is not an integer expression"),
+    # A constant's value has the kind its declaration gives.
+    ({"decl": "const int c = true;"},
+     "2:1: error: value of constant 'c' is not an integer"),
+    ({"decl": "const int c = 0.5*2;"},
+     "2:1: error: value of constant 'c' is not an integer"),
+    ({"decl": "const int c = 4/2;"},
+     "2:1: error: value of constant 'c' is not an integer"),
+    ({"decl": "const double d = 1 > 0;"},
+     "2:1: error: value of constant 'd' is not numeric"),
+    ({"decl": "const int c = 1; const double d = c > 0;"},
+     "2:18: error: value of constant 'd' is not numeric"),
 ])
 def test_type_checker_diagnostic(parts, expected):
     assert _errors(_typed_model(**parts)) == [f"m.prism:{expected}"]
 
 
 def test_type_checker_locates_an_assignment_to_another_module():
-    # The parser rejects such a model first; an AST built otherwise is
-    # still checked.
-    ast = parse_model(_typed_model() + "module n\n  z : [0..1] init 0;\n"
-                      "  [] z=0 -> (z'=1);\nendmodule\n", file="m.prism")
-    module = ast.modules[1]
-    command = replace(module.commands[0], updates=(Update(None, (("x", Lit(1)),)),))
-    ast = replace(ast, modules=(ast.modules[0], replace(module, commands=(command,))))
-    assert [str(d) for d in type_check(ast)] == [
+    assert _errors(_typed_model() + "module n\n  z : [0..1] init 0;\n"
+                   "  [] z=0 -> (x'=1);\nendmodule\n") == [
         "m.prism:14:3: error: assignment target 'x' is not a variable of this module"]
+
+
+@pytest.mark.parametrize("decl", ["const double d = 1;", "const double d = 1/2;",
+                                  "const int c = -3*2;"])
+def test_constant_of_a_compatible_kind_checks_clean(decl):
+    assert _errors(_typed_model(decl=decl)) == []
 
 
 def test_undefined_constant_is_typed_by_its_kind_and_bound_by_an_override():

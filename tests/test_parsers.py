@@ -4,7 +4,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cassure import ParseError, parse_model, parse_properties
-from cassure.model import Binary, ConstantDecl, Lit, Name, Unary
+from cassure.model import (
+    Binary, ConstantDecl, Lit, Name, Unary, _references, expr_depth,
+)
 from cassure.parsing import (
     MAX_EXPR_DEPTH, render_expr, render_model, render_property,
 )
@@ -223,3 +225,27 @@ def test_expression_render_parse_round_trip(e):
     ast = parse_model(text)
     parsed = ast.formulas[0].expr
     assert render_expr(parsed) == render_expr(e)
+
+
+# ---- hypothesis: the walks without recursion equal their definitions ----
+
+def _depth(e, formula_depths):
+    if isinstance(e, Unary):
+        return 1 + _depth(e.operand, formula_depths)
+    if isinstance(e, Binary):
+        return 1 + max(_depth(e.left, formula_depths), _depth(e.right, formula_depths))
+    return 1 + (formula_depths.get(e.ident, 0) if isinstance(e, Name) else 0)
+
+
+def _names_left_to_right(e):
+    if isinstance(e, Unary):
+        return _names_left_to_right(e.operand)
+    if isinstance(e, Binary):
+        return _names_left_to_right(e.left) + _names_left_to_right(e.right)
+    return [e] if isinstance(e, Name) else []
+
+
+@given(exprs, st.dictionaries(names, st.integers(0, 5)))
+def test_depth_and_references_equal_their_recursive_definitions(e, formula_depths):
+    assert expr_depth(e, formula_depths) == _depth(e, formula_depths)
+    assert list(map(id, _references(e))) == list(map(id, _names_left_to_right(e)))
