@@ -34,7 +34,7 @@ from .lifecycle import (
     ingest_monitor_events, load_package, parse_monitor_events, parse_plan,
     plan_regeneration, serialize_plan,
 )
-from .model import bind_constants, type_check
+from .model import bind_constants
 from .parsing import parse_model, parse_properties
 from .statespace import StateSpace, build_dtmc
 from .transform import ModelRef, build_argument, regenerate
@@ -209,16 +209,13 @@ def run_check(config: PipelineConfig, last: Checked | None = None) -> Checked:
     props_text = config.props_path().read_text()
     rebuild = last is None or last.model_text != model_text
     if rebuild:
-        ast = parse_model(model_text, file=config.model)
-        errors = [d for d in type_check(ast) if d.severity == "error"]
-        if errors:
-            raise ParseError(errors)
+        bound = bind_constants(parse_model(model_text, file=config.model),
+                               config.constants)
     if last and last.props_text == props_text:
         props = last.props
     else:
         props = parse_properties(props_text, file=config.props)
-    space = (build_dtmc(bind_constants(ast, config.constants),
-                        previous=last and last.space) if rebuild else last.space)
+    space = build_dtmc(bound, previous=last and last.space) if rebuild else last.space
     return Checked(space, props_text, props,
                    check_properties(space, props, config.solver()))
 
@@ -331,10 +328,8 @@ _WATCH = _GENERATE + ("poll_ms",)
 
 
 def _fail(e):
-    click.echo(f"error: {e}", err=True)
-    if isinstance(e, ParseError):
-        for d in e.diagnostics:
-            click.echo(f"  {d}", err=True)
+    for line in e.diagnostics if isinstance(e, ParseError) else [e]:
+        click.echo(f"error: {line}", err=True)
     sys.exit(2)
 
 

@@ -21,13 +21,16 @@ references, which also finds the cycles among them.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .diagnostics import BindError, Diagnostic, EvalError, SourceSpan, depth_first
+from .diagnostics import (
+    BindError, Diagnostic, EvalError, ParseError, SourceSpan, depth_first,
+)
 
 INT = "int"
 REAL = "real"
@@ -461,7 +464,9 @@ class VarInfo:
 
 @dataclass(frozen=True)
 class BoundModel:
-    """A type-checked model with every constant resolved to a value."""
+    """A type-checked model with every constant resolved to a value, as
+    `bind_constants` makes it: a model that fails `type_check` raises its
+    located ParseError there instead."""
     ast: ModelAst
     constants: dict        # name -> int | float
     formulas: dict         # name -> Expr
@@ -474,23 +479,30 @@ PROB_TOL = 1e-10
 
 
 def bind_constants(model: ModelAst, overrides=None) -> BoundModel:
-    """Resolve all constants, applying overrides, and evaluate derived ones.
+    """Type-check the model, then resolve all constants, applying overrides,
+    and evaluate derived ones.
 
-    Overrides replace a constant's defining expression; derived constants are
-    then re-evaluated, so overriding e.g. one branch probability flows into
-    constants defined in terms of it.  Constants are evaluated in dependency
-    order; a cycle among constants and formulas is a BindError, and so is an
-    undefined constant (``const int N;``) that no override gives a value.
+    A model that fails `type_check` raises ParseError with its located
+    diagnostics.  Overrides replace a constant's defining expression;
+    derived constants are then re-evaluated, so overriding e.g. one branch
+    probability flows into constants defined in terms of it.  An override
+    must be a real number, and an integral one for an int constant.
+    Constants are evaluated in dependency order; a cycle among constants and
+    formulas is a BindError, and so is an undefined constant
+    (``const int N;``) that no override gives a value.
     """
+    diagnostics = type_check(model)
+    if diagnostics:
+        raise ParseError(diagnostics)
     decls = {c.name: c for c in model.constants}
     defs = {name: decl.value for name, decl in decls.items()}
     for name, value in (overrides or {}).items():
         decl = decls.get(name)
         if decl is None:
             raise BindError(f"unknown constant '{name}'")
-        if decl.kind == "int" and (isinstance(value, bool)
-                                   or not float(value).is_integer()):
-            raise BindError(f"constant '{name}' is int but override is {value!r}")
+        if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                or decl.kind == "int" and not float(value).is_integer()):
+            raise BindError(f"constant '{name}' is {decl.kind} but override is {value!r}")
         # An overridden constant depends on nothing.
         defs[name] = Lit(int(value) if decl.kind == "int" else float(value))
     for name, e in defs.items():
@@ -498,8 +510,7 @@ def bind_constants(model: ModelAst, overrides=None) -> BoundModel:
             raise BindError(f"undefined constant '{name}': no override gives it a value")
 
     formulas = {f.name: f.expr for f in model.formulas}
-    # A constant hides a formula of the same name, as in _compile.
-    defs.update((name, e) for name, e in formulas.items() if name not in defs)
+    defs.update(formulas)
     order, closing = _dependency_order(defs)
     if closing:
         name = closing[0].ident
@@ -520,24 +531,15 @@ def bind_constants(model: ModelAst, overrides=None) -> BoundModel:
                 known[name] = _constant(defs[name], scope)
             continue
         v = _constant(defs[name], scope)
-        if decls[name].kind != "int":
-            v = float(v)
-        elif isinstance(v, float):
-            if not v.is_integer():
-                raise BindError(f"constant '{name}' is int but evaluates to {v}")
-            v = int(v)
-        values[name] = known[name] = v
+        values[name] = known[name] = v if decls[name].kind == "int" else float(v)
 
     variables = []
     env = BoundModel(model, values, formulas, ())
     for v in model.all_variables():
         if v.is_bool:
-            init = _constant(v.init, env)
-            variables.append(VarInfo(v.name, None, None, bool(init), True))
+            variables.append(VarInfo(v.name, None, None, _constant(v.init, env), True))
             continue
-        low = int(_constant(v.low, env))
-        high = int(_constant(v.high, env))
-        init = int(_constant(v.init, env))
+        low, high, init = (_constant(e, env) for e in (v.low, v.high, v.init))
         if low > high:
             raise BindError(f"variable '{v.name}' has empty range [{low}..{high}]")
         if not low <= init <= high:

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import cassure.cli as cli
+import cassure.model
 from cassure.cli import (
     PipelineConfig, load_config_file, main, resolve_config, run_cycle,
     watch_loop,
@@ -370,6 +371,37 @@ def test_formula_chain_exits_2(workdir):
     assert r.exit_code == 2, r.output
     assert (f"error: {model}:{line}:1: error: formula 'f2' is deeper than "
             "50 levels with formulas expanded") in r.output
+
+
+def test_each_diagnostic_is_printed_once(tmp_path):
+    model = tmp_path / "k.prism"
+    model.write_text(
+        "dtmc\nconst int c = true;\nconst int d = 0.5;\n"
+        "module m\n  x : [0..1] init 0;\n  [] x=0 -> (x'=1);\nendmodule\n")
+    (tmp_path / "k.props").write_text('"r": P=? [ F x=1 ]\n')
+    r = invoke("check", "--model", str(model), "--out", str(tmp_path / "out"))
+    assert r.exit_code == 2, r.output
+    assert r.output.splitlines() == [
+        f"error: {model}:2:1: error: value of constant 'c' is not an integer",
+        f"error: {model}:3:1: error: value of constant 'd' is not an integer"]
+
+
+def test_a_model_is_type_checked_once_per_rebuild(workdir, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cassure.model, "type_check",
+                        lambda ast, _real=cassure.model.type_check:
+                        calls.append(ast) or _real(ast))
+    config = make_config(workdir)
+    counts = []
+    last = None
+    for edit in (None, _edit(workdir / "nuclear.props", "F<=5", "F<=6"),
+                 _edit(workdir / "nuclear.prism", "p_err = 0.01;", "p_err = 0.015;")):
+        if edit:
+            edit()
+        calls.clear()
+        last = cli.run_check(config, last)
+        counts.append(len(calls))
+    assert counts == [1, 0, 1]
 
 
 def test_constants_defined_by_later_ones_exit_0(tmp_path):

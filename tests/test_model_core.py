@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cassure import BindError, EvalError, bind_constants, parse_model, type_check
+from cassure import BindError, EvalError, ParseError, bind_constants, parse_model, type_check
 from cassure.model import Binary, FormulaDecl, Lit, Name, Unary, compile_expr
 from reference_builder import evaluate
 
@@ -45,6 +45,19 @@ def test_int_override_rejects_fraction():
     ast = parse_model(MINI)
     with pytest.raises(BindError, match="int"):
         bind_constants(ast, {"n": 2.5})
+
+
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), None, "0.3", "2"])
+@pytest.mark.parametrize("name", ["p", "n"])
+def test_override_that_is_not_a_real_number_rejected(name, value):
+    with pytest.raises(BindError, match=f"constant '{name}' is .* but override is"):
+        bind_constants(parse_model(MINI), {name: value})
+
+
+def test_numpy_scalar_overrides_accepted():
+    b = bind_constants(parse_model(MINI), {"p": np.float32(0.5), "n": np.int64(2)})
+    assert b.constants == {"p": 0.5, "q": 0.5, "n": 2}
+    assert [type(b.constants[k]) for k in "pqn"] == [float, float, int]
 
 
 def test_unknown_override_rejected():
@@ -126,8 +139,7 @@ def test_long_formula_chains_and_cycles_are_checked_without_recursion():
         "m.prism:3:13: error: recursive formula 'a'"]
 
 
-def test_assignment_to_foreign_variable_flagged():
-    text = """\
+FOREIGN = """\
 dtmc
 module a
   x : [0..1] init 0;
@@ -138,8 +150,23 @@ module b
   [] y=0 -> (y'=1);
 endmodule
 """
-    assert _errors(text) == [
+
+
+def test_assignment_to_foreign_variable_flagged():
+    assert _errors(FOREIGN) == [
         "m.prism:4:3: error: assignment target 'y' is not a variable of this module"]
+
+
+@pytest.mark.parametrize("target", ["y", "zz"], ids=["foreign", "undeclared"])
+def test_binding_rejects_an_assignment_to_no_variable_of_the_module(target):
+    # bind_constants type-checks: the build would take a foreign target and
+    # fail on an undeclared one with a KeyError.
+    text = FOREIGN.replace("[] x=0 -> (y'=1);", f"[] x=0 -> ({target}'=1);")
+    with pytest.raises(ParseError) as info:
+        bind_constants(parse_model(text, file="m.prism"))
+    assert [str(d) for d in info.value.diagnostics] == [
+        f"m.prism:4:3: error: assignment target '{target}' is not a variable "
+        "of this module"]
 
 
 def test_cyclic_constants_rejected():
@@ -149,21 +176,32 @@ def test_cyclic_constants_rejected():
         bind_constants(parse_model(text))
 
 
-def test_formula_cycle_is_a_bind_error():
-    # Without type_check first, this was once a RecursionError.
-    text = "dtmc\nformula f = g;\nformula g = f;\nconst int c = f;\n" \
-           "module m\n  x : [0..1] init 0;\n  [] x=0 -> (x'=1);\nendmodule\n"
-    with pytest.raises(BindError, match="recursive formula 'f'"):
-        bind_constants(parse_model(text))
+def test_formula_cycle_is_a_type_error_and_a_mixed_cycle_a_bind_error():
+    # The type check finds a cycle of formulas.  It types a constant by its
+    # declared kind, so a cycle through a constant is left to bind.
+    module = "module m\n  x : [0..1] init 0;\n  [] x=0 -> (x'=1);\nendmodule\n"
+    text = "dtmc\nformula f = g;\nformula g = f;\nconst int c = f;\n" + module
+    with pytest.raises(ParseError) as info:
+        bind_constants(parse_model(text, file="m.prism"))
+    assert [str(d) for d in info.value.diagnostics] == [
+        "m.prism:3:13: error: recursive formula 'f'"]
+    mixed = parse_model("dtmc\nconst int c = f;\nformula f = c;\n" + module)
+    assert type_check(mixed) == []
+    with pytest.raises(BindError, match="cyclic constant definition involving 'c'"):
+        bind_constants(mixed)
 
 
-def test_long_formula_chain_binds_without_type_check():
-    # type_check rejects the chain as too deep; bind_constants alone once
-    # expanded it by recursion.
+def test_long_formula_chain_is_a_located_error_at_bind():
+    # bind_constants type-checks before it evaluates, so the chain is
+    # reported where it crosses the depth limit and is never expanded.
     chain = ["f0 = 1"] + [f"f{i} = f{i - 1}" for i in range(1, 1500)]
     text = _with_formulas(chain, "x=0").replace(
         "module m", "const int c = f1499 + 0;\nmodule m")
-    assert bind_constants(parse_model(text)).constants == {"c": 1}
+    with pytest.raises(ParseError) as info:
+        bind_constants(parse_model(text, file="m.prism"))
+    assert [str(d) for d in info.value.diagnostics] == [
+        "m.prism:52:1: error: formula 'f50' is deeper than 50 levels with "
+        "formulas expanded"]
 
 
 @pytest.mark.parametrize("text", [
@@ -236,6 +274,12 @@ def bind_by_sweeps(ast):
 @given(definition_graphs())
 def test_binding_equals_a_reference_by_sweeps(text):
     ast = parse_model(text)
+    diagnostics = type_check(ast)
+    if diagnostics:
+        with pytest.raises(ParseError) as info:
+            bind_constants(ast)
+        assert info.value.diagnostics == diagnostics
+        return
     expected = bind_by_sweeps(ast)
     if expected is None:
         with pytest.raises(BindError):
@@ -246,12 +290,14 @@ def test_binding_equals_a_reference_by_sweeps(text):
         {k: (type(v), v) for k, v in expected.items()}
 
 
-def test_unknown_name_in_constant_is_an_eval_error():
-    # Without type_check first, this was once a bare KeyError.
+def test_unknown_name_in_constant_is_a_located_error_at_bind():
+    # bind_constants type-checks before it evaluates, so the name is located.
     text = "dtmc\nconst int a = zz;\n" \
            "module m\n  x : [0..1] init 0;\n  [] x=0 -> (x'=1);\nendmodule\n"
-    with pytest.raises(EvalError, match="unbound identifier 'zz'"):
-        bind_constants(parse_model(text))
+    with pytest.raises(ParseError) as info:
+        bind_constants(parse_model(text, file="m.prism"))
+    assert [str(d) for d in info.value.diagnostics] == [
+        "m.prism:2:15: error: unknown identifier 'zz'"]
 
 
 def test_compiled_formulas_equal_the_reference(space):
