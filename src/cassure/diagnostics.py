@@ -1,10 +1,15 @@
-"""Source locations and diagnostics shared by the parsers and checkers, and
-`depth_first`, the one graph search of the checks: the order of a model's
-constants and formulas and the supported-by cycles of a GSN argument."""
+"""Source locations and diagnostics shared by the parsers and checkers;
+`read_record`, the one reader of the JSON records, whose schema is each
+record's dataclass; and `depth_first`, the one graph search of the checks:
+the order of a model's constants and formulas and the supported-by cycles of
+a GSN argument."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from functools import cache
+from math import isnan
+from types import NoneType
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,40 @@ def json_field(rec, key, kind, *default):
     if not isinstance(value, kind):
         raise TypeError(f"{key!r} has the wrong type: {value!r}")
     return value
+
+
+# The JSON kinds a record field accepts, by the text of its annotation (the
+# record modules postpone annotations).  A number is never a bool.
+_JSON_KINDS = {"str": (str,), "str | None": (str, NoneType), "int": (int,),
+               "float | None": (int, float, NoneType), "bool": (bool,),
+               "bool | None": (bool, NoneType), "dict": (dict,)}
+
+
+@cache
+def _record_fields(cls):
+    """(name, accepted kinds, required) per field of the dataclass `cls`."""
+    return tuple((f.name, _JSON_KINDS[f.type],
+                  f.default is MISSING and f.default_factory is MISSING)
+                 for f in fields(cls))
+
+
+def read_record(cls, rec):
+    """The dataclass `cls` read from the loaded JSON object `rec`; other keys
+    are ignored.  A field that `rec` lacks takes its default, or raises
+    KeyError without one.  A value of a kind its field's annotation does not
+    allow, or NaN, raises TypeError.  Readers report both via ``malformed``."""
+    if not isinstance(rec, dict):
+        raise TypeError(f"expected a JSON object, got {rec!r}")
+    values = {}
+    for name, kinds, required in _record_fields(cls):
+        if name in rec:
+            value = values[name] = rec[name]
+            kind = type(value)  # not isinstance(), so that a bool is no int
+            if kind not in kinds or kind is float and isnan(value):
+                raise TypeError(f"{name!r} has the wrong type: {value!r}")
+        elif required:
+            raise KeyError(name)
+    return cls(**values)
 
 
 def depth_first(nodes, edges):

@@ -26,12 +26,11 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from types import NoneType
 
 import numpy as np
 
 from .diagnostics import (
-    BuildError, CassureError, EvalError, SolverError, json_field, malformed,
+    BuildError, CassureError, EvalError, SolverError, malformed, read_record,
 )
 from .parsing import render_expr
 from .statespace import StateSpace, label_states, run_heads
@@ -373,17 +372,9 @@ def result_fingerprint(res: VerificationResult) -> str:
     return h.hexdigest()
 
 
-# One JSON object per line, fixed key order.
-_RECORD_KEYS = ("property", "kind", "value", "infinite", "verdict", "marginal",
-                "stats", "model_fingerprint")
-
-
 def serialize_results(results) -> str:
-    lines = []
-    for r in results:
-        rec = {k: getattr(r, k) for k in _RECORD_KEYS}
-        lines.append(json.dumps(rec, sort_keys=False))
-    return "\n".join(lines) + "\n"
+    """One JSON object per line, its keys the fields of VerificationResult."""
+    return "\n".join(json.dumps(vars(r)) for r in results) + "\n"
 
 
 def parse_results(text: str):
@@ -393,15 +384,7 @@ def parse_results(text: str):
         if not line:
             continue
         try:
-            rec = json.loads(line)
-            res = VerificationResult(
-                json_field(rec, "property", str), json_field(rec, "kind", str),
-                json_field(rec, "value", (int, float, NoneType), None),
-                json_field(rec, "infinite", bool, False),
-                json_field(rec, "verdict", (bool, NoneType), None),
-                json_field(rec, "marginal", bool, False),
-                json_field(rec, "stats", dict, {}),
-                json_field(rec, "model_fingerprint", str, ""))
+            res = read_record(VerificationResult, json.loads(line))
             if res.value is None and res.kind != "boolean" and not res.infinite:
                 raise TypeError(f"'value' of a {res.kind} result is null")
             out.append(res)

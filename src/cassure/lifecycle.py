@@ -15,9 +15,8 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from types import NoneType
 
-from .diagnostics import CassureError, json_field, malformed
+from .diagnostics import CassureError, json_field, malformed, read_record
 from .engine import result_fingerprint
 from .gsn import Annotation, ArgumentModel
 from .transform import solution_description
@@ -60,13 +59,7 @@ def parse_monitor_events(text: str):
         if not line or line.startswith("#"):
             continue
         try:
-            rec = json.loads(line)
-            events.append(MonitorEvent(
-                json_field(rec, "timestamp", str),
-                json_field(rec, "monitor_id", str), json_field(rec, "kind", str),
-                json_field(rec, "value", (int, float, NoneType), None),
-                json_field(rec, "detail", (str, NoneType), None),
-                json_field(rec, "payload", (str, NoneType), None)))
+            events.append(read_record(MonitorEvent, json.loads(line)))
         except (KeyError, ValueError, TypeError) as e:
             raise LifecycleError(
                 malformed(f"event record on line {lineno}", e)) from None
@@ -129,8 +122,8 @@ def ingest_monitor_events(arg: ArgumentModel, events):
 @dataclass(frozen=True)
 class FileDelta:
     path: str
-    old_fingerprint: str
-    new_fingerprint: str
+    old_fingerprint: str = ""
+    new_fingerprint: str = ""
 
     @property
     def changed(self):
@@ -156,9 +149,7 @@ def load_package(directory) -> EvolutionPackage:
         raise LifecycleError(f"no package manifest at {path}")
     try:
         rec = json.loads(path.read_text())
-        deltas = tuple(FileDelta(json_field(d, "path", str),
-                                 json_field(d, "old_fingerprint", str, ""),
-                                 json_field(d, "new_fingerprint", str, ""))
+        deltas = tuple(read_record(FileDelta, d)
                        for d in json_field(rec, "changed_files", list, []))
         reopened = json_field(rec, "reopened_goals", list, [])
         if not all(isinstance(gid, str) for gid in reopened):
@@ -177,27 +168,20 @@ def load_package(directory) -> EvolutionPackage:
 
 @dataclass
 class ImpactReport:
-    classifications: dict = field(default_factory=dict)  # goal id -> class
-    rationales: dict = field(default_factory=dict)
-    summary: str = ""
+    classifications: dict  # goal id -> class
+    rationales: dict
+    summary: str
 
     def goals_in(self, cls):
         return sorted(g for g, c in self.classifications.items() if c == cls)
 
     def to_json(self):
-        return json.dumps({
-            "classifications": self.classifications,
-            "rationales": self.rationales,
-            "summary": self.summary,
-        }, indent=2, sort_keys=True)
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text):
         try:
-            rec = json.loads(text)
-            return ImpactReport(json_field(rec, "classifications", dict),
-                                json_field(rec, "rationales", dict),
-                                json_field(rec, "summary", str))
+            return read_record(ImpactReport, json.loads(text))
         except (KeyError, ValueError, TypeError) as e:
             raise LifecycleError(malformed("impact report", e)) from None
 
@@ -236,7 +220,7 @@ def impact_analysis(arg: ArgumentModel, pkg: EvolutionPackage,
     recorded = {t.ref: t.fingerprint for t in reversed(arg.trace_links)
                 if t.artifact_kind == "verification-result"}
 
-    report = ImpactReport()
+    classifications, rationales = {}, {}
     for goal in arg.goals():
         gid = goal.id
         prop_name = _property_of(arg, gid)
@@ -272,13 +256,14 @@ def impact_analysis(arg: ArgumentModel, pkg: EvolutionPackage,
             cls, why = "uncertain", "model artifact changed, goal not re-checkable"
         elif reason == "confidence":
             cls, why = "uncertain", "reopened by confidence drop"
-        report.classifications[gid] = cls
-        report.rationales[gid] = why
+        classifications[gid] = cls
+        rationales[gid] = why
 
-    counts = {c: sum(1 for v in report.classifications.values() if v == c)
+    counts = {c: sum(1 for v in classifications.values() if v == c)
               for c in ("valid", "invalid", "uncertain")}
-    report.summary = (f"valid={counts['valid']} invalid={counts['invalid']} "
-                      f"uncertain={counts['uncertain']}")
+    report = ImpactReport(classifications, rationales,
+                          f"valid={counts['valid']} invalid={counts['invalid']} "
+                          f"uncertain={counts['uncertain']}")
 
     return report, arg.edit_annotations(
         add=(Annotation.stereotype("S.byProperty", "ImpactAnalysis"),
@@ -327,19 +312,12 @@ class RegenerationPlanEntry:
 
 
 def serialize_plan(entries) -> str:
-    return json.dumps([e.__dict__ for e in entries], indent=2)
+    return json.dumps([vars(e) for e in entries], indent=2)
 
 
 def parse_plan(text):
     try:
-        return [RegenerationPlanEntry(
-                    json_field(rec, "goal_id", str),
-                    json_field(rec, "strategy", str),
-                    json_field(rec, "rank", int),
-                    json_field(rec, "evidence_cost", (str, NoneType)),
-                    json_field(rec, "cost_hours", (int, float, NoneType)),
-                    json_field(rec, "critical", bool, False))
-                for rec in json.loads(text)]
+        return [read_record(RegenerationPlanEntry, r) for r in json.loads(text)]
     except (KeyError, ValueError, TypeError) as e:
         raise LifecycleError(malformed("plan", e)) from None
 

@@ -617,10 +617,11 @@ def compile_expr(e: Expr, env: BoundModel):
     ``evaluate.folded`` is the expression's value when it folded to a
     constant, so that a caller may use it without evaluating; else None.
     """
-    slots = {v.name: (j, None if v.is_bool else (v.low, v.high))
+    names = {v.name: _Node(fn=lambda cols, live, errors, j=j: cols[j],
+                           bounds=None if v.is_bool else (v.low, v.high))
              for j, v in enumerate(env.variables)}
     wide = []
-    node = _compile(e, env, slots, wide)
+    node = _compile(e, env, names, wide)
     exact = bool(wide)
 
     def evaluate(cols, n):
@@ -703,30 +704,31 @@ def _fold(op, l, r, bounds):
         return _Node(fn=fail, raises=True)
 
 
-def _compile(e, env, slots, wide):
+def _compile(e, env, names, wide):
     """The node of `e`; `e` is appended to `wide` if its interval leaves
-    [-2**53, 2**53].  `slots` maps each variable to its column and range."""
-    node = _compile_node(e, env, slots, wide)
+    [-2**53, 2**53].  `names` maps each variable, and each formula compiled
+    so far in this call, to its node: a formula is compiled once."""
+    node = _compile_node(e, env, names, wide)
     if node.bounds is not None and max(-node.bounds[0], node.bounds[1]) > _EXACT_INT:
         wide.append(e)
     return node
 
 
-def _compile_node(e, env, slots, wide):
+def _compile_node(e, env, names, wide):
     if isinstance(e, Lit):
         return _Node(e.value, bounds=_point(e.value))
     if isinstance(e, Name):
-        if e.ident in slots:
-            j, bounds = slots[e.ident]
-            return _Node(fn=lambda cols, live, errors: cols[j], bounds=bounds)
+        if e.ident in names:
+            return names[e.ident]
         if e.ident in env.constants:
             value = env.constants[e.ident]
             return _Node(value, bounds=_point(value))
         if e.ident in env.formulas:
-            return _compile(env.formulas[e.ident], env, slots, wide)
+            names[e.ident] = _compile(env.formulas[e.ident], env, names, wide)
+            return names[e.ident]
         raise EvalError(f"unbound identifier '{e.ident}'")
     if isinstance(e, Unary):
-        arg = _compile(e.operand, env, slots, wide)
+        arg = _compile(e.operand, env, names, wide)
         bounds = (-arg.bounds[1], -arg.bounds[0]) if arg.bounds and e.op == "-" else None
         if arg.fn is None:
             return _Node(-arg.value if e.op == "-" else not arg.value, bounds=bounds)
@@ -734,8 +736,8 @@ def _compile_node(e, env, slots, wide):
         return _Node(fn=lambda cols, live, errors: ufunc(f(cols, live, errors)),
                      raises=arg.raises, bounds=bounds)
     if isinstance(e, Binary):
-        left = _compile(e.left, env, slots, wide)
-        right = _compile(e.right, env, slots, wide)
+        left = _compile(e.left, env, names, wide)
+        right = _compile(e.right, env, names, wide)
         if e.op in LOGIC:
             return _logic(e.op, left, right)
         bounds = _arithmetic_bounds(e.op, left.bounds, right.bounds)

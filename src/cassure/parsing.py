@@ -524,27 +524,17 @@ def render_expr(e: Expr, parent_prec=0) -> str:
     if isinstance(e, Name):
         return e.ident
     if isinstance(e, Unary):
-        if e.op == "!":
-            # '!' sits between '&' and the comparisons in the grammar, so it
-            # needs parentheses anywhere tighter than an '&' operand.
-            s = "!" + render_expr(e.operand, 4)
-            return f"({s})" if parent_prec > 3 else s
-        inner = render_expr(e.operand, 7)
-        return f"{e.op}{inner}"
+        s = e.op + render_expr(e.operand, _PREFIX[e.op])
+        # '!' binds looser than a comparison, so it is parenthesised anywhere
+        # tighter than the level of '&'.
+        return f"({s})" if e.op == "!" and parent_prec > _PREFIX["!"] - 1 else s
     if isinstance(e, Binary):
-        prec = _PREC[e.op]
-        # Right operand of -, / and chained comparisons must keep grouping.
-        left_prec, right_prec = prec, prec + 1
-        if prec == 4:
-            # comparisons are non-associative: both operands need grouping
-            left_prec = prec + 1
-        elif e.op == "->":
-            # right-associative
-            left_prec, right_prec = prec + 1, prec
-        s = f"{render_expr(e.left, left_prec)} {e.op} {render_expr(e.right, right_prec)}"
-        if prec < parent_prec:
-            return f"({s})"
-        return s
+        # Each operand at the level the parser reads it at: the left one is
+        # grouped unless the operator may follow it (the ceiling after it).
+        prec, right_prec, ceiling = _BINARY[e.op]
+        left = render_expr(e.left, prec if ceiling >= prec else prec + 1)
+        s = f"{left} {e.op} {render_expr(e.right, right_prec)}"
+        return f"({s})" if prec < parent_prec else s
     raise TypeError(f"not an expression: {e!r}")
 
 

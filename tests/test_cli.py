@@ -653,6 +653,27 @@ def test_malformed_lifecycle_input_exits_2(workdir, case):
     assert f"error: {bad}: malformed" in r.output
 
 
+def test_impact_rejects_a_nan_result_value(workdir):
+    # A NaN value would compare as unchanged with any baseline and confirm
+    # the goal; JSON has no NaN, so the record is malformed.
+    out = _generate(workdir)
+    package = workdir / "package"
+    package.mkdir()
+    (package / "package.json").write_text(json.dumps({"changed_files": [
+        {"path": "nuclear.prism", "old_fingerprint": "a",
+         "new_fingerprint": "b"}]}))
+    fresh = workdir / "fresh.jsonl"
+    fresh.write_text('{"property": "P_succ", "kind": "probability", '
+                     '"value": NaN}\n')
+    r = invoke("impact", "--model", str(workdir / "nuclear.prism"),
+               "--out", str(out), "--package", str(package),
+               "--fresh-results", str(fresh),
+               "--baseline-results", str(out / "nuclear.results.jsonl"))
+    assert r.exit_code == 2, r.output
+    assert f"error: {fresh}: malformed result record on line 1" in r.output
+    assert not (out / "impact_report.json").exists()
+
+
 def test_non_utf8_input_exits_2(workdir):
     out = _generate(workdir)
     events = workdir / "events.jsonl"

@@ -10,9 +10,9 @@ import pytest
 import cassure.engine as engine
 import pinned
 from cassure import (
-    SolverConfig, SolverError, bind_constants, build_dtmc, check_properties,
-    check_property, parse_model, parse_properties, parse_results, render_value,
-    result_fingerprint, serialize_results,
+    SolverConfig, SolverError, VerificationResult, bind_constants, build_dtmc,
+    check_properties, check_property, parse_model, parse_properties,
+    parse_results, render_value, result_fingerprint, serialize_results,
 )
 from cassure.engine import (
     _Until, _solve_unknown, bounded_eventually_probability, prob0_states,
@@ -272,6 +272,36 @@ def test_results_round_trip(results):
     assert [r.property for r in back] == [r.property for r in results]
     assert all(a.value == b.value and a.verdict is b.verdict
                for a, b in zip(back, results))
+
+
+# Records of each kind, with the text that serialize_results has always
+# written for them.
+RECORDS = [
+    VerificationResult("P_succ", "probability", 0.9320652173913043, False, None,
+                       False, {"iterations": 0, "unknown_states": 44}, "ab12"),
+    VerificationResult("P_safe", "boolean", None, False, True, True, {}, ""),
+    VerificationResult("R_time", "reward", None, True, None, False,
+                       {"iterations": 3}, "cd34"),
+    VerificationResult("R_moves", "reward", 7, False, False, False, {}, "ef56"),
+]
+RECORDS_TEXT = (
+    '{"property": "P_succ", "kind": "probability", "value": 0.9320652173913043, '
+    '"infinite": false, "verdict": null, "marginal": false, "stats": '
+    '{"iterations": 0, "unknown_states": 44}, "model_fingerprint": "ab12"}\n'
+    '{"property": "P_safe", "kind": "boolean", "value": null, "infinite": false, '
+    '"verdict": true, "marginal": true, "stats": {}, "model_fingerprint": ""}\n'
+    '{"property": "R_time", "kind": "reward", "value": null, "infinite": true, '
+    '"verdict": null, "marginal": false, "stats": {"iterations": 3}, '
+    '"model_fingerprint": "cd34"}\n'
+    '{"property": "R_moves", "kind": "reward", "value": 7, "infinite": false, '
+    '"verdict": false, "marginal": false, "stats": {}, "model_fingerprint": '
+    '"ef56"}\n')
+
+
+def test_result_records_are_written_and_read_back_unchanged(results):
+    assert serialize_results(RECORDS) == RECORDS_TEXT
+    assert parse_results(RECORDS_TEXT) == RECORDS
+    assert parse_results(serialize_results(results)) == results
 
 
 def test_closed_form_no_radiation():

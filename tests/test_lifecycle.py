@@ -1,16 +1,17 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import pinned
 from cassure import (
-    Annotation, ArgumentModel, GsnLink, GsnNode, LifecycleError, TraceLink,
-    VerificationResult, bind_constants, build_dtmc, check_properties,
-    parse_model, result_fingerprint, validate_argument,
+    Annotation, ArgumentModel, CassureError, GsnLink, GsnNode, LifecycleError,
+    TraceLink, VerificationResult, bind_constants, build_dtmc, check_properties,
+    parse_model, parse_results, result_fingerprint, validate_argument,
 )
 from cassure.lifecycle import (
-    EvolutionPackage, FileDelta, MonitorEvent, apply_regeneration,
+    EvolutionPackage, FileDelta, ImpactReport, MonitorEvent, apply_regeneration,
     impact_analysis, ingest_monitor_events, load_package, parse_evidence_cost,
     parse_monitor_events, parse_plan, plan_regeneration, serialize_plan,
 )
@@ -97,6 +98,14 @@ def test_package_loading(tmp_path):
     (tmp_path / "package.json").write_text("{}")
     with pytest.raises(LifecycleError, match="triggering"):
         load_package(tmp_path)
+
+
+def test_file_delta_without_fingerprints_reads_as_empty(tmp_path):
+    (tmp_path / "package.json").write_text(json.dumps({
+        "changed_files": [{"path": "nuclear.prism"}],
+        "reopened_goals": ["G.P_succ"]}))
+    assert load_package(tmp_path).changed_files == (
+        FileDelta("nuclear.prism", "", ""),)
 
 
 def test_empty_package_all_valid(arg):
@@ -197,6 +206,42 @@ def test_plan_serialization_round_trip(arg, model_path):
     report, out = impact_analysis(arg, pkg)
     entries, _, _ = plan_regeneration(report, out)
     assert parse_plan(serialize_plan(entries)) == entries
+
+
+GOLDEN = Path(__file__).parent / "golden" / "lifecycle"
+
+
+def test_impact_report_and_plan_are_written_and_read_back_unchanged():
+    text = (GOLDEN / "impact_report.json").read_text()
+    assert ImpactReport.from_json(text).to_json() == text
+    text = (GOLDEN / "plan.json").read_text()
+    assert serialize_plan(parse_plan(text)) == text
+
+
+RESULT = {"property": "P_succ", "kind": "probability", "value": 0.5}
+ENTRY = {"goal_id": "G.P_succ", "strategy": "re-verify", "rank": 1,
+         "evidence_cost": "2h", "cost_hours": 2.0, "critical": False}
+EVENT = {"timestamp": "t", "monitor_id": "m", "kind": "confidence", "value": 0.5}
+
+
+@pytest.mark.parametrize("read, rec, error", [
+    (parse_results, dict(RESULT, value=float("nan")),
+     "malformed result record on line 1: 'value' has the wrong type: nan"),
+    (parse_results, dict(RESULT, value=True),
+     "malformed result record on line 1: 'value' has the wrong type: True"),
+    (parse_plan, [dict(ENTRY, rank=True)],
+     "malformed plan: 'rank' has the wrong type: True"),
+    (parse_plan, [dict(ENTRY, cost_hours=float("nan"))],
+     "malformed plan: 'cost_hours' has the wrong type: nan"),
+    (parse_monitor_events, dict(EVENT, value=True),
+     "malformed event record on line 1: 'value' has the wrong type: True"),
+], ids=["result-nan", "result-bool", "plan-rank-bool", "plan-cost-nan",
+        "event-bool"])
+def test_a_nan_or_a_bool_is_no_number(read, rec, error):
+    # json.dumps writes NaN, which json.loads reads back; JSON has no NaN.
+    with pytest.raises(CassureError) as exc:
+        read(json.dumps(rec))
+    assert str(exc.value) == error
 
 
 # ---- apply ----

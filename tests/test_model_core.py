@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cassure.model
 from cassure import BindError, EvalError, ParseError, bind_constants, parse_model, type_check
 from cassure.model import Binary, FormulaDecl, Lit, Name, Unary, compile_expr
 from reference_builder import evaluate
@@ -308,6 +309,34 @@ def test_compiled_formulas_equal_the_reference(space):
         assert True in expected and False in expected
         got = compile_expr(Name(name), space.bound)(space.columns, space.n_states)
         assert got.tolist() == expected
+
+
+def _doubling_chain(levels, base):
+    """`formula f0 = base`, then `formula fi = f(i-1) + f(i-1)` up to
+    f`levels`, bound; f`levels` expands to 2**levels copies of `base`."""
+    formulas = [f"f0 = {base}"] + [f"f{i} = f{i - 1} + f{i - 1}"
+                                   for i in range(1, levels + 1)]
+    return bind_constants(parse_model(_with_formulas(formulas, f"f{levels} > 0")))
+
+
+def test_each_formula_is_compiled_once_per_expression(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cassure.model, "_compile_node",
+                        lambda *a, real=cassure.model._compile_node:
+                        calls.append(1) or real(*a))
+    for levels in (16, 17, 18):
+        bound = _doubling_chain(levels, "x")
+        calls.clear()
+        compiled = compile_expr(Name(f"f{levels}"), bound)
+        # One call per node of each formula's body (a sum of two references,
+        # the second one found compiled) and one per reference to it.
+        assert len(calls) == 3 * levels + 2
+    cols = (np.array([0, 1], dtype=np.int64),)
+    assert compiled(cols, 2).tolist() == [0, 2 ** 18]
+    # A sum that leaves [-2**53, 2**53] is still evaluated exactly.
+    bound = _doubling_chain(4, "x * 1000000000000000")
+    got = compile_expr(Name("f4"), bound)(cols, 2)
+    assert got.dtype == object and got.tolist() == [0, 16 * 10 ** 15]
 
 
 # ---- hypothesis: compiled evaluation equals the reference interpreter ----
