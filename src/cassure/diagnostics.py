@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
 from functools import cache
-from math import isnan
+from math import isfinite
 from types import NoneType
 
 
@@ -76,7 +76,8 @@ def read_record(cls, rec):
     """The dataclass `cls` read from the loaded JSON object `rec`; other keys
     are ignored.  A field that `rec` lacks takes its default, or raises
     KeyError without one.  A value of a kind its field's annotation does not
-    allow, or NaN, raises TypeError.  Readers report both via ``malformed``."""
+    allow, or a NaN or an infinity (JSON has neither), raises TypeError.
+    Readers report both via ``malformed``."""
     if not isinstance(rec, dict):
         raise TypeError(f"expected a JSON object, got {rec!r}")
     values = {}
@@ -84,7 +85,7 @@ def read_record(cls, rec):
         if name in rec:
             value = values[name] = rec[name]
             kind = type(value)  # not isinstance(), so that a bool is no int
-            if kind not in kinds or kind is float and isnan(value):
+            if kind not in kinds or kind is float and not isfinite(value):
                 raise TypeError(f"{name!r} has the wrong type: {value!r}")
         elif required:
             raise KeyError(name)

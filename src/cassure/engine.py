@@ -4,18 +4,25 @@ Every path that is not step-bounded is put in one until normal form
 (phi, psi, negate): F psi is true U psi, G phi is 1 - P(true U !phi), and a
 reward query accumulates until true U psi.  "Everywhere" is an all-true mask.
 
-Qualitative probability-0/1 sets come from graph fixpoints; the remaining
-states are solved exactly by one sparse LU factorization of their linear
-system, and step-bounded reachability by repeated matrix-vector products.
-One rule decides a bound of exactly P>=1 or P<=0: the initial state's
-membership in prob1 or prob0 of the until, the two swapped under negate.
-Such bounds are never decided by comparing floats against 0.0/1.0.
+Qualitative probability-0/1 sets come from graph fixpoints.  The remaining
+states are solved exactly: the states without a cycle by levels in numpy,
+back-substitution in dependency order, and what lies on or upstream of a
+cycle by one sparse LU factorization of its linear system.  Step-bounded
+reachability takes repeated matrix-vector products.  One rule decides a
+bound of exactly P>=1 or P<=0: the initial state's membership in prob1 or
+prob0 of the until, the two swapped under negate.  Such bounds are never
+decided by comparing floats against 0.0/1.0.
 
-Every label, 0/1 set and solution goes through the space's memo, so each is
-computed once per space: a label per distinct state formula, the 0/1 sets
-per distinct (phi, psi) mask pair, and a solution per mask pair and
-SolverConfig (and reward name, for a reward), or per target mask and step
-bound for F<=k, whose result does not depend on the SolverConfig.
+Every label, 0/1 set and solution goes through one of the space's two
+memos, so each is computed once per space.  `space.memo` holds what depends
+on the constants and probabilities: a label per distinct state formula, a
+probability vector per (prob0, prob1) mask pair and SolverConfig (the 0/1
+sets alone fix the linear system), a reward vector per (phi, psi) mask
+pair, reward name and SolverConfig, and an F<=k vector per target mask and
+step bound, whose result does not depend on the SolverConfig.
+`space.graph_memo` holds the 0/1 sets per (phi, psi) mask pair, which
+depend on the transition pattern alone; a space that `build_dtmc`
+re-evaluated from an earlier one shares that space's graph memo.
 `check_properties` then keeps only the entries its properties used.
 """
 
@@ -33,7 +40,7 @@ from .diagnostics import (
     BuildError, CassureError, EvalError, SolverError, malformed, read_record,
 )
 from .parsing import render_expr
-from .statespace import StateSpace, label_states, run_heads
+from .statespace import StateSpace, by_target, label_states, run_heads
 
 BOUND_TOL = 1e-9
 
@@ -65,12 +72,13 @@ class VerificationResult:
 # Qualitative graph precomputation
 # --------------------------------------------------------------------------
 
-def _rows_of(indptr, indices, rows):
-    """Concatenated column indices of the given CSR rows."""
+def _row_positions(indptr, rows):
+    """Positions of the entries of the given CSR rows, concatenated, and
+    each row's entry count."""
     starts = indptr[rows]
     counts = indptr[rows + 1] - starts
-    offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
-    return indices[offsets + np.arange(offsets.size)]
+    ends = counts.cumsum()
+    return (starts - ends + counts).repeat(counts) + np.arange(ends[-1]), counts
 
 
 def _backward_reach(space, seeds_mask, allowed_mask):
@@ -79,7 +87,7 @@ def _backward_reach(space, seeds_mask, allowed_mask):
     reached = seeds_mask.copy()
     frontier = np.flatnonzero(seeds_mask)
     while frontier.size:
-        cand = _rows_of(indptr, preds, frontier)
+        cand = preds[_row_positions(indptr, frontier)[0]]
         # Sorted, first of each run: np.unique would import numpy.ma.
         cand = np.sort(cand[allowed_mask[cand] & ~reached[cand]])
         cand = cand[run_heads(cand)]
@@ -118,23 +126,30 @@ def _prob1(space, phi_m, psi_m, zero):
 # Numeric solving
 # --------------------------------------------------------------------------
 
+# The stats of a result that the graph alone decides: nothing was solved.
+_GRAPH_STATS = {"iterations": 0, "residual": 0.0, "engine": "graph"}
+
+
 def _solve_unknown(space, x, unknown, add, cfg):
     """Solve (I - P_UU) x_U = add_U + P_UK x_K over the unknown states U,
     with the known values x_K read from x, and write x_U into x.
 
+    Levels are peeled first, in numpy: a state is ready when every successor
+    other than itself is known, and one level solves all its ready states at
+    once, x_i = (b_i + sum_j p_ij x_j) / (1 - p_ii).  A level reads only the
+    in-edges of the states it solves, so peeling costs O(edges + levels).
+    The states it leaves lie on or upstream of a cycle; one sparse LU
+    factorization solves them, and only then is scipy imported.
+
     The 0/1 precompute leaves every unknown state a path out of U, which
-    makes I - P_UU nonsingular.  Returns the scaled residual
-    max|A x_U - b| / max(1, max|x_U|); raises SolverError when the
-    factorization is singular or the residual exceeds cfg.epsilon.
+    makes I - P_UU nonsingular.  Returns the stats of the solve: the engine
+    that ran (`levels`, `sparse-lu` or `levels+sparse-lu`) and the scaled
+    residual max|A x_U - b| / max(1, max|x_U|).  Raises SolverError when
+    the system is singular or the residual exceeds cfg.epsilon.
     """
     m = unknown.size
     if m == 0:
-        return 0.0
-    # Imported here, not at module level: scipy roughly doubles the start-up
-    # time of the `cassure` command, and the lifecycle commands never solve.
-    from scipy.sparse import csc_matrix
-    from scipy.sparse.linalg import splu
-
+        return dict(_GRAPH_STATS)
     pos = np.full(space.n_states, -1, dtype=np.int64)
     pos[unknown] = np.arange(m)
     src = pos[space.row_ids]
@@ -144,30 +159,69 @@ def _solve_unknown(space, x, unknown, add, cfg):
     inner = rc >= 0
     b = add[unknown] + np.bincount(r[~inner], weights=p[~inner] * x[c[~inner]],
                                    minlength=m)
-    diag = np.arange(m)
-    a = csc_matrix((np.concatenate([np.ones(m), -p[inner]]),
-                    (np.concatenate([diag, r[inner]]),
-                     np.concatenate([diag, rc[inner]]))), shape=(m, m))
-    try:
-        sol = splu(a).solve(b)
-    except RuntimeError as e:  # SuperLU reports an exactly singular factor
-        raise SolverError(f"singular system over {m} unknown states: {e}")
-    residual = float(np.max(np.abs(a @ sol - b)) / max(1.0, np.max(np.abs(sol))))
+    r, rc, p = r[inner], rc[inner], p[inner]
+    loop = r == rc
+    off = ~loop
+    pending = np.bincount(r[off], minlength=m)  # successors not yet solved
+    level = np.flatnonzero(pending == 0)
+    sol = np.zeros(m)
+    rhs = b.copy()  # b plus the terms of the successors solved so far
+    if level.size:
+        engine = "levels"
+        stay = np.zeros(m)
+        stay[r[loop]] = p[loop]  # a CSR row holds each column once
+        if np.any(stay >= 1.0):
+            i = unknown[np.argmax(stay)]
+            raise SolverError(f"singular system over {m} unknown states: "
+                              f"state {i} keeps itself with probability 1")
+        leave = 1.0 - stay
+        indptr, order = by_target(rc[off], m)  # the in-edges of each state
+        preds, weight = r[off][order], p[off][order]
+        while level.size:
+            sol[level] = rhs[level] / leave[level]
+            at, counts = _row_positions(indptr, level)
+            up = preds[at]
+            np.add.at(rhs, up, weight[at] * sol[level].repeat(counts))
+            np.subtract.at(pending, up, 1)
+            up = up[pending[up] == 0]
+            up.sort()
+            level = up[run_heads(up)]
+    rest = np.flatnonzero(pending)
+    if rest.size:
+        engine = "sparse-lu" if rest.size == m else "levels+sparse-lu"
+        sol[rest] = _sparse_lu(r, rc, p, rhs, rest)
+    residual = float(np.max(np.abs(
+        sol - np.bincount(r, weights=p * sol[rc], minlength=m) - b))
+        / max(1.0, np.max(np.abs(sol))))
     if not residual <= cfg.epsilon:
         raise SolverError(f"direct solve over {m} unknown states missed the "
                           f"residual bound ({residual:.3e} > {cfg.epsilon:g})")
     x[unknown] = sol
-    return residual
+    return dict(_GRAPH_STATS, residual=residual, engine=engine)
 
 
-# The stats of a result that the graph alone decides: nothing was solved.
-_GRAPH_STATS = {"iterations": 0, "residual": 0.0, "engine": "graph"}
+def _sparse_lu(r, c, p, rhs, rest):
+    """x_R of (I - P_RR) x_R = rhs_R, by sparse LU, over the states `rest`
+    of the block whose inner edges are (r, c, p)."""
+    # Imported here, not at module level: scipy roughly doubles the start-up
+    # time of the `cassure` command, and a block without a cycle never needs it.
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
 
-
-def _numeric_stats(unknown, residual):
-    if not unknown.size:
-        return dict(_GRAPH_STATS)
-    return dict(_GRAPH_STATS, residual=residual, engine="sparse-lu")
+    k, m = rest.size, rhs.size
+    if k < m:
+        sub = np.full(m, -1, dtype=np.int64)
+        sub[rest] = np.arange(k)
+        keep = (sub[r] >= 0) & (sub[c] >= 0)
+        r, c, p = sub[r[keep]], sub[c[keep]], p[keep]
+    diag = np.arange(k)
+    a = csc_matrix((np.concatenate([np.ones(k), -p]),
+                    (np.concatenate([diag, r]), np.concatenate([diag, c]))),
+                   shape=(k, k))
+    try:
+        return splu(a).solve(rhs[rest])
+    except RuntimeError as e:  # SuperLU reports an exactly singular factor
+        raise SolverError(f"singular system over {m} unknown states: {e}")
 
 
 def _until_vector(space, zero, one, cfg):
@@ -175,9 +229,9 @@ def _until_vector(space, zero, one, cfg):
     x = np.zeros(space.n_states, dtype=np.float64)
     x[one] = 1.0
     unknown = np.flatnonzero(~zero & ~one)
-    residual = _solve_unknown(space, x, unknown, np.zeros(space.n_states), cfg)
+    stats = _solve_unknown(space, x, unknown, np.zeros(space.n_states), cfg)
     np.clip(x, 0.0, 1.0, out=x)
-    return x, _numeric_stats(unknown, residual)
+    return x, stats
 
 
 def bounded_eventually_probability(space, psi, k):
@@ -210,9 +264,9 @@ def _reach_reward(space, rew, psi_m, one, cfg):
     # Every successor of an unknown state lies in `one`, so the infinities
     # never enter the system; mask them out of the known values anyway.
     x = np.where(np.isinf(r), 0.0, r)
-    residual = _solve_unknown(space, x, unknown, rew, cfg)
+    stats = _solve_unknown(space, x, unknown, rew, cfg)
     r[unknown] = x[unknown]
-    return r, _numeric_stats(unknown, residual)
+    return r, stats
 
 
 # --------------------------------------------------------------------------
@@ -258,32 +312,33 @@ def _until_form(space, prop):
 
 
 class _Until:
-    """The until problem phi U psi on one space.  Its 0/1 sets and
-    solutions go through the space's memo, keyed by the two masks, so the
-    properties that reduce to one problem share them."""
+    """The until problem phi U psi on one space.  Its 0/1 sets go through
+    the space's graph memo, keyed by the two masks; its probabilities through
+    the space's memo, keyed by the 0/1 sets, which alone fix the linear
+    system.  So the properties that reduce to one problem, or to one system,
+    share them."""
 
     def __init__(self, space, phi, psi):
         self.space, self.phi, self.psi = space, phi, psi
         self.key = (_mask_key(phi), _mask_key(psi))
 
-    def _memo(self, kind, compute, *extra):
-        return self.space.memo.get((kind, *self.key, *extra), compute)
-
     def prob0(self):
-        return self._memo("prob0", lambda: prob0_states(self.space, self.phi, self.psi))
+        return self.space.graph_memo.get(
+            ("prob0", *self.key), lambda: prob0_states(self.space, self.phi, self.psi))
 
     def prob1(self):
-        return self._memo("prob1", lambda: _prob1(
+        return self.space.graph_memo.get(("prob1", *self.key), lambda: _prob1(
             self.space, self.phi, self.psi, self.prob0()))
 
     def probability(self, cfg):
-        return self._memo("P", lambda: _until_vector(
-            self.space, self.prob0(), self.prob1(), cfg), cfg)
+        zero, one = self.prob0(), self.prob1()
+        return self.space.memo.get(("P", _mask_key(zero), _mask_key(one), cfg),
+                                   lambda: _until_vector(self.space, zero, one, cfg))
 
     def reward(self, name, cfg):
-        return self._memo("R", lambda: _reach_reward(
+        return self.space.memo.get(("R", *self.key, name, cfg), lambda: _reach_reward(
             self.space, _reward_vector(self.space, name), self.psi, self.prob1(),
-            cfg), name, cfg)
+            cfg))
 
 
 def model_fingerprint(space: StateSpace, prop) -> str:
@@ -340,10 +395,11 @@ def check_property(space: StateSpace, prop, cfg=SolverConfig()) -> VerificationR
 
 
 def check_properties(space, props, cfg=SolverConfig()):
-    """Check each property; then the space's memo keeps only the entries
-    that these checks used."""
+    """Check each property; then the space's two memos keep only the
+    entries that these checks used."""
     results = [check_property(space, p, cfg) for p in props]
     space.memo.keep_used()
+    space.graph_memo.keep_used()
     return results
 
 
@@ -378,6 +434,8 @@ def serialize_results(results) -> str:
 
 
 def parse_results(text: str):
+    """The records that serialize_results wrote.  A malformed record, a
+    probability outside [0, 1] among them, raises CassureError."""
     out = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -387,6 +445,10 @@ def parse_results(text: str):
             res = read_record(VerificationResult, json.loads(line))
             if res.value is None and res.kind != "boolean" and not res.infinite:
                 raise TypeError(f"'value' of a {res.kind} result is null")
+            if (res.kind == "probability" and res.value is not None
+                    and not 0.0 <= res.value <= 1.0):
+                raise ValueError(f"'value' of a probability result is outside "
+                                 f"[0, 1]: {res.value!r}")
             out.append(res)
         except (KeyError, TypeError, ValueError) as e:
             raise CassureError(

@@ -41,10 +41,13 @@ new model, and the result is kept if every successor is a cached state and
 the (source, target) pairs are `previous`'s transition pattern.  BFS over the
 same pattern from the same initial state visits the same states in the same
 order, and each row sums its duplicate successors in the same order, so the
-arrays are those of a fresh build.  Anything else -- a successor outside the
-cached states, a different pattern, or an error in the batch -- runs the
-full exploration, which decides every structural change and names every
-error at its canonical state.
+arrays are those of a fresh build, and the new space takes over from
+`previous` what depends on the states and the pattern alone: the variable
+columns, the source and predecessor lists and the graph memo of 0/1 sets.
+Anything else -- a successor outside the cached states, a different
+pattern, or an error in the batch -- runs the full exploration, which
+decides every structural change and names every error at its canonical
+state.
 """
 
 from __future__ import annotations
@@ -100,10 +103,15 @@ class Memo:
         self._used = set()
 
 
+# The cached properties of a StateSpace that depend on its states and its
+# transition pattern alone, not on the constants or the probabilities.
+_PATTERN_ONLY = ("columns", "row_ids", "predecessors", "graph_memo")
+
+
 @dataclass
 class StateSpace:
-    """The arrays are immutable once built; `memo` caches what is computed
-    from them, so checks on one space run one at a time."""
+    """The arrays are immutable once built; `memo` and `graph_memo` cache
+    what is computed from them, so checks on one space run one at a time."""
     bound: BoundModel
     states: np.ndarray        # int matrix, one row per state in index order
     initial: int
@@ -126,8 +134,20 @@ class StateSpace:
 
     @cached_property
     def memo(self):
-        """Labels, 0/1 sets and solutions computed on this space."""
+        """Labels and solutions computed on this space."""
         return Memo()
+
+    @cached_property
+    def graph_memo(self):
+        """The 0/1 sets computed on this space: they depend on its
+        transition pattern alone."""
+        return Memo()
+
+    def share_pattern(self, other):
+        """Take over what ``other`` has computed from its states and its
+        transition pattern alone; both must equal this space's."""
+        vars(self).update({k: v for k, v in vars(other).items()
+                           if k in _PATTERN_ONLY})
 
     @cached_property
     def model_digest(self):
@@ -151,10 +171,7 @@ class StateSpace:
     def predecessors(self):
         """The transpose pattern as CSR (indptr, indices): row j lists the
         states with a transition into j, in ascending order."""
-        order = np.argsort(self.indices, kind="stable")
-        counts = np.bincount(self.indices, minlength=self.n_states)
-        indptr = np.zeros(self.n_states + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        indptr, order = by_target(self.indices, self.n_states)
         return indptr, self.row_ids[order]
 
 
@@ -422,6 +439,15 @@ def _integral(x):
     return int(x) if abs(x) < math.inf else x
 
 
+def by_target(targets, n):
+    """(indptr, order) of the transpose of edges into the states 0..n-1:
+    `order` sorts the edges stably by target, and the edges into j are
+    order[indptr[j]:indptr[j + 1]]."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(targets, minlength=n), out=indptr[1:])
+    return indptr, np.argsort(targets, kind="stable")
+
+
 def run_heads(keys):
     """Mask of the first of each run of equal keys in the sorted `keys`."""
     head = np.empty(len(keys), dtype=bool)
@@ -585,18 +611,23 @@ def build_dtmc(bound: BoundModel, max_states=DEFAULT_STATE_CAP,
 
     With ``previous`` (a space built from a model with the same variables),
     its states are re-evaluated in one batch first; the full exploration runs
-    when that may not give its result (see _reevaluate)."""
+    when that may not give its result (see _reevaluate).  A re-evaluated
+    space shares with ``previous`` what depends on the states and the
+    transition pattern alone, its 0/1 sets among them."""
     compiled = _compile_units(bound)
     pack = _key_packer(bound.variables)
     built = None
     if (previous is not None and previous.bound.variables == bound.variables
             and previous.n_states <= max_states):
         built = _reevaluate(bound, previous, compiled, pack)
-    if built is None:
+    reevaluated = built is not None
+    if not reevaluated:
         built = _explore(bound.variables, compiled, pack, max_states)
     states, src, dst, prob, diags = built
     space = StateSpace(bound, states, 0, *_assemble(len(states), src, dst, prob),
                        _reward_vectors(bound, states), diags)
+    if reevaluated:
+        space.share_pattern(previous)
     sums = np.add.reduceat(space.data, space.indptr[:-1])
     if np.max(np.abs(sums - 1.0)) > ROW_SUM_TOL:
         worst = int(np.argmax(np.abs(sums - 1.0)))

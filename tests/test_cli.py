@@ -674,6 +674,29 @@ def test_impact_rejects_a_nan_result_value(workdir):
     assert not (out / "impact_report.json").exists()
 
 
+@pytest.mark.parametrize("fresh_record", [
+    '{"property": "R_moves", "kind": "reward", "value": Infinity}',
+    '{"property": "P_succ", "kind": "probability", "value": 7.5}',
+], ids=["reward-infinity", "probability-7.5"])
+def test_impact_rejects_an_infinite_or_out_of_range_value(workdir, fresh_record):
+    # An Infinity would read as a finite reward, and 7.5 as a probability.
+    out = _generate(workdir)
+    package = workdir / "package"
+    package.mkdir()
+    (package / "package.json").write_text(json.dumps({"changed_files": [
+        {"path": "nuclear.prism", "old_fingerprint": "a",
+         "new_fingerprint": "b"}]}))
+    fresh = workdir / "fresh.jsonl"
+    fresh.write_text(fresh_record + "\n")
+    r = invoke("impact", "--model", str(workdir / "nuclear.prism"),
+               "--out", str(out), "--package", str(package),
+               "--fresh-results", str(fresh),
+               "--baseline-results", str(out / "nuclear.results.jsonl"))
+    assert r.exit_code == 2, r.output
+    assert f"error: {fresh}: malformed result record on line 1" in r.output
+    assert not (out / "impact_report.json").exists()
+
+
 def test_non_utf8_input_exits_2(workdir):
     out = _generate(workdir)
     events = workdir / "events.jsonl"
@@ -705,7 +728,7 @@ def test_non_utf8_model_fails_one_watch_cycle(workdir):
 def _watch(config, edits, monkeypatch):
     """Run one watch cycle, then one per edit (a function called before the
     cycle it triggers).  Returns the log lines and, per cycle, the calls to
-    parse_model and build_dtmc and the keys left in the space's memo."""
+    parse_model and build_dtmc and the keys left in the space's two memos."""
     calls = {"parse_model": 0, "build_dtmc": 0}
     for name in calls:
         def counted(*args, _real=getattr(cli, name), _name=name, **kwargs):
@@ -716,7 +739,7 @@ def _watch(config, edits, monkeypatch):
 
     def checked(space, props, cfg):
         results = check_properties(space, props, cfg)
-        memo_keys.append(set(space.memo.entries))
+        memo_keys.append(set(space.memo.entries) | set(space.graph_memo.entries))
         return results
     monkeypatch.setattr(cli, "check_properties", checked)
     per_cycle, lines = [], []
@@ -835,7 +858,7 @@ def test_memo_keeps_only_the_current_cycles_entries(workdir, monkeypatch):
     for text in (first, second):
         space = build_dtmc(bound)
         check_properties(space, parse_properties(text))
-        fresh[text] = set(space.memo.entries)
+        fresh[text] = set(space.memo.entries) | set(space.graph_memo.entries)
     assert fresh[first].isdisjoint(fresh[second])
     assert memo_keys == [fresh[first], fresh[second]] * 2 + [fresh[first]]
 

@@ -1,9 +1,11 @@
 """Differential test of the engine against the exact-rational oracle.
 
-Hypothesis draws small chains as hand-built StateSpaces: every row spreads
-eight eighths of probability over random successors, with random phi/psi
-masks and a reward vector.  The oracle's generic Fraction functions over
-`rows` give the exact answers.
+Hypothesis draws small chains as hand-built StateSpaces, in two shapes:
+dense rows that spread eight eighths of probability over random successors,
+and sparse rows of one to three successors, mostly forward, whose unknown
+blocks the levels peel whole, in part or not at all.  Each comes with
+random phi/psi masks and a reward vector.  The oracle's generic Fraction
+functions over `rows` give the exact answers.
 """
 
 from fractions import Fraction
@@ -42,6 +44,32 @@ def chains(draw):
     return rows, phi, psi, reward
 
 
+@st.composite
+def sparse_chains(draw):
+    """Rows of one to three successors, each given at least one eighth:
+    mostly forward (the state itself or one of the next four), and about
+    one in four back to an earlier state.  Unknown blocks then come without
+    a cycle, with a cycle upstream of acyclic states, or cyclic."""
+    n = draw(st.integers(2, 30))
+    rows = []
+    for i in range(n):
+        k = draw(st.integers(1, 3))
+        succ = [draw(st.integers(0, i - 1) if i and draw(st.integers(0, 3)) == 0
+                     else st.integers(i, min(n - 1, i + 4))) for _ in range(k)]
+        cuts = draw(st.lists(st.integers(1, EIGHTHS - 1), min_size=k - 1,
+                             max_size=k - 1, unique=True))
+        shares = np.diff([0, *sorted(cuts), EIGHTHS])
+        row = {}
+        for j, share in zip(succ, shares.tolist()):
+            row[j] = row.get(j, Fraction(0)) + Fraction(share, EIGHTHS)
+        rows.append(row)
+    phi = draw(st.lists(st.integers(0, 6).map(bool), min_size=n, max_size=n))
+    psi = draw(st.lists(st.integers(0, 4).map(lambda v: v == 0), min_size=n,
+                        max_size=n))
+    reward = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    return rows, phi, psi, reward
+
+
 def as_space(rows, reward):
     n = len(rows)
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -66,9 +94,7 @@ def assert_close(vec, exact):
             assert abs(v - float(e)) <= 1e-9 * max(1.0, abs(float(e))), (v, e)
 
 
-@settings(max_examples=150, deadline=None)
-@given(chains(), st.integers(0, 6))
-def test_engine_agrees_with_exact_oracle(chain, k):
+def agrees_with_exact_oracle(chain, k):
     rows, phi, psi, reward = chain
     n = len(rows)
     space = as_space(rows, reward)
@@ -86,6 +112,18 @@ def test_engine_agrees_with_exact_oracle(chain, k):
                  oracle.reach_reward(rows, n, reward.__getitem__, psi_f))
     assert_close(bounded_eventually_probability(space, psi_m, k)[0],
                  oracle.bounded_eventually(rows, n, psi_f, k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(chains(), st.integers(0, 6))
+def test_engine_agrees_with_exact_oracle(chain, k):
+    agrees_with_exact_oracle(chain, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_chains(), st.integers(0, 6))
+def test_engine_agrees_with_exact_oracle_on_sparse_chains(chain, k):
+    agrees_with_exact_oracle(chain, k)
 
 
 def reward_until(space, psi_m):

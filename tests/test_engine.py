@@ -10,8 +10,8 @@ import pytest
 import cassure.engine as engine
 import pinned
 from cassure import (
-    SolverConfig, SolverError, VerificationResult, bind_constants, build_dtmc,
-    check_properties, check_property, parse_model, parse_properties,
+    CassureError, SolverConfig, SolverError, VerificationResult, bind_constants,
+    build_dtmc, check_properties, check_property, parse_model, parse_properties,
     parse_results, render_value, result_fingerprint, serialize_results,
 )
 from cassure.engine import (
@@ -62,7 +62,7 @@ def test_qualitative_bounds_report_zero_iterations(by_name):
 
 
 def test_stats_name_the_engine_that_ran(by_name):
-    assert by_name["P_succ"].stats["engine"] == "sparse-lu"
+    assert by_name["P_succ"].stats["engine"] == "levels"
     assert by_name["P_succ"].stats["iterations"] == 0
     assert 0.0 <= by_name["P_succ"].stats["residual"] <= SolverConfig().epsilon
     assert by_name["P_timeBound"].stats["engine"] == "matvec"
@@ -124,17 +124,6 @@ def test_properties_sharing_masks_solve_once(toy, monkeypatch):
     assert [r.verdict for r in shared] == [None, True, False, None]
 
 
-def test_memo_entries_never_cross_solver_configs(bound, props):
-    p_succ = next(p for p in props if p.name == "P_succ")
-    space = build_dtmc(bound)
-    residual = check_property(space, p_succ).stats["residual"]
-    assert residual > 0.0
-    tight = SolverConfig(epsilon=residual / 2)
-    for s in (space, build_dtmc(bound)):
-        with pytest.raises(SolverError, match="missed the residual bound"):
-            check_property(s, p_succ, tight)
-
-
 def test_a_solve_that_raised_is_not_memoized(toy, monkeypatch):
     prop = parse_properties(SHARED)[0]
     space = build_dtmc(toy.bound)
@@ -150,6 +139,123 @@ def test_a_solve_that_raised_is_not_memoized(toy, monkeypatch):
         check_property(space, prop)
     assert check_property(space, prop).value == pytest.approx(0.5, abs=1e-12)
     assert len(calls) == 2
+
+
+def _counted(monkeypatch, name):
+    """The list that each call of engine.<name> appends its arguments to."""
+    calls, real = [], getattr(engine, name)
+    monkeypatch.setattr(engine, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_a_reevaluated_space_keeps_its_01_sets(model_text, props, monkeypatch):
+    # A p_err edit keeps the states and the transition pattern, so every
+    # prob0/prob1 mask of the earlier space still holds.
+    first = build_dtmc(bind_constants(parse_model(model_text)))
+    before = check_properties(first, props)
+    edited = bind_constants(parse_model(
+        model_text.replace("p_err = 0.01;", "p_err = 0.015;")))
+    fresh = check_properties(build_dtmc(edited), props)
+    space = build_dtmc(edited, previous=first)
+    assert space.states is first.states and space.graph_memo is first.graph_memo
+    assert space.predecessors is first.predecessors
+    reaches = _counted(monkeypatch, "_backward_reach")
+    again = check_properties(space, props)
+    assert reaches == []
+    assert _records(again) == _records(fresh)
+    assert _records(again) != _records(before)
+
+
+def test_an_edit_that_changes_the_pattern_shares_nothing(model_text, props,
+                                                         monkeypatch):
+    # p_err = 0 drops the error branches: a full build, and new 0/1 sets.
+    first = build_dtmc(bind_constants(parse_model(model_text)))
+    check_properties(first, props)
+    edited = bind_constants(parse_model(
+        model_text.replace("p_err = 0.01;", "p_err = 0;")))
+    space = build_dtmc(edited, previous=first)
+    assert space.states is not first.states
+    for name in ("columns", "row_ids", "predecessors", "graph_memo"):
+        assert getattr(space, name) is not getattr(first, name), name
+    reaches = _counted(monkeypatch, "_backward_reach")
+    assert _records(check_properties(space, props)) == _records(
+        check_properties(build_dtmc(edited), props))
+    assert reaches
+
+
+GRID = """\
+dtmc
+const int N = 12;
+module walk
+  x : [0..N] init 0;
+  y : [0..N] init 0;
+  [] x<N & y<N -> 0.4:(x'=x+1) + 0.4:(y'=y+1) + 0.2:(x'=0);
+  [] x=N | y=N -> (x'=x);
+endmodule
+rewards "steps"
+  true : 1;
+endrewards
+"""
+GRID_PROPS = ('"R_steps": R{"steps"}=? [ F x=N|y=N ]; "P_reach": P=? [ F x>=6 ]; '
+              '"P_thr": P<=0.001 [ y<N U x>=6 ];')
+
+
+def test_memo_entries_never_cross_solver_configs():
+    # P_reach's block has a cycle (x'=0), so sparse LU solves it.
+    bound = bind_constants(parse_model(GRID))
+    p_reach = next(p for p in parse_properties(GRID_PROPS) if p.name == "P_reach")
+    space = build_dtmc(bound)
+    result = check_property(space, p_reach)
+    assert result.stats["engine"] == "sparse-lu"
+    residual = result.stats["residual"]
+    assert residual > 0.0
+    tight = SolverConfig(epsilon=residual / 2)
+    for s in (space, build_dtmc(bound)):
+        with pytest.raises(SolverError, match="missed the residual bound"):
+            check_property(s, p_reach, tight)
+
+
+def test_one_linear_system_is_solved_once(monkeypatch):
+    # F x>=6 and y<N U x>=6 differ in phi but have equal 0/1 sets, and so
+    # one linear system: the grid's three properties make two solves.
+    space = build_dtmc(bind_constants(parse_model(GRID)))
+    props = parse_properties(GRID_PROPS)
+    fresh = [check_property(build_dtmc(space.bound), p) for p in props]
+    solves = _counted(monkeypatch, "_solve_unknown")
+    shared = check_properties(space, props)
+    assert len(solves) == 2
+    assert _records(shared) == _records(fresh)
+    assert [r.stats["engine"] for r in shared] == ["sparse-lu"] * 3
+
+
+CYCLE_THEN_CHAIN = """\
+dtmc
+module m
+  x : [0..4] init 0;
+  [] x=0 -> (x'=1);
+  [] x=1 -> 0.5:(x'=0) + 0.5:(x'=2);
+  [] x=2 -> 0.25:(x'=2) + 0.375:(x'=3) + 0.375:(x'=4);
+  [] x>=3 -> (x'=x);
+endmodule
+"""
+
+
+def test_levels_peel_what_no_cycle_holds_and_lu_solves_the_rest():
+    space = build_dtmc(bind_constants(parse_model(CYCLE_THEN_CHAIN)))
+    x = np.array([space.valuation(i)["x"] for i in range(space.n_states)])
+
+    def until(phi):
+        vec, stats = _Until(space, phi, x == 3).probability(SolverConfig())
+        return dict(zip(x.tolist(), vec.tolist())), stats["engine"]
+    # x=2 has no successor in the unknown block but itself: one level.
+    # x=0 and x=1 form a cycle, left to the LU after that level.
+    values, engine_ran = until(x >= 0)
+    assert engine_ran == "levels+sparse-lu"
+    assert values == pytest.approx({0: 0.5, 1: 0.5, 2: 0.5, 3: 1.0, 4: 0.0})
+    # Outside x!=0, x=0 is in prob0: x=2, then x=1, are two levels.
+    values, engine_ran = until(x != 0)
+    assert engine_ran == "levels"
+    assert values == {0: 0.0, 1: 0.25, 2: 0.5, 3: 1.0, 4: 0.0}
 
 
 # ---- trivial hand-solvable chains ----
@@ -245,6 +351,18 @@ def test_singular_block_raises():
                        SolverConfig())
 
 
+def test_a_certain_self_loop_in_a_level_is_singular():
+    # x=1 keeps itself with probability 1, so its level divides by 1 - 1;
+    # the 0/1 precompute would put it in prob0 instead.
+    space = build_dtmc(bind_constants(parse_model(
+        "dtmc\nmodule m\n  x : [0..1] init 0;\n  [] true -> (x'=1);\n"
+        "endmodule\n")))
+    x = np.zeros(space.n_states)
+    with pytest.raises(SolverError, match="singular"):
+        _solve_unknown(space, x, np.arange(space.n_states), np.ones(space.n_states),
+                       SolverConfig())
+
+
 # ---- rendering and records ----
 
 def test_render_value_formats(by_name):
@@ -304,6 +422,26 @@ def test_result_records_are_written_and_read_back_unchanged(results):
     assert parse_results(serialize_results(results)) == results
 
 
+@pytest.mark.parametrize("record", [
+    '{"property": "R", "kind": "reward", "value": Infinity}',
+    '{"property": "R", "kind": "reward", "value": -Infinity}',
+    '{"property": "P", "kind": "probability", "value": 7.5}',
+    '{"property": "P", "kind": "probability", "value": -0.25}',
+], ids=["reward-inf", "reward-minus-inf", "probability-above-1",
+        "probability-below-0"])
+def test_an_infinite_value_or_a_probability_outside_0_1_is_malformed(record):
+    # json.loads reads Infinity, but JSON has none (RFC 8259 section 6); an
+    # infinite reward is "infinite": true.
+    with pytest.raises(CassureError, match="malformed result record on line 2"):
+        parse_results(RECORDS_TEXT.splitlines()[0] + "\n" + record + "\n")
+
+
+def test_probabilities_0_and_1_are_read():
+    text = "".join(f'{{"property": "P", "kind": "probability", "value": {v}}}\n'
+                   for v in ("0", "1", "0.0", "1.0"))
+    assert [r.value for r in parse_results(text)] == [0, 1, 0.0, 1.0]
+
+
 def test_closed_form_no_radiation():
     model = parse_model(Path("case_study/nuclear.prism").read_text())
     b = bind_constants(model, {"p_rad_crit": 0.0, "p_rad_med": 0.0})
@@ -342,3 +480,28 @@ def test_precompute_does_not_import_numpy_ma(model_path, props_path, tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.split() == ["False", "False", "True", "False", "False", "False"]
+
+
+def _modules_after_run_check(model, props, const={}):
+    """Run run_check in a fresh process; whether it loaded scipy."""
+    code = ("import sys\n"
+            "from cassure.cli import PipelineConfig, run_check\n"
+            f"cfg = PipelineConfig({str(model)!r}, {str(props)!r}, '.', "
+            f"constants={const!r})\n"
+            "checked = run_check(cfg)\n"
+            "print(len(checked.results), 'scipy' in sys.modules)\n")
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env).stdout.split()
+
+
+def test_scipy_loads_only_for_a_block_with_a_cycle(model_path, props_path,
+                                                   tmp_path):
+    # The case study's unknown blocks hold no cycle but self-loops, so the
+    # levels solve them all; the grid's reset edge closes cycles.
+    assert _modules_after_run_check(model_path, props_path) == ["17", "False"]
+    (tmp_path / "grid.prism").write_text(GRID)
+    (tmp_path / "grid.props").write_text(GRID_PROPS)
+    assert _modules_after_run_check(tmp_path / "grid.prism", tmp_path / "grid.props",
+                                    {"N": 3}) == ["3", "True"]
