@@ -16,14 +16,15 @@ decided by comparing floats against 0.0/1.0.
 Every label, 0/1 set and solution goes through one of the space's two
 memos, so each is computed once per space.  `space.memo` holds what depends
 on the constants and probabilities: a label per distinct state formula, a
-probability vector per (prob0, prob1) mask pair and SolverConfig (the 0/1
-sets alone fix the linear system), a reward vector per (phi, psi) mask
-pair, reward name and SolverConfig, and an F<=k vector per target mask and
-step bound, whose result does not depend on the SolverConfig.
-`space.graph_memo` holds the 0/1 sets per (phi, psi) mask pair, which
-depend on the transition pattern alone; a space that `build_dtmc`
-re-evaluated from an earlier one shares that space's graph memo.
-`check_properties` then keeps only the entries its properties used.
+probability vector per (prob0, prob1) mask pair (the 0/1 sets alone fix the
+linear system), a reward vector per (phi, psi) mask pair and reward name,
+and an F<=k vector per target mask and step bound.  `space.graph_memo`
+holds the 0/1 sets per (phi, psi) mask pair, which depend on the transition
+pattern alone; a space that `build_dtmc` re-evaluated from an earlier one
+shares that space's graph memo.  `check_properties` then keeps only the
+entries its properties used.  No key holds the SolverConfig: a solve returns
+its vector and stats, and `check_property` alone judges them, after the
+lookup, by comparing the residual with epsilon.
 """
 
 from __future__ import annotations
@@ -96,24 +97,16 @@ def _backward_reach(space, seeds_mask, allowed_mask):
     return reached
 
 
-def _as_mask(space, phi):
-    if isinstance(phi, np.ndarray):
-        return phi
-    return label_states(space, phi)
-
-
 def prob0_states(space: StateSpace, phi, psi) -> np.ndarray:
-    """Mask of states satisfying phi U psi with probability exactly 0."""
-    phi_m = _as_mask(space, phi)
-    psi_m = _as_mask(space, psi)
-    can = _backward_reach(space, psi_m, phi_m & ~psi_m)
-    return ~can
+    """Mask of states satisfying phi U psi with probability exactly 0, for
+    the state masks phi and psi."""
+    return ~_backward_reach(space, psi, phi & ~psi)
 
 
 def prob1_states(space: StateSpace, phi, psi) -> np.ndarray:
-    """Mask of states satisfying phi U psi with probability exactly 1."""
-    phi_m, psi_m = _as_mask(space, phi), _as_mask(space, psi)
-    return _prob1(space, phi_m, psi_m, prob0_states(space, phi_m, psi_m))
+    """Mask of states satisfying phi U psi with probability exactly 1, for
+    the state masks phi and psi."""
+    return _prob1(space, phi, psi, prob0_states(space, phi, psi))
 
 
 def _prob1(space, phi_m, psi_m, zero):
@@ -130,7 +123,7 @@ def _prob1(space, phi_m, psi_m, zero):
 _GRAPH_STATS = {"iterations": 0, "residual": 0.0, "engine": "graph"}
 
 
-def _solve_unknown(space, x, unknown, add, cfg):
+def _solve_unknown(space, x, unknown, add):
     """Solve (I - P_UU) x_U = add_U + P_UK x_K over the unknown states U,
     with the known values x_K read from x, and write x_U into x.
 
@@ -144,8 +137,8 @@ def _solve_unknown(space, x, unknown, add, cfg):
     The 0/1 precompute leaves every unknown state a path out of U, which
     makes I - P_UU nonsingular.  Returns the stats of the solve: the engine
     that ran (`levels`, `sparse-lu` or `levels+sparse-lu`) and the scaled
-    residual max|A x_U - b| / max(1, max|x_U|).  Raises SolverError when
-    the system is singular or the residual exceeds cfg.epsilon.
+    residual max|A x_U - b| / max(1, max|x_U|), which `check_property`
+    judges.  Raises SolverError when the system is singular.
     """
     m = unknown.size
     if m == 0:
@@ -193,9 +186,6 @@ def _solve_unknown(space, x, unknown, add, cfg):
     residual = float(np.max(np.abs(
         sol - np.bincount(r, weights=p * sol[rc], minlength=m) - b))
         / max(1.0, np.max(np.abs(sol))))
-    if not residual <= cfg.epsilon:
-        raise SolverError(f"direct solve over {m} unknown states missed the "
-                          f"residual bound ({residual:.3e} > {cfg.epsilon:g})")
     x[unknown] = sol
     return dict(_GRAPH_STATS, residual=residual, engine=engine)
 
@@ -209,11 +199,10 @@ def _sparse_lu(r, c, p, rhs, rest):
     from scipy.sparse.linalg import splu
 
     k, m = rest.size, rhs.size
-    if k < m:
-        sub = np.full(m, -1, dtype=np.int64)
-        sub[rest] = np.arange(k)
-        keep = (sub[r] >= 0) & (sub[c] >= 0)
-        r, c, p = sub[r[keep]], sub[c[keep]], p[keep]
+    sub = np.full(m, -1, dtype=np.int64)
+    sub[rest] = np.arange(k)
+    keep = (sub[r] >= 0) & (sub[c] >= 0)
+    r, c, p = sub[r[keep]], sub[c[keep]], p[keep]
     diag = np.arange(k)
     a = csc_matrix((np.concatenate([np.ones(k), -p]),
                     (np.concatenate([diag, r]), np.concatenate([diag, c]))),
@@ -224,26 +213,26 @@ def _sparse_lu(r, c, p, rhs, rest):
         raise SolverError(f"singular system over {m} unknown states: {e}")
 
 
-def _until_vector(space, zero, one, cfg):
+def _until_vector(space, zero, one):
     """Per-state P(phi U psi) from its 0/1 masks; returns (vector, stats)."""
     x = np.zeros(space.n_states, dtype=np.float64)
     x[one] = 1.0
     unknown = np.flatnonzero(~zero & ~one)
-    stats = _solve_unknown(space, x, unknown, np.zeros(space.n_states), cfg)
+    stats = _solve_unknown(space, x, unknown, np.zeros(space.n_states))
     np.clip(x, 0.0, 1.0, out=x)
     return x, stats
 
 
 def bounded_eventually_probability(space, psi, k):
-    """k backward steps from the target indicator, targets absorbing."""
+    """k backward steps from the indicator of the target mask psi, targets
+    absorbing."""
     if k < 0:
         raise ValueError("step bound must be >= 0")
-    psi_m = _as_mask(space, psi)
-    x = psi_m.astype(np.float64)
+    x = psi.astype(np.float64)
     for _ in range(k):
         x = np.bincount(space.row_ids, weights=space.data * x[space.indices],
                         minlength=space.n_states)
-        x[psi_m] = 1.0
+        x[psi] = 1.0
     np.clip(x, 0.0, 1.0, out=x)
     return x, {"iterations": k, "residual": 0.0, "engine": "matvec"}
 
@@ -254,18 +243,13 @@ def _reward_vector(space, reward_name):
     return space.rewards[reward_name]
 
 
-def _reach_reward(space, rew, psi_m, one, cfg):
+def _reach_reward(space, rew, psi_m, one):
     """Expected cumulated reward until psi, given the prob1 mask `one` of
-    F psi; +inf where P(F psi) < 1."""
+    F psi; +inf where P(F psi) < 1.  Every successor of a state in `one`
+    lies in `one`, so the infinities are set after the solve."""
     r = np.zeros(space.n_states, dtype=np.float64)
+    stats = _solve_unknown(space, r, np.flatnonzero(one & ~psi_m), rew)
     r[~one] = np.inf
-    r[psi_m] = 0.0
-    unknown = np.flatnonzero(one & ~psi_m)
-    # Every successor of an unknown state lies in `one`, so the infinities
-    # never enter the system; mask them out of the known values anyway.
-    x = np.where(np.isinf(r), 0.0, r)
-    stats = _solve_unknown(space, x, unknown, rew, cfg)
-    r[unknown] = x[unknown]
     return r, stats
 
 
@@ -284,13 +268,10 @@ def _located(prop, *errors):
         raise type(e)(f"{prop.span}: {e}") from None
 
 
-def _label(space, phi, prop):
-    """The memoized mask of a state formula of ``prop``, keyed by its
-    rendered text: unlike Expr equality, the text tells 1, 1.0 and true
-    apart.  An error in the formula names the property's place."""
-    with _located(prop, BuildError, EvalError):
-        return space.memo.get(("label", render_expr(phi)),
-                              lambda: label_states(space, phi))
+def _label(space, phi):
+    """The memoized mask of a state formula, keyed by its rendered text:
+    unlike Expr equality, the text tells 1, 1.0 and true apart."""
+    return space.memo.get(("label", render_expr(phi)), lambda: label_states(space, phi))
 
 
 def _mask_key(mask):
@@ -302,9 +283,8 @@ def _until_form(space, prop):
     when negate: F psi is true U psi, and G phi is 1 - P(true U !phi)."""
     path = prop.path
     if path.kind == "U":
-        return (_label(space, path.constraint, prop), _label(space, path.target, prop),
-                False)
-    target = _label(space, path.target, prop)
+        return _label(space, path.constraint), _label(space, path.target), False
+    target = _label(space, path.target)
     everywhere = np.ones(space.n_states, dtype=bool)
     if path.kind == "G":
         return everywhere, ~target, True
@@ -330,15 +310,14 @@ class _Until:
         return self.space.graph_memo.get(("prob1", *self.key), lambda: _prob1(
             self.space, self.phi, self.psi, self.prob0()))
 
-    def probability(self, cfg):
+    def probability(self):
         zero, one = self.prob0(), self.prob1()
-        return self.space.memo.get(("P", _mask_key(zero), _mask_key(one), cfg),
-                                   lambda: _until_vector(self.space, zero, one, cfg))
+        return self.space.memo.get(("P", _mask_key(zero), _mask_key(one)),
+                                   lambda: _until_vector(self.space, zero, one))
 
-    def reward(self, name, cfg):
-        return self.space.memo.get(("R", *self.key, name, cfg), lambda: _reach_reward(
-            self.space, _reward_vector(self.space, name), self.psi, self.prob1(),
-            cfg))
+    def reward(self, name):
+        return self.space.memo.get(("R", *self.key, name), lambda: _reach_reward(
+            self.space, _reward_vector(self.space, name), self.psi, self.prob1()))
 
 
 def model_fingerprint(space: StateSpace, prop) -> str:
@@ -354,35 +333,41 @@ _QUALITATIVE = ((">=", 1.0), ("<=", 0.0))
 
 
 def check_property(space: StateSpace, prop, cfg=SolverConfig()) -> VerificationResult:
-    """Check one property; queries return the initial-state value."""
+    """Check one property; queries return the initial-state value.  The one
+    place that judges a solve: it is accepted when its residual is at most
+    cfg.epsilon.  Every error names the property's place."""
     t0 = time.perf_counter()
     init, path = space.initial, prop.path
     value = verdict = None
     infinite = marginal = False
     stats = _GRAPH_STATS
-    if path.kind == "F<=":  # step-bounded: no graph characterization
-        psi = _label(space, path.target, prop)
-        vec, stats = space.memo.get(
-            ("F<=", _mask_key(psi), path.bound),
-            lambda: bounded_eventually_probability(space, psi, path.bound))
-        value = float(vec[init])
-    else:
-        phi, psi, negate = _until_form(space, prop)
-        until = _Until(space, phi, psi)
-        if prop.kind == "R_query":
-            with _located(prop, SolverError):  # an unknown name is an error first
-                _reward_vector(space, prop.reward)
-            infinite = not until.prob1()[init]  # psi is missed with positive probability
-            if not infinite:
-                vec, stats = until.reward(prop.reward, cfg)
-                value = float(vec[init])
-        elif prop.kind == "P_bound" and (prop.bound_op, prop.bound) in _QUALITATIVE:
-            # P >= 1 holds on prob1 and P <= 0 on prob0; the complement swaps them.
-            at_one = (prop.bound_op == ">=") != negate
-            verdict = bool((until.prob1() if at_one else until.prob0())[init])
+    with _located(prop, BuildError, EvalError, SolverError):
+        if path.kind == "F<=":  # step-bounded: no graph characterization
+            psi = _label(space, path.target)
+            vec, stats = space.memo.get(
+                ("F<=", _mask_key(psi), path.bound),
+                lambda: bounded_eventually_probability(space, psi, path.bound))
+            value = float(vec[init])
         else:
-            vec, stats = until.probability(cfg)
-            value = float(1.0 - vec[init] if negate else vec[init])
+            phi, psi, negate = _until_form(space, prop)
+            until = _Until(space, phi, psi)
+            if prop.kind == "R_query":
+                _reward_vector(space, prop.reward)  # an unknown name is an error first
+                infinite = not until.prob1()[init]  # psi missed with P > 0
+                if not infinite:
+                    vec, stats = until.reward(prop.reward)
+                    value = float(vec[init])
+            elif prop.kind == "P_bound" and (prop.bound_op, prop.bound) in _QUALITATIVE:
+                # P >= 1 holds on prob1 and P <= 0 on prob0; the complement swaps them.
+                at_one = (prop.bound_op == ">=") != negate
+                verdict = bool((until.prob1() if at_one else until.prob0())[init])
+            else:
+                vec, stats = until.probability()
+                value = float(1.0 - vec[init] if negate else vec[init])
+        # Graph and F<=k results have residual 0.0 and always pass.
+        if not stats["residual"] <= cfg.epsilon:
+            raise SolverError(f"{stats['engine']} solve missed the residual bound "
+                              f"({stats['residual']:.3e} > {cfg.epsilon:g})")
     if prop.kind == "P_bound" and verdict is None:
         # Bounds of 0 or 1 on a numeric value allow for rounding.
         tol = BOUND_TOL if prop.bound in (0.0, 1.0) else 0.0
@@ -433,9 +418,26 @@ def serialize_results(results) -> str:
     return "\n".join(json.dumps(vars(r)) for r in results) + "\n"
 
 
+def _check_result(res):
+    """Raise ValueError unless check_property could have written `res`."""
+    kind, value = res.kind, res.value
+    if kind not in _RESULT_KIND.values():
+        raise ValueError(f"unknown 'kind': {kind!r}")
+    if res.infinite and (kind != "reward" or value is not None):
+        raise ValueError(f"an infinite {kind} result with 'value' {value!r}")
+    if kind == "boolean" and res.verdict is None:
+        raise ValueError("'verdict' of a boolean result is null")
+    if value is None and kind != "boolean" and not res.infinite:
+        raise ValueError(f"'value' of a {kind} result is null")
+    high = np.inf if kind == "reward" else 1.0
+    if value is not None and not 0.0 <= value <= high:
+        raise ValueError(f"'value' of a {kind} result is outside [0, {high:g}]: "
+                         f"{value!r}")
+
+
 def parse_results(text: str):
-    """The records that serialize_results wrote.  A malformed record, a
-    probability outside [0, 1] among them, raises CassureError."""
+    """The records that serialize_results wrote.  A malformed record, or one
+    that check_property never writes, raises CassureError."""
     out = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -443,12 +445,7 @@ def parse_results(text: str):
             continue
         try:
             res = read_record(VerificationResult, json.loads(line))
-            if res.value is None and res.kind != "boolean" and not res.infinite:
-                raise TypeError(f"'value' of a {res.kind} result is null")
-            if (res.kind == "probability" and res.value is not None
-                    and not 0.0 <= res.value <= 1.0):
-                raise ValueError(f"'value' of a probability result is outside "
-                                 f"[0, 1]: {res.value!r}")
+            _check_result(res)
             out.append(res)
         except (KeyError, TypeError, ValueError) as e:
             raise CassureError(

@@ -627,7 +627,7 @@ def compile_expr(e: Expr, env: BoundModel):
     def evaluate(cols, n):
         if exact:
             cols = tuple(c if c.dtype == bool else c.astype(object) for c in cols)
-        errors = []
+        errors = _Errors()
         value = node.fn(cols, None, errors) if node.fn else node.value
         if errors:
             bad = np.zeros(n, dtype=bool)
@@ -652,13 +652,23 @@ def _constant(e, env):
     return node.value
 
 
+class _Errors(list):
+    """The failing rows of one evaluation, each a mask or None (every row).
+    `formulas` keeps the value and the failing rows of each formula
+    evaluated so far in it, keyed by the formula node's own fn."""
+    __slots__ = ("formulas",)
+
+    def __init__(self):  # an empty list needs no list.__init__
+        self.formulas = {}
+
+
 class _Node(NamedTuple):
     """A compiled subexpression: either a folded `value` (fn is None) or
     fn(cols, live, errors), where `live` masks the rows on which the
     per-state semantics (tests/reference_builder.py) evaluates this node
-    (None: every row) and failing rows are appended to `errors`.  `raises`
-    says whether fn can append anything.  `bounds` is the (low, high)
-    interval of an integer subexpression, else None."""
+    (None: every row) and failing rows are appended to `errors`, an
+    `_Errors`.  `raises` says whether fn can append anything.  `bounds` is
+    the (low, high) interval of an integer subexpression, else None."""
     value: object = None
     fn: object = None
     raises: bool = False
@@ -724,7 +734,7 @@ def _compile_node(e, env, names, wide):
             value = env.constants[e.ident]
             return _Node(value, bounds=_point(value))
         if e.ident in env.formulas:
-            names[e.ident] = _compile(env.formulas[e.ident], env, names, wide)
+            names[e.ident] = _shared(_compile(env.formulas[e.ident], env, names, wide))
             return names[e.ident]
         raise EvalError(f"unbound identifier '{e.ident}'")
     if isinstance(e, Unary):
@@ -751,6 +761,29 @@ def _compile_node(e, env, names, wide):
                                                       rf(cols, live, errors)),
                      raises=left.raises or right.raises, bounds=bounds)
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _shared(node):
+    """The node of a formula, which any number of references may share: it
+    is evaluated at most once per evaluation, on every row, and each
+    reference counts the formula's failing rows where it is live."""
+    f = node.fn
+    if f is None:
+        return node
+
+    def shared(cols, live, errors):
+        if f not in errors.formulas:
+            start = len(errors)
+            value = f(cols, None, errors)
+            errors.formulas[f] = value, errors[start:]
+            del errors[start:]
+        value, failed = errors.formulas[f]
+        for rows in failed:
+            errors.append(live if rows is None else rows if live is None
+                          else rows & live)
+        return value
+
+    return node._replace(fn=shared)
 
 
 def _divide(left, right):

@@ -18,8 +18,8 @@ import pytest
 import oracle
 import pinned
 from cassure import (
-    Annotation, bind_constants, build_dtmc, check_properties, parse_dsl,
-    parse_model, parse_properties, serialize_dsl, validate_argument,
+    Annotation, bind_constants, build_dtmc, check_properties, label_states,
+    parse_dsl, parse_model, parse_properties, serialize_dsl, validate_argument,
 )
 from cassure.cli import PipelineConfig, watch_loop
 from cassure.engine import bounded_eventually_probability
@@ -101,7 +101,7 @@ def test_criterion_4_structural_identities(space, results):
     split = len(outcomes) == len(pinned.P_TERMINAL) and all(
         abs(v - e) <= TOL for v, e in zip(outcomes, pinned.P_TERMINAL))
 
-    at_goal = Binary("=", Name("loc"), Lit(4))
+    at_goal = label_states(space, Binary("=", Name("loc"), Lit(4)))
     vals = [bounded_eventually_probability(space, at_goal, k)[0][space.initial]
             for k in range(11)]
     monotone = all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))

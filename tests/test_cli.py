@@ -417,6 +417,61 @@ def test_constants_defined_by_later_ones_exit_0(tmp_path):
     assert "reach: holds" in r.output
 
 
+def test_cyclic_constants_exit_2(tmp_path):
+    (tmp_path / "cycle.prism").write_text(
+        "dtmc\nconst int a = b;\nconst int b = a;\n"
+        "module m\n  x : [0..1] init 0;\n  [] x=0 -> (x'=1);\nendmodule\n")
+    (tmp_path / "cycle.props").write_text('"reach": P=? [ F x=1 ]\n')
+    r = invoke("check", "--model", str(tmp_path / "cycle.prism"),
+               "--out", str(tmp_path / "out"))
+    assert r.exit_code == 2, r.output
+    assert "error: cyclic constant definition involving 'a'" in r.output
+
+
+def test_an_assignment_to_another_modules_variable_is_reported_once(tmp_path):
+    (tmp_path / "foreign.prism").write_text(
+        "dtmc\nmodule a\n  x : [0..1] init 0;\n  [] x=0 -> (y'=1);\nendmodule\n"
+        "module b\n  y : [0..1] init 0;\n  [] y=0 -> (y'=1);\nendmodule\n")
+    (tmp_path / "foreign.props").write_text('"reach": P=? [ F x=1 ]\n')
+    r = invoke("check", "--model", str(tmp_path / "foreign.prism"),
+               "--out", str(tmp_path / "out"))
+    assert r.exit_code == 2, r.output
+    assert r.output.count("assignment target 'y'") == 1
+
+
+def test_a_counter_with_resets_builds_5001_layers(tmp_path):
+    # One new state per breadth-first layer, each layer resetting to 0.
+    (tmp_path / "deep.prism").write_text(
+        "dtmc\nconst int M = 1;\nmodule m\n  x : [0..M] init 0;\n"
+        "  [] x<M -> 0.9 : (x'=x+1) + 0.1 : (x'=0);\nendmodule\n")
+    (tmp_path / "deep.props").write_text("P>=1 [ F x=M ]\n")
+    r = invoke("check", "--model", str(tmp_path / "deep.prism"),
+               "--out", str(tmp_path / "out"), "--const", "M=5000")
+    assert r.exit_code == 0, r.output
+    assert r.output.startswith("built 5001 states")
+
+
+# The grid model of ROADMAP.md's Baseline, verbatim: N has no value.
+BASELINE_GRID = """\
+dtmc const int N; module walk x:[0..N] init 0; y:[0..N] init 0;
+[] x<N & y<N -> 0.4:(x'=x+1) + 0.4:(y'=y+1) + 0.2:(x'=0);
+[] x=N | y=N -> (x'=x); endmodule rewards "steps" true : 1; endrewards
+"""
+
+
+def test_the_baseline_grid_needs_a_value_for_n(tmp_path):
+    (tmp_path / "grid.prism").write_text(BASELINE_GRID)
+    (tmp_path / "grid.props").write_text('R{"steps"}=? [ F x=N | y=N ]\n')
+    args = ("check", "--model", str(tmp_path / "grid.prism"),
+            "--out", str(tmp_path / "out"))
+    r = invoke(*args, "--const", "N=30")
+    assert r.exit_code == 0, r.output
+    assert r.output.startswith("built 960 states")
+    r = invoke(*args)
+    assert r.exit_code == 2, r.output
+    assert "error: undefined constant 'N'" in r.output
+
+
 def test_formula_chain_fails_one_watch_cycle(workdir):
     config = make_config(workdir)
     model = workdir / "nuclear.prism"
@@ -677,9 +732,16 @@ def test_impact_rejects_a_nan_result_value(workdir):
 @pytest.mark.parametrize("fresh_record", [
     '{"property": "R_moves", "kind": "reward", "value": Infinity}',
     '{"property": "P_succ", "kind": "probability", "value": 7.5}',
-], ids=["reward-infinity", "probability-7.5"])
+    '{"property": "P_succ", "kind": "banana", "value": 0.5}',
+    '{"property": "R_moves", "kind": "reward", "value": -5}',
+    '{"property": "P_succ", "kind": "boolean", "verdict": null}',
+    '{"property": "P_succ", "kind": "probability", "value": null, "infinite": true}',
+    '{"property": "R_moves", "kind": "reward", "value": 3, "infinite": true}',
+], ids=["reward-infinity", "probability-7.5", "unknown-kind", "negative-reward",
+        "boolean-without-verdict", "infinite-probability", "infinite-reward-with-value"])
 def test_impact_rejects_an_infinite_or_out_of_range_value(workdir, fresh_record):
-    # An Infinity would read as a finite reward, and 7.5 as a probability.
+    # An Infinity would read as a finite reward, and 7.5 as a probability;
+    # the others are records that check_property never writes.
     out = _generate(workdir)
     package = workdir / "package"
     package.mkdir()

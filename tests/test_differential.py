@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from cassure import (
-    SolverConfig, bind_constants, check_property, parse_model, parse_properties,
+    bind_constants, check_property, parse_model, parse_properties,
 )
 from cassure.engine import (
     _Until, bounded_eventually_probability, prob0_states, prob1_states,
@@ -106,7 +106,7 @@ def agrees_with_exact_oracle(chain, k):
 
     assert as_set(prob0_states(space, phi_m, psi_m)) == oracle.prob0(rows, n, phi_f, psi_f)
     assert as_set(prob1_states(space, phi_m, psi_m)) == oracle.prob1(rows, n, phi_f, psi_f)
-    assert_close(_Until(space, phi_m, psi_m).probability(SolverConfig())[0],
+    assert_close(_Until(space, phi_m, psi_m).probability()[0],
                  oracle.until_probability(rows, n, phi_f, psi_f))
     assert_close(reward_until(space, psi_m),
                  oracle.reach_reward(rows, n, reward.__getitem__, psi_f))
@@ -129,7 +129,7 @@ def test_engine_agrees_with_exact_oracle_on_sparse_chains(chain, k):
 def reward_until(space, psi_m):
     """Expected reward "r" until psi_m per state, as check_property solves it."""
     everywhere = np.ones(space.n_states, dtype=bool)
-    return _Until(space, everywhere, psi_m).reward("r", SolverConfig())[0]
+    return _Until(space, everywhere, psi_m).reward("r")[0]
 
 
 def predicate(mask):

@@ -215,6 +215,39 @@ def test_memo_entries_never_cross_solver_configs():
             check_property(s, p_reach, tight)
 
 
+def test_a_solution_is_reused_under_another_epsilon(monkeypatch):
+    # epsilon only judges a solve, so the memo does not key on it.
+    p_reach = next(p for p in parse_properties(GRID_PROPS) if p.name == "P_reach")
+    space = build_dtmc(bind_constants(parse_model(GRID)))
+    solves = _counted(monkeypatch, "_solve_unknown")
+    first = check_property(space, p_reach)
+    again = check_property(space, p_reach, SolverConfig(epsilon=1e-6))
+    assert len(solves) == 1
+    assert again.value == first.value
+
+
+# State 0 leaves itself with probability 2e-20, which rounds its self-loop
+# to exactly 1: the graph keeps it unknown, and its level divides by 1 - 1.
+ROUNDED_LOOP = """\
+dtmc
+module m
+  x : [0..2] init 0;
+  [] x=0 -> 1e-20:(x'=1) + 1e-20:(x'=2) + (1-2e-20):(x'=0);
+  [] x>0 -> (x'=x);
+endmodule
+"""
+
+
+def test_a_singular_solve_names_the_property():
+    space = build_dtmc(bind_constants(parse_model(ROUNDED_LOOP)))
+    props = parse_properties('"a": P=? [ F x=2 ];\n  "b": P=? [ F x=1 ];\n',
+                             file="s.props")
+    with pytest.raises(SolverError) as info:
+        check_property(space, props[1])
+    assert str(info.value).startswith("s.props:2:3: singular system over 1 "
+                                      "unknown states")
+
+
 def test_one_linear_system_is_solved_once(monkeypatch):
     # F x>=6 and y<N U x>=6 differ in phi but have equal 0/1 sets, and so
     # one linear system: the grid's three properties make two solves.
@@ -245,7 +278,7 @@ def test_levels_peel_what_no_cycle_holds_and_lu_solves_the_rest():
     x = np.array([space.valuation(i)["x"] for i in range(space.n_states)])
 
     def until(phi):
-        vec, stats = _Until(space, phi, x == 3).probability(SolverConfig())
+        vec, stats = _Until(space, phi, x == 3).probability()
         return dict(zip(x.tolist(), vec.tolist())), stats["engine"]
     # x=2 has no successor in the unknown block but itself: one level.
     # x=0 and x=1 form a cycle, left to the LU after that level.
@@ -278,12 +311,13 @@ def toy():
 def test_toy_until(toy):
     until = _Until(toy, np.ones(toy.n_states, dtype=bool),
                    label_states(toy, Binary("=", Name("x"), Lit(1))))
-    vec, _ = until.probability(SolverConfig())
+    vec, _ = until.probability()
     assert vec[toy.initial] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_toy_prob01_sets(toy):
-    phi, psi = Lit(True), Binary("=", Name("x"), Lit(1))
+    phi = np.ones(toy.n_states, dtype=bool)
+    psi = label_states(toy, Binary("=", Name("x"), Lit(1)))
     p0 = prob0_states(toy, phi, psi)
     p1 = prob1_states(toy, phi, psi)
     lab = {toy.valuation(s)["x"]: s for s in range(toy.n_states)}
@@ -295,12 +329,13 @@ def test_termination_not_almost_sure(space):
     terminal = Binary("|", Binary("|", Binary("=", Name("loc"), Lit(4)),
                                   Binary("=", Name("loc"), Lit(5))),
                       Binary("=", Name("loc"), Lit(6)))
-    one = prob1_states(space, Lit(True), terminal)
+    one = prob1_states(space, np.ones(space.n_states, dtype=bool),
+                       label_states(space, terminal))
     assert bool(one[space.initial]) is pinned.INIT_ALMOST_SURELY_TERMINATES
 
 
 def test_toy_bounded(toy):
-    psi = Binary("=", Name("x"), Lit(1))
+    psi = label_states(toy, Binary("=", Name("x"), Lit(1)))
     for k, expected in [(0, 0.0), (1, 0.5), (5, 0.5)]:
         vec, _ = bounded_eventually_probability(toy, psi, k)
         assert vec[toy.initial] == pytest.approx(expected, abs=1e-12)
@@ -327,12 +362,12 @@ endrewards
     space = build_dtmc(bind_constants(parse_model(text)))
     until = _Until(space, np.ones(space.n_states, dtype=bool),
                    label_states(space, Binary("=", Name("x"), Lit(1))))
-    vec, _ = until.reward("steps", SolverConfig())
+    vec, _ = until.reward("steps")
     assert np.isinf(vec[space.initial])
 
 
 def test_bounded_monotone_in_k(space):
-    psi = Binary("=", Name("loc"), Lit(4))
+    psi = label_states(space, Binary("=", Name("loc"), Lit(4)))
     vals = [bounded_eventually_probability(space, psi, k)[0][space.initial]
             for k in range(11)]
     assert vals == pytest.approx(pinned.BOUNDED_SUCCESS, abs=TOL)
@@ -347,8 +382,7 @@ def test_singular_block_raises():
         "endmodule\n")))
     x = np.zeros(space.n_states)
     with pytest.raises(SolverError, match="singular"):
-        _solve_unknown(space, x, np.arange(space.n_states), np.ones(space.n_states),
-                       SolverConfig())
+        _solve_unknown(space, x, np.arange(space.n_states), np.ones(space.n_states))
 
 
 def test_a_certain_self_loop_in_a_level_is_singular():
@@ -359,8 +393,7 @@ def test_a_certain_self_loop_in_a_level_is_singular():
         "endmodule\n")))
     x = np.zeros(space.n_states)
     with pytest.raises(SolverError, match="singular"):
-        _solve_unknown(space, x, np.arange(space.n_states), np.ones(space.n_states),
-                       SolverConfig())
+        _solve_unknown(space, x, np.arange(space.n_states), np.ones(space.n_states))
 
 
 # ---- rendering and records ----

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,6 +341,34 @@ def test_each_formula_is_compiled_once_per_expression(monkeypatch):
     bound = _doubling_chain(4, "x * 1000000000000000")
     got = compile_expr(Name("f4"), bound)(cols, 2)
     assert got.dtype == object and got.tolist() == [0, 16 * 10 ** 15]
+
+
+def test_each_formula_is_evaluated_once_per_evaluation():
+    # f12 expands to 4**12 copies of x, so evaluating a formula once per
+    # reference builds for about 40 s; once per evaluation, at once.  A
+    # fresh process with a timeout keeps such a build from hanging the run.
+    formulas = ["f0 = x"] + [f"f{i} = (f{i - 1} + f{i - 1}) + (f{i - 1} + f{i - 1})"
+                             for i in range(1, 13)]
+    text = _with_formulas(formulas, "f12 >= 0")
+    code = ("from cassure import bind_constants, build_dtmc, parse_model\n"
+            f"print(build_dtmc(bind_constants(parse_model({text!r}))).n_states)\n")
+    src = Path(__file__).parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=10, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.split() == ["2"]
+
+
+def test_a_shared_formula_divides_by_zero_only_where_a_reference_is_live():
+    # d = 1/x fails at x=0, and each reference counts that row where it is
+    # live: in `ok` both are guarded by x=0 |, in `bad` the second is not.
+    bound = bind_constants(parse_model(_with_formulas(
+        ["d = 1/x", "ok = x=0 | d > 0 | d < 0", "bad = (x=0 | d > 0) & (d >= 0 | x=0)"],
+        "x=0")))
+    cols = (np.array([0, 1], dtype=np.int64),)
+    assert compile_expr(Name("ok"), bound)(cols, 2).tolist() == [True, True]
+    with pytest.raises(EvalError) as info:
+        compile_expr(Name("bad"), bound)(cols, 2)
+    assert info.value.row == 0
 
 
 # ---- hypothesis: compiled evaluation equals the reference interpreter ----
