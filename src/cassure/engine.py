@@ -25,13 +25,16 @@ shares that space's graph memo.  `check_properties` then keeps only the
 entries its properties used.  No key holds the SolverConfig: a solve returns
 its vector and stats, and `check_property` alone judges them, after the
 lookup, by comparing the residual with epsilon.
+
+A result record depends only on the model, its constants and the property
+(no clock), and `parse_results` accepts exactly the records that
+`check_property` writes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -336,7 +339,6 @@ def check_property(space: StateSpace, prop, cfg=SolverConfig()) -> VerificationR
     """Check one property; queries return the initial-state value.  The one
     place that judges a solve: it is accepted when its residual is at most
     cfg.epsilon.  Every error names the property's place."""
-    t0 = time.perf_counter()
     init, path = space.initial, prop.path
     value = verdict = None
     infinite = marginal = False
@@ -375,7 +377,7 @@ def check_property(space: StateSpace, prop, cfg=SolverConfig()) -> VerificationR
                    else value <= prop.bound + tol)
         marginal = abs(value - prop.bound) <= BOUND_TOL
     return VerificationResult(prop.name, _RESULT_KIND[prop.kind], value, infinite,
-                              verdict, marginal, dict(stats, wall_ms=_ms(t0)),
+                              verdict, marginal, dict(stats),
                               model_fingerprint(space, prop))
 
 
@@ -386,10 +388,6 @@ def check_properties(space, props, cfg=SolverConfig()):
     space.memo.keep_used()
     space.graph_memo.keep_used()
     return results
-
-
-def _ms(t0):
-    return round((time.perf_counter() - t0) * 1000.0, 3)
 
 
 # --------------------------------------------------------------------------
@@ -427,6 +425,8 @@ def _check_result(res):
         raise ValueError(f"an infinite {kind} result with 'value' {value!r}")
     if kind == "boolean" and res.verdict is None:
         raise ValueError("'verdict' of a boolean result is null")
+    if kind != "boolean" and (res.verdict is not None or res.marginal):
+        raise ValueError(f"a {kind} result with a verdict or 'marginal': true")
     if value is None and kind != "boolean" and not res.infinite:
         raise ValueError(f"'value' of a {kind} result is null")
     high = np.inf if kind == "reward" else 1.0

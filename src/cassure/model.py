@@ -516,25 +516,17 @@ def bind_constants(model: ModelAst, overrides=None) -> BoundModel:
         name = closing[0].ident
         raise BindError(f"cyclic constant definition involving '{name}'"
                         if name in decls else f"recursive formula '{name}'")
-    # The formulas that constants reach are evaluated in this order too, so
-    # that no evaluation expands a formula.
-    reached = set()
-    for name in reversed(order):
-        if name in decls or name in reached:
-            reached.update(ref.ident for ref in _references(defs[name])
-                           if ref.ident in defs and ref.ident not in decls)
-    values, known = {}, {}  # constants; constants and reached formulas
-    scope = BoundModel(model, known, formulas, ())
+    # The order puts each constant that a formula names before the formula's
+    # first use, so one formula memo serves every constant: each formula is
+    # compiled once.
+    values, names = {}, {}
+    env = BoundModel(model, values, formulas, ())
     for name in order:
-        if name not in decls:
-            if name in reached:
-                known[name] = _constant(defs[name], scope)
-            continue
-        v = _constant(defs[name], scope)
-        values[name] = known[name] = v if decls[name].kind == "int" else float(v)
+        if name in decls:
+            v = _constant(defs[name], env, names)
+            values[name] = v if decls[name].kind == "int" else float(v)
 
     variables = []
-    env = BoundModel(model, values, formulas, ())
     for v in model.all_variables():
         if v.is_bool:
             variables.append(VarInfo(v.name, None, None, _constant(v.init, env), True))
@@ -642,11 +634,12 @@ def compile_expr(e: Expr, env: BoundModel):
     return evaluate
 
 
-def _constant(e, env):
+def _constant(e, env, names=None):
     """The value of `e`, which names constants and formulas of `env` but no
     variable.  `_compile` folds such an expression completely unless it
-    divides by zero."""
-    node = _compile(e, env, {}, [])
+    divides by zero.  `names`, if given, is a formula memo that calls share
+    (see `_compile`)."""
+    node = _compile(e, env, {} if names is None else names, [])
     if node.fn is not None:
         raise EvalError("division by zero")
     return node.value

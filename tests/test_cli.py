@@ -48,6 +48,20 @@ def test_check_reports_the_build(workdir):
         "choice, 0 deadlocks fixed)")
 
 
+def test_two_checks_write_byte_identical_results(workdir):
+    # A record holds what the check decided and no timing, so a results
+    # file changes only when the evidence does.
+    written = []
+    for out in ("out1", "out2"):
+        r = invoke("check", "--model", str(workdir / "nuclear.prism"),
+                   "--out", str(workdir / out))
+        assert r.exit_code == 1, r.output
+        written.append((workdir / out / "nuclear.results.jsonl").read_bytes())
+    assert written[0] == written[1]
+    stats = {tuple(json.loads(line)["stats"]) for line in written[0].splitlines()}
+    assert stats == {("iterations", "residual", "engine")}
+
+
 def test_check_all_pass_exits_0(workdir):
     (workdir / "only.props").write_text('"safe": P<=0 [F loc = 5]\n')
     r = invoke("check", "--model", str(workdir / "nuclear.prism"),
@@ -737,8 +751,11 @@ def test_impact_rejects_a_nan_result_value(workdir):
     '{"property": "P_succ", "kind": "boolean", "verdict": null}',
     '{"property": "P_succ", "kind": "probability", "value": null, "infinite": true}',
     '{"property": "R_moves", "kind": "reward", "value": 3, "infinite": true}',
+    '{"property": "P_succ", "kind": "probability", "value": 0.5, "verdict": true}',
+    '{"property": "R_moves", "kind": "reward", "value": 3, "marginal": true}',
 ], ids=["reward-infinity", "probability-7.5", "unknown-kind", "negative-reward",
-        "boolean-without-verdict", "infinite-probability", "infinite-reward-with-value"])
+        "boolean-without-verdict", "infinite-probability", "infinite-reward-with-value",
+        "probability-with-verdict", "marginal-reward"])
 def test_impact_rejects_an_infinite_or_out_of_range_value(workdir, fresh_record):
     # An Infinity would read as a finite reward, and 7.5 as a probability;
     # the others are records that check_property never writes.
@@ -827,13 +844,6 @@ def _edit(path, old, new):
     return edit
 
 
-def _untimed(path):
-    recs = [json.loads(line) for line in path.read_text().splitlines()]
-    for rec in recs:
-        del rec["stats"]["wall_ms"]
-    return recs
-
-
 def test_props_only_edit_reuses_the_state_space(workdir, monkeypatch):
     out = workdir / "out"
     before = workdir / "before"
@@ -848,14 +858,15 @@ def test_props_only_edit_reuses_the_state_space(workdir, monkeypatch):
     assert per_cycle == [{"parse_model": 1, "build_dtmc": 1},
                          {"parse_model": 0, "build_dtmc": 0}]
     # A fresh generate from the same inputs writes the same artifacts.
-    watched = (out / "nuclear.gsn").read_bytes(), _untimed(out / "nuclear.results.jsonl")
+    watched = ((out / "nuclear.gsn").read_bytes(),
+               (out / "nuclear.results.jsonl").read_bytes())
     shutil.rmtree(out)
     shutil.copytree(before, out)
     r = invoke("generate", "--model", str(workdir / "nuclear.prism"),
                "--out", str(out))
     assert r.exit_code == 0, r.output
     assert watched == ((out / "nuclear.gsn").read_bytes(),
-                       _untimed(out / "nuclear.results.jsonl"))
+                       (out / "nuclear.results.jsonl").read_bytes())
 
 
 def test_model_edit_rebuilds_the_state_space(workdir, monkeypatch):
@@ -896,7 +907,8 @@ def test_model_edit_writes_what_generate_writes(workdir, monkeypatch):
     lines, _, _ = _watch(make_config(workdir), [edit], monkeypatch)
     assert lines[1].endswith("; state space re-evaluated")
     out = workdir / "out"
-    watched = (out / "nuclear.gsn").read_bytes(), _untimed(out / "nuclear.results.jsonl")
+    watched = ((out / "nuclear.gsn").read_bytes(),
+               (out / "nuclear.results.jsonl").read_bytes())
     _edit(workdir / "nuclear.prism", "p_err = 0.015;", "p_err = 0.01;")()
     fresh = workdir / "fresh"
     for step in (None, edit):
@@ -906,7 +918,7 @@ def test_model_edit_writes_what_generate_writes(workdir, monkeypatch):
                    "--out", str(fresh))
         assert r.exit_code == 0, r.output
     assert watched == ((fresh / "nuclear.gsn").read_bytes(),
-                       _untimed(fresh / "nuclear.results.jsonl"))
+                       (fresh / "nuclear.results.jsonl").read_bytes())
 
 
 def test_memo_keeps_only_the_current_cycles_entries(workdir, monkeypatch):
