@@ -228,14 +228,18 @@ def _until_vector(space, zero, one):
 
 def bounded_eventually_probability(space, psi, k):
     """k backward steps from the indicator of the target mask psi, targets
-    absorbing."""
+    absorbing: a step recomputes the rows outside psi only, each summed in
+    its CSR order."""
     if k < 0:
         raise ValueError("step bound must be >= 0")
     x = psi.astype(np.float64)
-    for _ in range(k):
-        x = np.bincount(space.row_ids, weights=space.data * x[space.indices],
-                        minlength=space.n_states)
-        x[psi] = 1.0
+    rest = np.flatnonzero(~psi)
+    if k and rest.size:
+        pos, counts = _row_positions(space.indptr, rest)
+        cols, probs = space.indices[pos], space.data[pos]
+        rows = np.repeat(np.arange(rest.size), counts)
+        for _ in range(k):
+            x[rest] = np.bincount(rows, weights=probs * x[cols], minlength=rest.size)
     np.clip(x, 0.0, 1.0, out=x)
     return x, {"iterations": k, "residual": 0.0, "engine": "matvec"}
 

@@ -26,11 +26,18 @@ an outcome with a nonzero constant probability is live on every enabled
 row, so a layer's fixed cost does not grow with such expressions.
 Successors are deduplicated by packing each valuation into a mixed-radix key
 over the variable ranges.  The ids of the states found so far are kept by
-key in `_RunsIndex`: sorted runs whose sizes more than double toward the
-oldest, one `searchsorted` per run for a lookup and a merge only when a new
-run grows to half the size of the one before it, so that a layer costs time
-in its own size and the logarithm of the states, not in all the states
-found.  `build_dtmc` compiles the units and the key packer once and
+key.  When the key is one int64 and the variable ranges span at most
+`TABLE_BUDGET` keys, `_KeyTable` keeps them in a zeroed array indexed by
+key, so a layer finds its successors by one `take` and registers its new
+states by one scatter; the pages of the array that no state's key falls in
+are never touched.  Wider key spaces go to `_RunsIndex`: sorted runs whose
+sizes more than double toward the oldest, one `searchsorted` per run for a
+lookup and a merge only when a new run grows to half the size of the one
+before it.  Either way a layer costs time in its own size (times the
+logarithm of the states, for the runs), not in all the states found, and
+only the transitions to new states are sorted, to number those states
+canonically.
+`build_dtmc` compiles the units and the key packer once and
 assembles the matrix once per build: one stable sort of the pair keys
 `source * n + target` puts the transitions in CSR order, and a weighted
 `bincount` over the runs of equal keys sums duplicates in listed order.
@@ -67,6 +74,9 @@ from .model import PROB_TOL, BoundModel, Expr, compile_expr
 
 ROW_SUM_TOL = 1e-9
 DEFAULT_STATE_CAP = 10_000_000
+# The most keys a one-word key space may span for its state ids to be kept
+# in a table indexed by key: 2**22 int64 ids, 32 MiB of address space.
+TABLE_BUDGET = 2 ** 22
 
 
 @dataclass
@@ -261,10 +271,11 @@ def _compile_units(bound):
 # --------------------------------------------------------------------------
 
 def _key_packer(variables):
-    """A function packing state rows into keys whose order is the
-    lexicographic valuation order.  Variables fill 63-bit words from the
-    first one on; a key is one int64 when one word suffices, else a record
-    of words compared in order."""
+    """(pack, span): a function packing state rows into keys whose order is
+    the lexicographic valuation order, and the number of keys the variable
+    ranges span when a key is one word (None otherwise).  Variables fill
+    63-bit words from the first one on; a key is one int64 when one word
+    suffices, else a record of words compared in order."""
     words, size = [[]], 1
     for j, v in enumerate(variables):
         low, radix = (0, 2) if v.is_bool else (v.low, v.high - v.low + 1)
@@ -292,7 +303,7 @@ def _key_packer(variables):
             packed[name] = key
         return packed
 
-    return pack
+    return pack, (size if len(words) == 1 else None)
 
 
 # --------------------------------------------------------------------------
@@ -483,7 +494,7 @@ class _RunsIndex:
         self.runs = []
 
     def find(self, keys):
-        """Ids of the sorted keys `keys`, -1 where a key is in no run."""
+        """Ids of `keys`, -1 where a key is in no run."""
         ids = np.empty(len(keys), dtype=np.int64)
         ids.fill(-1)
         for run_keys, run_ids in self.runs:
@@ -506,44 +517,61 @@ class _RunsIndex:
         self.runs.append((keys, ids))
 
 
-def _explore(variables, compiled, pack, max_states):
+class _KeyTable:
+    """State ids by one-word key, in an array over the whole key space that
+    stores id + 1, so that 0 (what `np.zeros` maps lazily) means absent."""
+
+    def __init__(self, span):
+        self.ids = np.zeros(span, dtype=np.int64)
+
+    def find(self, keys):
+        """Ids of `keys`, -1 where a key has no state yet."""
+        return self.ids.take(keys) - 1
+
+    def add(self, keys, ids):
+        """Add distinct keys, none of them in the table yet, with their ids."""
+        self.ids[keys] = ids + 1
+
+
+def _explore(variables, compiled, pack, span, max_states):
     """The reachable states by BFS from the initial valuation, with their
     transitions (source ids, target ids, probabilities) and diagnostics."""
     diags = BuildDiagnostics()
     frontier = np.array([[int(v.init) for v in variables]], dtype=np.int64)
     layers = [frontier]
-    index = _RunsIndex()
+    index = (_KeyTable(span) if span is not None and span <= TABLE_BUDGET
+             else _RunsIndex())
     index.add(pack(frontier), np.zeros(1, dtype=np.int64))
     n, first = 1, 0
     src_all, dst_all, prob_all = [], [], []
     while len(frontier):
         src, succ, prob = _layer_transitions(variables, compiled, frontier,
                                              first, diags)
-        # Group the transitions by successor key.
         keys = pack(succ)
+        dst = index.find(keys)
+        # Group the transitions to states not found yet by successor key.
+        fresh = (dst < 0).nonzero()[0]
+        keys = keys[fresh]
         by_key = keys.argsort(kind="stable")
-        keys = keys[by_key]
+        fresh, keys = fresh[by_key], keys[by_key]
         head = run_heads(keys)
         starts = head.nonzero()[0]
-        keys = keys[starts]
-        ids = index.find(keys)
-        fresh = (ids < 0).nonzero()[0]
-        if n + fresh.size > max_states:
+        if n + starts.size > max_states:
             raise BuildError(f"state cap exceeded ({max_states})")
         # New states: by discovering state (the least source of the key),
         # then by valuation (keys ascend).
-        discoverer = np.minimum.reduceat(src[by_key], starts)[fresh]
-        new = fresh[np.argsort(discoverer, kind="stable")]
+        discoverer = np.minimum.reduceat(src[fresh], starts)
+        new = np.argsort(discoverer, kind="stable")
+        ids = np.empty(starts.size, dtype=np.int64)
         ids[new] = np.arange(n, n + new.size)
-        dst = np.empty(src.size, dtype=np.int64)
-        dst[by_key] = ids[np.cumsum(head) - 1]
+        dst[fresh] = ids[np.cumsum(head) - 1]
         src_all.append(src)
         dst_all.append(dst)
         prob_all.append(prob)
 
-        index.add(keys[fresh], ids[fresh])
+        index.add(keys[starts], ids)
         first += len(frontier)
-        frontier = succ[by_key[starts[new]]]
+        frontier = succ[fresh[starts[new]]]
         layers.append(frontier)
         n += new.size
 
@@ -615,14 +643,14 @@ def build_dtmc(bound: BoundModel, max_states=DEFAULT_STATE_CAP,
     space shares with ``previous`` what depends on the states and the
     transition pattern alone, its 0/1 sets among them."""
     compiled = _compile_units(bound)
-    pack = _key_packer(bound.variables)
+    pack, span = _key_packer(bound.variables)
     built = None
     if (previous is not None and previous.bound.variables == bound.variables
             and previous.n_states <= max_states):
         built = _reevaluate(bound, previous, compiled, pack)
     reevaluated = built is not None
     if not reevaluated:
-        built = _explore(bound.variables, compiled, pack, max_states)
+        built = _explore(bound.variables, compiled, pack, span, max_states)
     states, src, dst, prob, diags = built
     space = StateSpace(bound, states, 0, *_assemble(len(states), src, dst, prob),
                        _reward_vectors(bound, states), diags)

@@ -5,13 +5,16 @@ integer ranges and perhaps a boolean, guards of comparisons, `&`, `|` and
 `!`, one to three updates per command with probabilities such as `p`/`1-p`
 or `(x-lo)/R`/`1-(x-lo)/R`, an optional action label in both modules, a
 formula and a reward structure.  Some models widen every range by 10**7, so
-that the packed keys need two words; others are deep, narrow counters with
-resets, whose hundreds of BFS layers make the state index merge many runs.
-Every build is compared bit for bit with `tests/reference_builder.py`: the
-states, the matrix, the rewards, both diagnostics, or the error of an
-out-of-range update.  So is a build that reuses the space of the model
+that the packed keys need two words and the state ids go to the sorted-runs
+index; narrow ones take the table indexed by key.  Others are deep, narrow
+counters with resets, built through both indexes, whose hundreds of BFS
+layers make the sorted runs merge many times.  Every build is compared bit
+for bit with `tests/reference_builder.py`: the states, the matrix, the
+rewards, both diagnostics, or the error of an out-of-range update.  So is a build that reuses the space of the model
 before a constant edit (``previous=``).
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -212,6 +215,8 @@ def test_random_models_build_as_the_reference_does(model):
 @given(deep_models())
 def test_deep_models_build_as_the_reference_does(model):
     check(*model)
+    with mock.patch.object(statespace, "TABLE_BUDGET", 0):  # the sorted runs
+        check(*model)
 
 
 def test_reference_sees_an_out_of_range_update_where_the_build_does():
@@ -227,12 +232,31 @@ def test_reference_sees_an_out_of_range_update_where_the_build_does():
     assert reference_or_error(bound)[1] == error
 
 
-# ---- the state index: sorted runs that merge as the build goes deeper ----
+# ---- the state index: a table by key, or sorted runs that merge as the ----
+# ---- build goes deeper                                                   ----
+
+CHAIN = ("dtmc\nconst int M = 1;\nconst int W = 0;\nmodule m\n  x : [0..M] init 0;\n"
+         "  w : [0..W] init 0;\n"
+         "  [] x<M -> 0.9 : (x'=x+1) + 0.1 : (x'=0);\nendmodule\n")
+
+
+def indexes_used(monkeypatch):
+    """The list of index classes that lookups go to, from now on."""
+    used = []
+    for cls in (statespace._KeyTable, statespace._RunsIndex):
+        def find(index, keys, cls=cls, real=cls.find):
+            used.append(cls)
+            return real(index, keys)
+        monkeypatch.setattr(cls, "find", find)
+    return used
+
 
 def test_state_index_over_thousands_of_layers_and_two_word_keys(monkeypatch):
     """A 3,001-layer chain, one new state per layer, makes the index merge
-    runs all the way up; WIDE's keys are records of two words.  The runs
-    more than double in size toward the oldest at every lookup."""
+    runs all the way up: a variable that never changes spans more keys than
+    TABLE_BUDGET, so the ids go to the sorted runs.  WIDE's keys are records
+    of two words.  The runs more than double in size toward the oldest at
+    every lookup."""
     real = statespace._RunsIndex.find
     most = []
 
@@ -244,11 +268,11 @@ def test_state_index_over_thousands_of_layers_and_two_word_keys(monkeypatch):
 
     monkeypatch.setattr(statespace._RunsIndex, "find", find)
     m = 3000
-    chain = ("dtmc\nconst int M = 1;\nmodule m\n  x : [0..M] init 0;\n"
-             "  [] x<M -> 0.9 : (x'=x+1) + 0.1 : (x'=0);\nendmodule\n")
-    space = build_dtmc(bind_constants(parse_model(chain), {"M": m}))
+    space = build_dtmc(bind_constants(parse_model(CHAIN),
+                                      {"M": m, "W": statespace.TABLE_BUDGET}))
     assert 6 <= max(most) <= m.bit_length()
-    assert space.states.ravel().tolist() == list(range(m + 1))
+    assert space.states[:, 0].tolist() == list(range(m + 1))
+    assert not space.states[:, 1].any()
     # Row x < M: 0.1 back to 0 and 0.9 on to x+1 (row 0 sums them into
     # column order 0, 1); row M deadlocks.
     assert space.indptr.tolist() == list(range(0, 2 * m + 1, 2)) + [2 * m + 1]
@@ -259,3 +283,33 @@ def test_state_index_over_thousands_of_layers_and_two_word_keys(monkeypatch):
     wide = bind_constants(parse_model(WIDE), {"L": 10 ** 7})
     assert (2 * 10 ** 7 + 1) ** 3 > 2 ** 63  # the packed key needs two words
     assert assert_equals_reference(wide).n_states == 16
+
+
+def test_the_table_builds_what_the_sorted_runs_build(monkeypatch):
+    used = indexes_used(monkeypatch)
+    bound = bind_constants(parse_model(CHAIN), {"M": 3000})
+    table = build_dtmc(bound)
+    assert set(used) == {statespace._KeyTable}
+    used.clear()
+    monkeypatch.setattr(statespace, "TABLE_BUDGET", 0)
+    runs = build_dtmc(bound)
+    assert set(used) == {statespace._RunsIndex}
+    for name in ("states", "indptr", "indices", "data"):
+        a, b = getattr(table, name), getattr(runs, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert table.rewards == runs.rewards == {}
+    assert table.diagnostics == runs.diagnostics
+
+
+def test_a_key_space_over_the_budget_takes_the_sorted_runs(monkeypatch):
+    used = indexes_used(monkeypatch)
+    budget = statespace.TABLE_BUDGET
+    for width, index in [(budget - 1, statespace._KeyTable),
+                         (budget, statespace._RunsIndex)]:
+        # x spans width + 1 keys, one word; the walk reaches x = 0..3.
+        text = (f"dtmc\nmodule m\n  x : [0..{width}] init 0;\n"
+                "  [] x<3 -> 0.5 : (x'=x+1) + 0.5 : (x'=0);\nendmodule\n")
+        space = build_dtmc(bind_constants(parse_model(text)))
+        assert space.states.ravel().tolist() == [0, 1, 2, 3]
+        assert set(used) == {index}
+        used.clear()

@@ -333,6 +333,32 @@ def test_toy_bounded(toy):
         assert vec[toy.initial] == pytest.approx(expected, abs=1e-12)
 
 
+def _every_row_steps(space, psi, k):
+    """F<=k as the whole matrix computes it, every row on every step."""
+    x = psi.astype(np.float64)
+    for _ in range(k):
+        x = np.bincount(space.row_ids, weights=space.data * x[space.indices],
+                        minlength=space.n_states)
+        x[psi] = 1.0
+    return np.clip(x, 0.0, 1.0)
+
+
+# loc=4 is absorbing; the states at loc=2 move on, so only the step function
+# keeps their value at 1.
+@pytest.mark.parametrize("target", ["everywhere", "nowhere", "loc=4", "loc=2"])
+@pytest.mark.parametrize("k", [0, 1, 5, 60])
+def test_bounded_steps_only_rows_outside_the_target(space, target, k):
+    loc = space.columns[[v.name for v in space.bound.variables].index("loc")]
+    psi = {"everywhere": np.ones(space.n_states, dtype=bool),
+           "nowhere": np.zeros(space.n_states, dtype=bool),
+           "loc=4": loc == 4, "loc=2": loc == 2}[target]
+    vec, stats = bounded_eventually_probability(space, psi, k)
+    assert vec.tobytes() == _every_row_steps(space, psi, k).tobytes()
+    assert stats == {"iterations": k, "residual": 0.0, "engine": "matvec"}
+    if target in ("everywhere", "nowhere") or k == 0:
+        assert vec.tolist() == psi.astype(float).tolist()
+
+
 def test_toy_globally(toy):
     # G x != 1 holds with probability 0.5 from the start
     r = check_property(toy, parse_properties("P=? [ G x != 1 ]")[0])
