@@ -408,11 +408,29 @@ def render_value(res: VerificationResult) -> str:
     return f"{res.value:.6g}"
 
 
+@dataclass(frozen=True)
+class Evidence:
+    """What the argument states of a result: property, kind, rendered value
+    (so the verdict and +∞ too) and `marginal`; a result changed exactly when
+    this statement did.  `deferred`: its goal holds DeferredEvidence."""
+    statement: str
+    deferred: bool
+
+    @property
+    def fingerprint(self):
+        return hashlib.sha256(self.statement.encode()).hexdigest()
+
+
+def evidence(res: VerificationResult) -> Evidence:
+    """The one rule: a violated or marginal result defers its goal."""
+    statement = f"{res.property}|{res.kind}|{render_value(res)}"
+    return Evidence(statement + "|marginal" if res.marginal else statement,
+                    res.verdict is False or res.marginal)
+
+
 def result_fingerprint(res: VerificationResult) -> str:
-    """Hash of the result content (name, kind, rendered outcome)."""
-    h = hashlib.sha256()
-    h.update(f"{res.property}|{res.kind}|{render_value(res)}".encode())
-    return h.hexdigest()
+    """The sha256 of the result's evidence statement."""
+    return evidence(res).fingerprint
 
 
 def serialize_results(results) -> str:

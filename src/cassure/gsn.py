@@ -243,6 +243,7 @@ def validate_argument(arg: ArgumentModel):
 
     vocab_p = set(PLACEHOLDER_PHASES) | BUILTIN_EXTENSIONS | set(arg.extensions)
     vocab_s = set(STEREOTYPE_PHASES) | set(arg.extensions)
+    status = {"DeferredEvidence": set(), "EvidenceProvided": set()}
     for a in arg.annotations:
         if a.node_id not in kinds:
             err(f"annotation on unknown node '{a.node_id}'")
@@ -250,6 +251,10 @@ def validate_argument(arg: ArgumentModel):
             warn(f"placeholder key '{a.name}' is not in the vocabulary")
         if a.kind == "stereotype" and a.name not in vocab_s:
             warn(f"stereotype '{a.name}' is not in the vocabulary")
+        if a.kind == "stereotype" and a.name in status:
+            status[a.name].add(a.node_id)
+    for nid in sorted(set.intersection(*status.values())):
+        err(f"node '{nid}' holds both DeferredEvidence and EvidenceProvided")
 
     for t in arg.trace_links:
         if t.node_id not in kinds:

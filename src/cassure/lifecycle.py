@@ -7,6 +7,11 @@ closes goals out again.  Every operation takes and returns argument values.
 Stereotype lifecycle per goal: (none) -> Reopened/DeferredEvidence ->
 RegenerationPlan -> EvidenceProvided; a goal never holds DeferredEvidence and
 EvidenceProvided at the same time.
+
+One evidence rule (`engine.evidence`) serves generate, regenerate, impact and
+apply: a result changed exactly when its rendered value (6 significant
+digits), verdict, +∞ or `marginal` flag did.  A violated or marginal result
+gives its goal DeferredEvidence, any other EvidenceProvided.
 """
 
 from __future__ import annotations
@@ -17,11 +22,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .diagnostics import CassureError, json_field, malformed, read_record
-from .engine import result_fingerprint
+from .engine import evidence, result_fingerprint
 from .gsn import Annotation, ArgumentModel
 from .transform import solution_description
-
-VALUE_CHANGE_TOL = 1e-6
 
 
 class LifecycleError(CassureError):
@@ -76,7 +79,8 @@ class IngestReport:
 def ingest_monitor_events(arg: ArgumentModel, events):
     """Apply monitor events; returns (argument, IngestReport).
 
-    Append-only on annotations: existing placeholders are never removed.
+    Existing placeholders are never removed; a reopened goal loses its
+    EvidenceProvided.
     """
     report = IngestReport()
     monitors = {}
@@ -112,7 +116,8 @@ def ingest_monitor_events(arg: ArgumentModel, events):
                     report.reopened.append((gid, "confidence"))
                 else:
                     report.unchanged.append(gid)
-    return arg.edit_annotations(add=add, drop=()), report
+    drop = {(gid, "stereotype", "EvidenceProvided") for gid, _ in report.reopened}
+    return arg.edit_annotations(add=add, drop=drop), report
 
 
 # --------------------------------------------------------------------------
@@ -186,15 +191,6 @@ class ImpactReport:
             raise LifecycleError(malformed("impact report", e)) from None
 
 
-def _goal_reopen_reason(arg, gid):
-    stereos = arg.stereotypes_of(gid)
-    if "Reopened" not in stereos:
-        return None
-    if arg.placeholder_of(gid, "runtime_log") is not None:
-        return "violation"
-    return "confidence"
-
-
 def _property_of(arg, gid):
     """The property a goal is trace-linked to; the first link wins, as for
     recorded results.  None for a goal with no property link."""
@@ -207,18 +203,22 @@ def impact_analysis(arg: ArgumentModel, pkg: EvolutionPackage,
     """Classify every goal as valid / invalid / uncertain.
 
     A goal is invalid when it is trace-linked to a changed artifact and a
-    fresh re-check disagrees with the baseline, or when it was reopened by a
+    fresh re-check changed the result, or when it was reopened by a
     violation; uncertain when the artifact changed without a fresh re-check,
-    or it was confidence-reopened; valid otherwise.  Returns
-    (ImpactReport, annotated argument).
+    or it was confidence-reopened; valid otherwise.  The result changed when
+    its rendered value, verdict, +∞ or `marginal` flag did: its fingerprint
+    differs from the baseline record's, or without one from the recorded.
+    Returns (ImpactReport, annotated argument).
     """
     changed_paths = {d.path for d in pkg.changed_files if d.changed}
     reopened_extra = set(pkg.reopened_goals)
     fresh_by_name = {r.property: r for r in (fresh_results or [])}
-    base_by_name = {r.property: r for r in (baseline_results or [])}
-    # The recorded fingerprint of each property's result; the first link wins.
-    recorded = {t.ref: t.fingerprint for t in reversed(arg.trace_links)
-                if t.artifact_kind == "verification-result"}
+    # Per property: the fingerprint to compare and the rationale on a match.
+    before = {t.ref: (t.fingerprint, "fresh re-check matches recorded result")
+              for t in reversed(arg.trace_links)
+              if t.artifact_kind == "verification-result"}
+    for r in baseline_results or ():
+        before[r.property] = (result_fingerprint(r), "fresh re-check confirms baseline")
 
     classifications, rationales = {}, {}
     for goal in arg.goals():
@@ -229,9 +229,11 @@ def impact_analysis(arg: ArgumentModel, pkg: EvolutionPackage,
         artifact_changed = bool(changed_paths) and any(
             t.artifact_kind in ("model-file", "property")
             for t in arg.trace_links_of(gid))
-
-        reason = _goal_reopen_reason(arg, gid)
-        if gid in reopened_extra and reason is None:
+        reason = None
+        if "Reopened" in arg.stereotypes_of(gid):
+            reason = ("violation" if arg.placeholder_of(gid, "runtime_log") is not None
+                      else "confidence")
+        elif gid in reopened_extra:
             reason = "violation"
 
         cls, why = "valid", "no linked artifact changed"
@@ -239,48 +241,28 @@ def impact_analysis(arg: ArgumentModel, pkg: EvolutionPackage,
             cls, why = "invalid", "reopened by runtime assumption violation"
         elif artifact_changed and prop_name is not None:
             fresh = fresh_by_name.get(prop_name)
+            recorded, confirms = before.get(prop_name, (None, None))
             if fresh is None:
                 cls, why = "uncertain", "linked artifact changed, no fresh re-check"
+            elif result_fingerprint(fresh) == recorded:
+                cls, why = "valid", confirms
             else:
-                base = base_by_name.get(prop_name)
-                if base is not None and not _result_changed(base, fresh):
-                    cls, why = "valid", "fresh re-check confirms baseline"
-                elif base is None:
-                    if recorded.get(prop_name) == result_fingerprint(fresh):
-                        cls, why = "valid", "fresh re-check matches recorded result"
-                    else:
-                        cls, why = "invalid", "fresh re-check changed the result"
-                else:
-                    cls, why = "invalid", "fresh re-check changed the result"
+                cls, why = "invalid", "fresh re-check changed the result"
         elif artifact_changed:
             cls, why = "uncertain", "model artifact changed, goal not re-checkable"
         elif reason == "confidence":
             cls, why = "uncertain", "reopened by confidence drop"
-        classifications[gid] = cls
-        rationales[gid] = why
+        classifications[gid], rationales[gid] = cls, why
 
-    counts = {c: sum(1 for v in classifications.values() if v == c)
-              for c in ("valid", "invalid", "uncertain")}
-    report = ImpactReport(classifications, rationales,
-                          f"valid={counts['valid']} invalid={counts['invalid']} "
-                          f"uncertain={counts['uncertain']}")
+    classes = list(classifications.values())
+    report = ImpactReport(classifications, rationales, " ".join(
+        f"{c}={classes.count(c)}" for c in ("valid", "invalid", "uncertain")))
 
     return report, arg.edit_annotations(
         add=(Annotation.stereotype("S.byProperty", "ImpactAnalysis"),
              Annotation.placeholder("S.byProperty", "impact_summary",
                                     report.summary)),
         drop=(("S.byProperty", "placeholder", "impact_summary"),))
-
-
-def _result_changed(base, fresh):
-    if base.verdict is not None or fresh.verdict is not None:
-        if base.verdict != fresh.verdict:
-            return True
-    if base.infinite != fresh.infinite:
-        return True
-    if base.value is None or fresh.value is None:
-        return base.value != fresh.value
-    return abs(base.value - fresh.value) > VALUE_CHANGE_TOL
 
 
 # --------------------------------------------------------------------------
@@ -292,13 +274,8 @@ _COST_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(h|d)\s*$")
 
 def parse_evidence_cost(text):
     """Cost grammar '<number>(h|d)', 1d = 24h; returns hours or None."""
-    if text is None:
-        return None
-    m = _COST_RE.match(text)
-    if not m:
-        return None
-    hours = float(m.group(1))
-    return hours * 24.0 if m.group(2) == "d" else hours
+    m = _COST_RE.match(text or "")
+    return m and float(m.group(1)) * (24.0 if m.group(2) == "d" else 1.0)
 
 
 @dataclass(frozen=True)
@@ -330,8 +307,7 @@ def plan_regeneration(report: ImpactReport, arg: ArgumentModel):
     Returns (entries, argument annotated with RegenerationPlan stereotypes);
     unparseable costs are reported as warnings in the third tuple element.
     """
-    warnings = []
-    candidates = []
+    warnings, ranked = [], []
     for cls_rank, cls in enumerate(("invalid", "uncertain")):
         for gid in report.goals_in(cls):
             cost_text = arg.placeholder_of(gid, "evidence_cost")
@@ -341,18 +317,17 @@ def plan_regeneration(report: ImpactReport, arg: ArgumentModel):
             strategy = ("re-verify" if _property_of(arg, gid) is not None
                         else "manual-review")
             critical = (arg.placeholder_of(gid, "safety_critical") or "") == "true"
-            candidates.append((cls_rank, hours if hours is not None else float("inf"),
-                               gid, strategy, cost_text, hours, critical))
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+            key = (cls_rank, float("inf") if hours is None else hours, gid)
+            ranked.append((key, RegenerationPlanEntry(gid, strategy, 0, cost_text,
+                                                      hours, critical)))
 
     entries, add = [], []
-    for rank, c in enumerate(candidates, 1):
-        _, _, gid, strategy, cost_text, hours, critical = c
-        entries.append(RegenerationPlanEntry(gid, strategy, rank, cost_text,
-                                             hours, critical))
+    for rank, (_, entry) in enumerate(sorted(ranked), 1):  # the keys are unique
+        gid = entry.goal_id
+        entries.append(replace(entry, rank=rank))
         add.append(Annotation.stereotype(gid, "RegenerationPlan"))
         if arg.placeholder_of(gid, "regeneration_plan") is None:
-            add.append(Annotation.placeholder(gid, "regeneration_plan", strategy))
+            add.append(Annotation.placeholder(gid, "regeneration_plan", entry.strategy))
     return entries, arg.edit_annotations(add=add, drop=()), warnings
 
 
@@ -363,10 +338,11 @@ def plan_regeneration(report: ImpactReport, arg: ArgumentModel):
 def apply_regeneration(arg: ArgumentModel, plan, fresh_results) -> ArgumentModel:
     """Discharge planned goals with fresh verification results.
 
-    Re-verify entries require a fresh result; a still-failing result keeps
-    DeferredEvidence and withholds EvidenceProvided, but the version still
-    increments (the evidence was refreshed even though the claim stands
-    undischarged).
+    Re-verify entries require a fresh result; a violated or marginal one
+    keeps DeferredEvidence and withholds EvidenceProvided, any other drops
+    DeferredEvidence and Reopened for EvidenceProvided.  The goal's version
+    increments either way (the evidence was refreshed even when the claim
+    stands undischarged).
     """
     fresh_by_name = {r.property: r for r in fresh_results}
     nodes = {n.id: n for n in arg.nodes}
@@ -382,27 +358,26 @@ def apply_regeneration(arg: ArgumentModel, plan, fresh_results) -> ArgumentModel
             raise LifecycleError(
                 f"no fresh result for planned goal {gid} (property {prop_name})")
 
-        eid = f"E.{prop_name}"
-        if eid in nodes:
-            new_desc = solution_description(prop_name, res)
-            sol = nodes[eid]
-            if sol.description != new_desc:
-                nodes[eid] = replace(sol, description=new_desc,
-                                     version=sol.version + 1)
-            fingerprints[eid] = result_fingerprint(res)
+        ev = evidence(res)
+        sol = nodes.get(f"E.{prop_name}")
+        if sol is not None:
+            desc = solution_description(prop_name, res)
+            if sol.description != desc:
+                nodes[sol.id] = replace(sol, description=desc, version=sol.version + 1)
+            fingerprints[sol.id] = ev.fingerprint
 
         # One goal's drops and adds never touch another goal's annotations,
         # and a goal's adds are never among its drops, so collecting them
         # and editing once equals editing entry by entry.
         drop += ((gid, "stereotype", "RegenerationPlan"),
                  (gid, "placeholder", "regeneration_plan"))
-        if res.verdict is not False:
+        if ev.deferred:
+            drop.append((gid, "stereotype", "EvidenceProvided"))
+            add.append(Annotation.stereotype(gid, "DeferredEvidence"))
+        else:
             drop += ((gid, "stereotype", "DeferredEvidence"),
                      (gid, "stereotype", "Reopened"))
             add.append(Annotation.stereotype(gid, "EvidenceProvided"))
-        else:
-            drop.append((gid, "stereotype", "EvidenceProvided"))
-            add.append(Annotation.stereotype(gid, "DeferredEvidence"))
         goal = nodes[gid]
         nodes[gid] = replace(goal, version=goal.version + 1)
 

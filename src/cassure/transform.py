@@ -15,7 +15,7 @@ import hashlib
 from dataclasses import dataclass, replace
 
 from .diagnostics import CassureError
-from .engine import VerificationResult, render_value, result_fingerprint
+from .engine import VerificationResult, evidence, render_value
 from .gsn import (
     Annotation, ArgumentModel, GsnLink, GsnNode, TraceLink, merge_annotations,
 )
@@ -72,6 +72,7 @@ def build_argument(model_ref: ModelRef, props, results) -> ArgumentModel:
 
     for prop in props:
         res = by_name[prop.name]
+        ev = evidence(res)
         gid, cid, eid = f"G.{prop.name}", f"C.{prop.name}", f"E.{prop.name}"
         nodes.append(GsnNode(gid, "goal",
                              f"Property {prop.name} holds for model {model}"))
@@ -84,8 +85,8 @@ def build_argument(model_ref: ModelRef, props, results) -> ArgumentModel:
         trace_links.append(TraceLink(gid, "property", prop.name,
                                      property_fingerprint(prop)))
         trace_links.append(TraceLink(eid, "verification-result", prop.name,
-                                     result_fingerprint(res)))
-        if res.verdict is False or res.marginal:
+                                     ev.fingerprint))
+        if ev.deferred:
             annotations.append(Annotation.stereotype(gid, "DeferredEvidence"))
 
     return ArgumentModel(model_ref.name, tuple(nodes), tuple(links),
@@ -95,22 +96,27 @@ def build_argument(model_ref: ModelRef, props, results) -> ArgumentModel:
 def _node_fingerprints(arg):
     """Per-node view of generated trace fingerprints used for change
     detection; a goal inherits its supporting solution's result fingerprint."""
-    own = {}
+    fp = {}
     for t in arg.trace_links:
-        if t.artifact_kind == "external-evidence":
-            continue
-        own.setdefault(t.node_id, []).append((t.artifact_kind, t.ref, t.fingerprint))
-    fp = dict(own)
+        if t.artifact_kind != "external-evidence":
+            fp.setdefault(t.node_id, []).append((t.artifact_kind, t.ref, t.fingerprint))
     for l in arg.links:
         if l.kind == "supported-by" and l.target.startswith("E."):
-            fp.setdefault(l.source, []).extend(own.get(l.target, []))
+            fp.setdefault(l.source, []).extend(fp.get(l.target, []))
     return fp
 
 
 def regenerate(previous: ArgumentModel, fresh: ArgumentModel) -> ArgumentModel:
     """Merge manual annotations into a freshly built argument and bump the
-    version of every node whose description or linked result changed."""
-    merged = merge_annotations(fresh, previous)
+    version of every node whose description or linked result changed.  The
+    fresh evidence sets a goal's status: a deferred goal drops EvidenceProvided,
+    a passing one that is not Reopened drops DeferredEvidence."""
+    deferred = {a.node_id for a in fresh.annotations if a.name == "DeferredEvidence"}
+    built = {t.node_id for t in fresh.trace_links if t.artifact_kind == "property"}
+    reopened = {a.node_id for a in previous.annotations if a.name == "Reopened"}
+    stale = [(g, "stereotype", "EvidenceProvided") for g in deferred] + [
+        (g, "stereotype", "DeferredEvidence") for g in built - deferred - reopened]
+    merged = merge_annotations(fresh, previous.edit_annotations(add=(), drop=stale))
     prev_nodes = {n.id: n for n in previous.nodes}
     prev_fp = _node_fingerprints(previous)
     new_fp = _node_fingerprints(merged)
@@ -119,16 +125,11 @@ def regenerate(previous: ArgumentModel, fresh: ArgumentModel) -> ArgumentModel:
     nodes = []
     for n in merged.nodes:
         prev = prev_nodes.get(n.id)
-        if prev is None:
-            nodes.append(replace(n, version=1))
-            continue
-        changed = (n.description != prev.description or
-                   sorted(new_fp.get(n.id, [])) != sorted(prev_fp.get(n.id, [])))
-        if changed:
-            nodes.append(replace(n, version=prev.version + 1))
-            bumped = True
-        else:
-            nodes.append(replace(n, version=prev.version))
+        changed = prev is not None and (
+            n.description != prev.description or
+            sorted(new_fp.get(n.id, [])) != sorted(prev_fp.get(n.id, [])))
+        bumped |= changed
+        nodes.append(replace(n, version=prev.version + changed if prev else 1))
     version = previous.version + 1 if bumped else previous.version
     return replace(merged, nodes=tuple(nodes), version=version)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -15,8 +16,8 @@ from cassure import (
     parse_results, render_value, result_fingerprint, serialize_results,
 )
 from cassure.engine import (
-    _Until, _solve_unknown, bounded_eventually_probability, prob0_states,
-    prob1_states,
+    _Until, _solve_unknown, bounded_eventually_probability, evidence,
+    prob0_states, prob1_states,
 )
 from cassure.model import Binary, Lit, Name
 from cassure.parsing import render_expr
@@ -430,6 +431,33 @@ def test_result_fingerprint_tracks_value_only(by_name):
     assert result_fingerprint(same) == result_fingerprint(r)
     moved = replace(r, value=0.5)
     assert result_fingerprint(moved) != result_fingerprint(r)
+
+
+def test_result_fingerprint_hashes_the_stated_evidence():
+    def fp(kind, value=None, verdict=None, marginal=False, infinite=False):
+        return result_fingerprint(VerificationResult(
+            "P", kind, value, infinite, verdict, marginal))
+
+    # A non-marginal fingerprint is the sha256 of the text every .gsn holds.
+    assert fp("probability", 0.25) == hashlib.sha256(
+        b"P|probability|0.25").hexdigest()
+    assert fp("reward", infinite=True) == hashlib.sha256(
+        "P|reward|+∞".encode()).hexdigest()
+    # A marginal pass states more than a clear pass of the same bound.
+    assert fp("boolean", 0.5, True, marginal=True) != fp("boolean", 0.5, True)
+    # Six significant digits decide, not an absolute tolerance.
+    assert fp("probability", 1e-8) != fp("probability", 5e-8)
+    assert fp("reward", 2500.0004) == fp("reward", 2500.001)
+
+
+def test_evidence_defers_a_violated_or_marginal_result():
+    def deferred(verdict, marginal=False):
+        return evidence(VerificationResult("P", "boolean", 0.5, False, verdict,
+                                           marginal)).deferred
+
+    assert deferred(False) and deferred(True, marginal=True)
+    assert deferred(False, marginal=True) and not deferred(True)
+    assert not evidence(VerificationResult("P", "probability", 0.0)).deferred
 
 
 def test_results_round_trip(results):

@@ -41,6 +41,19 @@ def test_validation_clean():
     assert errors == []
 
 
+def test_a_goal_deferred_and_discharged_at_once_is_an_error():
+    from dataclasses import replace
+    arg = small_arg()
+    status = tuple(Annotation.stereotype("G2", s)
+                   for s in ("DeferredEvidence", "EvidenceProvided"))
+    for one in status:
+        one_only = replace(arg, annotations=arg.annotations + (one,))
+        assert [d for d in validate_argument(one_only) if d.severity == "error"] == []
+    both = replace(arg, annotations=arg.annotations + status)
+    assert [(d.severity, d.message) for d in validate_argument(both)] == [
+        ("error", "node 'G2' holds both DeferredEvidence and EvidenceProvided")]
+
+
 def test_serialization_round_trip_and_determinism():
     arg = small_arg()
     text = serialize_dsl(arg)

@@ -3,19 +3,21 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import pinned
 from cassure import (
     Annotation, ArgumentModel, CassureError, GsnLink, GsnNode, LifecycleError,
     TraceLink, VerificationResult, bind_constants, build_dtmc, check_properties,
-    parse_model, parse_results, result_fingerprint, validate_argument,
+    parse_model, parse_properties, parse_results, result_fingerprint,
+    validate_argument,
 )
 from cassure.lifecycle import (
     EvolutionPackage, FileDelta, ImpactReport, MonitorEvent, apply_regeneration,
     impact_analysis, ingest_monitor_events, load_package, parse_evidence_cost,
     parse_monitor_events, parse_plan, plan_regeneration, serialize_plan,
 )
-from cassure.transform import ModelRef, build_argument
+from cassure.transform import ModelRef, build_argument, regenerate
 
 
 @pytest.fixture()
@@ -281,6 +283,29 @@ def test_apply_with_failing_result_keeps_deferred(arg, results):
     assert applied.node("G.P_succ").version == out.node("G.P_succ").version + 1
 
 
+def test_apply_defers_a_marginal_pass(arg, results):
+    entries, out = scenario(arg, results)
+    marginal = [replace(r, kind="boolean", verdict=True, marginal=True)
+                if r.property == "P_succ" else r for r in results]
+    applied = apply_regeneration(out, entries, marginal)
+    s = applied.stereotypes_of("G.P_succ")
+    assert "DeferredEvidence" in s and "EvidenceProvided" not in s
+    assert [d for d in validate_argument(applied) if d.severity == "error"] == []
+
+
+@pytest.mark.parametrize("event", [
+    MonitorEvent("t", "mon.succ", "confidence", 0.1),
+    MonitorEvent("t", "mon.succ", "violation", payload="log")])
+def test_reopening_an_applied_goal_withdraws_evidence_provided(arg, results, event):
+    entries, out = scenario(arg, results)
+    applied = apply_regeneration(out, entries, results)
+    assert "EvidenceProvided" in applied.stereotypes_of("G.P_succ")
+    reopened, _ = ingest_monitor_events(applied, [event])
+    s = reopened.stereotypes_of("G.P_succ")
+    assert "Reopened" in s and "EvidenceProvided" not in s
+    assert [d for d in validate_argument(reopened) if d.severity == "error"] == []
+
+
 def test_apply_requires_fresh_result(arg, results):
     entries, out = scenario(arg, results)
     missing = [r for r in results if r.property != "P_succ"]
@@ -325,8 +350,8 @@ def test_a_goal_with_two_property_links_follows_the_first(arg, model_path, resul
 def test_lifecycle_annotation_order():
     """The exact annotations after each step.  The input holds a duplicate
     annotation, a regeneration_plan placeholder that planning must not
-    replace, a stale impact_summary, and EvidenceProvided on a goal whose
-    fresh result fails."""
+    replace, a stale impact_summary, and EvidenceProvided on a goal that a
+    confidence drop reopens, which drops it."""
     P, S = "placeholder", "stereotype"
     nodes = tuple(GsnNode(i, k, i) for i, k in (
         ("G.root", "goal"), ("S.byProperty", "strategy"), ("G.A", "goal"),
@@ -357,6 +382,7 @@ def test_lifecycle_annotation_order():
     v = MonitorEvent("t", "mon.a", "violation", payload="a.log")
     c = MonitorEvent("t", "mon.b", "confidence", 0.2)
     arg, _ = ingest_monitor_events(arg, [v, c, v])
+    given.remove(("G.B", S, "EvidenceProvided", None))
     assert rows(arg) == given + [
         ("G.A", S, "Reopened", None), ("G.A", P, "runtime_log", "a.log"),
         ("G.B", S, "Reopened", None), ("G.B", S, "DeferredEvidence", None)]
@@ -395,3 +421,119 @@ def test_lifecycle_annotation_order():
     assert [t.fingerprint for t in arg.trace_links
             if t.artifact_kind == "verification-result"] == \
         [result_fingerprint(r) for r in fresh]
+
+
+# ---- one evidence rule for generate, regenerate, impact and apply ----
+
+OLD_REF = ModelRef("m", "m.prism", "old")
+NEW_REF = ModelRef("m", "m.prism", "new")
+MODEL_CHANGED = EvolutionPackage(changed_files=(FileDelta("m.prism", "old", "new"),))
+QUERIES = {"probability": "P=? [ F s=1 ]", "boolean": "P>=0.5 [ F s=1 ]",
+           "reward": 'R{"r"}=? [ F s=1 ]'}
+# Values near 0 and near the sixth significant digit, where an absolute
+# tolerance and the rendered value disagree.
+NEAR = (0.0, 1e-8, 5e-8, 1e-6, 0.25, 0.932065, 0.9320654, 0.9320656)
+NEAR_REWARD = (0.0, 5e-8, 2500.0, 2500.0004, 2500.001, 2500.01)
+
+
+def law_case(kinds, before, after):
+    """(properties, old results, fresh results); each outcome is
+    (value, infinite, verdict, marginal)."""
+    props = parse_properties("".join(f'"q{i}": {QUERIES[k]};\n'
+                                     for i, k in enumerate(kinds)))
+
+    def results(outs):
+        return [VerificationResult(f"q{i}", k, *o)
+                for i, (k, o) in enumerate(zip(kinds, outs))]
+    return props, results(before), results(after)
+
+
+def outcomes(kind):
+    if kind == "probability":
+        value = st.one_of(st.sampled_from(NEAR), st.floats(0.0, 1.0))
+        return st.tuples(value, st.just(False), st.none(), st.just(False))
+    if kind == "reward":
+        value = st.one_of(st.sampled_from(NEAR_REWARD), st.floats(0.0, 1e4))
+        return st.one_of(st.tuples(value, st.just(False), st.none(), st.just(False)),
+                         st.just((None, True, None, False)))
+    return st.tuples(st.one_of(st.none(), st.sampled_from(NEAR)), st.just(False),
+                     st.booleans(), st.booleans())
+
+
+@st.composite
+def result_pairs(draw):
+    """Random properties with an old and a fresh result each: the same
+    outcome, the old value nudged near its sixth digit, or a new outcome
+    (a verdict flip, a marginal pass, an infinite reward)."""
+    kinds = draw(st.lists(st.sampled_from(sorted(QUERIES)), min_size=1, max_size=6))
+    before, after = [], []
+    for kind in kinds:
+        old = draw(outcomes(kind))
+        how = draw(st.sampled_from(("same", "nudge", "new")))
+        new = draw(outcomes(kind)) if how == "new" else old
+        if how == "nudge" and old[0] is not None:
+            value = old[0] * (1 + draw(st.sampled_from((-1e-6, -4e-7, 4e-7, 1e-6))))
+            new = (min(value, 1.0) if kind != "reward" else value, *old[1:])
+        before.append(old)
+        after.append(new)
+    return law_case(kinds, before, after)
+
+
+# The cases that two rules of "changed" and of a goal's status told apart.
+MOTIVATION = law_case(
+    ["probability", "reward", "boolean", "boolean"],
+    [(1e-8, False, None, False), (2500.0004, False, None, False),
+     (0.4, False, False, False), (0.6, False, True, False)],
+    [(5e-8, False, None, False), (2500.001, False, None, False),
+     (0.5, False, True, True), (0.7, False, True, False)])
+
+
+def stated(arg):
+    """What an argument states of its results: the solution texts, the
+    result fingerprints and the deferred goals."""
+    return ({n.id: n.description for n in arg.nodes if n.kind == "solution"},
+            {t.node_id: t.fingerprint for t in arg.trace_links
+             if t.artifact_kind == "verification-result"},
+            {a.node_id for a in arg.annotations if a.name == "DeferredEvidence"})
+
+
+def test_impact_reads_a_change_in_the_rendered_value():
+    props, old, fresh = MOTIVATION
+    arg = build_argument(OLD_REF, props, old)
+    report, _ = impact_analysis(arg, MODEL_CHANGED, fresh, old)
+    assert report.rationales == {
+        "G.root": "model artifact changed, goal not re-checkable",
+        "G.q0": "fresh re-check changed the result",     # 1e-08 -> 5e-08
+        "G.q1": "fresh re-check confirms baseline",      # 2500 -> 2500
+        "G.q2": "fresh re-check changed the result",     # violated -> marginal
+        "G.q3": "fresh re-check confirms baseline"}      # holds -> holds
+    regenerated = regenerate(arg, build_argument(NEW_REF, props, fresh))
+    assert [regenerated.node(f"E.q{i}").version for i in range(4)] == [2, 1, 2, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(result_pairs(), st.booleans())
+@example(MOTIVATION, True)
+def test_impact_calls_invalid_exactly_what_regenerate_bumps(case, with_baseline):
+    props, old, fresh = case
+    arg = build_argument(OLD_REF, props, old)
+    report, _ = impact_analysis(arg, MODEL_CHANGED, fresh,
+                                old if with_baseline else None)
+    regenerated = regenerate(arg, build_argument(NEW_REF, props, fresh))
+    for p in props:
+        bumped = regenerated.node(f"E.{p.name}").version > 1
+        assert report.classifications[f"G.{p.name}"] == \
+            ("invalid" if bumped else "valid"), p.name
+
+
+@settings(max_examples=200, deadline=None)
+@given(result_pairs(), st.booleans())
+@example(MOTIVATION, True)
+def test_impact_plan_apply_states_what_generate_states(case, with_baseline):
+    props, old, fresh = case
+    report, arg = impact_analysis(build_argument(OLD_REF, props, old),
+                                  MODEL_CHANGED, fresh, old if with_baseline else None)
+    entries, arg, _ = plan_regeneration(report, arg)
+    applied = apply_regeneration(arg, entries, fresh)
+    assert stated(applied) == stated(build_argument(NEW_REF, props, fresh))
+    assert [d for d in validate_argument(applied) if d.severity == "error"] == []

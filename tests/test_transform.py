@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from cassure import (
@@ -109,8 +111,33 @@ def test_regenerate_bumps_only_changed(arg, model_text, model_path, props):
 
 def test_regenerate_keeps_manual_annotations(arg, ref, props, results):
     manual = Annotation.placeholder("G.P_succ", "evidence_cost", "2h")
-    from dataclasses import replace
     previous = replace(arg, annotations=arg.annotations + (manual,))
     fresh = build_argument(ref, props, results)
     merged = regenerate(previous, fresh)
     assert merged.placeholder_of("G.P_succ", "evidence_cost") == "2h"
+
+
+def test_regenerate_takes_each_goal_status_from_the_fresh_evidence(
+        arg, ref, props, results):
+    def deferred(a):
+        return {x.node_id for x in a.annotations if x.name == "DeferredEvidence"}
+
+    # P_warnMode flips from violated to holds: no stale DeferredEvidence.
+    flipped = [replace(r, verdict=True) if r.property == "P_warnMode" else r
+               for r in results]
+    fresh = build_argument(ref, props, flipped)
+    merged = regenerate(arg, fresh)
+    assert deferred(merged) == deferred(fresh)
+    assert "G.P_warnMode" not in deferred(merged)
+    assert merged.node("E.P_warnMode").description.endswith("holds")
+
+    # Back to violated: an earlier EvidenceProvided goes.  A Reopened goal
+    # keeps its DeferredEvidence although its fresh result passes.
+    previous = replace(merged, annotations=merged.annotations + (
+        Annotation.stereotype("G.P_warnMode", "EvidenceProvided"),
+        Annotation.stereotype("G.P_succ", "Reopened"),
+        Annotation.stereotype("G.P_succ", "DeferredEvidence")))
+    again = regenerate(previous, build_argument(ref, props, results))
+    assert again.stereotypes_of("G.P_warnMode") == {"DeferredEvidence"}
+    assert again.stereotypes_of("G.P_succ") == {"Reopened", "DeferredEvidence"}
+    assert deferred(again) == deferred(arg) | {"G.P_succ"}
