@@ -1,9 +1,9 @@
 """Goal Structuring Notation argument model with lifecycle annotations.
 
-Arguments are values: nodes, links, annotations and trace links are held in
-immutable-by-convention dataclasses, and every operation returns a new
-ArgumentModel.  The annotation vocabulary (placeholders and stereotypes) is
-closed by default; unknown names produce validation warnings unless they are
+Arguments are values: nodes, links, annotations and trace links are
+immutable named tuples, and every operation returns a new ArgumentModel.
+The annotation vocabulary (placeholders and stereotypes) is closed by
+default; unknown names produce validation warnings unless they are
 registered in the argument's extension list.
 
 The text format (``.gsn``) is documented in docs/gsn_format.md.  Serialization
@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from json.decoder import scanstring
 from json.encoder import encode_basestring
+from typing import NamedTuple
 
 from .diagnostics import CassureError, Diagnostic, depth_first
 
@@ -64,33 +65,31 @@ class GsnError(CassureError):
 
 def _append_new(entries, new):
     """``entries`` followed by each of ``new`` that equals no entry before
-    it; duplicates within ``entries`` stay."""
+    it; duplicates within ``entries`` stay.  Entries are keyed by their type
+    too, since equal tuples of two record types compare equal."""
     out = list(entries)
-    seen = set(out)
+    seen = {(type(e), e) for e in out}
     for entry in new:
-        if entry not in seen:
-            seen.add(entry)
+        if (key := (type(entry), entry)) not in seen:
+            seen.add(key)
             out.append(entry)
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GsnNode:
+class GsnNode(NamedTuple):
     id: str
     kind: str
     description: str
     version: int = 1
 
 
-@dataclass(frozen=True)
-class GsnLink:
+class GsnLink(NamedTuple):
     kind: str   # "supported-by" | "in-context-of"
     source: str
     target: str
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(NamedTuple):
     kind: str          # "placeholder" | "stereotype"
     name: str
     node_id: str
@@ -105,8 +104,7 @@ class Annotation:
         return Annotation("stereotype", name, node_id)
 
 
-@dataclass(frozen=True)
-class TraceLink:
+class TraceLink(NamedTuple):
     node_id: str
     artifact_kind: str
     ref: str
@@ -182,8 +180,11 @@ class ArgumentModel:
 _SUPPORT_RULES = {("goal", "strategy"), ("strategy", "goal"),
                   ("goal", "goal"), ("goal", "solution")}
 
+# What str.isspace() and \s accept, spelled out: literals scan faster.
+_WHITESPACE = ("\t\n\x0b\x0c\r\x1c-\x1f \x85\xa0\u1680\u2000-\u200a"
+               "\u2028\u2029\u202f\u205f\u3000")
 # The ids the .gsn format can hold: no whitespace, no '"', not empty.
-_ID_RE = re.compile(r'[^\s"]+')
+_ID_RE = re.compile(f'[^{_WHITESPACE}"]+')
 
 
 def validate_argument(arg: ArgumentModel):
@@ -293,7 +294,7 @@ def serialize_dsl(arg: ArgumentModel) -> str:
         out.append(f"{n.kind} {n.id} version {n.version}")
         out.append(f"  {encode_basestring(n.description)}")
     out.append("")
-    for l in sorted(arg.links, key=lambda l: (l.kind, l.source, l.target)):
+    for l in sorted(arg.links):
         out.append(f"{l.kind} {l.source} {l.target}")
     if arg.links:
         out.append("")
@@ -314,20 +315,33 @@ def serialize_dsl(arg: ArgumentModel) -> str:
     return "\n".join(out).rstrip("\n") + "\n"
 
 
-# One anchored pattern per line kind, matched against the stripped line.
-# Strings are JSON string literals; words hold no whitespace and no '"'.
-_STRING = r'("[^"\\]*(?:\\.[^"\\]*)*")'
-_WORD = f"({_ID_RE.pattern})"
-_HEADER_RE = re.compile(rf"argument\s+{_STRING}\s+version\s+(-?\d+)")
-_EXTEND_RE = re.compile(rf"extend\s+{_WORD}")
-_NODE_RE = re.compile(rf"({'|'.join(NODE_KINDS)})\s+{_WORD}\s+version\s+(-?\d+)")
-_DESCRIPTION_RE = re.compile(_STRING)
-_LINK_RE = re.compile(rf"(supported-by|in-context-of)\s+{_WORD}\s+{_WORD}")
-_PLACEHOLDER_RE = re.compile(
-    rf"annotate\s+{_WORD}\s+placeholder\s+(\w+)={_STRING}")
-_STEREOTYPE_RE = re.compile(rf"annotate\s+{_WORD}\s+stereotype\s+<<(\w+)>>")
-_TRACE_RE = re.compile(
-    rf"trace\s+{_WORD}\s+{_WORD}\s+{_STRING}(?:\s+fingerprint\s+{_WORD})?")
+# The grammar of a .gsn line, one named alternative per line kind, scanned
+# over the whole text at once.  Only "\n" ends a line; other whitespace (a
+# tab, the "\r" of CRLF) separates tokens.  A node line takes its quoted
+# description line with it.  Strings are JSON string literals; words hold
+# no whitespace and no '"'.
+_SP = "[" + _WHITESPACE.replace("\n", "") + "]"
+_STRING = r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'
+_WORD = _ID_RE.pattern
+_LINE_RE = re.compile(rf"""^ {_SP}* (?:
+      (?P<trace> trace {_SP}+ (?P<t_node>{_WORD}) {_SP}+ (?P<t_kind>{_WORD}) {_SP}+
+         (?P<t_ref>{_STRING}) (?: {_SP}+ fingerprint {_SP}+ (?P<t_fp>{_WORD}) )? )
+    | (?P<link> (?P<l_kind>supported-by|in-context-of) {_SP}+ (?P<l_source>{_WORD})
+         {_SP}+ (?P<l_target>{_WORD}) )
+    | (?P<node> (?P<n_kind>{'|'.join(NODE_KINDS)}) {_SP}+ (?P<n_id>{_WORD}) {_SP}+ version
+         {_SP}+ (?P<n_version>-?\d+) (?: {_SP}* \n {_SP}* (?P<n_desc>{_STRING}) )? )
+    | (?P<placeholder> annotate {_SP}+ (?P<p_node>{_WORD}) {_SP}+ placeholder {_SP}+
+         (?P<p_key>\w+) = (?P<p_value>{_STRING}) )
+    | (?P<stereotype> annotate {_SP}+ (?P<s_node>{_WORD}) {_SP}+ stereotype {_SP}+
+         << (?P<s_name>\w+) >> )
+    | (?P<extend> extend {_SP}+ (?P<e_name>{_WORD}) )
+    | (?P<header> argument {_SP}+ (?P<h_name>{_STRING}) {_SP}+ version {_SP}+
+         (?P<h_version>-?\d+) )
+    | (?P<orphaned> \#\ orphaned ) | (?P<skip> (?:\#[^\n]*)? ) | (?P<bad> [^\n]+ )
+    ) {_SP}* $ \n?""", re.MULTILINE | re.VERBOSE)
+
+# A record from its fields in order, without the constructor's Python frame.
+_record = tuple.__new__
 
 
 def _decode(s):
@@ -342,63 +356,53 @@ def parse_dsl(text: str) -> ArgumentModel:
     nodes, links, annotations, trace_links, orphans = [], [], [], [], []
     extensions = set()
     to_annotations, to_traces = annotations, trace_links
-    pending = None  # (kind, id, version) of a node awaiting its description
-    for lineno, line in enumerate(text.split("\n"), 1):
-        line = line.strip()
-        try:
-            if pending:
-                if not (m := _DESCRIPTION_RE.fullmatch(line)):
-                    raise GsnError(f"line {lineno}: expected the quoted "
-                                   f"description of {pending[1]}")
-                kind, nid, version = pending
-                nodes.append(GsnNode(nid, kind, _decode(m[1]), version))
-                pending = None
-            elif not line or line[0] == "#":
-                if line == "# orphaned":
-                    to_annotations = to_traces = orphans
-            elif m := _NODE_RE.fullmatch(line):
-                pending = (m[1], m[2], int(m[3]))
-            elif m := _LINK_RE.fullmatch(line):
-                links.append(GsnLink(m[1], m[2], m[3]))
-            elif m := _PLACEHOLDER_RE.fullmatch(line):
-                to_annotations.append(
-                    Annotation.placeholder(m[1], m[2], _decode(m[3])))
-            elif m := _STEREOTYPE_RE.fullmatch(line):
-                to_annotations.append(Annotation.stereotype(m[1], m[2]))
-            elif m := _TRACE_RE.fullmatch(line):
-                to_traces.append(TraceLink(m[1], m[2], _decode(m[3]), m[4]))
-            elif m := _EXTEND_RE.fullmatch(line):
-                extensions.add(m[1])
-            elif m := _HEADER_RE.fullmatch(line):
-                header = (_decode(m[1]), int(m[2]))
-            else:
-                raise GsnError(f"line {lineno}: malformed line {line!r}")
-        except ValueError as e:  # a string escape that does not decode
-            raise GsnError(f"line {lineno}: {e}") from None
-    if pending:
-        raise GsnError(f"line {lineno + 1}: missing the description of "
-                       f"{pending[1]}")
+    # The line where the match's content ends: its description's for a node.
+    line = lambda: text.count("\n", 0, m.end(m.lastindex)) + 1
+    try:
+        for m in _LINE_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "node":
+                nid, nkind, desc, version = m.group("n_id", "n_kind", "n_desc", "n_version")
+                if desc is None:
+                    what = "expected the quoted" if m[0].endswith("\n") else "missing the"
+                    raise GsnError(f"line {line() + 1}: {what} description of {nid}")
+                nodes.append(_record(GsnNode, (nid, nkind, _decode(desc), int(version))))
+            elif kind == "link":
+                links.append(_record(GsnLink, m.group("l_kind", "l_source", "l_target")))
+            elif kind == "trace":
+                nid, akind, ref, fp = m.group("t_node", "t_kind", "t_ref", "t_fp")
+                to_traces.append(_record(TraceLink, (nid, akind, _decode(ref), fp)))
+            elif kind == "placeholder":
+                to_annotations.append(Annotation.placeholder(
+                    m["p_node"], m["p_key"], _decode(m["p_value"])))
+            elif kind == "stereotype":
+                to_annotations.append(Annotation.stereotype(m["s_node"], m["s_name"]))
+            elif kind == "orphaned":
+                to_annotations = to_traces = orphans
+            elif kind == "extend":
+                extensions.add(m["e_name"])
+            elif kind == "header":
+                header = (_decode(m["h_name"]), int(m["h_version"]))
+            elif kind == "bad":
+                raise GsnError(f"line {line()}: malformed line {m[0].strip()!r}")
+    except ValueError as e:  # a string escape that does not decode
+        raise GsnError(f"line {line()}: {e}") from None
     if header is None:
         raise GsnError("missing 'argument' header")
-    arg = ArgumentModel(header[0], tuple(nodes), tuple(links),
-                        tuple(annotations), tuple(trace_links), header[1],
-                        frozenset(extensions), tuple(orphans))
-    _check_refs(arg)
-    return arg
-
-
-def _check_refs(arg):
-    ids = arg.node_ids()
-    for l in arg.links:
+    ids = {n.id for n in nodes}
+    for l in links:
         if l.source not in ids or l.target not in ids:
             raise GsnError(f"link references unknown node: "
                            f"{l.source} -> {l.target}")
-    for a in arg.annotations:
+    for a in annotations:
         if a.node_id not in ids:
             raise GsnError(f"annotation references unknown node '{a.node_id}'")
-    for t in arg.trace_links:
+    for t in trace_links:
         if t.node_id not in ids:
             raise GsnError(f"trace link references unknown node '{t.node_id}'")
+    return ArgumentModel(header[0], tuple(nodes), tuple(links),
+                         tuple(annotations), tuple(trace_links), header[1],
+                         frozenset(extensions), tuple(orphans))
 
 
 # --------------------------------------------------------------------------
@@ -424,7 +428,7 @@ def export_dot(arg: ArgumentModel) -> str:
             attrs.append("style=rounded")
         attrs.append(f'label="{_dot_escape(label)}"')
         out.append(f'  "{n.id}" [{", ".join(attrs)}];')
-    for l in sorted(arg.links, key=lambda l: (l.kind, l.source, l.target)):
+    for l in sorted(arg.links):
         style = "solid" if l.kind == "supported-by" else "dashed"
         out.append(f'  "{l.source}" -> "{l.target}" [style={style}];')
     out.append("}")

@@ -342,7 +342,8 @@ def apply_regeneration(arg: ArgumentModel, plan, fresh_results) -> ArgumentModel
     keeps DeferredEvidence and withholds EvidenceProvided, any other drops
     DeferredEvidence and Reopened for EvidenceProvided.  The goal's version
     increments either way (the evidence was refreshed even when the claim
-    stands undischarged).
+    stands undischarged); its solution's increments when the description
+    or the result fingerprint changes, as in `transform.regenerate`.
     """
     fresh_by_name = {r.property: r for r in fresh_results}
     nodes = {n.id: n for n in arg.nodes}
@@ -362,8 +363,10 @@ def apply_regeneration(arg: ArgumentModel, plan, fresh_results) -> ArgumentModel
         sol = nodes.get(f"E.{prop_name}")
         if sol is not None:
             desc = solution_description(prop_name, res)
-            if sol.description != desc:
-                nodes[sol.id] = replace(sol, description=desc, version=sol.version + 1)
+            recorded = {t.fingerprint for t in arg.trace_links_of(sol.id)
+                        if t.artifact_kind == "verification-result"}
+            if sol.description != desc or recorded - {ev.fingerprint}:
+                nodes[sol.id] = sol._replace(description=desc, version=sol.version + 1)
             fingerprints[sol.id] = ev.fingerprint
 
         # One goal's drops and adds never touch another goal's annotations,
@@ -379,10 +382,10 @@ def apply_regeneration(arg: ArgumentModel, plan, fresh_results) -> ArgumentModel
                      (gid, "stereotype", "Reopened"))
             add.append(Annotation.stereotype(gid, "EvidenceProvided"))
         goal = nodes[gid]
-        nodes[gid] = replace(goal, version=goal.version + 1)
+        nodes[gid] = goal._replace(version=goal.version + 1)
 
     trace_links = tuple(
-        replace(t, fingerprint=fingerprints[t.node_id])
+        t._replace(fingerprint=fingerprints[t.node_id])
         if t.artifact_kind == "verification-result" and t.node_id in fingerprints
         else t for t in arg.trace_links)
     return replace(arg.edit_annotations(add=add, drop=drop),

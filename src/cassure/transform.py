@@ -129,7 +129,7 @@ def regenerate(previous: ArgumentModel, fresh: ArgumentModel) -> ArgumentModel:
             n.description != prev.description or
             sorted(new_fp.get(n.id, [])) != sorted(prev_fp.get(n.id, [])))
         bumped |= changed
-        nodes.append(replace(n, version=prev.version + changed if prev else 1))
+        nodes.append(n._replace(version=prev.version + changed if prev else 1))
     version = previous.version + 1 if bumped else previous.version
     return replace(merged, nodes=tuple(nodes), version=version)
 

@@ -1,3 +1,6 @@
+import re
+import sys
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -6,7 +9,7 @@ from cassure import (
     export_dot, merge_annotations, parse_dsl, serialize_dsl, validate_argument,
 )
 from cassure.diagnostics import depth_first
-from cassure.gsn import NODE_KINDS
+from cassure.gsn import _WHITESPACE, NODE_KINDS
 
 
 def small_arg():
@@ -194,6 +197,90 @@ _HEAD = 'argument "x" version 1\n\ngoal G1 version 1\n  "d"\n'
 def test_malformed_line_names_its_line(text, line):
     with pytest.raises(GsnError, match=f"^line {line}: "):
         parse_dsl(text)
+
+
+def test_crlf_tabs_and_surrounding_whitespace_read_as_the_plain_form():
+    plain = serialize_dsl(small_arg())
+    # A tab after the first token, \f and a Unicode space before each line,
+    # trailing blanks and a CRLF after it; no string holds a changed byte.
+    noisy = "\n".join("\x0c\u3000" + l.replace(" ", "\t ", 1) + " \t\r"
+                      for l in plain.split("\n"))
+    assert "\r\n" in noisy and "\t" in noisy
+    assert parse_dsl(noisy) == parse_dsl(plain)
+    assert serialize_dsl(parse_dsl(noisy)) == plain
+
+
+def test_the_whitespace_class_is_what_str_isspace_accepts():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(f"[{_WHITESPACE}]", every) == \
+        [c for c in every if c.isspace()]
+
+
+def test_a_malformed_line_after_crlf_lines_names_its_line():
+    text = 'argument "x" version 1\r\n\r\ngoal G1 version 1\r\n  "d"\r\nbogus \r\n'
+    with pytest.raises(GsnError, match=r"^line 5: malformed line 'bogus'$"):
+        parse_dsl(text)
+
+
+@pytest.mark.parametrize("text,line", [
+    pytest.param('argument "\\q" version 1\n', 1, id="header"),
+    pytest.param('argument "x" version 1\ngoal G1 version 1\n  "\\q"\n', 3,
+                 id="description"),
+    pytest.param(_HEAD + 'annotate G1 placeholder deferred="a\\x"\n', 5,
+                 id="placeholder"),
+    pytest.param(_HEAD + 'trace G1 property "\\q" fingerprint ab\n', 5,
+                 id="trace-ref"),
+])
+def test_a_bad_escape_names_the_line_of_its_string(text, line):
+    with pytest.raises(GsnError, match=f"^line {line}: Invalid \\\\escape"):
+        parse_dsl(text)
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param('argument "x" version 1\ngoal G1 version 1',
+                 "line 3: missing the description of G1", id="at-end"),
+    pytest.param('argument "x" version 1\ngoal G1 version 1\n',
+                 "line 3: expected the quoted description of G1", id="blank"),
+    pytest.param('argument "x" version 1\ngoal G1 version 1\n# d\n  "d"\n',
+                 "line 3: expected the quoted description of G1", id="comment"),
+    pytest.param('argument "x" version 1\n  "d"\n',
+                 "line 2: malformed line '\"d\"'", id="no-node"),
+])
+def test_a_node_needs_its_description_on_the_next_line(text, message):
+    with pytest.raises(GsnError) as e:
+        parse_dsl(text)
+    assert str(e.value) == message
+
+
+def test_only_the_exact_orphaned_comment_starts_the_quarantine():
+    stereo = "annotate G1 stereotype <<Reopened>>\n"
+    for comment, orphaned in (("#orphaned", False), ("# orphaned x", False),
+                              ("#  orphaned", False), ("  # orphaned\t", True)):
+        arg = parse_dsl(_HEAD + comment + "\n" + stereo)
+        assert (arg.orphans, arg.annotations) == (
+            ((Annotation.stereotype("G1", "Reopened"),), ()) if orphaned
+            else ((), (Annotation.stereotype("G1", "Reopened"),))), comment
+
+
+@pytest.mark.parametrize("record,field", [
+    (GsnNode("G1", "goal", "d"), "version"),
+    (GsnLink("supported-by", "G1", "E1"), "target"),
+    (Annotation.placeholder("G1", "deferred", "x"), "value"),
+    (TraceLink("E1", "verification-result", "P_x", "ab12"), "fingerprint"),
+])
+def test_records_are_immutable_and_hashable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, "changed")
+    assert {record: 1}[record] == 1
+
+
+def test_an_annotation_and_a_trace_link_with_equal_fields_both_stay_orphans():
+    ann = Annotation("G9", "external-evidence", "G8", "doc")
+    trace = TraceLink("G9", "external-evidence", "G8", "doc")
+    prev = ArgumentModel("x", annotations=(ann,), trace_links=(trace,))
+    merged = merge_annotations(ArgumentModel("x"), prev)
+    assert [(type(e), e) for e in merged.orphans] == [(Annotation, ann),
+                                                     (TraceLink, trace)]
 
 
 def test_control_characters_round_trip_as_json_escapes():

@@ -526,14 +526,26 @@ def test_impact_calls_invalid_exactly_what_regenerate_bumps(case, with_baseline)
             ("invalid" if bumped else "valid"), p.name
 
 
+# A pass that turns marginal: the solution text stays, its fingerprint does not.
+MARGINAL_FLIP = law_case(["boolean"], [(0.6, False, True, False)],
+                         [(0.6, False, True, True)])
+
+
 @settings(max_examples=200, deadline=None)
 @given(result_pairs(), st.booleans())
 @example(MOTIVATION, True)
+@example(MARGINAL_FLIP, False)
 def test_impact_plan_apply_states_what_generate_states(case, with_baseline):
+    """Apply states what a fresh build states, and bumps the solutions that
+    regenerate bumps."""
     props, old, fresh = case
-    report, arg = impact_analysis(build_argument(OLD_REF, props, old),
-                                  MODEL_CHANGED, fresh, old if with_baseline else None)
+    before = build_argument(OLD_REF, props, old)
+    report, arg = impact_analysis(before, MODEL_CHANGED, fresh,
+                                  old if with_baseline else None)
     entries, arg, _ = plan_regeneration(report, arg)
     applied = apply_regeneration(arg, entries, fresh)
     assert stated(applied) == stated(build_argument(NEW_REF, props, fresh))
     assert [d for d in validate_argument(applied) if d.severity == "error"] == []
+    regenerated = regenerate(before, build_argument(NEW_REF, props, fresh))
+    versions = lambda a: {n.id: n.version for n in a.nodes if n.kind == "solution"}
+    assert versions(applied) == versions(regenerated)
