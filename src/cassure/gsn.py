@@ -2,6 +2,8 @@
 
 Arguments are values: nodes, links, annotations and trace links are
 immutable named tuples, and every operation returns a new ArgumentModel.
+Each value, parsed, built or edited, has unique node ids, and each of its
+references names one of its nodes; only quarantined orphans are exempt.
 The annotation vocabulary (placeholders and stereotypes) is closed by
 default; unknown names produce validation warnings unless they are
 registered in the argument's extension list.
@@ -65,13 +67,12 @@ class GsnError(CassureError):
 
 def _append_new(entries, new):
     """``entries`` followed by each of ``new`` that equals no entry before
-    it; duplicates within ``entries`` stay.  Entries are keyed by their type
-    too, since equal tuples of two record types compare equal."""
+    it; duplicates within ``entries`` stay."""
     out = list(entries)
-    seen = {(type(e), e) for e in out}
+    seen = set(out)
     for entry in new:
-        if (key := (type(entry), entry)) not in seen:
-            seen.add(key)
+        if entry not in seen:
+            seen.add(entry)
             out.append(entry)
     return tuple(out)
 
@@ -103,12 +104,19 @@ class Annotation(NamedTuple):
     def stereotype(node_id, name):
         return Annotation("stereotype", name, node_id)
 
+    # Equal fields, equal tuples: the type keeps a TraceLink from equalling it.
+    __eq__ = lambda self, other: type(self) is type(other) and tuple.__eq__(self, other)
+    __ne__ = lambda self, other: not self == other
+    __hash__ = tuple.__hash__
+
 
 class TraceLink(NamedTuple):
     node_id: str
     artifact_kind: str
     ref: str
     fingerprint: str | None = None  # external evidence carries none
+
+    __eq__, __ne__, __hash__ = Annotation.__eq__, Annotation.__ne__, tuple.__hash__
 
 
 @dataclass(frozen=True)
@@ -121,6 +129,22 @@ class ArgumentModel:
     version: int = 1
     extensions: frozenset = frozenset()
     orphans: tuple = ()  # quarantined (Annotation | TraceLink) entries
+
+    def __post_init__(self):
+        """The reference rule; raises GsnError on the first breach."""
+        ids = set()
+        for n in self.nodes:
+            if n.id in ids:
+                raise GsnError(f"duplicate node id '{n.id}'")
+            ids.add(n.id)
+        for l in self.links:
+            if l.source not in ids or l.target not in ids:
+                raise GsnError(f"link references unknown node: {l.source} -> {l.target}")
+        for what, entries in (("annotation", self.annotations),
+                              ("trace link", self.trace_links)):
+            for e in entries:
+                if e.node_id not in ids:
+                    raise GsnError(f"{what} references unknown node '{e.node_id}'")
 
     def node(self, node_id):
         for n in self.nodes:
@@ -188,19 +212,15 @@ _ID_RE = re.compile(f'[^{_WHITESPACE}"]+')
 
 
 def validate_argument(arg: ArgumentModel):
-    """Well-formedness diagnostics; never raises."""
+    """Diagnostics past the reference rule ArgumentModel enforces; never raises."""
     diags = []
     err = lambda m: diags.append(Diagnostic("error", m))
     warn = lambda m: diags.append(Diagnostic("warning", m))
 
-    seen = set()
     kinds = {}
     for n in arg.nodes:
         if not _ID_RE.fullmatch(n.id):
             err(f"node id {n.id!r} is empty or holds whitespace or '\"'")
-        if n.id in seen:
-            err(f"duplicate node id '{n.id}'")
-        seen.add(n.id)
         kinds[n.id] = n.kind
         if n.kind not in NODE_KINDS:
             err(f"node '{n.id}' has unknown kind '{n.kind}'")
@@ -216,9 +236,6 @@ def validate_argument(arg: ArgumentModel):
         for end in (l.source, l.target):
             if not _ID_RE.fullmatch(end):
                 err(f"link endpoint {end!r} is empty or holds whitespace or '\"'")
-        if l.source not in kinds or l.target not in kinds:
-            err(f"dangling link {l.source} -> {l.target}")
-            continue
         pair = (kinds[l.source], kinds[l.target])
         if l.kind == "supported-by":
             if pair not in _SUPPORT_RULES:
@@ -246,8 +263,6 @@ def validate_argument(arg: ArgumentModel):
     vocab_s = set(STEREOTYPE_PHASES) | set(arg.extensions)
     status = {"DeferredEvidence": set(), "EvidenceProvided": set()}
     for a in arg.annotations:
-        if a.node_id not in kinds:
-            err(f"annotation on unknown node '{a.node_id}'")
         if a.kind == "placeholder" and a.name not in vocab_p:
             warn(f"placeholder key '{a.name}' is not in the vocabulary")
         if a.kind == "stereotype" and a.name not in vocab_s:
@@ -258,8 +273,6 @@ def validate_argument(arg: ArgumentModel):
         err(f"node '{nid}' holds both DeferredEvidence and EvidenceProvided")
 
     for t in arg.trace_links:
-        if t.node_id not in kinds:
-            err(f"trace link on unknown node '{t.node_id}'")
         if t.artifact_kind not in ARTIFACT_KINDS:
             err(f"trace link on '{t.node_id}' has unknown artifact kind "
                 f"'{t.artifact_kind}'")
@@ -298,20 +311,14 @@ def serialize_dsl(arg: ArgumentModel) -> str:
         out.append(f"{l.kind} {l.source} {l.target}")
     if arg.links:
         out.append("")
-    for a in arg.annotations:
-        out.append(_annotation_line(a))
+    out += map(_annotation_line, arg.annotations)
     if arg.annotations:
         out.append("")
-    for t in arg.trace_links:
-        out.append(_trace_line(t))
+    out += map(_trace_line, arg.trace_links)
     if arg.orphans:
-        out.append("")
-        out.append("# orphaned")
-        for entry in arg.orphans:
-            if isinstance(entry, Annotation):
-                out.append(_annotation_line(entry))
-            else:
-                out.append(_trace_line(entry))
+        out += ["", "# orphaned"]
+        out += [_annotation_line(e) if isinstance(e, Annotation) else _trace_line(e)
+                for e in arg.orphans]
     return "\n".join(out).rstrip("\n") + "\n"
 
 
@@ -389,17 +396,6 @@ def parse_dsl(text: str) -> ArgumentModel:
         raise GsnError(f"line {line()}: {e}") from None
     if header is None:
         raise GsnError("missing 'argument' header")
-    ids = {n.id for n in nodes}
-    for l in links:
-        if l.source not in ids or l.target not in ids:
-            raise GsnError(f"link references unknown node: "
-                           f"{l.source} -> {l.target}")
-    for a in annotations:
-        if a.node_id not in ids:
-            raise GsnError(f"annotation references unknown node '{a.node_id}'")
-    for t in trace_links:
-        if t.node_id not in ids:
-            raise GsnError(f"trace link references unknown node '{t.node_id}'")
     return ArgumentModel(header[0], tuple(nodes), tuple(links),
                          tuple(annotations), tuple(trace_links), header[1],
                          frozenset(extensions), tuple(orphans))

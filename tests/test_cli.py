@@ -584,6 +584,62 @@ def test_lifecycle_round_needs_no_props_file(workdir):
     assert "annotate G.P_succ stereotype <<EvidenceProvided>>" in gsn.read_text()
 
 
+def test_plan_on_a_stale_impact_report_exits_2_and_writes_nothing(workdir):
+    # The report classifies G.P_succ, whose property was deleted and whose
+    # node the next generate dropped: annotating it would write a .gsn that
+    # no command can read.
+    out = _generate(workdir)
+    model = ("--model", str(workdir / "nuclear.prism"), "--out", str(out))
+    package = workdir / "package"
+    package.mkdir()
+    (package / "package.json").write_text(json.dumps({"changed_files": [
+        {"path": "nuclear.props", "old_fingerprint": "a", "new_fingerprint": "b"}]}))
+    r = invoke("impact", *model, "--package", str(package))
+    assert r.exit_code == 0, r.output
+    props = workdir / "nuclear.props"
+    props.write_text("".join(line for line in props.read_text().splitlines(True)
+                             if '"P_succ"' not in line))
+    _generate(workdir)
+    gsn = out / "nuclear.gsn"
+    before = gsn.read_bytes()
+    r = invoke("plan", *model)
+    assert r.exit_code == 2, r.output
+    assert "error: annotation references unknown node 'G.P_succ'" in r.output
+    assert gsn.read_bytes() == before
+    assert not (out / "plan.json").exists()
+    for cmd in ("impact", "plan"):
+        r = invoke(cmd, *model)
+        assert r.exit_code == 0, (cmd, r.output)
+    assert "G.P_succ" not in gsn.read_text()
+
+
+def test_watch_on_a_missing_model_file_exits_2(tmp_path):
+    model = tmp_path / "missing.prism"
+    r = invoke("watch", "--model", str(model), "--out", str(tmp_path / "out"),
+               "--max-cycles", "1")
+    assert r.exit_code == 2
+    assert f"error: model file {model} does not exist" in r.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_ingest_on_an_unparseable_confidence_threshold_exits_2(workdir):
+    out = _generate(workdir)
+    gsn = out / "nuclear.gsn"
+    gsn.write_text(gsn.read_text() + "\n"
+                   'annotate G.P_succ placeholder monitor_id="mon.succ"\n'
+                   'annotate G.P_succ placeholder confidence_threshold="high"\n')
+    before = gsn.read_bytes()
+    events = workdir / "events.jsonl"
+    events.write_text(json.dumps({
+        "timestamp": "2026-08-20T09:00:00Z", "monitor_id": "mon.succ",
+        "kind": "confidence", "value": 0.4}) + "\n")
+    r = invoke("ingest", "--model", str(workdir / "nuclear.prism"),
+               "--out", str(out), "--events", str(events))
+    assert r.exit_code == 2
+    assert "error: unparseable confidence_threshold 'high' on G.P_succ" in r.output
+    assert gsn.read_bytes() == before
+
+
 def test_no_model_given_exits_2(tmp_path):
     r = invoke("check", "--out", str(tmp_path))
     assert r.exit_code == 2

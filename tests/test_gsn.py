@@ -1,5 +1,6 @@
 import re
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -45,7 +46,6 @@ def test_validation_clean():
 
 
 def test_a_goal_deferred_and_discharged_at_once_is_an_error():
-    from dataclasses import replace
     arg = small_arg()
     status = tuple(Annotation.stereotype("G2", s)
                    for s in ("DeferredEvidence", "EvidenceProvided"))
@@ -277,10 +277,61 @@ def test_records_are_immutable_and_hashable(record, field):
 def test_an_annotation_and_a_trace_link_with_equal_fields_both_stay_orphans():
     ann = Annotation("G9", "external-evidence", "G8", "doc")
     trace = TraceLink("G9", "external-evidence", "G8", "doc")
-    prev = ArgumentModel("x", annotations=(ann,), trace_links=(trace,))
+    prev = ArgumentModel("x", nodes=(GsnNode("G8", "goal", "g8"),
+                                     GsnNode("G9", "goal", "g9")),
+                         annotations=(ann,), trace_links=(trace,))
     merged = merge_annotations(ArgumentModel("x"), prev)
     assert [(type(e), e) for e in merged.orphans] == [(Annotation, ann),
                                                      (TraceLink, trace)]
+
+
+def test_an_annotation_never_equals_a_trace_link_with_equal_fields():
+    ann = Annotation("G9", "external-evidence", "G8", "doc")
+    trace = TraceLink("G9", "external-evidence", "G8", "doc")
+    assert ann != trace and not ann == trace and hash(ann) == hash(trace)
+    assert len({ann, trace}) == 2
+    assert ann == Annotation(*ann) and not ann != Annotation(*ann)
+    assert ArgumentModel("x", orphans=(ann,)) != ArgumentModel("x", orphans=(trace,))
+
+
+def _with(**fields):
+    return lambda: replace(small_arg(), **fields)
+
+
+@pytest.mark.parametrize("build, message", [
+    (_with(nodes=small_arg().nodes + (GsnNode("G2", "context", "again"),)),
+     "duplicate node id 'G2'"),
+    (_with(links=small_arg().links + (GsnLink("supported-by", "G2", "E9"),)),
+     "link references unknown node: G2 -> E9"),
+    (_with(links=(GsnLink("in-context-of", "G9", "C1"),)),
+     "link references unknown node: G9 -> C1"),
+    (_with(annotations=(Annotation.stereotype("G9", "Reopened"),)),
+     "annotation references unknown node 'G9'"),
+    (_with(trace_links=(TraceLink("G9", "external-evidence", "doc"),)),
+     "trace link references unknown node 'G9'"),
+    (lambda: small_arg().edit_annotations(
+        add=(Annotation.placeholder("G9", "evidence_cost", "1h"),), drop=()),
+     "annotation references unknown node 'G9'"),
+    (lambda: ArgumentModel("x", nodes=(GsnNode("G1", "goal", "a"),
+                                       GsnNode("G1", "goal", "b"))),
+     "duplicate node id 'G1'"),
+], ids=["duplicate", "link-target", "link-source", "annotation", "trace",
+        "edit", "constructor"])
+def test_every_argument_value_obeys_the_reference_rule(build, message):
+    with pytest.raises(GsnError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_orphans_may_name_a_missing_node():
+    arg = ArgumentModel("x", orphans=(Annotation.stereotype("G9", "Reopened"),
+                                      TraceLink("G9", "external-evidence", "doc")))
+    assert parse_dsl(serialize_dsl(arg)) == arg
+
+
+def test_a_duplicate_node_line_is_a_read_error():
+    with pytest.raises(GsnError, match="^duplicate node id 'G1'$"):
+        parse_dsl(_HEAD + 'goal G1 version 2\n  "again"\n')
 
 
 def test_control_characters_round_trip_as_json_escapes():

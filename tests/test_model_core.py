@@ -478,6 +478,22 @@ def assert_compiled_equals_reference(e, rows, bound):
     return got
 
 
+@pytest.mark.parametrize("op, left", [("&", True), ("|", False), ("->", True)])
+@pytest.mark.parametrize("right", [A_OVER_B, Binary("|", B_IS_ZERO, A_OVER_B)],
+                         ids=["divides", "guarded"])
+def test_a_folded_left_operand_that_does_not_decide_leaves_the_right_one(
+        op, left, right, monkeypatch):
+    # The right operand runs on every row: a/b fails at b=0, unless its own
+    # left operand already decided that row.
+    calls = []
+    monkeypatch.setattr(cassure.model, "_as_bool",
+                        lambda node, real=cassure.model._as_bool:
+                        calls.append(node) or real(node))
+    rows = [(1, 1, True), (-1, 1, False), (1, 0, True), (2, 0, False)]
+    assert_compiled_equals_reference(Binary(op, Lit(left), right), rows, TYPED_BOUND)
+    assert len(calls) == 1
+
+
 # The same expressions over ranges where products leave int64 and sums pass
 # 2**53: such expressions are evaluated on Python ints.
 WIDE_BOUND = bind_constants(TYPED, {"K": 2 ** 53 + 1})
