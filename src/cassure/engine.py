@@ -8,10 +8,25 @@ Qualitative probability-0/1 sets come from graph fixpoints.  The remaining
 states are solved exactly: the states without a cycle by levels in numpy,
 back-substitution in dependency order, and what lies on or upstream of a
 cycle by one sparse LU factorization of its linear system.  Step-bounded
-reachability takes repeated matrix-vector products.  One rule decides a
-bound of exactly P>=1 or P<=0: the initial state's membership in prob1 or
-prob0 of the until, the two swapped under negate.  Such bounds are never
-decided by comparing floats against 0.0/1.0.
+reachability takes repeated matrix-vector steps.  One rule decides a bound
+of exactly P>=1 or P<=0: the initial state's membership in prob1 or prob0
+of the until, the two swapped under negate.  Such bounds are never decided
+by comparing floats against 0.0/1.0.
+
+Each kernel serves a batch of K problems over the pairs k*n + s (problem k,
+state s): the backward search of the 0/1 sets keeps one frontier of pairs,
+the step-bounded sweep runs up to the largest bound and stops each problem
+at its own, and the linear systems share one level pass, after which each
+system's cyclic rest gets its own LU; `engine` and `residual` stay per
+system.  Each sum runs in the order it runs for a problem alone, so a
+batch gives the bits that K single problems give.  A batch holds at most
+2**16 pairs (or one problem), so a large space takes its problems a few at
+a time and a batch's temporary arrays stay bounded.
+
+`check_properties` makes one planning pass: it labels each property in
+file order and records what its check reads.  The batches of each kernel
+then compute what the memos lack, and each property is judged from the
+memos.  `check_property` is the same path with a batch of one.
 
 Every label, 0/1 set and solution goes through one of the space's two
 memos, so each is computed once per space.  `space.memo` holds what depends
@@ -22,8 +37,8 @@ and an F<=k vector per target mask and step bound.  `space.graph_memo`
 holds the 0/1 sets per (phi, psi) mask pair, which depend on the transition
 pattern alone; a space that `build_dtmc` re-evaluated from an earlier one
 shares that space's graph memo.  `check_properties` then keeps only the
-entries its properties used.  No key holds the SolverConfig: a solve returns
-its vector and stats, and `check_property` alone judges them, after the
+entries its properties used.  No key holds the SolverConfig: a solve
+returns its vector and stats, and `_judge` alone judges them, after the
 lookup, by comparing the residual with epsilon.
 
 A result record depends only on the model, its constants and the property
@@ -35,8 +50,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,30 +100,55 @@ def _row_positions(indptr, rows):
     return (starts - ends + counts).repeat(counts) + np.arange(ends[-1]), counts
 
 
+def _pair_entries(indptr, columns, pairs, n):
+    """The entries of the CSR rows of the sorted pairs k*n + s, whose rows
+    are those of their states s: their positions, each pair's entry count,
+    and their columns as pairs, in the problem k of their row."""
+    if pairs[-1] < n:  # all in problem 0: a pair is its state
+        at, counts = _row_positions(indptr, pairs)
+        return at, counts, columns[at]
+    state = pairs % n
+    at, counts = _row_positions(indptr, state)
+    return at, counts, columns[at] + (pairs - state).repeat(counts)
+
+
 def _backward_reach(space, seeds_mask, allowed_mask):
-    """States that reach a seed via allowed states (seeds always included)."""
+    """States that reach a seed via allowed states (seeds always included).
+
+    The masks are one problem's, or (K, n) stacks of K problems.  A problem
+    without a seed reaches nothing; the others are searched as one frontier
+    of pairs k*n + s, numbered without the seedless ones, so that a single
+    problem takes the one-problem path of `_pair_entries`.  A pair's
+    predecessors are its state's predecessors in the same problem, so the
+    search takes as many rounds as its deepest problem."""
+    n = space.n_states
     indptr, preds = space.predecessors
-    reached = seeds_mask.copy()
-    frontier = np.flatnonzero(seeds_mask)
+    seeds = seeds_mask.reshape(-1, n)
+    live = np.flatnonzero(seeds.any(axis=1))
+    reached = seeds[live]
+    flat, allowed = reached.reshape(-1), allowed_mask.reshape(-1, n)[live].reshape(-1)
+    frontier = np.flatnonzero(flat)
     while frontier.size:
-        cand = preds[_row_positions(indptr, frontier)[0]]
+        cand = _pair_entries(indptr, preds, frontier, n)[2]
         # Sorted, first of each run: np.unique would import numpy.ma.
-        cand = np.sort(cand[allowed_mask[cand] & ~reached[cand]])
+        cand = np.sort(cand[allowed[cand] & ~flat[cand]])
         cand = cand[run_heads(cand)]
-        reached[cand] = True
+        flat[cand] = True
         frontier = cand
-    return reached
+    out = seeds.copy()
+    out[live] = reached
+    return out.reshape(seeds_mask.shape)
 
 
 def prob0_states(space: StateSpace, phi, psi) -> np.ndarray:
     """Mask of states satisfying phi U psi with probability exactly 0, for
-    the state masks phi and psi."""
+    the state masks phi and psi (or for each row of two (K, n) stacks)."""
     return ~_backward_reach(space, psi, phi & ~psi)
 
 
 def prob1_states(space: StateSpace, phi, psi) -> np.ndarray:
     """Mask of states satisfying phi U psi with probability exactly 1, for
-    the state masks phi and psi."""
+    the state masks phi and psi (or for each row of two (K, n) stacks)."""
     return _prob1(space, phi, psi, prob0_states(space, phi, psi))
 
 
@@ -126,52 +166,74 @@ def _prob1(space, phi_m, psi_m, zero):
 _GRAPH_STATS = {"iterations": 0, "residual": 0.0, "engine": "graph"}
 
 
-def _solve_unknown(space, x, unknown, add):
-    """Solve (I - P_UU) x_U = add_U + P_UK x_K over the unknown states U,
-    with the known values x_K read from x, and write x_U into x.
+def _solve_unknown(space, systems):
+    """Solve each system (x, unknown, add), that is (I - P_UU) x_U = add_U +
+    P_UK x_K over its unknown states U, with the known values x_K read from
+    x, and write x_U into x.
 
-    Levels are peeled first, in numpy: a state is ready when every successor
-    other than itself is known, and one level solves all its ready states at
+    The systems are solved together over pairs k*n + s, system k's state s.
+    Levels are peeled first, in numpy: a pair is ready when every successor
+    other than itself is known, and one level solves all its ready pairs at
     once, x_i = (b_i + sum_j p_ij x_j) / (1 - p_ii).  A level reads only the
-    in-edges of the states it solves, so peeling costs O(edges + levels).
-    The states it leaves lie on or upstream of a cycle; one sparse LU
-    factorization solves them, and only then is scipy imported.
+    in-edges of the pairs it solves, so peeling costs O(edges + levels) for
+    all the systems at once.  What a system's levels leave lies on or
+    upstream of a cycle; one sparse LU factorization per system solves it,
+    and only then is scipy imported.  Each pair's sums run in the order of
+    its row, as a system solved alone would run them.  Some arrays span all
+    K*n pairs, which `_fill` bounds by its batch size.
 
     The 0/1 precompute leaves every unknown state a path out of U, which
-    makes I - P_UU nonsingular.  Returns the stats of the solve: the engine
-    that ran (`levels`, `sparse-lu` or `levels+sparse-lu`) and the scaled
-    residual max|A x_U - b| / max(1, max|x_U|), which `check_property`
-    judges.  Raises SolverError when the system is singular.
+    makes I - P_UU nonsingular.  Returns, for each system in order, the
+    stats of its solve: the engine that ran (`levels`, `sparse-lu` or
+    `levels+sparse-lu`) and the scaled residual max|A x_U - b| / max(1,
+    max|x_U|), which `_judge` judges.  A singular system gets the
+    SolverError that says so in place of its stats, and its x is left as
+    it was.
     """
-    m = unknown.size
-    if m == 0:
-        return dict(_GRAPH_STATS)
-    pos = np.full(space.n_states, -1, dtype=np.int64)
-    pos[unknown] = np.arange(m)
-    src = pos[space.row_ids]
-    edges = src >= 0
-    r, c, p = src[edges], space.indices[edges], space.data[edges]
+    out = [dict(_GRAPH_STATS) for _ in systems]
+    live = [i for i, (_, unknown, _) in enumerate(systems) if unknown.size]
+    if not live:
+        return out
+    n = space.n_states
+    sizes = [systems[i][1].size for i in live]
+    first = np.cumsum([0] + sizes)  # where each system's pairs start in U
+    known = np.concatenate([systems[i][0] for i in live])
+    pairs = np.concatenate([systems[i][1] + k * n for k, i in enumerate(live)])
+    add = np.concatenate([systems[i][2][systems[i][1]] for i in live])
+    m = pairs.size
+    pos = np.full(known.size, -1, dtype=np.int64)
+    pos[pairs] = np.arange(m)
+    at, counts, c = _pair_entries(space.indptr, space.indices, pairs, n)
+    r, p = np.arange(m).repeat(counts), space.data[at]
     rc = pos[c]
     inner = rc >= 0
-    b = add[unknown] + np.bincount(r[~inner], weights=p[~inner] * x[c[~inner]],
-                                   minlength=m)
+    b = add + np.bincount(r[~inner], weights=p[~inner] * known[c[~inner]],
+                           minlength=m)
     r, rc, p = r[inner], rc[inner], p[inner]
     loop = r == rc
     off = ~loop
     pending = np.bincount(r[off], minlength=m)  # successors not yet solved
+    system = np.repeat(np.arange(len(live)), sizes)
+    stay = np.zeros(m)
+    stay[r[loop]] = p[loop]  # a CSR row holds each column once
     level = np.flatnonzero(pending == 0)
+    # A system with a ready pair would divide by 1 - 1 at a pair that keeps
+    # itself with probability 1: it is singular, and takes no part.
+    singular = np.zeros(len(live), dtype=bool)
+    singular[system[stay >= 1.0]] = True
+    singular &= np.bincount(system[level], minlength=len(live)) > 0
+    for k in np.flatnonzero(singular):
+        lo, hi = first[k], first[k + 1]
+        i = systems[live[k]][1][np.argmax(stay[lo:hi])]
+        out[live[k]] = SolverError(f"singular system over {hi - lo} unknown "
+                                   f"states: state {i} keeps itself with "
+                                   f"probability 1")
+    level = level[~singular[system[level]]]
     sol = np.zeros(m)
     rhs = b.copy()  # b plus the terms of the successors solved so far
     if level.size:
-        engine = "levels"
-        stay = np.zeros(m)
-        stay[r[loop]] = p[loop]  # a CSR row holds each column once
-        if np.any(stay >= 1.0):
-            i = unknown[np.argmax(stay)]
-            raise SolverError(f"singular system over {m} unknown states: "
-                              f"state {i} keeps itself with probability 1")
         leave = 1.0 - stay
-        indptr, order = by_target(rc[off], m)  # the in-edges of each state
+        indptr, order = by_target(rc[off], m)  # the in-edges of each pair
         preds, weight = r[off][order], p[off][order]
         while level.size:
             sol[level] = rhs[level] / leave[level]
@@ -183,14 +245,29 @@ def _solve_unknown(space, x, unknown, add):
             up.sort()
             level = up[run_heads(up)]
     rest = np.flatnonzero(pending)
-    if rest.size:
-        engine = "sparse-lu" if rest.size == m else "levels+sparse-lu"
-        sol[rest] = _sparse_lu(r, rc, p, rhs, rest)
-    residual = float(np.max(np.abs(
-        sol - np.bincount(r, weights=p * sol[rc], minlength=m) - b))
-        / max(1.0, np.max(np.abs(sol))))
-    x[unknown] = sol
-    return dict(_GRAPH_STATS, residual=residual, engine=engine)
+    # r and rest are sorted, so a system's inner edges, and the pairs that
+    # its levels leave, are one run of each.
+    edges, left = np.searchsorted(r, first), np.searchsorted(rest, first)
+    for k in np.flatnonzero((left[1:] > left[:-1]) & ~singular):
+        lo, hi, e = first[k], first[k + 1], slice(edges[k], edges[k + 1])
+        mine = rest[left[k]:left[k + 1]]
+        try:
+            sol[mine] = _sparse_lu(r[e] - lo, rc[e] - lo, p[e], rhs[lo:hi], mine - lo)
+        except SolverError as err:
+            out[live[k]] = err
+    dev = np.abs(sol - np.bincount(r, weights=p * sol[rc], minlength=m) - b)
+    worst = np.maximum.reduceat(dev, first[:-1])
+    scale = np.maximum.reduceat(np.abs(sol), first[:-1])
+    for k, i in enumerate(live):
+        if isinstance(out[i], SolverError):
+            continue
+        lu = left[k + 1] - left[k]
+        x, unknown, _ = systems[i]
+        x[unknown] = sol[first[k]:first[k + 1]]
+        out[i] = dict(_GRAPH_STATS, residual=float(worst[k] / max(1.0, scale[k])),
+                      engine="levels" if lu == 0 else "sparse-lu" if lu == sizes[k]
+                      else "levels+sparse-lu")
+    return out
 
 
 def _sparse_lu(r, c, p, rhs, rest):
@@ -216,32 +293,80 @@ def _sparse_lu(r, c, p, rhs, rest):
         raise SolverError(f"singular system over {m} unknown states: {e}")
 
 
-def _until_vector(space, zero, one):
-    """Per-state P(phi U psi) from its 0/1 masks; returns (vector, stats)."""
+def _until_system(space, zero, one):
+    """The system of P(phi U psi) from its 0/1 masks, for _solve_unknown."""
     x = np.zeros(space.n_states, dtype=np.float64)
     x[one] = 1.0
-    unknown = np.flatnonzero(~zero & ~one)
-    stats = _solve_unknown(space, x, unknown, np.zeros(space.n_states))
-    np.clip(x, 0.0, 1.0, out=x)
-    return x, stats
+    return x, np.flatnonzero(~zero & ~one), np.zeros(space.n_states)
+
+
+def _reward_system(space, rew, psi_m, one):
+    """The system of the expected reward cumulated until psi, given the
+    prob1 mask `one` of F psi: +inf where P(F psi) < 1.  Every successor of
+    a state in `one` lies in `one`, so the solve reads no infinity."""
+    return np.where(one, 0.0, np.inf), np.flatnonzero(one & ~psi_m), rew
+
+
+def _solved(space, systems):
+    """Solve the systems {memo key: system} in one batch.  Returns {key:
+    (vector, stats)}, a probability vector (key "P") clipped to [0, 1], or
+    {key: SolverError} for a system that failed."""
+    outcomes = _solve_unknown(space, list(systems.values()))
+    out = {}
+    for (key, (x, _, _)), stats in zip(systems.items(), outcomes):
+        if isinstance(stats, SolverError):
+            out[key] = stats
+            continue
+        if key[0] == "P":
+            np.clip(x, 0.0, 1.0, out=x)
+        out[key] = x, stats
+    return out
+
+
+def _solved_alone(space, key, system):
+    """(vector, stats) of one system; raises its SolverError."""
+    outcome = _solved(space, {key: system})[key]
+    if isinstance(outcome, SolverError):
+        raise outcome
+    return outcome
+
+
+def _matvec_stats(k):
+    return {"iterations": k, "residual": 0.0, "engine": "matvec"}
+
+
+def _step_bounded(space, psi, ks):
+    """P(F<=k psi) per state for the target mask psi, or for each row of a
+    (K, n) stack of them, k its bound in the non-increasing ks: one sweep
+    over pairs j*n + s up to the largest k, targets absorbing.  A step
+    recomputes the pairs outside their target, each row summed in its CSR
+    order.  The problems still stepping hold a prefix of the pairs, so each
+    problem stops at its own k."""
+    n = space.n_states
+    x = psi.astype(np.float64).ravel()
+    rest = np.flatnonzero(~psi.ravel())
+    if rest.size and ks[0]:
+        pos, counts, cols = _pair_entries(space.indptr, space.indices, rest, n)
+        probs, rows = space.data[pos], np.repeat(np.arange(rest.size), counts)
+        stepping, done = len(ks), 0
+        for k in sorted(set(ks) - {0}):
+            if ks[stepping - 1] < k:  # drop the problems whose bound is below k
+                stepping = sum(b >= k for b in ks)
+                a = np.searchsorted(rest, n * stepping)
+                e = counts[:a].sum()
+                rest, rows, probs, cols = rest[:a], rows[:e], probs[:e], cols[:e]
+            for _ in range(k - done):
+                x[rest] = np.bincount(rows, weights=probs * x[cols], minlength=rest.size)
+            done = k
+    return np.clip(x, 0.0, 1.0, out=x).reshape(psi.shape)
 
 
 def bounded_eventually_probability(space, psi, k):
     """k backward steps from the indicator of the target mask psi, targets
-    absorbing: a step recomputes the rows outside psi only, each summed in
-    its CSR order."""
+    absorbing: _step_bounded's sweep for one problem."""
     if k < 0:
         raise ValueError("step bound must be >= 0")
-    x = psi.astype(np.float64)
-    rest = np.flatnonzero(~psi)
-    if k and rest.size:
-        pos, counts = _row_positions(space.indptr, rest)
-        cols, probs = space.indices[pos], space.data[pos]
-        rows = np.repeat(np.arange(rest.size), counts)
-        for _ in range(k):
-            x[rest] = np.bincount(rows, weights=probs * x[cols], minlength=rest.size)
-    np.clip(x, 0.0, 1.0, out=x)
-    return x, {"iterations": k, "residual": 0.0, "engine": "matvec"}
+    return _step_bounded(space, psi, [k]), _matvec_stats(k)
 
 
 def _reward_vector(space, reward_name):
@@ -250,29 +375,17 @@ def _reward_vector(space, reward_name):
     return space.rewards[reward_name]
 
 
-def _reach_reward(space, rew, psi_m, one):
-    """Expected cumulated reward until psi, given the prob1 mask `one` of
-    F psi; +inf where P(F psi) < 1.  Every successor of a state in `one`
-    lies in `one`, so the infinities are set after the solve."""
-    r = np.zeros(space.n_states, dtype=np.float64)
-    stats = _solve_unknown(space, r, np.flatnonzero(one & ~psi_m), rew)
-    r[~one] = np.inf
-    return r, stats
-
-
 # --------------------------------------------------------------------------
 # Property checking
 # --------------------------------------------------------------------------
 
-@contextmanager
-def _located(prop, *errors):
-    """Re-raise one of ``errors`` with the place of ``prop`` in front."""
-    try:
-        yield
-    except errors as e:
-        if prop.span is None:
-            raise
-        raise type(e)(f"{prop.span}: {e}") from None
+# The errors of a check, which name the property's place.
+_CHECK_ERRORS = (BuildError, EvalError, SolverError)
+
+
+def _located(prop, e):
+    """The error `e` with the place of `prop` in front."""
+    return e if prop.span is None else type(e)(f"{prop.span}: {e}")
 
 
 def _label(space, phi):
@@ -283,6 +396,10 @@ def _label(space, phi):
 
 def _mask_key(mask):
     return np.packbits(mask).tobytes()
+
+
+def _bounded_key(psi, k):
+    return "F<=", _mask_key(psi), k
 
 
 def _until_form(space, prop):
@@ -317,14 +434,27 @@ class _Until:
         return self.space.graph_memo.get(("prob1", *self.key), lambda: _prob1(
             self.space, self.phi, self.psi, self.prob0()))
 
+    def system(self, reward=None):
+        """The memo key of P(phi U psi), or of the expected reward `reward`
+        until psi, and a function that builds its linear system."""
+        space = self.space
+        if reward is None:
+            zero, one = self.prob0(), self.prob1()
+            return (("P", _mask_key(zero), _mask_key(one)),
+                    lambda: _until_system(space, zero, one))
+        return (("R", *self.key, reward), lambda: _reward_system(
+            space, _reward_vector(space, reward), self.psi, self.prob1()))
+
     def probability(self):
-        zero, one = self.prob0(), self.prob1()
-        return self.space.memo.get(("P", _mask_key(zero), _mask_key(one)),
-                                   lambda: _until_vector(self.space, zero, one))
+        return self.solution(*self.system())
 
     def reward(self, name):
-        return self.space.memo.get(("R", *self.key, name), lambda: _reach_reward(
-            self.space, _reward_vector(self.space, name), self.psi, self.prob1()))
+        return self.solution(*self.system(name))
+
+    def solution(self, key, system):
+        """The (vector, stats) under `key`, or of the system that `system`
+        builds, solved alone; raises its SolverError."""
+        return self.space.memo.get(key, lambda: _solved_alone(self.space, key, system()))
 
 
 def model_fingerprint(space: StateSpace, prop) -> str:
@@ -339,41 +469,146 @@ _RESULT_KIND = {"P_query": "probability", "P_bound": "boolean", "R_query": "rewa
 _QUALITATIVE = ((">=", 1.0), ("<=", 0.0))
 
 
-def check_property(space: StateSpace, prop, cfg=SolverConfig()) -> VerificationResult:
-    """Check one property; queries return the initial-state value.  The one
-    place that judges a solve: it is accepted when its residual is at most
-    cfg.epsilon.  Every error names the property's place."""
-    init, path = space.initial, prop.path
+def _deciding_set(prop, negate):
+    """The 0/1 set, "prob0" or "prob1", that decides a bound in _QUALITATIVE;
+    None for any other property.  P >= 1 holds on prob1 and P <= 0 on
+    prob0; the complement swaps them."""
+    if prop.kind != "P_bound" or (prop.bound_op, prop.bound) not in _QUALITATIVE:
+        return None
+    return "prob1" if (prop.bound_op == ">=") != negate else "prob0"
+
+
+class _Plan(NamedTuple):
+    """What checking one property reads: the 0/1 sets `sets` of its until
+    problem, then, if `reads_vector`, the vector that `_vector` names.  An
+    F<=k path has no until problem: it reads the F<=k vector of its target
+    mask psi.  `negate`: the value is 1 minus the vector's."""
+    prop: object
+    psi: np.ndarray | None = None
+    until: _Until | None = None
+    negate: bool = False
+    sets: tuple = ()
+    reads_vector: bool = True
+
+
+def _plan(space, prop):
+    """Label the state formulas of `prop` and find what its check reads: a
+    bound that the graph decides reads one 0/1 set and no vector; a reward
+    query reads prob1, which says whether it is finite; any other until
+    reads prob0 and prob1, which fix its linear system."""
+    path = prop.path
+    if path.kind == "F<=":  # step-bounded: no graph characterization
+        return _Plan(prop, _label(space, path.target))
+    phi, psi, negate = _until_form(space, prop)
+    until = _Until(space, phi, psi)
+    if prop.kind == "R_query":
+        _reward_vector(space, prop.reward)  # an unknown name is an error first
+        return _Plan(prop, None, until, negate, ("prob1",))
+    decided = _deciding_set(prop, negate)
+    if decided:
+        return _Plan(prop, None, until, negate, (decided,), reads_vector=False)
+    return _Plan(prop, None, until, negate, ("prob0", "prob1"))
+
+
+def _vector(space, plan):
+    """The memo key of the vector that `plan` reads and a function that
+    builds its linear system (None for an F<=k vector), or None when it
+    reads no vector: a bound that the graph decides, or a reward query whose
+    target is missed with P > 0 (its value is +inf).  Reads the plan's 0/1
+    sets."""
+    prop, until = plan.prop, plan.until
+    if until is None:
+        return _bounded_key(plan.psi, prop.path.bound), None
+    if not plan.reads_vector or (prop.kind == "R_query" and not until.prob1()[space.initial]):
+        return None
+    return until.system(prop.reward if prop.kind == "R_query" else None)
+
+
+# A batch holds at most this many pairs: its temporary arrays take a few
+# dozen bytes per transition of a pair, so a batch of large problems holds
+# about what one problem of 2**16 states holds, while a small space still
+# checks all its problems in one batch.
+_BATCH_PAIRS = 1 << 16
+
+
+def _batches(space, problems):
+    """The list `problems` in runs of at most _BATCH_PAIRS pairs, and of at
+    least one problem."""
+    per = max(1, _BATCH_PAIRS // space.n_states)
+    return [problems[i:i + per] for i in range(0, len(problems), per)]
+
+
+def _fill(space, plans):
+    """Compute, in batches per kernel, what the plans read and the memos
+    lack: the prob0 sets, the prob1 sets, the F<=k vectors and the linear
+    systems.  Each entry goes under its own key, as its own array.  A system
+    that fails in its batch is not stored, so `_judge` solves it alone and
+    raises its error at its property.  Returns the `_vector` of each plan."""
+    graph, memo = space.graph_memo, space.memo
+    sets = {}
+    for plan in plans:
+        for name in plan.sets:
+            sets.setdefault((name, *plan.until.key), plan.until)
+    one = [u for key, u in sets.items() if key[0] == "prob1" and key not in graph]
+    for u in one:  # a prob1 set is computed from its prob0 set
+        sets.setdefault(("prob0", *u.key), u)
+    zero = [u for key, u in sets.items() if key[0] == "prob0" and key not in graph]
+    for batch in _batches(space, zero):
+        phi, psi = np.stack([u.phi for u in batch]), np.stack([u.psi for u in batch])
+        for u, mask in zip(batch, prob0_states(space, phi, psi)):
+            graph.put(("prob0", *u.key), mask.copy())
+    for batch in _batches(space, one):
+        phi, psi = np.stack([u.phi for u in batch]), np.stack([u.psi for u in batch])
+        zeros = np.stack([u.prob0() for u in batch])
+        for u, mask in zip(batch, _prob1(space, phi, psi, zeros)):
+            graph.put(("prob1", *u.key), mask.copy())
+    vectors = [_vector(space, plan) for plan in plans]
+    bounded, systems = {}, {}
+    for plan, vector in zip(plans, vectors):
+        if vector is None or vector[0] in memo:
+            continue
+        key, system = vector
+        if system is None:
+            bounded[key] = plan.psi
+        else:
+            systems[key] = system
+    for batch in _batches(space, sorted(bounded, key=lambda key: -key[2])):
+        xs = _step_bounded(space, np.stack([bounded[key] for key in batch]),
+                           [key[2] for key in batch])
+        for key, x in zip(batch, xs):
+            memo.put(key, (x.copy(), _matvec_stats(key[2])))
+    for batch in _batches(space, list(systems)):
+        for key, outcome in _solved(space, {key: systems[key]() for key in batch}).items():
+            if not isinstance(outcome, SolverError):
+                memo.put(key, outcome)
+    return vectors
+
+
+def _judge(space, plan, vector, cfg):
+    """The result of a planned property, read from the memos that `_fill`
+    filled, `vector` the plan's `_vector`; queries return the initial-state
+    value.  The one place that judges a solve: it is accepted when its
+    residual is at most cfg.epsilon."""
+    prop, init = plan.prop, space.initial
     value = verdict = None
     infinite = marginal = False
     stats = _GRAPH_STATS
-    with _located(prop, BuildError, EvalError, SolverError):
-        if path.kind == "F<=":  # step-bounded: no graph characterization
-            psi = _label(space, path.target)
-            vec, stats = space.memo.get(
-                ("F<=", _mask_key(psi), path.bound),
-                lambda: bounded_eventually_probability(space, psi, path.bound))
-            value = float(vec[init])
+    try:
+        if vector:
+            # A system that failed in the batch is solved alone, and raises.
+            vec, stats = plan.until.solution(*vector) if vector[1] else space.memo[vector[0]]
+            value = float(1.0 - vec[init] if plan.negate else vec[init])
+        elif prop.kind == "R_query":
+            infinite = True
         else:
-            phi, psi, negate = _until_form(space, prop)
-            until = _Until(space, phi, psi)
-            if prop.kind == "R_query":
-                _reward_vector(space, prop.reward)  # an unknown name is an error first
-                infinite = not until.prob1()[init]  # psi missed with P > 0
-                if not infinite:
-                    vec, stats = until.reward(prop.reward)
-                    value = float(vec[init])
-            elif prop.kind == "P_bound" and (prop.bound_op, prop.bound) in _QUALITATIVE:
-                # P >= 1 holds on prob1 and P <= 0 on prob0; the complement swaps them.
-                at_one = (prop.bound_op == ">=") != negate
-                verdict = bool((until.prob1() if at_one else until.prob0())[init])
-            else:
-                vec, stats = until.probability()
-                value = float(1.0 - vec[init] if negate else vec[init])
+            [decided] = plan.sets
+            verdict = bool(space.graph_memo[(decided, *plan.until.key)][init])
         # Graph and F<=k results have residual 0.0 and always pass.
         if not stats["residual"] <= cfg.epsilon:
             raise SolverError(f"{stats['engine']} solve missed the residual bound "
                               f"({stats['residual']:.3e} > {cfg.epsilon:g})")
+    except _CHECK_ERRORS as e:
+        raise _located(prop, e) from None
     if prop.kind == "P_bound" and verdict is None:
         # Bounds of 0 or 1 on a numeric value allow for rounding.
         tol = BOUND_TOL if prop.bound in (0.0, 1.0) else 0.0
@@ -385,10 +620,35 @@ def check_property(space: StateSpace, prop, cfg=SolverConfig()) -> VerificationR
                               model_fingerprint(space, prop))
 
 
+def _check(space, props, cfg):
+    """Plan each property in file order, fill the memos in batches, then
+    judge each property.  Planning stops at the first property that raises:
+    the properties before it are judged, and may raise first, then its error
+    is raised.  So the errors come as checking one property at a time in
+    file order gives them.  Every error names the property's place."""
+    plans, error = [], None
+    for prop in props:
+        try:
+            plans.append(_plan(space, prop))
+        except _CHECK_ERRORS as e:
+            error = _located(prop, e)
+            break
+    vectors = _fill(space, plans)
+    results = [_judge(space, plan, vector, cfg) for plan, vector in zip(plans, vectors)]
+    if error:
+        raise error from None
+    return results
+
+
+def check_property(space: StateSpace, prop, cfg=SolverConfig()) -> VerificationResult:
+    """Check one property: a batch of one."""
+    return _check(space, [prop], cfg)[0]
+
+
 def check_properties(space, props, cfg=SolverConfig()):
-    """Check each property; then the space's two memos keep only the
-    entries that these checks used."""
-    results = [check_property(space, p, cfg) for p in props]
+    """Check each property, with one batch per kernel for all of them; then
+    the space's two memos keep only the entries that these checks used."""
+    results = _check(space, props, cfg)
     space.memo.keep_used()
     space.graph_memo.keep_used()
     return results

@@ -88,25 +88,36 @@ class BuildDiagnostics:
 class Memo:
     """Results computed on one state space, by key.
 
-    `get` computes a missing entry once and returns the stored one from then
-    on; a computation that raises stores nothing.  Stored arrays are made
-    read-only, since every caller shares them.  `keep_used` drops every
-    entry that no `get` asked for since its previous call.
+    `get` computes a missing entry once, or takes the one that `put`
+    stored, and returns the stored one from then on; a computation that
+    raises stores nothing.  Stored arrays are made read-only, since every
+    caller shares them.  `keep_used` drops every entry that no `get` or
+    `memo[key]` asked for since its previous call.
     """
 
     def __init__(self):
         self.entries = {}
         self._used = set()
 
-    def get(self, key, compute):
-        if key not in self.entries:
-            value = compute()
-            for part in value if isinstance(value, tuple) else (value,):
-                if isinstance(part, np.ndarray):
-                    part.flags.writeable = False
-            self.entries[key] = value
+    def __contains__(self, key):
+        return key in self.entries
+
+    def __getitem__(self, key):
+        """A stored entry, which `keep_used` then keeps."""
         self._used.add(key)
         return self.entries[key]
+
+    def get(self, key, compute):
+        if key not in self.entries:
+            self.put(key, compute())
+        return self[key]
+
+    def put(self, key, value):
+        """Store an entry computed elsewhere; `get` then returns it."""
+        for part in value if isinstance(value, tuple) else (value,):
+            if isinstance(part, np.ndarray):
+                part.flags.writeable = False
+        self.entries[key] = value
 
     def keep_used(self):
         self.entries = {k: v for k, v in self.entries.items() if k in self._used}

@@ -6,7 +6,8 @@ per property, with trace links carrying content fingerprints so that later
 regenerations can bump versions only where something actually changed.
 
 Node id scheme: ``G.root``, ``S.byProperty``, ``G.<prop>``, ``C.<prop>``,
-``E.<prop>``.  Property names are the stable key across regenerations.
+``E.<prop>``.  Property names are the stable key across regenerations; the
+name ``root`` is reserved, since its goal would be the root goal.
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ def build_argument(model_ref: ModelRef, props, results) -> ArgumentModel:
         raise TransformError(
             f"results do not match properties (missing={sorted(missing)}, "
             f"extra={sorted(extra)})")
+    for prop in props:
+        if prop.name == "root":
+            where = f"{prop.span}: " if prop.span else ""
+            raise TransformError(f"{where}property name 'root' is reserved: its "
+                                 f"goal would be the root goal G.root")
 
     # Descriptions are deliberately timestamp-free so regeneration is
     # deterministic (timestamps live in result records only).
@@ -109,8 +115,10 @@ def _node_fingerprints(arg):
 def regenerate(previous: ArgumentModel, fresh: ArgumentModel) -> ArgumentModel:
     """Merge manual annotations into a freshly built argument and bump the
     version of every node whose description or linked result changed.  The
-    fresh evidence sets a goal's status: a deferred goal drops EvidenceProvided,
-    a passing one that is not Reopened drops DeferredEvidence."""
+    argument's version goes up when such a node changed or when a node was
+    added or removed.  The fresh evidence sets a goal's status: a deferred
+    goal drops EvidenceProvided, a passing one that is not Reopened drops
+    DeferredEvidence."""
     deferred = {a.node_id for a in fresh.annotations if a.name == "DeferredEvidence"}
     built = {t.node_id for t in fresh.trace_links if t.artifact_kind == "property"}
     reopened = {a.node_id for a in previous.annotations if a.name == "Reopened"}
@@ -121,7 +129,7 @@ def regenerate(previous: ArgumentModel, fresh: ArgumentModel) -> ArgumentModel:
     prev_fp = _node_fingerprints(previous)
     new_fp = _node_fingerprints(merged)
 
-    bumped = False
+    bumped = {n.id for n in merged.nodes} != prev_nodes.keys()
     nodes = []
     for n in merged.nodes:
         prev = prev_nodes.get(n.id)

@@ -714,6 +714,53 @@ def test_generate_rejects_a_node_id_the_format_cannot_hold(workdir):
     assert not out.exists()
 
 
+def test_a_property_named_root_exits_2_and_writes_nothing(workdir):
+    # Its goal G.root would be the root goal; check still accepts the name.
+    props = workdir / "nuclear.props"
+    props.write_text(props.read_text() + '"root": P=? [ F loc = 5 ];\n')
+    out = workdir / "out"
+    r = invoke("generate", "--model", str(workdir / "nuclear.prism"), "--out", str(out))
+    assert r.exit_code == 2
+    assert r.output == (f"error: {props}:21:1: property name 'root' is reserved: "
+                        f"its goal would be the root goal G.root\n")
+    assert not out.exists()
+    r = invoke("check", "--model", str(workdir / "nuclear.prism"), "--out", str(out))
+    assert r.exit_code == 1
+    assert "root: 0.0388218" in r.output
+
+
+def test_a_property_named_root_fails_one_watch_cycle(workdir):
+    config = make_config(workdir)
+    lines = []
+    good = {}
+    props = workdir / "nuclear.props"
+
+    def fake_sleep(_):
+        if not good:
+            good.update(_artifacts(workdir / "out"))
+            props.write_text(props.read_text() + '"root": P=? [ F loc = 5 ];\n')
+    cycles = watch_loop(config, max_cycles=2, log=lines.append,
+                        sleep=fake_sleep)
+    assert cycles == 2
+    assert lines[1] == (f"[cycle 2] exit=2 cycle failed: {props}:21:1: property "
+                        f"name 'root' is reserved: its goal would be the root goal "
+                        f"G.root")
+    assert _artifacts(workdir / "out") == good
+
+
+def test_adding_or_removing_properties_bumps_the_argument_version(workdir):
+    props = workdir / "nuclear.props"
+    generate = ("generate", "--model", str(workdir / "nuclear.prism"),
+                "--out", str(workdir / "out"))
+    assert invoke(*generate).output.endswith("(53 nodes, version 1)\n")
+    props.write_text(props.read_text() + '"P_extra": P=? [ F loc = 3 ];\n')
+    assert invoke(*generate).output.endswith("(56 nodes, version 2)\n")
+    props.write_text("".join(line for line in props.read_text().splitlines(True)
+                             if '"P_succ"' not in line and '"P_forb"' not in line))
+    assert invoke(*generate).output.endswith("(50 nodes, version 3)\n")
+    assert invoke(*generate).output.endswith("(50 nodes, version 3)\n")
+
+
 def _lifecycle_case(workdir, case):
     """Write the malformed input of ``case``; returns (command args, the
     file the error must name)."""

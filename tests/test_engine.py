@@ -98,6 +98,19 @@ def test_each_state_formula_is_labelled_once(bound, props, monkeypatch):
     assert Lit(True) not in labelled
 
 
+def _counted(monkeypatch, name):
+    """The list of the problems or systems that engine.<name> was given:
+    one entry per row of a (K, n) mask stack, or per system of a list."""
+    calls, real = [], getattr(engine, name)
+
+    def counted(space, batch, *rest):
+        calls.extend(batch if isinstance(batch, list)
+                     else batch.reshape(-1, space.n_states))
+        return real(space, batch, *rest)
+    monkeypatch.setattr(engine, name, counted)
+    return calls
+
+
 SHARED = ('"q": P=? [ F x=1 ]; "b": P>=0.5 [ F x=1 ]; '
           '"u": P<=0.4 [ true U x=1 ]; "g": P=? [ G x!=1 ];')
 
@@ -107,9 +120,7 @@ def test_properties_sharing_masks_solve_once(toy, monkeypatch):
     # complement: one numeric solve serves all four.
     props = parse_properties(SHARED)
     fresh = [check_property(build_dtmc(toy.bound), p) for p in props]
-    solves = []
-    monkeypatch.setattr(engine, "_solve_unknown",
-                        lambda *a: solves.append(1) or _solve_unknown(*a))
+    solves = _counted(monkeypatch, "_solve_unknown")
     shared = check_properties(build_dtmc(toy.bound), props)
     assert len(solves) == 1
     assert shared == fresh
@@ -132,13 +143,6 @@ def test_a_solve_that_raised_is_not_memoized(toy, monkeypatch):
         check_property(space, prop)
     assert check_property(space, prop).value == pytest.approx(0.5, abs=1e-12)
     assert len(calls) == 2
-
-
-def _counted(monkeypatch, name):
-    """The list that each call of engine.<name> appends its arguments to."""
-    calls, real = [], getattr(engine, name)
-    monkeypatch.setattr(engine, name, lambda *a: calls.append(a) or real(*a))
-    return calls
 
 
 def test_a_reevaluated_space_keeps_its_01_sets(model_text, props, monkeypatch):
@@ -400,8 +404,10 @@ def test_singular_block_raises():
         "dtmc\nmodule m\n  x : [0..1] init 0;\n  [] true -> (x'=1-x);\n"
         "endmodule\n")))
     x = np.zeros(space.n_states)
-    with pytest.raises(SolverError, match="singular"):
-        _solve_unknown(space, x, np.arange(space.n_states), np.ones(space.n_states))
+    [error] = _solve_unknown(space, [(x, np.arange(space.n_states),
+                                      np.ones(space.n_states))])
+    assert isinstance(error, SolverError) and "singular" in str(error)
+    assert not x.any()
 
 
 def test_a_certain_self_loop_in_a_level_is_singular():
@@ -411,8 +417,30 @@ def test_a_certain_self_loop_in_a_level_is_singular():
         "dtmc\nmodule m\n  x : [0..1] init 0;\n  [] true -> (x'=1);\n"
         "endmodule\n")))
     x = np.zeros(space.n_states)
-    with pytest.raises(SolverError, match="singular"):
-        _solve_unknown(space, x, np.arange(space.n_states), np.ones(space.n_states))
+    [error] = _solve_unknown(space, [(x, np.arange(space.n_states),
+                                      np.ones(space.n_states))])
+    assert isinstance(error, SolverError) and "singular" in str(error)
+    assert not x.any()
+
+
+def test_a_singular_system_leaves_the_rest_of_its_batch_solved():
+    # CYCLE_THEN_CHAIN's x=0 and x=1 form a cycle; the second system makes
+    # x=4 keep itself with probability 1 while x=2 is ready.
+    space = build_dtmc(bind_constants(parse_model(CYCLE_THEN_CHAIN)))
+    x = np.array([space.valuation(i)["x"] for i in range(space.n_states)])
+
+    def system():
+        return np.where(x == 3, 1.0, 0.0), np.flatnonzero(x < 3), np.zeros(space.n_states)
+    good, bad = system(), (np.zeros(space.n_states), np.flatnonzero(x != 3),
+                           np.zeros(space.n_states))
+    alone = system()
+    [expected] = _solve_unknown(space, [alone])
+    stats, error = _solve_unknown(space, [good, bad])
+    assert stats == expected and stats["engine"] == "levels+sparse-lu"
+    assert good[0].tobytes() == alone[0].tobytes()
+    assert str(error) == ("singular system over 4 unknown states: state "
+                          f"{np.flatnonzero(x == 4)[0]} keeps itself with probability 1")
+    assert not bad[0].any()
 
 
 # ---- rendering and records ----

@@ -3,7 +3,8 @@
 The files under ``tests/golden/`` were written by an earlier version of
 cassure from the steps below, run with relative paths from a scratch
 directory.  A change that alters one byte of the ``.gsn``, ``.dot``,
-``plan.json`` or ``impact_report.json`` output fails here.
+``.results.jsonl``, ``plan.json`` or ``impact_report.json`` output fails
+here.
 """
 
 import json
@@ -59,7 +60,8 @@ def generate_case_study():
     assert cassure("generate", "--model", "nuclear.prism", "--out", "out",
                    "--dot") == 0
     return {"generate/nuclear.gsn": Path("out/nuclear.gsn"),
-            "generate/nuclear.dot": Path("out/nuclear.dot")}
+            "generate/nuclear.dot": Path("out/nuclear.dot"),
+            "generate/nuclear.results.jsonl": Path("out/nuclear.results.jsonl")}
 
 
 def lifecycle_round():

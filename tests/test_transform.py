@@ -77,6 +77,31 @@ def test_regenerate_is_a_fixpoint(arg, ref, props, results):
     assert merged.version == arg.version
 
 
+def test_regenerate_bumps_the_version_when_a_property_is_added(arg, ref, props,
+                                                              results):
+    fewer = build_argument(ref, props[:-1], results[:-1])
+    grown = regenerate(fewer, arg)
+    assert grown.version == fewer.version + 1
+    assert len(grown.nodes) == len(fewer.nodes) + 3
+    assert {n.version for n in grown.nodes} == {1}
+
+
+def test_regenerate_bumps_the_version_when_a_property_is_removed(arg, ref, props,
+                                                                results):
+    shrunk = regenerate(arg, build_argument(ref, props[2:], results[2:]))
+    assert shrunk.version == arg.version + 1
+    assert len(shrunk.nodes) == len(arg.nodes) - 6
+    assert {n.version for n in shrunk.nodes} == {1}
+
+
+def test_a_property_named_root_is_reserved(ref, props, results):
+    named = [replace(props[0], name="root")] + props[1:]
+    renamed = [replace(results[0], property="root")] + results[1:]
+    with pytest.raises(TransformError, match=r"^nuclear.props:2:1: property name "
+                       "'root' is reserved: its goal would be the root goal G.root$"):
+        build_argument(ref, named, renamed)
+
+
 def test_regenerate_bumps_only_changed(arg, model_text, model_path, props):
     """A changed constant shifts only P_succ-like values; exactly those
     nodes bump."""
