@@ -24,9 +24,12 @@ batch gives the bits that K single problems give.  A batch holds at most
 a time and a batch's temporary arrays stay bounded.
 
 `check_properties` makes one planning pass: it labels each property in
-file order and records what its check reads.  The batches of each kernel
-then compute what the memos lack, and each property is judged from the
-memos.  `check_property` is the same path with a batch of one.
+file order and records what its check reads.  Then `_fill`, the one place
+that computes a 0/1 set, an F<=k vector or a solution, runs the batches of
+each kernel over what the memos lack, and each property is judged from the
+memos.  `check_property` is the same path with a batch of one.  A system
+that fails in its batch is stored nowhere: its error, from that one solve,
+is raised at each property that reads it.
 
 Every label, 0/1 set and solution goes through one of the space's two
 memos, so each is computed once per space.  `space.memo` holds what depends
@@ -323,14 +326,6 @@ def _solved(space, systems):
     return out
 
 
-def _solved_alone(space, key, system):
-    """(vector, stats) of one system; raises its SolverError."""
-    outcome = _solved(space, {key: system})[key]
-    if isinstance(outcome, SolverError):
-        raise outcome
-    return outcome
-
-
 def _matvec_stats(k):
     return {"iterations": k, "residual": 0.0, "engine": "matvec"}
 
@@ -415,48 +410,6 @@ def _until_form(space, prop):
     return everywhere, target, False
 
 
-class _Until:
-    """The until problem phi U psi on one space.  Its 0/1 sets go through
-    the space's graph memo, keyed by the two masks; its probabilities through
-    the space's memo, keyed by the 0/1 sets, which alone fix the linear
-    system.  So the properties that reduce to one problem, or to one system,
-    share them."""
-
-    def __init__(self, space, phi, psi):
-        self.space, self.phi, self.psi = space, phi, psi
-        self.key = (_mask_key(phi), _mask_key(psi))
-
-    def prob0(self):
-        return self.space.graph_memo.get(
-            ("prob0", *self.key), lambda: prob0_states(self.space, self.phi, self.psi))
-
-    def prob1(self):
-        return self.space.graph_memo.get(("prob1", *self.key), lambda: _prob1(
-            self.space, self.phi, self.psi, self.prob0()))
-
-    def system(self, reward=None):
-        """The memo key of P(phi U psi), or of the expected reward `reward`
-        until psi, and a function that builds its linear system."""
-        space = self.space
-        if reward is None:
-            zero, one = self.prob0(), self.prob1()
-            return (("P", _mask_key(zero), _mask_key(one)),
-                    lambda: _until_system(space, zero, one))
-        return (("R", *self.key, reward), lambda: _reward_system(
-            space, _reward_vector(space, reward), self.psi, self.prob1()))
-
-    def probability(self):
-        return self.solution(*self.system())
-
-    def reward(self, name):
-        return self.solution(*self.system(name))
-
-    def solution(self, key, system):
-        """The (vector, stats) under `key`, or of the system that `system`
-        builds, solved alone; raises its SolverError."""
-        return self.space.memo.get(key, lambda: _solved_alone(self.space, key, system()))
-
-
 def model_fingerprint(space: StateSpace, prop) -> str:
     """Content hash of (model text, bound constants, property text)."""
     h = space.model_digest.copy()
@@ -479,13 +432,15 @@ def _deciding_set(prop, negate):
 
 
 class _Plan(NamedTuple):
-    """What checking one property reads: the 0/1 sets `sets` of its until
-    problem, then, if `reads_vector`, the vector that `_vector` names.  An
-    F<=k path has no until problem: it reads the F<=k vector of its target
-    mask psi.  `negate`: the value is 1 minus the vector's."""
+    """What checking one property reads.  An until plan reads the 0/1 sets
+    `sets` of phi U psi, under the mask key `key` in the graph memo, then,
+    if `reads_vector`, the vector that `_vector` names.  An F<=k plan (phi
+    None) reads the F<=k vector of its target mask psi.  `negate`: the
+    value is 1 minus the vector's."""
     prop: object
-    psi: np.ndarray | None = None
-    until: _Until | None = None
+    phi: np.ndarray | None
+    psi: np.ndarray
+    key: tuple = ()
     negate: bool = False
     sets: tuple = ()
     reads_vector: bool = True
@@ -498,16 +453,16 @@ def _plan(space, prop):
     reads prob0 and prob1, which fix its linear system."""
     path = prop.path
     if path.kind == "F<=":  # step-bounded: no graph characterization
-        return _Plan(prop, _label(space, path.target))
+        return _Plan(prop, None, _label(space, path.target))
     phi, psi, negate = _until_form(space, prop)
-    until = _Until(space, phi, psi)
+    until = prop, phi, psi, (_mask_key(phi), _mask_key(psi)), negate
     if prop.kind == "R_query":
         _reward_vector(space, prop.reward)  # an unknown name is an error first
-        return _Plan(prop, None, until, negate, ("prob1",))
+        return _Plan(*until, ("prob1",))
     decided = _deciding_set(prop, negate)
     if decided:
-        return _Plan(prop, None, until, negate, (decided,), reads_vector=False)
-    return _Plan(prop, None, until, negate, ("prob0", "prob1"))
+        return _Plan(*until, (decided,), reads_vector=False)
+    return _Plan(*until, ("prob0", "prob1"))
 
 
 def _vector(space, plan):
@@ -515,13 +470,21 @@ def _vector(space, plan):
     builds its linear system (None for an F<=k vector), or None when it
     reads no vector: a bound that the graph decides, or a reward query whose
     target is missed with P > 0 (its value is +inf).  Reads the plan's 0/1
-    sets."""
-    prop, until = plan.prop, plan.until
-    if until is None:
+    sets from the graph memo.  A probability vector is keyed by the 0/1
+    sets, which alone fix its system, and a reward vector by the masks."""
+    prop, graph = plan.prop, space.graph_memo
+    if plan.phi is None:
         return _bounded_key(plan.psi, prop.path.bound), None
-    if not plan.reads_vector or (prop.kind == "R_query" and not until.prob1()[space.initial]):
+    if not plan.reads_vector:
         return None
-    return until.system(prop.reward if prop.kind == "R_query" else None)
+    one = graph[("prob1", *plan.key)]
+    if prop.kind == "R_query":
+        if not one[space.initial]:
+            return None
+        return (("R", *plan.key, prop.reward), lambda: _reward_system(
+            space, _reward_vector(space, prop.reward), plan.psi, one))
+    zero = graph[("prob0", *plan.key)]
+    return ("P", _mask_key(zero), _mask_key(one)), lambda: _until_system(space, zero, one)
 
 
 # A batch holds at most this many pairs: its temporary arrays take a few
@@ -541,29 +504,29 @@ def _batches(space, problems):
 def _fill(space, plans):
     """Compute, in batches per kernel, what the plans read and the memos
     lack: the prob0 sets, the prob1 sets, the F<=k vectors and the linear
-    systems.  Each entry goes under its own key, as its own array.  A system
-    that fails in its batch is not stored, so `_judge` solves it alone and
-    raises its error at its property.  Returns the `_vector` of each plan."""
+    systems.  Each entry goes under its own key, as its own array.  Returns
+    the `_vector` of each plan and {memo key: SolverError} for the systems
+    that failed in their batch, which are not stored."""
     graph, memo = space.graph_memo, space.memo
     sets = {}
     for plan in plans:
         for name in plan.sets:
-            sets.setdefault((name, *plan.until.key), plan.until)
-    one = [u for key, u in sets.items() if key[0] == "prob1" and key not in graph]
-    for u in one:  # a prob1 set is computed from its prob0 set
-        sets.setdefault(("prob0", *u.key), u)
-    zero = [u for key, u in sets.items() if key[0] == "prob0" and key not in graph]
+            sets.setdefault((name, *plan.key), plan)
+    one = [p for key, p in sets.items() if key[0] == "prob1" and key not in graph]
+    for p in one:  # a prob1 set is computed from its prob0 set
+        sets.setdefault(("prob0", *p.key), p)
+    zero = [p for key, p in sets.items() if key[0] == "prob0" and key not in graph]
     for batch in _batches(space, zero):
-        phi, psi = np.stack([u.phi for u in batch]), np.stack([u.psi for u in batch])
-        for u, mask in zip(batch, prob0_states(space, phi, psi)):
-            graph.put(("prob0", *u.key), mask.copy())
+        phi, psi = np.stack([p.phi for p in batch]), np.stack([p.psi for p in batch])
+        for p, mask in zip(batch, prob0_states(space, phi, psi)):
+            graph.put(("prob0", *p.key), mask.copy())
     for batch in _batches(space, one):
-        phi, psi = np.stack([u.phi for u in batch]), np.stack([u.psi for u in batch])
-        zeros = np.stack([u.prob0() for u in batch])
-        for u, mask in zip(batch, _prob1(space, phi, psi, zeros)):
-            graph.put(("prob1", *u.key), mask.copy())
+        phi, psi = np.stack([p.phi for p in batch]), np.stack([p.psi for p in batch])
+        zeros = np.stack([graph[("prob0", *p.key)] for p in batch])
+        for p, mask in zip(batch, _prob1(space, phi, psi, zeros)):
+            graph.put(("prob1", *p.key), mask.copy())
     vectors = [_vector(space, plan) for plan in plans]
-    bounded, systems = {}, {}
+    bounded, systems, failed = {}, {}, {}
     for plan, vector in zip(plans, vectors):
         if vector is None or vector[0] in memo:
             continue
@@ -579,14 +542,17 @@ def _fill(space, plans):
             memo.put(key, (x.copy(), _matvec_stats(key[2])))
     for batch in _batches(space, list(systems)):
         for key, outcome in _solved(space, {key: systems[key]() for key in batch}).items():
-            if not isinstance(outcome, SolverError):
+            if isinstance(outcome, SolverError):
+                failed[key] = outcome
+            else:
                 memo.put(key, outcome)
-    return vectors
+    return vectors, failed
 
 
-def _judge(space, plan, vector, cfg):
+def _judge(space, plan, vector, failed, cfg):
     """The result of a planned property, read from the memos that `_fill`
-    filled, `vector` the plan's `_vector`; queries return the initial-state
+    filled, `vector` the plan's `_vector` and `failed` the errors of the
+    systems that failed in their batch; queries return the initial-state
     value.  The one place that judges a solve: it is accepted when its
     residual is at most cfg.epsilon."""
     prop, init = plan.prop, space.initial
@@ -595,14 +561,15 @@ def _judge(space, plan, vector, cfg):
     stats = _GRAPH_STATS
     try:
         if vector:
-            # A system that failed in the batch is solved alone, and raises.
-            vec, stats = plan.until.solution(*vector) if vector[1] else space.memo[vector[0]]
+            if vector[0] in failed:
+                raise failed[vector[0]]
+            vec, stats = space.memo[vector[0]]
             value = float(1.0 - vec[init] if plan.negate else vec[init])
         elif prop.kind == "R_query":
             infinite = True
         else:
             [decided] = plan.sets
-            verdict = bool(space.graph_memo[(decided, *plan.until.key)][init])
+            verdict = bool(space.graph_memo[(decided, *plan.key)][init])
         # Graph and F<=k results have residual 0.0 and always pass.
         if not stats["residual"] <= cfg.epsilon:
             raise SolverError(f"{stats['engine']} solve missed the residual bound "
@@ -633,8 +600,9 @@ def _check(space, props, cfg):
         except _CHECK_ERRORS as e:
             error = _located(prop, e)
             break
-    vectors = _fill(space, plans)
-    results = [_judge(space, plan, vector, cfg) for plan, vector in zip(plans, vectors)]
+    vectors, failed = _fill(space, plans)
+    results = [_judge(space, plan, vector, failed, cfg)
+               for plan, vector in zip(plans, vectors)]
     if error:
         raise error from None
     return results

@@ -176,9 +176,9 @@ endrewards
 ], ids=["singular-then-unbound", "unbound-then-singular", "unknown-reward-first",
         "singular-after-solvable"])
 def test_a_batch_raises_what_the_first_failing_property_raises(props):
-    """A system that fails in the batch is not stored: it is solved again,
-    alone, when its property is judged, and raises in file order, before
-    any later property's error."""
+    """A system that fails in the batch is stored in no memo: its error,
+    from that one solve, is raised when its property is judged, in file
+    order, before any later property's error."""
     space = build_dtmc(bind_constants(parse_model(ROUNDED_LOOP)))
     parsed = parse_properties("".join(f'"p{i}": {t};\n' for i, t in enumerate(props)),
                               file="s.props")

@@ -1049,3 +1049,36 @@ def test_failed_cycle_keeps_the_cached_state_space(workdir, monkeypatch):
     assert "exit=2 cycle failed" in lines[1]
     assert lines[2].endswith("; state space reused")
     assert per_cycle[2] == {"parse_model": 0, "build_dtmc": 0}
+
+
+# State 0 leaves itself with probability 2e-20, which rounds its self-loop
+# to exactly 1: the system of F x=2 is singular.
+ROUNDED_LOOP = """\
+dtmc
+module m
+  x : [0..2] init 0;
+  [] x=0 -> 1e-20:(x'=1) + 1e-20:(x'=2) + (1-2e-20):(x'=0);
+  [] x>0 -> (x'=x);
+endmodule
+"""
+SINGULAR = ("1:1: singular system over 1 unknown states: state 0 keeps itself "
+            "with probability 1")
+
+
+@pytest.mark.parametrize("command", ["check", "generate"])
+def test_a_singular_solve_exits_2_and_writes_nothing(tmp_path, command):
+    model, props, out = tmp_path / "loop.prism", tmp_path / "loop.props", tmp_path / "out"
+    model.write_text(ROUNDED_LOOP)
+    props.write_text('"a": P=? [ F x=2 ];\n')
+    r = invoke(command, "--model", str(model), "--out", str(out))
+    assert r.exit_code == 2
+    assert r.output == f"error: {props}:{SINGULAR}\n"
+    assert not out.exists()
+
+
+def test_a_singular_solve_fails_one_watch_cycle(tmp_path):
+    model, props, out = tmp_path / "loop.prism", tmp_path / "loop.props", tmp_path / "out"
+    model.write_text(ROUNDED_LOOP)
+    props.write_text('"a": P=? [ F x=2 ];\n')
+    r = invoke("watch", "--model", str(model), "--out", str(out), "--max-cycles", "1")
+    assert r.output == f"[cycle 1] exit=2 cycle failed: {props}:{SINGULAR}\n"

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
+from until_vectors import until_vector
 from cassure import (
-    bind_constants, check_property, parse_model, parse_properties,
+    bind_constants, check_properties, parse_model, parse_properties,
 )
 from cassure.engine import (
-    _Until, bounded_eventually_probability, prob0_states, prob1_states,
+    bounded_eventually_probability, prob0_states, prob1_states,
 )
 from cassure.statespace import BuildDiagnostics, StateSpace
 
@@ -106,7 +107,7 @@ def agrees_with_exact_oracle(chain, k):
 
     assert as_set(prob0_states(space, phi_m, psi_m)) == oracle.prob0(rows, n, phi_f, psi_f)
     assert as_set(prob1_states(space, phi_m, psi_m)) == oracle.prob1(rows, n, phi_f, psi_f)
-    assert_close(_Until(space, phi_m, psi_m).probability()[0],
+    assert_close(until_vector(space, phi_m, psi_m)[0],
                  oracle.until_probability(rows, n, phi_f, psi_f))
     assert_close(reward_until(space, psi_m),
                  oracle.reach_reward(rows, n, reward.__getitem__, psi_f))
@@ -127,9 +128,9 @@ def test_engine_agrees_with_exact_oracle_on_sparse_chains(chain, k):
 
 
 def reward_until(space, psi_m):
-    """Expected reward "r" until psi_m per state, as check_property solves it."""
+    """Expected reward "r" until psi_m per state, as check_properties solves it."""
     everywhere = np.ones(space.n_states, dtype=bool)
-    return _Until(space, everywhere, psi_m).reward("r")[0]
+    return until_vector(space, everywhere, psi_m, "r")[0]
 
 
 def predicate(mask):
@@ -137,30 +138,52 @@ def predicate(mask):
     return " | ".join(f"s = {i}" for i in np.flatnonzero(mask)) or "false"
 
 
-@settings(max_examples=150, deadline=None)
-@given(chains())
-def test_every_path_form_agrees_with_exact_oracle(chain):
-    """P=?, P>=1 and P<=0 over F, U and G through check_property; a verdict
-    on a bound of 0 or 1 must equal the exact value being exactly 1 or 0."""
+def path_forms_agree_with_exact_oracle(chain, k):
+    """P=?, P>=1 and P<=0 over F, U and G, P=? over F<=k and R=? over F,
+    all in one check_properties call, the path the CLI takes; a verdict on
+    a bound of 0 or 1 must equal the exact value being exactly 1 or 0."""
     rows, phi, psi, reward = chain
     n = len(rows)
     space = as_space(rows, reward)
     true = lambda i: True
     phi_f, psi_f = phi.__getitem__, psi.__getitem__
+    target = f"({predicate(psi)})"
     exact = {
-        f"F ({predicate(psi)})": oracle.until_probability(rows, n, true, psi_f)[0],
-        f"({predicate(phi)}) U ({predicate(psi)})":
+        f"F {target}": oracle.until_probability(rows, n, true, psi_f)[0],
+        f"({predicate(phi)}) U {target}":
             oracle.until_probability(rows, n, phi_f, psi_f)[0],
         f"G ({predicate(phi)})":
             1 - oracle.until_probability(rows, n, true, lambda i: not phi[i])[0],
     }
-    for path, e in exact.items():
-        query, at_one, at_zero = (
-            check_property(space, parse_properties(f"P{b} [ {path} ]")[0])
-            for b in ("=?", ">=1", "<=0"))
+    texts = [f"P{b} [ {path} ]" for path in exact for b in ("=?", ">=1", "<=0")]
+    texts += [f"P=? [ F<={k} {target} ]", f'R{{"r"}}=? [ F {target} ]']
+    results = check_properties(space, parse_properties("".join(f"{t};\n" for t in texts)))
+    for i, (path, e) in enumerate(exact.items()):
+        query, at_one, at_zero = results[3 * i:3 * i + 3]
         assert abs(query.value - float(e)) <= 1e-9, (path, query.value, e)
         assert at_one.verdict is (e == 1), (path, e)
         assert at_zero.verdict is (e == 0), (path, e)
+    bounded, expected = results[-2], oracle.bounded_eventually(rows, n, psi_f, k)[0]
+    assert abs(bounded.value - float(expected)) <= 1e-9, (bounded.value, expected)
+    cumulated = results[-1]
+    expected = oracle.reach_reward(rows, n, reward.__getitem__, psi_f)[0]
+    assert cumulated.infinite is (expected is None), (cumulated, expected)
+    if expected is None:
+        assert cumulated.value is None
+    else:
+        assert_close([cumulated.value], [expected])
+
+
+@settings(max_examples=150, deadline=None)
+@given(chains(), st.integers(0, 6))
+def test_every_path_form_agrees_with_exact_oracle(chain, k):
+    path_forms_agree_with_exact_oracle(chain, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_chains(), st.integers(0, 6))
+def test_every_path_form_agrees_with_exact_oracle_on_sparse_chains(chain, k):
+    path_forms_agree_with_exact_oracle(chain, k)
 
 
 @pytest.mark.parametrize("n", [2, 12])

@@ -10,14 +10,15 @@ import pytest
 
 import cassure.engine as engine
 import pinned
+from until_vectors import until_vector
 from cassure import (
     CassureError, SolverConfig, SolverError, VerificationResult, bind_constants,
     build_dtmc, check_properties, check_property, parse_model, parse_properties,
     parse_results, render_value, result_fingerprint, serialize_results,
 )
 from cassure.engine import (
-    _Until, _solve_unknown, bounded_eventually_probability, evidence,
-    prob0_states, prob1_states,
+    _solve_unknown, bounded_eventually_probability, evidence, prob0_states,
+    prob1_states,
 )
 from cassure.model import Binary, Lit, Name
 from cassure.parsing import render_expr
@@ -245,6 +246,21 @@ def test_a_singular_solve_names_the_property():
                                       "unknown states")
 
 
+def test_a_failed_system_is_solved_once_per_check(monkeypatch):
+    # Both properties read the one singular system of F x=1; its error
+    # comes from the batch, with no second solve, and is stored nowhere.
+    space = build_dtmc(bind_constants(parse_model(ROUNDED_LOOP)))
+    props = parse_properties('"a": P=? [ F x=1 ]; "b": P>=0.5 [ F x=1 ];',
+                             file="s.props")
+    solves = _counted(monkeypatch, "_solve_unknown")
+    for _ in range(2):
+        with pytest.raises(SolverError) as info:
+            check_properties(space, props)
+        assert str(info.value) == ("s.props:1:1: singular system over 1 unknown "
+                                   "states: state 0 keeps itself with probability 1")
+    assert len(solves) == 2
+
+
 def test_one_linear_system_is_solved_once(monkeypatch):
     # F x>=6 and y<N U x>=6 differ in phi but have equal 0/1 sets, and so
     # one linear system: the grid's three properties make two solves.
@@ -275,7 +291,7 @@ def test_levels_peel_what_no_cycle_holds_and_lu_solves_the_rest():
     x = np.array([space.valuation(i)["x"] for i in range(space.n_states)])
 
     def until(phi):
-        vec, stats = _Until(space, phi, x == 3).probability()
+        vec, stats = until_vector(space, phi, x == 3)
         return dict(zip(x.tolist(), vec.tolist())), stats["engine"]
     # x=2 has no successor in the unknown block but itself: one level.
     # x=0 and x=1 form a cycle, left to the LU after that level.
@@ -306,9 +322,8 @@ def toy():
 
 
 def test_toy_until(toy):
-    until = _Until(toy, np.ones(toy.n_states, dtype=bool),
-                   label_states(toy, Binary("=", Name("x"), Lit(1))))
-    vec, _ = until.probability()
+    vec, _ = until_vector(toy, np.ones(toy.n_states, dtype=bool),
+                          label_states(toy, Binary("=", Name("x"), Lit(1))))
     assert vec[toy.initial] == pytest.approx(0.5, abs=1e-12)
 
 
@@ -383,9 +398,9 @@ rewards "steps"
 endrewards
 """
     space = build_dtmc(bind_constants(parse_model(text)))
-    until = _Until(space, np.ones(space.n_states, dtype=bool),
-                   label_states(space, Binary("=", Name("x"), Lit(1))))
-    vec, _ = until.reward("steps")
+    vec, _ = until_vector(space, np.ones(space.n_states, dtype=bool),
+                          label_states(space, Binary("=", Name("x"), Lit(1))),
+                          "steps")
     assert np.isinf(vec[space.initial])
 
 
