@@ -281,15 +281,9 @@ def _fingerprint_file(path):
         return None
 
 
-def watch_loop(config: PipelineConfig, max_cycles=None, log=None,
-               sleep=time.sleep):
-    """Poll model+props fingerprints; run one cycle per observed change.
-
-    ``max_cycles`` bounds the number of cycles (None = run forever); the
-    first cycle runs immediately against the initial content.  What the
-    last good cycle read and computed is kept for the next one.
-    """
-    log = log or (lambda line: click.echo(line))
+def _watched(config, max_cycles, sleep):
+    """Poll model+props fingerprints and run one cycle per observed change,
+    yielding its exit code and its log line; see watch_loop."""
     seen = (None, None)
     last = None
     cycles = 0
@@ -300,9 +294,25 @@ def watch_loop(config: PipelineConfig, max_cycles=None, log=None,
             seen = current
             code, summary, last = run_cycle(config, last)
             cycles += 1
-            log(f"[cycle {cycles}] exit={code} {summary}")
+            yield code, f"[cycle {cycles}] exit={code} {summary}"
         else:
             sleep(config.poll_ms / 1000.0)
+
+
+def watch_loop(config: PipelineConfig, max_cycles=None, log=None,
+               sleep=time.sleep):
+    """Poll model+props fingerprints; run one cycle per observed change.
+
+    ``max_cycles`` bounds the number of cycles (None = run forever); the
+    first cycle runs immediately against the initial content.  What the
+    last good cycle read and computed is kept for the next one.  Returns
+    the number of cycles run.
+    """
+    log = log or click.echo
+    cycles = 0
+    for _, line in _watched(config, max_cycles, sleep):
+        log(line)
+        cycles += 1
     return cycles
 
 
@@ -397,11 +407,13 @@ def watch(config, max_cycles):
     """Re-run check+generate whenever the model or props file changes."""
     if not Path(config.model).exists():
         raise CassureError(f"model file {config.model} does not exist")
+    code = 0
     try:
-        watch_loop(config, max_cycles=max_cycles)
+        for code, line in _watched(config, max_cycles, time.sleep):
+            click.echo(line)
     except KeyboardInterrupt:
         pass
-    return 0
+    return 2 if code == 2 else 0  # a violated bound is a cycle that ran
 
 
 def _load_argument(config):

@@ -15,7 +15,9 @@ semantics it follows is written out, one state at a time, in
 expression (its depth, the names it refers to) read the one walk, `_walk`.
 The type check and the binding of constants follow one order of the
 definitions, `_dependency_order`: `diagnostics.depth_first` over their
-references, which also finds the cycles among them.
+references, which also finds the cycles among them.  The state formulas of
+properties are checked by the same rules, against the names of the bound
+model (`BoundModel.state_formula_error`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -471,6 +474,24 @@ class BoundModel:
     constants: dict        # name -> int | float
     formulas: dict         # name -> Expr
     variables: tuple       # of VarInfo, declaration order
+
+    @cached_property
+    def _types(self):
+        """The rules that type-check the model, with its formulas typed."""
+        checker = _TypeChecker(self.ast)
+        checker._check_formulas()
+        return checker
+
+    def state_formula_error(self, e):
+        """Why the state formula `e` of a property is not a boolean
+        expression over the model's names, by the rules that type-check the
+        model; None when it is one."""
+        checker = self._types
+        checker.diags = []
+        t = checker.infer(e, None)
+        if checker.diags:
+            return checker.diags[0].message
+        return None if t == BOOL else "labeling expression is not boolean"
 
 
 # How far an update probability may lie outside [0, 1], and the

@@ -26,17 +26,16 @@ an outcome with a nonzero constant probability is live on every enabled
 row, so a layer's fixed cost does not grow with such expressions.
 Successors are deduplicated by packing each valuation into a mixed-radix key
 over the variable ranges.  The ids of the states found so far are kept by
-key.  When the key is one int64 and the variable ranges span at most
-`TABLE_BUDGET` keys, `_KeyTable` keeps them in a zeroed array indexed by
-key, so a layer finds its successors by one `take` and registers its new
-states by one scatter; the pages of the array that no state's key falls in
-are never touched.  Wider key spaces go to `_RunsIndex`: sorted runs whose
-sizes more than double toward the oldest, one `searchsorted` per run for a
-lookup and a merge only when a new run grows to half the size of the one
-before it.  Either way a layer costs time in its own size (times the
-logarithm of the states, for the runs), not in all the states found, and
-only the transitions to new states are sorted, to number those states
-canonically.
+key, in the index that `_state_index` chooses.  When the key is one int64
+and the variable ranges span at most `TABLE_BUDGET` keys, `_KeyTable` keeps
+them in a zeroed array indexed by key, so a layer finds its successors by
+one `take` and registers its new states by one scatter; the pages of the
+array that no state's key falls in are never touched.  Wider key spaces go
+to `_KeyDict`, a dict from each key (a Python int, or the bytes of a
+record of words) to its id, which a layer reads in one pass over its keys.
+Either way a layer costs time in its own size, not in all the states
+found, and only the transitions to new states are sorted, to number those
+states canonically.
 `build_dtmc` compiles the units and the key packer once and
 assembles the matrix once per build: one stable sort of the pair keys
 `source * n + target` puts the transitions in CSR order, and a weighted
@@ -44,17 +43,18 @@ assembles the matrix once per build: one stable sort of the pair keys
 
 `build_dtmc` may be given the space of an earlier model with the same
 variables (`previous`).  Its states are then evaluated as one layer of the
-new model, and the result is kept if every successor is a cached state and
-the (source, target) pairs are `previous`'s transition pattern.  BFS over the
-same pattern from the same initial state visits the same states in the same
-order, and each row sums its duplicate successors in the same order, so the
-arrays are those of a fresh build, and the new space takes over from
-`previous` what depends on the states and the pattern alone: the variable
-columns, the source and predecessor lists and the graph memo of 0/1 sets.
-Anything else -- a successor outside the cached states, a different
-pattern, or an error in the batch -- runs the full exploration, which
-decides every structural change and names every error at its canonical
-state.
+new model, its successors are looked up in an index of those states (the
+same choice as `_explore`'s), and the result is kept if every successor is
+a cached state and the (source, target) pairs are `previous`'s transition
+pattern.  BFS over the same pattern from the same initial state visits the
+same states in the same order, and each row sums its duplicate successors
+in the same order, so the arrays are those of a fresh build, and the new
+space takes over from `previous` what depends on the states and the
+pattern alone: the variable columns, the source and predecessor lists and
+the graph memo of 0/1 sets.  Anything else -- a successor outside the
+cached states, a different pattern, or an error in the batch -- runs the
+full exploration, which decides every structural change and names every
+error at its canonical state.
 """
 
 from __future__ import annotations
@@ -493,41 +493,6 @@ def _assemble(n, src, dst, val):
     return indptr, cols, data
 
 
-class _RunsIndex:
-    """State ids by packed key, for keys added in batches: sorted runs of
-    (keys, ids) whose sizes at least double toward the oldest run (the
-    logarithmic method of Bentley and Saxe).  A lookup searches each run; a
-    new run is merged with the one before it while that one is at most
-    twice its size, so there are at most log2(n) runs and each key takes part
-    in at most log2(n) merges."""
-
-    def __init__(self):
-        self.runs = []
-
-    def find(self, keys):
-        """Ids of `keys`, -1 where a key is in no run."""
-        ids = np.empty(len(keys), dtype=np.int64)
-        ids.fill(-1)
-        for run_keys, run_ids in self.runs:
-            pos = run_keys.searchsorted(keys)
-            hit = run_keys.take(pos, mode="clip") == keys
-            np.copyto(ids, run_ids.take(pos, mode="clip"), where=hit)
-        return ids
-
-    def add(self, keys, ids):
-        """Add sorted keys, none of them in a run yet, with their ids."""
-        merged, size = [(keys, ids)], len(keys)
-        while self.runs and len(self.runs[-1][0]) <= 2 * size:
-            merged.append(self.runs.pop())
-            size += len(merged[-1][0])
-        if len(merged) > 1:
-            # A stable sort merges the sorted runs in linear time.
-            keys = np.concatenate([k for k, _ in merged])
-            order = keys.argsort(kind="stable")
-            keys, ids = keys[order], np.concatenate([i for _, i in merged])[order]
-        self.runs.append((keys, ids))
-
-
 class _KeyTable:
     """State ids by one-word key, in an array over the whole key space that
     stores id + 1, so that 0 (what `np.zeros` maps lazily) means absent."""
@@ -544,14 +509,43 @@ class _KeyTable:
         self.ids[keys] = ids + 1
 
 
+class _KeyDict:
+    """State ids by packed key in a dict: a one-word key as its Python int,
+    a record key as the bytes of its words."""
+
+    def __init__(self):
+        self.ids = {}
+
+    def find(self, keys):
+        """Ids of `keys`, -1 where a key has no state yet."""
+        found = map(self.ids.get, self._hashable(keys), itertools.repeat(-1))
+        return np.fromiter(found, np.int64, len(keys))
+
+    def add(self, keys, ids):
+        """Add distinct keys, none of them in the dict yet, with their ids."""
+        self.ids.update(zip(self._hashable(keys), ids.tolist()))
+
+    @staticmethod
+    def _hashable(keys):
+        if keys.dtype.names:
+            keys = keys.view((np.void, keys.itemsize))
+        return keys.tolist()
+
+
+def _state_index(span):
+    """An empty index of state ids by packed key: the table when the key is
+    one word spanning at most TABLE_BUDGET keys, else the dict."""
+    return (_KeyTable(span) if span is not None and span <= TABLE_BUDGET
+            else _KeyDict())
+
+
 def _explore(variables, compiled, pack, span, max_states):
     """The reachable states by BFS from the initial valuation, with their
     transitions (source ids, target ids, probabilities) and diagnostics."""
     diags = BuildDiagnostics()
     frontier = np.array([[int(v.init) for v in variables]], dtype=np.int64)
     layers = [frontier]
-    index = (_KeyTable(span) if span is not None and span <= TABLE_BUDGET
-             else _RunsIndex())
+    index = _state_index(span)
     index.add(pack(frontier), np.zeros(1, dtype=np.int64))
     n, first = 1, 0
     src_all, dst_all, prob_all = [], [], []
@@ -586,6 +580,7 @@ def _explore(variables, compiled, pack, span, max_states):
         layers.append(frontier)
         n += new.size
 
+    del index  # free the ids before the arrays are joined
     return (np.concatenate(layers), np.concatenate(src_all),
             np.concatenate(dst_all), np.concatenate(prob_all), diags)
 
@@ -614,7 +609,7 @@ def _reward_vectors(bound, states):
     return rewards
 
 
-def _reevaluate(bound, previous, compiled, pack):
+def _reevaluate(bound, previous, compiled, pack, span):
     """What _explore returns for ``bound``, from the states of ``previous``
     evaluated as one layer, or None when it may differ from what _explore
     returns (see the module docstring)."""
@@ -625,12 +620,12 @@ def _reevaluate(bound, previous, compiled, pack):
                                              0, diags)
     except (BuildError, EvalError):
         return None
-    keys, succ_keys = pack(states), pack(succ)
-    order = np.argsort(keys)
-    dst = order.take(np.searchsorted(keys, succ_keys, sorter=order), mode="clip")
-    if not np.array_equal(keys[dst], succ_keys):
-        return None  # a successor outside the cached states
     n = len(states)
+    index = _state_index(span)
+    index.add(pack(states), np.arange(n))
+    dst = index.find(pack(succ))
+    if (dst < 0).any():
+        return None  # a successor outside the cached states
     pairs = np.sort(src * n + dst)
     if not np.array_equal(pairs[run_heads(pairs)],
                           previous.row_ids * n + previous.indices):
@@ -658,7 +653,7 @@ def build_dtmc(bound: BoundModel, max_states=DEFAULT_STATE_CAP,
     built = None
     if (previous is not None and previous.bound.variables == bound.variables
             and previous.n_states <= max_states):
-        built = _reevaluate(bound, previous, compiled, pack)
+        built = _reevaluate(bound, previous, compiled, pack, span)
     reevaluated = built is not None
     if not reevaluated:
         built = _explore(bound.variables, compiled, pack, span, max_states)
@@ -677,10 +672,10 @@ def build_dtmc(bound: BoundModel, max_states=DEFAULT_STATE_CAP,
 
 @np.errstate(invalid="ignore")
 def label_states(space: StateSpace, phi: Expr) -> np.ndarray:
-    """Boolean mask over state indices for a boolean state expression."""
-    mask = _evaluate(compile_expr(phi, space.bound), space.columns,
+    """Boolean mask over state indices for a state formula; one that the
+    model's type rules reject is a BuildError."""
+    error = space.bound.state_formula_error(phi)
+    if error:
+        raise BuildError(error)
+    return _evaluate(compile_expr(phi, space.bound), space.columns,
                      space.n_states, lambda r: space.valuation(r))
-    if mask.dtype != bool:
-        raise BuildError("labeling expression is not boolean "
-                         f"(got {mask[0].item()!r})")
-    return mask

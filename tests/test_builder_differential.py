@@ -5,11 +5,10 @@ integer ranges and perhaps a boolean, guards of comparisons, `&`, `|` and
 `!`, one to three updates per command with probabilities such as `p`/`1-p`
 or `(x-lo)/R`/`1-(x-lo)/R`, an optional action label in both modules, a
 formula and a reward structure.  Some models widen every range by 10**7, so
-that the packed keys need two words and the state ids go to the sorted-runs
+that the packed keys need two words and the state ids go to the dict
 index; narrow ones take the table indexed by key.  Others are deep, narrow
-counters with resets, built through both indexes, whose hundreds of BFS
-layers make the sorted runs merge many times.  Every build is compared bit
-for bit with `tests/reference_builder.py`: the states, the matrix, the
+counters with resets, built through both indexes over hundreds of BFS
+layers.  Every build is compared bit for bit with `tests/reference_builder.py`: the states, the matrix, the
 rewards, both diagnostics, or the error of an out-of-range update.  So is a build that reuses the space of the model
 before a constant edit (``previous=``).
 """
@@ -215,7 +214,7 @@ def test_random_models_build_as_the_reference_does(model):
 @given(deep_models())
 def test_deep_models_build_as_the_reference_does(model):
     check(*model)
-    with mock.patch.object(statespace, "TABLE_BUDGET", 0):  # the sorted runs
+    with mock.patch.object(statespace, "TABLE_BUDGET", 0):  # the dict
         check(*model)
 
 
@@ -232,8 +231,7 @@ def test_reference_sees_an_out_of_range_update_where_the_build_does():
     assert reference_or_error(bound)[1] == error
 
 
-# ---- the state index: a table by key, or sorted runs that merge as the ----
-# ---- build goes deeper                                                   ----
+# ---- the state index: a table by key, or a dict ----
 
 CHAIN = ("dtmc\nconst int M = 1;\nconst int W = 0;\nmodule m\n  x : [0..M] init 0;\n"
          "  w : [0..W] init 0;\n"
@@ -243,7 +241,7 @@ CHAIN = ("dtmc\nconst int M = 1;\nconst int W = 0;\nmodule m\n  x : [0..M] init 
 def indexes_used(monkeypatch):
     """The list of index classes that lookups go to, from now on."""
     used = []
-    for cls in (statespace._KeyTable, statespace._RunsIndex):
+    for cls in (statespace._KeyTable, statespace._KeyDict):
         def find(index, keys, cls=cls, real=cls.find):
             used.append(cls)
             return real(index, keys)
@@ -252,25 +250,14 @@ def indexes_used(monkeypatch):
 
 
 def test_state_index_over_thousands_of_layers_and_two_word_keys(monkeypatch):
-    """A 3,001-layer chain, one new state per layer, makes the index merge
-    runs all the way up: a variable that never changes spans more keys than
-    TABLE_BUDGET, so the ids go to the sorted runs.  WIDE's keys are records
-    of two words.  The runs more than double in size toward the oldest at
-    every lookup."""
-    real = statespace._RunsIndex.find
-    most = []
-
-    def find(index, keys):
-        sizes = [len(k) for k, _ in index.runs]
-        assert all(older > 2 * newer for older, newer in zip(sizes, sizes[1:]))
-        most.append(len(sizes))
-        return real(index, keys)
-
-    monkeypatch.setattr(statespace._RunsIndex, "find", find)
+    """A 3,001-layer chain, one new state per layer: a variable that never
+    changes spans more keys than TABLE_BUDGET, so the ids go to the dict.
+    WIDE's keys are records of two words."""
+    used = indexes_used(monkeypatch)
     m = 3000
     space = build_dtmc(bind_constants(parse_model(CHAIN),
                                       {"M": m, "W": statespace.TABLE_BUDGET}))
-    assert 6 <= max(most) <= m.bit_length()
+    assert set(used) == {statespace._KeyDict}
     assert space.states[:, 0].tolist() == list(range(m + 1))
     assert not space.states[:, 1].any()
     # Row x < M: 0.1 back to 0 and 0.9 on to x+1 (row 0 sums them into
@@ -285,27 +272,27 @@ def test_state_index_over_thousands_of_layers_and_two_word_keys(monkeypatch):
     assert assert_equals_reference(wide).n_states == 16
 
 
-def test_the_table_builds_what_the_sorted_runs_build(monkeypatch):
+def test_the_table_builds_what_the_dict_builds(monkeypatch):
     used = indexes_used(monkeypatch)
     bound = bind_constants(parse_model(CHAIN), {"M": 3000})
     table = build_dtmc(bound)
     assert set(used) == {statespace._KeyTable}
     used.clear()
     monkeypatch.setattr(statespace, "TABLE_BUDGET", 0)
-    runs = build_dtmc(bound)
-    assert set(used) == {statespace._RunsIndex}
+    by_dict = build_dtmc(bound)
+    assert set(used) == {statespace._KeyDict}
     for name in ("states", "indptr", "indices", "data"):
-        a, b = getattr(table, name), getattr(runs, name)
+        a, b = getattr(table, name), getattr(by_dict, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert table.rewards == runs.rewards == {}
-    assert table.diagnostics == runs.diagnostics
+    assert table.rewards == by_dict.rewards == {}
+    assert table.diagnostics == by_dict.diagnostics
 
 
-def test_a_key_space_over_the_budget_takes_the_sorted_runs(monkeypatch):
+def test_a_key_space_over_the_budget_takes_the_dict(monkeypatch):
     used = indexes_used(monkeypatch)
     budget = statespace.TABLE_BUDGET
     for width, index in [(budget - 1, statespace._KeyTable),
-                         (budget, statespace._RunsIndex)]:
+                         (budget, statespace._KeyDict)]:
         # x spans width + 1 keys, one word; the walk reaches x = 0..3.
         text = (f"dtmc\nmodule m\n  x : [0..{width}] init 0;\n"
                 "  [] x<3 -> 0.5 : (x'=x+1) + 0.5 : (x'=0);\nendmodule\n")

@@ -82,12 +82,19 @@ def test_broken_props_exit_2(workdir):
 
 
 @pytest.mark.parametrize("props, error", [
-    ('"z": P=? [ F zz = 1 ]\n', "bad.props:1:1: unbound identifier 'zz'"),
+    ('"z": P=? [ F zz = 1 ]\n', "bad.props:1:1: unknown identifier 'zz'"),
     ('\n  "f": P=? [ F batt ]\n',
-     "bad.props:2:3: labeling expression is not boolean (got 100)"),
+     "bad.props:2:3: labeling expression is not boolean"),
     ('"r": P=? [ F loc=4 ];\n"n": R{"nope"}=? [ F loc=4 ]\n',
      "bad.props:2:1: unknown reward structure 'nope'"),
-], ids=["unbound", "not-boolean", "unknown-reward"])
+    ('"b": P=? [ F loc = true ];\n',
+     "bad.props:1:1: operands of '=' have incompatible types"),
+    ('"a": P=? [ F loc=4 ];\n "c": P=? [ F (loc = 5) & 2 ]\n',
+     "bad.props:2:2: operands of '&' are not boolean"),
+    ('"g": P>=0.5 [ batt > 2 U !loc ]\n',
+     "bad.props:1:1: operand of '!' is not boolean"),
+], ids=["unbound", "not-boolean", "unknown-reward", "bool-equals-int",
+        "and-of-int", "not-of-int"])
 def test_error_in_a_state_formula_names_its_place(workdir, monkeypatch, props, error):
     monkeypatch.chdir(workdir)
     (workdir / "bad.props").write_text(props)
@@ -825,6 +832,38 @@ def test_malformed_lifecycle_input_exits_2(workdir, case):
     assert f"error: {bad}: malformed" in r.output
 
 
+@pytest.mark.parametrize("case", ["ingest-without-argument", "plan-without-impact-report",
+                                  "apply-without-plan", "config-line-without-equals",
+                                  "const-without-value"])
+def test_absent_or_malformed_command_input_exits_2(workdir, case):
+    out = workdir / "out"
+    model = ("--model", str(workdir / "nuclear.prism"), "--out", str(out))
+    if case.startswith(("plan", "apply")):
+        _generate(workdir)
+    events, cfg = workdir / "events.jsonl", workdir / "pipeline.cfg"
+    events.write_text("")
+    cfg.write_text(f"model={workdir / 'nuclear.prism'}\nepsilon\n")
+    args, error = {
+        "ingest-without-argument": (
+            ("ingest", *model, "--events", str(events)),
+            f"no argument file at {out / 'nuclear.gsn'}; run generate first"),
+        "plan-without-impact-report": (
+            ("plan", *model),
+            f"no impact report at {out / 'impact_report.json'}; run impact first"),
+        "apply-without-plan": (
+            ("apply", *model, "--fresh-results", str(out / "nuclear.results.jsonl")),
+            f"no plan at {out / 'plan.json'}; run plan first"),
+        "config-line-without-equals": (
+            ("check", "--config", str(cfg), "--out", str(out)),
+            f"{cfg}:2: expected key=value"),
+        "const-without-value": (
+            ("check", *model, "--const", "N"), "--const expects NAME=VALUE, got 'N'"),
+    }[case]
+    r = invoke(*args)
+    assert r.exit_code == 2
+    assert r.output == f"error: {error}\n"
+
+
 def test_impact_rejects_a_nan_result_value(workdir):
     # A NaN value would compare as unchanged with any baseline and confirm
     # the goal; JSON has no NaN, so the record is malformed.
@@ -1082,3 +1121,21 @@ def test_a_singular_solve_fails_one_watch_cycle(tmp_path):
     props.write_text('"a": P=? [ F x=2 ];\n')
     r = invoke("watch", "--model", str(model), "--out", str(out), "--max-cycles", "1")
     assert r.output == f"[cycle 1] exit=2 cycle failed: {props}:{SINGULAR}\n"
+    assert r.exit_code == 2
+
+
+@pytest.mark.parametrize("broken_cycle, status", [(1, 0), (2, 2)])
+def test_a_bounded_watch_exits_2_when_its_last_cycle_failed(workdir, monkeypatch,
+                                                            broken_cycle, status):
+    # A cycle that ran exits 0 even on a violated bound, as generate does.
+    props = workdir / "nuclear.props"
+    good = props.read_text()
+    texts = {1: good, 2: good + "\n"}
+    texts[broken_cycle] = "this is ( not a props file\n"
+    props.write_text(texts[1])
+    monkeypatch.setattr(cli.time, "sleep", lambda _: props.write_text(texts[2]))
+    r = invoke("watch", "--model", str(workdir / "nuclear.prism"),
+               "--out", str(workdir / "out"), "--max-cycles", "2")
+    codes = [line.split()[2] for line in r.output.splitlines()]
+    assert codes == (["exit=2", "exit=1"] if broken_cycle == 1 else ["exit=1", "exit=2"])
+    assert r.exit_code == status

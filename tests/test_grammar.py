@@ -114,6 +114,10 @@ CASES = {
     "eof": ("p", "P=? [ F x=1 // open\n"),
     "two-lines": ("p", '"a": P=? [ F x=1 ];\n  "b": P>=0.5 [ y<2 U x=1 ]\n'),
     "two-lines-error": ("p", '"a": P=? [ F x=1 ];\n\t"b": P>=0.5 [ y<2 U ]\n'),
+    "P-without-relation": ("p", "P [ F x=1 ]"),
+    "P-bound-by-name": ("p", "P>=x [ F x=1 ]"),
+    "step-bound-by-name": ("p", "P=? [ F<=x x=1 ]"),
+    "reward-name-unquoted": ("p", "R{r}=? [ F x=1 ]"),
 }
 
 
@@ -209,6 +213,13 @@ EXPECTED = {
         "reward=None, source_text='P >= 0.5 [ y < 2 U x = 1 ]', span=SourceSpan("
         "file='c.props', line=2, column=3, length=3))]"),
     "two-lines-error": ("error", "c.props:2:22: error: expected expression, found ']'"),
+    "P-without-relation": ("error",
+        "c.props:1:3: error: expected '=?', '>=' or '<=' after 'P'"),
+    "P-bound-by-name": ("error", "c.props:1:4: error: expected number, found 'x'"),
+    "step-bound-by-name": ("error",
+        "c.props:1:10: error: expected integer step bound after 'F<='"),
+    "reward-name-unquoted": ("error",
+        "c.props:1:3: error: expected reward structure name string"),
 }
 
 

@@ -138,10 +138,40 @@ def test_next_operator_unsupported():
         parse_properties("P=? [X x=1]")
 
 
-@pytest.mark.parametrize("snippet", ["mdp", "ctmc", "label \"x\" = y=1;"])
-def test_unsupported_model_constructs(snippet):
-    with pytest.raises(ParseError, match="unsupported"):
-        parse_model(snippet + "\n")
+_MODULE = "module m\n  x : [0..1] init 0;\n  [] x=0 -> (x'=1);\n"
+_MODEL = "dtmc\n" + _MODULE + "endmodule\n"
+# Model text that the parser rejects, by case, with its exact error.
+MODEL_ERRORS = {
+    "mdp": ("mdp\n", "c.prism:1:1: error: unsupported model type 'mdp' (only dtmc)"),
+    "ctmc": ("ctmc\n", "c.prism:1:1: error: unsupported model type 'ctmc' (only dtmc)"),
+    'label "x" = y=1;': ('label "x" = y=1;\n',
+                         "c.prism:1:1: error: unsupported model type 'label' (only dtmc)"),
+    "empty": ("", "c.prism:1:1: error: expected model type header 'dtmc'"),
+    "const-bool": ("dtmc\nconst bool b = true;\n" + _MODULE + "endmodule\n",
+                   "c.prism:2:7: error: unsupported construct 'const bool'"),
+    "const-untyped": ("dtmc\nconst x = 1;\n" + _MODULE + "endmodule\n",
+                      "c.prism:2:7: error: expected 'int' or 'double' after 'const'"),
+    "no-endmodule": ("dtmc\n" + _MODULE,
+                     "c.prism:5:1: error: unterminated module 'm' (missing endmodule)"),
+    "rewards-no-name": (_MODEL + "rewards\n  true : 1;\nendrewards\n",
+                        "c.prism:7:3: error: expected reward structure name string"),
+    "rewards-no-end": (_MODEL + 'rewards "r"\n  true : 1;\n',
+                       'c.prism:8:1: error: unterminated rewards "r" (missing endrewards)'),
+    "transition-reward": (_MODEL + 'rewards "r"\n  [] true : 1;\nendrewards\n',
+                          "c.prism:7:3: error: unsupported construct: transition rewards"),
+    "init-in-guard": (_MODEL.replace("[] x=0", "[] init"),
+                      "c.prism:4:6: error: unexpected keyword 'init' in expression"),
+    "system-in-guard": (_MODEL.replace("[] x=0", "[] system"),
+                        "c.prism:4:6: error: unsupported construct 'system'"),
+}
+
+
+@pytest.mark.parametrize("case", MODEL_ERRORS)
+def test_unsupported_model_constructs(case):
+    text, error = MODEL_ERRORS[case]
+    with pytest.raises(ParseError) as exc:
+        parse_model(text, file="c.prism")
+    assert str(exc.value) == error
 
 
 def test_parse_error_carries_span():
