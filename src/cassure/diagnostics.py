@@ -12,12 +12,45 @@ from math import isfinite
 from types import NoneType
 
 
-@dataclass(frozen=True)
 class SourceSpan:
-    file: str
-    line: int      # 1-based
-    column: int    # 1-based
-    length: int = 1
+    """A place in a source file: 1-based line and column, and a length.
+
+    `deferred` makes a span whose fields are found only when one is first
+    read, so a parser can give every name a span cheaply."""
+    __slots__ = ("file", "line", "column", "length", "_source", "_key")
+
+    def __init__(self, file, line, column, length=1):
+        self.file, self.line, self.column, self.length = file, line, column, length
+
+    @classmethod
+    def deferred(cls, source, key):
+        """The span ``source.place(key)`` gives as (file, line, column,
+        length), found when the span is first read."""
+        span = object.__new__(cls)
+        span._source, span._key = source, key
+        return span
+
+    def __getattr__(self, name):
+        # Only a deferred span lacks a field, until one is read.
+        if name not in ("file", "line", "column", "length"):
+            raise AttributeError(name)
+        self.file, self.line, self.column, self.length = self._source.place(self._key)
+        return getattr(self, name)
+
+    def _fields(self):
+        return self.file, self.line, self.column, self.length
+
+    def __eq__(self, other):
+        if not isinstance(other, SourceSpan):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"SourceSpan(file={self.file!r}, line={self.line!r}, "
+                f"column={self.column!r}, length={self.length!r})")
 
     def __str__(self):
         return f"{self.file}:{self.line}:{self.column}"

@@ -31,18 +31,20 @@ memos.  `check_property` is the same path with a batch of one.  A system
 that fails in its batch is stored nowhere: its error, from that one solve,
 is raised at each property that reads it.
 
-Every label, 0/1 set and solution goes through one of the space's two
+Every atom mask, 0/1 set and solution goes through one of the space's two
 memos, so each is computed once per space.  `space.memo` holds what depends
-on the constants and probabilities: a label per distinct state formula, a
-probability vector per (prob0, prob1) mask pair (the 0/1 sets alone fix the
-linear system), a reward vector per (phi, psi) mask pair and reward name,
-and an F<=k vector per target mask and step bound.  `space.graph_memo`
-holds the 0/1 sets per (phi, psi) mask pair, which depend on the transition
-pattern alone; a space that `build_dtmc` re-evaluated from an earlier one
-shares that space's graph memo.  `check_properties` then keeps only the
-entries its properties used.  No key holds the SolverConfig: a solve
-returns its vector and stats, and `_judge` alone judges them, after the
-lookup, by comparing the residual with epsilon.
+on the constants and probabilities: the type and mask of each distinct atom
+of the state formulas (`label_states` combines a formula's label from them
+at each occurrence), a probability vector per (prob0, prob1) mask pair (the
+0/1 sets alone fix the linear system), a reward vector per (phi, psi) mask
+pair and reward name, and an F<=k vector per target mask and step bound.
+`space.graph_memo` holds the 0/1 sets per (phi, psi) mask pair, which
+depend on the transition pattern alone; a space that `build_dtmc`
+re-evaluated from an earlier one shares that space's graph memo, and takes
+the atoms of its memo that read no changed constant.  `check_properties`
+then keeps only the entries its properties used.  No key holds the
+SolverConfig: a solve returns its vector and stats, and `_judge` alone
+judges them, after the lookup, by comparing the residual with epsilon.
 
 A result record depends only on the model, its constants and the property
 (no clock), and `parse_results` accepts exactly the records that
@@ -61,7 +63,6 @@ import numpy as np
 from .diagnostics import (
     BuildError, CassureError, EvalError, SolverError, malformed, read_record,
 )
-from .parsing import render_expr
 from .statespace import StateSpace, by_target, label_states, run_heads
 
 BOUND_TOL = 1e-9
@@ -383,12 +384,6 @@ def _located(prop, e):
     return e if prop.span is None else type(e)(f"{prop.span}: {e}")
 
 
-def _label(space, phi):
-    """The memoized mask of a state formula, keyed by its rendered text:
-    unlike Expr equality, the text tells 1, 1.0 and true apart."""
-    return space.memo.get(("label", render_expr(phi)), lambda: label_states(space, phi))
-
-
 def _mask_key(mask):
     return np.packbits(mask).tobytes()
 
@@ -402,8 +397,9 @@ def _until_form(space, prop):
     when negate: F psi is true U psi, and G phi is 1 - P(true U !phi)."""
     path = prop.path
     if path.kind == "U":
-        return _label(space, path.constraint), _label(space, path.target), False
-    target = _label(space, path.target)
+        return (label_states(space, path.constraint), label_states(space, path.target),
+                False)
+    target = label_states(space, path.target)
     everywhere = np.ones(space.n_states, dtype=bool)
     if path.kind == "G":
         return everywhere, ~target, True
@@ -453,7 +449,7 @@ def _plan(space, prop):
     reads prob0 and prob1, which fix its linear system."""
     path = prop.path
     if path.kind == "F<=":  # step-bounded: no graph characterization
-        return _Plan(prop, None, _label(space, path.target))
+        return _Plan(prop, None, label_states(space, path.target))
     phi, psi, negate = _until_form(space, prop)
     until = prop, phi, psi, (_mask_key(phi), _mask_key(psi)), negate
     if prop.kind == "R_query":

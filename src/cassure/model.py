@@ -12,12 +12,14 @@ folds every subexpression that names no variable; constants, variable
 ranges and inits are evaluated by that folding too.  The per-state
 semantics it follows is written out, one state at a time, in
 `tests/reference_builder.py`.  The passes that need no recursion over an
-expression (its depth, the names it refers to) read the one walk, `_walk`.
-The type check and the binding of constants follow one order of the
-definitions, `_dependency_order`: `diagnostics.depth_first` over their
-references, which also finds the cycles among them.  The state formulas of
-properties are checked by the same rules, against the names of the bound
-model (`BoundModel.state_formula_error`).
+expression (the depth of a formula, the names it refers to) read the one
+walk, `_walk`; the type check of an expression finds its depth in the walk
+that types it.  The type check and the binding of constants follow one
+order of the definitions, `_dependency_order`: `diagnostics.depth_first`
+over their references, which also finds the cycles among them.  The state
+formulas of properties are checked by the same rules, against the names of
+the bound model (`BoundModel.typed`), one atom at a time, with the rules of
+the logic operators in `logic_type`.
 """
 
 from __future__ import annotations
@@ -86,6 +88,10 @@ LOGIC = {"&", "|", "->"}
 # stand before it), so each stays well inside Python's default limit of
 # 1000 frames.
 MAX_EXPR_DEPTH = 50
+DEEP_EXPRESSION = (f"expression deeper than {MAX_EXPR_DEPTH} levels with "
+                   "formulas expanded")
+# Why a property's state formula of another type is rejected.
+NOT_BOOLEAN = "labeling expression is not boolean"
 
 
 def _walk(e):
@@ -264,6 +270,7 @@ class _TypeChecker:
         self.depths = {}
         self.formula_types = {}  # name -> type, or None once reported
         self.bodies = {}  # name -> Expr of each formula that a reference may name
+        self.deepest = 0  # see _infer
 
     def error(self, msg, span=None):
         self.diags.append(Diagnostic("error", msg, span))
@@ -384,20 +391,38 @@ class _TypeChecker:
         """Type of a whole expression, or None if a diagnostic was already
         emitted.  The expression may be at most MAX_EXPR_DEPTH deep with its
         formulas expanded."""
-        depth = expr_depth(e, self.depths)
-        if depth > MAX_EXPR_DEPTH:
-            if depth != math.inf:
-                self.error(f"expression deeper than {MAX_EXPR_DEPTH} levels "
-                           "with formulas expanded", span)
-            return None
-        return self._infer(e, span)
+        return self.depth_and_type(e, span)[1]
 
-    def _infer(self, e, span):
+    def depth_and_type(self, e, span):
+        """(depth with formulas expanded, type) of a whole expression, as
+        `infer` types it.  The depth comes from the walk that types it: an
+        expression found too deep keeps only that diagnostic."""
+        start = len(self.diags)
+        self.deepest = 0
+        t = self._infer(e, span)
+        depth = self.deepest
+        if depth > MAX_EXPR_DEPTH:
+            del self.diags[start:]
+            if depth != math.inf:
+                self.error(DEEP_EXPRESSION, span)
+            return depth, None
+        return depth, t
+
+    def _infer(self, e, span, level=1):
+        """Type of `e` at tree level `level`.  Each leaf raises
+        `self.deepest` to its level, plus the depth of a formula it names;
+        below MAX_EXPR_DEPTH levels the rest of the tree is measured, not
+        typed, so the recursion stays shallow."""
+        if level > MAX_EXPR_DEPTH:
+            self.deepest = max(self.deepest, level - 1 + expr_depth(e, self.depths))
+            return None
         if isinstance(e, Lit):
+            self.deepest = max(self.deepest, level)
             if isinstance(e.value, bool):
                 return BOOL
             return INT if isinstance(e.value, int) else REAL
         if isinstance(e, Name):
+            self.deepest = max(self.deepest, level + self.depths.get(e.ident, 0))
             if e.ident in self.vars:
                 return BOOL if self.vars[e.ident].is_bool else INT
             if e.ident in self.consts:
@@ -407,21 +432,26 @@ class _TypeChecker:
             self.error(f"unknown identifier '{e.ident}'", e.span)
             return None
         if isinstance(e, Unary):
-            t = self._infer(e.operand, span)
+            t = self._infer(e.operand, span, level + 1)
+            if e.op == "!":
+                t, message = logic_type("!", (t,))
+                if message:
+                    self.error(message, span)
+                return t
             if t is None:
                 return None
-            if e.op == "-":
-                if t not in (INT, REAL):
-                    self.error("operand of unary '-' is not numeric", span)
-                    return None
-                return t
-            if t != BOOL:
-                self.error("operand of '!' is not boolean", span)
+            if t not in (INT, REAL):
+                self.error("operand of unary '-' is not numeric", span)
                 return None
-            return BOOL
+            return t
         if isinstance(e, Binary):
-            lt = self._infer(e.left, span)
-            rt = self._infer(e.right, span)
+            lt = self._infer(e.left, span, level + 1)
+            rt = self._infer(e.right, span, level + 1)
+            if e.op in LOGIC:
+                t, message = logic_type(e.op, (lt, rt))
+                if message:
+                    self.error(message, span)
+                return t
             if lt is None or rt is None:
                 return None
             if e.op in ARITH:
@@ -439,12 +469,19 @@ class _TypeChecker:
                     self.error(f"operands of '{e.op}' are not numeric", span)
                     return None
                 return BOOL
-            if e.op in LOGIC:
-                if lt != BOOL or rt != BOOL:
-                    self.error(f"operands of '{e.op}' are not boolean", span)
-                    return None
-                return BOOL
         raise TypeError(f"not an expression: {e!r}")
+
+
+def logic_type(op, types):
+    """(type, error message) of '!' or a binary logic operator `op` over
+    its operands' types: (None, None) when an operand's own check failed
+    (its type is None), and one message when an operand is not boolean."""
+    if None in types:
+        return None, None
+    if all(t == BOOL for t in types):
+        return BOOL, None
+    return None, ("operand of '!' is not boolean" if op == "!"
+                  else f"operands of '{op}' are not boolean")
 
 
 def type_check(model: ModelAst):
@@ -482,16 +519,20 @@ class BoundModel:
         checker._check_formulas()
         return checker
 
-    def state_formula_error(self, e):
-        """Why the state formula `e` of a property is not a boolean
-        expression over the model's names, by the rules that type-check the
-        model; None when it is one."""
+    def typed(self, e):
+        """(type, error, depth) of the expression `e` over the model's
+        names, by the rules that type-check the model: its type (None when
+        it has an error), the first error message or None, and its depth
+        with formulas expanded."""
         checker = self._types
         checker.diags = []
-        t = checker.infer(e, None)
-        if checker.diags:
-            return checker.diags[0].message
-        return None if t == BOOL else "labeling expression is not boolean"
+        depth, t = checker.depth_and_type(e, None)
+        return t, checker.diags[0].message if checker.diags else None, depth
+
+    def reads(self, e):
+        """The names other than formulas that `e` reads, with formulas
+        expanded: variables, constants and unknown names."""
+        return set(_names(e, self.formulas))
 
 
 # How far an update probability may lie outside [0, 1], and the
@@ -629,6 +670,8 @@ def compile_expr(e: Expr, env: BoundModel):
 
     ``evaluate.folded`` is the expression's value when it folded to a
     constant, so that a caller may use it without evaluating; else None.
+    ``evaluate.masked(cols, n)`` raises nothing: it returns the values and
+    the mask of the rows where the evaluation fails, or None when none does.
     """
     names = {v.name: _Node(fn=lambda cols, live, errors, j=j: cols[j],
                            bounds=None if v.is_bool else (v.low, v.high))
@@ -637,21 +680,28 @@ def compile_expr(e: Expr, env: BoundModel):
     node = _compile(e, env, names, wide)
     exact = bool(wide)
 
-    def evaluate(cols, n):
+    def masked(cols, n):
         if exact:
             cols = tuple(c if c.dtype == bool else c.astype(object) for c in cols)
         errors = _Errors()
         value = node.fn(cols, None, errors) if node.fn else node.value
+        failing = None
         if errors:
-            bad = np.zeros(n, dtype=bool)
+            failing = np.zeros(n, dtype=bool)
             for rows in errors:
-                bad |= True if rows is None else rows
-            failing = np.flatnonzero(bad)
-            if failing.size:
-                raise EvalError("division by zero", row=int(failing[0]))
-        return value if isinstance(value, np.ndarray) else np.full(n, value)
+                failing |= True if rows is None else rows
+            if not failing.any():
+                failing = None
+        return value if isinstance(value, np.ndarray) else np.full(n, value), failing
+
+    def evaluate(cols, n):
+        value, failing = masked(cols, n)
+        if failing is not None:
+            raise EvalError("division by zero", row=int(np.flatnonzero(failing)[0]))
+        return value
 
     evaluate.folded = node.value if node.fn is None else None
+    evaluate.masked = masked
     return evaluate
 
 

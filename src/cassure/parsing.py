@@ -1,9 +1,14 @@
 """Text parsers for `.prism`-style models and `.props`-style property files.
 
 The tokenizer is one compiled pattern that skips whitespace and comments
-inside each match; a token keeps its start offset, and its line and column
-are looked up in the text's newline offsets only when its span is read.
-Declarations and properties are parsed by recursive descent.  Expressions
+inside each match, run once by `findall` into the list of token texts; a
+table by first character gives each token's kind, in a parallel list, and
+the parser indexes the two lists.  No object is made per token.  A span is
+made only for a name, a declaration or a property, and it is deferred: the
+tokens' start offsets come from a second scan, and a line and column from
+the text's newline offsets, only when some span is first read, which in a
+clean parse is never.  Declarations and properties are parsed by recursive
+descent.  Expressions
 are parsed by precedence climbing over one table, `_PREC`, from '->'
 (loosest, right-associative) through '|', '&', the non-associative
 comparisons, '+ -' and '* /'; the prefix '!' takes a comparison and unary
@@ -15,7 +20,9 @@ from __future__ import annotations
 
 import math
 import re
+import string
 from bisect import bisect_right
+from functools import cached_property
 
 from .diagnostics import Diagnostic, ParseError, SourceSpan
 from .model import (
@@ -57,123 +64,154 @@ _PREFIX = {"!": _PREC["="], "-": _TIGHTEST + 1}
 
 
 # One match per token: whitespace and comments are skipped inside the match,
-# ahead of the token's own group.  The empty `eof` group always matches, so a
-# match never fails and never backs off into the skipped text; it marks the
-# end of the text, or a character that starts no token.
-_TOKEN_RE = re.compile(r"""(?:\s+|//[^\n]*)*(?:
-    (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op><=|>=|!=|->|\.\.|=\?|[-+*/=<>!&|()\[\]{}:;,'?])
-  | (?P<real>(?:\d+\.\d+|\.\d+)(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)
-  | (?P<int>\d+)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<eof>)
+# ahead of the token.  A character that starts no token is a token of its own
+# (`.`), which the kind table rejects; the empty alternative matches only at
+# the end of the text.  So a match never fails and never backs off into the
+# skipped text.
+_TOKEN_RE = re.compile(r"""(?:\s+|//[^\n]*)*(
+    [A-Za-z_][A-Za-z0-9_]*
+  | <=|>=|!=|->|\.\.|=\?|[-+*/=<>!&|()\[\]{}:;,'?]
+  | (?:\d+\.\d+|\.\d+)(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+
+  | \d+
+  | "(?:[^"\\]|\\.)*"
+  | .
+  |
 )""", re.VERBOSE)
-_KINDS = {index: kind for kind, index in _TOKEN_RE.groupindex.items()}
+# A token's kind by its first character, where that alone decides it.
+_KINDS = {**dict.fromkeys(string.ascii_letters + "_", "ident"),
+          **dict.fromkeys("-+*/=<>!&|()[]{}:;,'?", "op"), "": "eof"}
 
 
-class _Source:
-    """A text's file name and newline offsets, to place an offset."""
-    __slots__ = ("file", "newlines")
+def _kind(text):
+    """The kind of a token whose first character is no key of _KINDS: a
+    number, a string or '..'; None for a character that starts no token."""
+    if text == "..":
+        return "op"
+    if text[0] == '"':
+        return "string" if len(text) > 1 else None
+    if text[0].isdecimal() or text[0] == "." and len(text) > 1:
+        return "int" if text.isdecimal() else "real"
+    return None
+
+
+class Tokens:
+    """The tokens of a text, as the parallel lists `texts` and `kinds`,
+    ending with one ``eof`` token whose text is "".  Their start offsets
+    come from a second scan when first read, and a token's line and column
+    only when its span is read."""
 
     def __init__(self, text, file):
-        self.file = file
-        self.newlines = [m.start() for m in re.finditer("\n", text)]
+        self.source, self.file = text, file
+        texts = _TOKEN_RE.findall(text)
+        # One empty match ends the scan, or two when the first skipped text.
+        if len(texts) > 1 and texts[-2] == "":
+            texts.pop()
+        self.texts = texts
+        self.kinds = [_KINDS.get(t[:1]) or _kind(t) for t in texts]
 
-    def span(self, pos, length=1):
-        line = bisect_right(self.newlines, pos)
-        column = pos - self.newlines[line - 1] if line else pos + 1
-        return SourceSpan(self.file, line + 1, column, length)
+    @cached_property
+    def offsets(self):
+        return [m.start(1) for m in _TOKEN_RE.finditer(self.source)][:len(self.texts)]
 
+    @cached_property
+    def _newlines(self):
+        return [m.start() for m in re.finditer("\n", self.source)]
 
-class Token:
-    __slots__ = ("kind", "text", "pos", "source")
+    def span(self, i):
+        """The span of token i, placed when it is first read."""
+        return SourceSpan.deferred(self, i)
 
-    def __init__(self, kind, text, pos, source):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-        self.source = source
-
-    @property
-    def span(self):
-        return self.source.span(self.pos, len(self.text))
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r})"
+    def place(self, i):
+        """(file, line, column, length) of token i."""
+        pos = self.offsets[i]
+        line = bisect_right(self._newlines, pos)
+        column = pos - self._newlines[line - 1] if line else pos + 1
+        return self.file, line + 1, column, len(self.texts[i])
 
 
 def tokenize(text, file="<string>"):
-    """The tokens of ``text``, ending with one ``eof`` token.  Each keeps its
-    start offset; its line and column are found only when its span is read."""
-    source = _Source(text, file)
-    # Successive anchored matches; the scan ends after the first `eof` match,
-    # or after a second, empty one when the first skipped some text.
-    tokens = [Token(_KINDS[m.lastindex], m[m.lastindex], m.start(m.lastindex), source)
-              for m in iter(_TOKEN_RE.scanner(text).match, None)]
-    if len(tokens) > 1 and tokens[-2].kind == "eof":
-        tokens.pop()
-    end = tokens[-1].pos
-    if end < len(text):
-        raise ParseError([Diagnostic("error", f"unexpected character {text[end]!r}",
-                                     source.span(end))])
+    """The Tokens of ``text``; a character that starts no token is a
+    ParseError that names its place."""
+    tokens = Tokens(text, file)
+    if None in tokens.kinds:
+        bad = tokens.kinds.index(None)
+        raise ParseError([Diagnostic("error", f"unexpected character "
+                                     f"{tokens.texts[bad]!r}", tokens.span(bad))])
     return tokens
 
 
 class _Parser:
-    """Common token-stream machinery for both grammars."""
+    """Common token-stream machinery for both grammars: the parser indexes
+    the token lists with `i`."""
 
     def __init__(self, text, file):
         self.tokens = tokenize(text, file)
+        self.texts, self.kinds = self.tokens.texts, self.tokens.kinds
         self.i = 0
         self.diags = []
         self.nesting = 0
 
     @property
-    def tok(self):
-        return self.tokens[self.i]
+    def text(self):
+        return self.texts[self.i]
+
+    @property
+    def kind(self):
+        return self.kinds[self.i]
+
+    def span(self, i=None):
+        return self.tokens.span(self.i if i is None else i)
 
     def peek(self, ahead=1):
-        j = min(self.i + ahead, len(self.tokens) - 1)
-        return self.tokens[j]
+        """The text of the token `ahead` of the current one."""
+        return self.texts[min(self.i + ahead, len(self.texts) - 1)]
 
     def advance(self):
-        t = self.tokens[self.i]
-        if t.kind != "eof":
+        """Consume the current token, unless it is the end; its index."""
+        i = self.i
+        if self.kinds[i] != "eof":
             self.i += 1
-        return t
+        return i
 
     def at(self, text):
         # A keyword or operator: no other kind of token has such a text.
-        return self.tokens[self.i].text == text
+        return self.texts[self.i] == text
 
     def accept(self, text):
-        if self.tokens[self.i].text == text:
-            return self.advance()
-        return None
+        """Consume the token `text`, never the end, if it is the current one."""
+        if self.texts[self.i] == text:
+            self.i += 1
+            return True
+        return False
 
     def fail(self, message, span=None):
-        self.diags.append(Diagnostic("error", message, span or self.tok.span))
+        self.diags.append(Diagnostic("error", message, span or self.span()))
         raise ParseError(self.diags)
 
     def expect(self, text, what=None):
-        if not self.at(text):
-            self.fail(f"expected {what or text!r}, found {self.tok.text!r}")
-        return self.advance()
+        """Consume the token `text`; its index."""
+        i = self.i
+        if self.texts[i] != text:
+            self.fail(f"expected {what or text!r}, found {self.text!r}")
+        self.i += 1
+        return i
 
     def real(self):
         """The float value of the current number token, which is consumed;
         a literal beyond the float range is an error."""
-        t = self.advance()
-        v = float(t.text)
+        i = self.advance()
+        v = float(self.texts[i])
         if math.isinf(v):
-            self.fail(f"number {t.text!r} is out of range", t.span)
+            self.fail(f"number {self.texts[i]!r} is out of range", self.span(i))
         return v
 
     def expect_ident(self, what="identifier"):
-        t = self.tok
-        if t.kind != "ident" or t.text in KEYWORDS or t.text in UNSUPPORTED:
-            self.fail(f"expected {what}, found {t.text!r}")
-        return self.advance()
+        """Consume an identifier; its text."""
+        text = self.text
+        if self.kind != "ident" or text in KEYWORDS or text in UNSUPPORTED:
+            self.fail(f"expected {what}, found {text!r}")
+        self.advance()
+        return text
 
     # ---- expression grammar (shared by models and properties) ----
 
@@ -186,7 +224,7 @@ class _Parser:
         # A tree of depth d spans at least d tokens.
         if self.i - start > MAX_EXPR_DEPTH and expr_depth(e) > MAX_EXPR_DEPTH:
             self.fail(f"expression deeper than {MAX_EXPR_DEPTH} levels",
-                      self.tokens[start].span)
+                      self.span(start))
         return e
 
     def _nested(self, min_prec):
@@ -202,7 +240,7 @@ class _Parser:
         """Precedence climbing over _BINARY: a prefix operator or an atom,
         then every binary operator in [min_prec, ceiling], where the ceiling
         is lowered by what came before to keep the associativity."""
-        op = self.tokens[self.i].text
+        op = self.texts[self.i]
         prec = _PREFIX.get(op)
         if prec is not None and min_prec <= prec:
             self.i += 1
@@ -212,7 +250,7 @@ class _Parser:
             left = self._atom()
             ceiling = _TIGHTEST
         while True:
-            op = self.tokens[self.i].text
+            op = self.texts[self.i]
             rule = _BINARY.get(op)
             if rule is None or not min_prec <= rule[0] <= ceiling:
                 return left
@@ -223,30 +261,31 @@ class _Parser:
             left = Binary(op, left, right)
 
     def _atom(self):
-        t = self.tokens[self.i]
-        if t.kind == "ident":
-            if t.text == "true":
+        i = self.i
+        text, kind = self.texts[i], self.kinds[i]
+        if kind == "ident":
+            if text == "true":
                 self.i += 1
                 return Lit(True)
-            if t.text == "false":
+            if text == "false":
                 self.i += 1
                 return Lit(False)
-            if t.text in UNSUPPORTED:
-                self.fail(f"unsupported construct '{t.text}'")
-            if t.text in KEYWORDS:
-                self.fail(f"unexpected keyword '{t.text}' in expression")
+            if text in UNSUPPORTED:
+                self.fail(f"unsupported construct '{text}'")
+            if text in KEYWORDS:
+                self.fail(f"unexpected keyword '{text}' in expression")
             self.i += 1
-            return Name(t.text, t.span)
-        if t.kind == "int":
+            return Name(text, self.tokens.span(i))
+        if kind == "int":
             self.i += 1
-            return Lit(int(t.text))
-        if t.kind == "real":
+            return Lit(int(text))
+        if kind == "real":
             return Lit(self.real())
         if self.accept("("):
             e = self._nested(1)
             self.expect(")")
             return e
-        self.fail(f"expected expression, found {t.text!r}")
+        self.fail(f"expected expression, found {text!r}")
 
 
 # --------------------------------------------------------------------------
@@ -255,13 +294,13 @@ class _Parser:
 
 class _ModelParser(_Parser):
     def parse(self):
-        if self.tok.kind == "eof":
+        if self.kind == "eof":
             self.fail("expected model type header 'dtmc'")
-        if self.tok.text in UNSUPPORTED:
-            self.fail(f"unsupported model type '{self.tok.text}' (only dtmc)")
+        if self.text in UNSUPPORTED:
+            self.fail(f"unsupported model type '{self.text}' (only dtmc)")
         self.expect("dtmc", "model type header 'dtmc'")
         constants, formulas, modules, rewards = [], [], [], []
-        while self.tok.kind != "eof":
+        while self.kind != "eof":
             if self.at("const"):
                 constants.append(self._const())
             elif self.at("formula"):
@@ -270,15 +309,15 @@ class _ModelParser(_Parser):
                 modules.append(self._module())
             elif self.at("rewards"):
                 rewards.append(self._rewards())
-            elif self.tok.text in UNSUPPORTED:
-                self.fail(f"unsupported construct '{self.tok.text}'")
+            elif self.text in UNSUPPORTED:
+                self.fail(f"unsupported construct '{self.text}'")
             else:
-                self.fail(f"expected declaration, found {self.tok.text!r}")
+                self.fail(f"expected declaration, found {self.text!r}")
         return ModelAst(tuple(constants), tuple(formulas), tuple(modules),
                         tuple(rewards))
 
     def _const(self):
-        span = self.expect("const").span
+        span = self.span(self.expect("const"))
         if self.at("int"):
             kind = "int"
         elif self.at("double"):
@@ -288,7 +327,7 @@ class _ModelParser(_Parser):
         else:
             self.fail("expected 'int' or 'double' after 'const'")
         self.advance()
-        name = self.expect_ident("constant name").text
+        name = self.expect_ident("constant name")
         value = None
         if not self.at(";"):
             self.expect("=")
@@ -297,19 +336,19 @@ class _ModelParser(_Parser):
         return ConstantDecl(name, kind, value, span)
 
     def _formula(self):
-        span = self.expect("formula").span
-        name = self.expect_ident("formula name").text
+        span = self.span(self.expect("formula"))
+        name = self.expect_ident("formula name")
         self.expect("=")
         expr = self.parse_expr()
         self.expect(";")
         return FormulaDecl(name, expr, span)
 
     def _module(self):
-        span = self.expect("module").span
-        name = self.expect_ident("module name").text
+        span = self.span(self.expect("module"))
+        name = self.expect_ident("module name")
         variables, commands = [], []
         while not self.at("endmodule"):
-            if self.tok.kind == "eof":
+            if self.kind == "eof":
                 self.fail(f"unterminated module '{name}' (missing endmodule)")
             if self.at("["):
                 commands.append(self._command())
@@ -319,7 +358,8 @@ class _ModelParser(_Parser):
         return ModuleDecl(name, tuple(variables), tuple(commands), span)
 
     def _vardecl(self):
-        name_tok = self.expect_ident("variable name")
+        span = self.span()
+        name = self.expect_ident("variable name")
         self.expect(":")
         if self.accept("bool"):
             low = high = None
@@ -334,13 +374,13 @@ class _ModelParser(_Parser):
         self.expect("init")
         init = self.parse_expr()
         self.expect(";")
-        return VarDecl(name_tok.text, low, high, init, is_bool, name_tok.span)
+        return VarDecl(name, low, high, init, is_bool, span)
 
     def _command(self):
-        span = self.expect("[").span
+        span = self.span(self.expect("["))
         label = None
         if not self.at("]"):
-            label = self.expect_ident("action label").text
+            label = self.expect_ident("action label")
         self.expect("]")
         # Guards stop below the implication level so the command arrow is
         # unambiguous; a parenthesized implication is still fine.
@@ -354,8 +394,8 @@ class _ModelParser(_Parser):
 
     def _is_assignment_start(self):
         # "(" IDENT "'" marks a primed assignment rather than an expression.
-        return (self.at("(") and self.peek(1).kind == "ident"
-                and self.peek(2).text == "'")
+        return (self.at("(") and self.kinds[self.i + 1] == "ident"
+                and self.peek(2) == "'")
 
     def _update(self):
         if self._is_assignment_start():
@@ -372,7 +412,7 @@ class _ModelParser(_Parser):
 
     def _assignment(self):
         self.expect("(")
-        name = self.expect_ident("variable name").text
+        name = self.expect_ident("variable name")
         self.expect("'")
         self.expect("=")
         rhs = self.parse_expr()
@@ -380,17 +420,17 @@ class _ModelParser(_Parser):
         return (name, rhs)
 
     def _rewards(self):
-        span = self.expect("rewards").span
-        if self.tok.kind != "string":
+        span = self.span(self.expect("rewards"))
+        if self.kind != "string":
             self.fail("expected reward structure name string")
-        name = _unquote(self.advance().text)
+        name = _unquote(self.texts[self.advance()])
         items = []
         while not self.at("endrewards"):
-            if self.tok.kind == "eof":
+            if self.kind == "eof":
                 self.fail(f'unterminated rewards "{name}" (missing endrewards)')
             if self.at("["):
                 self.fail("unsupported construct: transition rewards")
-            item_span = self.tok.span
+            item_span = self.span()
             guard = self.parse_expr()
             self.expect(":")
             value = self.parse_expr()
@@ -415,18 +455,18 @@ class _PropertyParser(_Parser):
     def parse(self):
         props = []
         counter = 0
-        while self.tok.kind != "eof":
-            start = self.tok.span
+        while self.kind != "eof":
+            start = self.span()
             name = None
-            if self.tok.kind == "string" and self.peek(1).text == ":":
-                name = _unquote(self.advance().text)
+            if self.kind == "string" and self.peek(1) == ":":
+                name = _unquote(self.texts[self.advance()])
                 self.advance()
             if name is None:
                 counter += 1
                 name = f"prop{counter}"
             start_i = self.i
             fields = self._property()
-            source = " ".join([t.text for t in self.tokens[start_i:self.i]])
+            source = " ".join(self.texts[start_i:self.i])
             props.append(PropertySpec(name, **fields, source_text=source, span=start))
             self.accept(";")  # optional terminator, kept out of source_text
         seen = set()
@@ -451,9 +491,9 @@ class _PropertyParser(_Parser):
             self.fail("expected '=?', '>=' or '<=' after 'P'")
         if self.accept("R"):
             self.expect("{")
-            if self.tok.kind != "string":
+            if self.kind != "string":
                 self.fail("expected reward structure name string")
-            reward = _unquote(self.advance().text)
+            reward = _unquote(self.texts[self.advance()])
             self.expect("}")
             self.expect("=?")
             self.expect("[")
@@ -461,13 +501,12 @@ class _PropertyParser(_Parser):
             target = self.parse_expr()
             self.expect("]")
             return dict(kind="R_query", path=PathFormula("F", target), reward=reward)
-        self.fail(f"expected 'P' or 'R' property, found {self.tok.text!r}")
+        self.fail(f"expected 'P' or 'R' property, found {self.text!r}")
 
     def _number(self):
         neg = bool(self.accept("-"))
-        t = self.tok
-        if t.kind not in ("int", "real"):
-            self.fail(f"expected number, found {t.text!r}")
+        if self.kind not in ("int", "real"):
+            self.fail(f"expected number, found {self.text!r}")
         v = self.real()
         return -v if neg else v
 
@@ -476,10 +515,9 @@ class _PropertyParser(_Parser):
         if self.accept("F"):
             bound = None
             if self.accept("<="):
-                t = self.tok
-                if t.kind != "int":
+                if self.kind != "int":
                     self.fail("expected integer step bound after 'F<='")
-                bound = int(self.advance().text)
+                bound = int(self.texts[self.advance()])
             target = self.parse_expr()
             self.expect("]")
             if bound is None:

@@ -51,10 +51,24 @@ same states in the same order, and each row sums its duplicate successors
 in the same order, so the arrays are those of a fresh build, and the new
 space takes over from `previous` what depends on the states and the
 pattern alone: the variable columns, the source and predecessor lists and
-the graph memo of 0/1 sets.  Anything else -- a successor outside the
-cached states, a different pattern, or an error in the batch -- runs the
-full exploration, which decides every structural change and names every
-error at its canonical state.
+the graph memo of 0/1 sets.  If the two models have the same formulas, it
+also takes each atom (below) that reads no constant whose value changed.
+Anything else -- a successor outside the cached states, a different
+pattern, or an error in the batch -- runs the full exploration, which
+decides every structural change and names every error at its canonical
+state.
+
+`label_states` labels a state formula from its atoms, the maximal
+subformulas whose root is not '&', '|', '->' or '!'.  Each distinct atom,
+keyed in the space's memo by its rendered text, is type-checked by the
+model's rules, compiled and evaluated over all states once per space; its
+entry keeps its value and the states where it divides by zero.  A formula
+walks its skeleton of logic operators over those entries: first the type
+rules, in the order that checking the whole formula finds errors, then the
+numpy '&', '|' and '!' of the masks, where the right operand of '&', '|'
+and '->' counts its failing states only where the left one does not
+decide.  So every label, error text and failing state is the one a single
+evaluation of the whole formula gives.
 """
 
 from __future__ import annotations
@@ -70,7 +84,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .diagnostics import BuildError, EvalError
-from .model import PROB_TOL, BoundModel, Expr, compile_expr
+from .model import (
+    BOOL, DEEP_EXPRESSION, LOGIC, MAX_EXPR_DEPTH, NOT_BOOLEAN, PROB_TOL, Binary,
+    BoundModel, Expr, Unary, compile_expr, logic_type,
+)
+from .parsing import render_expr
 
 ROW_SUM_TOL = 1e-9
 DEFAULT_STATE_CAP = 10_000_000
@@ -155,7 +173,7 @@ class StateSpace:
 
     @cached_property
     def memo(self):
-        """Labels and solutions computed on this space."""
+        """Atoms of state formulas and solutions computed on this space."""
         return Memo()
 
     @cached_property
@@ -580,9 +598,14 @@ def _explore(variables, compiled, pack, span, max_states):
         layers.append(frontier)
         n += new.size
 
-    del index  # free the ids before the arrays are joined
-    return (np.concatenate(layers), np.concatenate(src_all),
-            np.concatenate(dst_all), np.concatenate(prob_all), diags)
+    # Free the ids, and each list of layer arrays once it is joined, so the
+    # arrays are held twice over one list at a time.
+    del index, src, dst, prob, succ
+    joined = []
+    for parts in (layers, src_all, dst_all, prob_all):
+        joined.append(np.concatenate(parts))
+        parts.clear()
+    return (*joined, diags)
 
 
 def _reward_vectors(bound, states):
@@ -662,6 +685,7 @@ def build_dtmc(bound: BoundModel, max_states=DEFAULT_STATE_CAP,
                        _reward_vectors(bound, states), diags)
     if reevaluated:
         space.share_pattern(previous)
+        _keep_atoms(space, previous)
     sums = np.add.reduceat(space.data, space.indptr[:-1])
     if np.max(np.abs(sums - 1.0)) > ROW_SUM_TOL:
         worst = int(np.argmax(np.abs(sums - 1.0)))
@@ -670,12 +694,116 @@ def build_dtmc(bound: BoundModel, max_states=DEFAULT_STATE_CAP,
     return space
 
 
-@np.errstate(invalid="ignore")
+class _Atom:
+    """An atom of the state formulas checked on one space: a maximal
+    subformula whose root is not '&', '|', '->' or '!'.  `type`, `error`
+    and `depth` are what the model's type rules give for it alone
+    (`BoundModel.typed`).  `masks` is (its value on every state, the mask
+    of the states where it fails or None), evaluated when a well-typed
+    formula first reads it."""
+    __slots__ = ("expr", "type", "error", "depth", "masks")
+
+    def __init__(self, expr, bound):
+        self.expr = expr
+        self.type, self.error, self.depth = bound.typed(expr)
+        self.masks = None
+
+
+def _atom(space, e):
+    """The atom `e` of `space`, from its memo, keyed by the rendered text,
+    which tells 1, 1.0 and true apart."""
+    return space.memo.get(("atom", render_expr(e)), lambda: _Atom(e, space.bound))
+
+
+def _typed(space, e, level):
+    """(skeleton, type, first error, depth) of the state formula `e` at tree
+    level `level`, its depth with formulas expanded.  The skeleton has an
+    _Atom at each leaf and (op, operands...) above them for '!', '&', '|'
+    and '->'.  The type rules of a logic operator are the model's
+    (`logic_type`); the first error is the first in the order the model's
+    type check finds them."""
+    if isinstance(e, Binary) and e.op in LOGIC:
+        operands = (e.left, e.right)
+    elif isinstance(e, Unary) and e.op == "!":
+        operands = (e.operand,)
+    else:
+        atom = _atom(space, e)
+        return atom, atom.type, atom.error, level - 1 + atom.depth
+    if level > MAX_EXPR_DEPTH:  # too deep, whatever lies below: stop here
+        return None, None, None, level
+    parts = [_typed(space, x, level + 1) for x in operands]
+    t, error = logic_type(e.op, [p[1] for p in parts])
+    error = next((p[2] for p in parts if p[2]), error)
+    return (e.op, *(p[0] for p in parts)), t, error, max(p[3] for p in parts)
+
+
+def _masks(space, node):
+    """(value, failing states or None) of a skeleton from `_typed`.  '&' and
+    '->' count the failing states of their right operand only where the
+    left one is true, and '|' where it is false, as `compile_expr` does for
+    a whole formula."""
+    if isinstance(node, _Atom):
+        if node.masks is None:
+            with np.errstate(invalid="ignore"):  # NaN is compared as false
+                node.masks = compile_expr(node.expr, space.bound).masked(
+                    space.columns, space.n_states)
+            for mask in node.masks:
+                if mask is not None:
+                    mask.flags.writeable = False
+        return node.masks
+    if node[0] == "!":
+        value, failing = _masks(space, node[1])
+        return np.logical_not(value), failing
+    op, left, right = node
+    l, failing = _masks(space, left)
+    r, right_failing = _masks(space, right)
+    if right_failing is not None:
+        on = np.logical_not(l) if op == "|" else np.asarray(l, dtype=bool)
+        right_failing = right_failing & on
+        failing = right_failing if failing is None else failing | right_failing
+    if op == "&":
+        return np.logical_and(l, r), failing
+    if op == "|":
+        return np.logical_or(l, r), failing
+    return np.logical_or(np.logical_not(l), r), failing
+
+
+def _keep_atoms(space, previous):
+    """Give the memo of `space`, which has the states of `previous`, each
+    atom of `previous`'s memo whose mask holds on it too: the two models
+    have the same formulas, and the atom reads no constant whose value, or
+    whose type, differs between them."""
+    old, new = previous.bound, space.bound
+    if ({name: render_expr(e) for name, e in old.formulas.items()}
+            != {name: render_expr(e) for name, e in new.formulas.items()}):
+        return
+
+    def value(bound, name):
+        v = bound.constants.get(name)
+        return type(v), v
+
+    changed = {name for name in old.constants.keys() | new.constants.keys()
+               if value(old, name) != value(new, name)}
+    for key, atom in previous.memo.entries.items():
+        if key[0] == "atom" and new.reads(atom.expr).isdisjoint(changed):
+            space.memo.put(key, atom)
+
+
 def label_states(space: StateSpace, phi: Expr) -> np.ndarray:
-    """Boolean mask over state indices for a state formula; one that the
-    model's type rules reject is a BuildError."""
-    error = space.bound.state_formula_error(phi)
+    """Boolean mask over state indices for a state formula, from the masks
+    of its atoms, each typed and evaluated once per space.  A formula that
+    the model's type rules reject is a BuildError, with the error that
+    checking it whole gives; a division by zero on a state where the
+    formula reads it is an EvalError that names the first such state."""
+    skeleton, t, error, depth = _typed(space, phi, 1)
+    if depth > MAX_EXPR_DEPTH:
+        error = DEEP_EXPRESSION
+    elif error is None and t != BOOL:
+        error = NOT_BOOLEAN
     if error:
         raise BuildError(error)
-    return _evaluate(compile_expr(phi, space.bound), space.columns,
-                     space.n_states, lambda r: space.valuation(r))
+    value, failing = _masks(space, skeleton)
+    if failing is not None and failing.any():
+        row = int(np.flatnonzero(failing)[0])
+        raise EvalError(f"division by zero at state {space.valuation(row)}")
+    return value

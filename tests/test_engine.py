@@ -20,7 +20,8 @@ from cassure.engine import (
     _solve_unknown, bounded_eventually_probability, evidence, prob0_states,
     prob1_states,
 )
-from cassure.model import Binary, Lit, Name
+import cassure.statespace as statespace
+from cassure.model import Binary, Lit, Name, Unary, compile_expr
 from cassure.parsing import render_expr
 from cassure.statespace import label_states
 
@@ -85,18 +86,30 @@ def test_infinite_rewards_run_no_solve(space, props, monkeypatch):
         assert r.stats["iterations"] == 0 and r.stats["residual"] == 0.0
 
 
-def test_each_state_formula_is_labelled_once(bound, props, monkeypatch):
+def _atoms(e):
+    """The maximal subformulas of `e` whose root is no '&', '|', '->' or '!'."""
+    if isinstance(e, Binary) and e.op in ("&", "|", "->"):
+        return _atoms(e.left) + _atoms(e.right)
+    if isinstance(e, Unary) and e.op == "!":
+        return _atoms(e.operand)
+    return [e]
+
+
+def test_each_atom_is_evaluated_once(bound, props, monkeypatch):
     # A fresh space: the shared one carries memo entries between tests.
     # "everywhere" in F, G and R paths is a mask, not a labelled Lit(True).
-    labelled = []
-    monkeypatch.setattr(engine, "label_states",
-                        lambda s, phi: labelled.append(phi) or label_states(s, phi))
-    check_properties(build_dtmc(bound), props)
-    formulas = {render_expr(e) for p in props
-                for e in (p.path.constraint, p.path.target) if e is not None}
-    assert sorted(map(render_expr, labelled)) == sorted(formulas)
-    assert len(labelled) == 12  # against 18 label calls, one per formula occurrence
-    assert Lit(True) not in labelled
+    space = build_dtmc(bound)
+    compiled = []
+    monkeypatch.setattr(statespace, "compile_expr",
+                        lambda e, b: compiled.append(e) or compile_expr(e, b))
+    check_properties(space, props)
+    atoms = {render_expr(a) for p in props
+             for e in (p.path.constraint, p.path.target) if e is not None
+             for a in _atoms(e)}
+    assert sorted(map(render_expr, compiled)) == sorted(atoms)
+    # 18 formula occurrences, 12 distinct formulas, 17 distinct atoms
+    assert len(compiled) == 17
+    assert Lit(True) not in compiled
 
 
 def _counted(monkeypatch, name):

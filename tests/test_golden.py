@@ -64,6 +64,18 @@ def generate_case_study():
             "generate/nuclear.results.jsonl": Path("out/nuclear.results.jsonl")}
 
 
+def generate_many():
+    """``cassure generate`` on the case study with ``generate_many/many.props``,
+    200 properties whose state formulas repeat, negate and share atoms, in
+    the current directory; returns {golden name: written file}."""
+    shutil.copy(CASE_STUDY / "nuclear.prism", "nuclear.prism")
+    shutil.copy(GOLDEN / "generate_many" / "many.props", "many.props")
+    assert cassure("generate", "--model", "nuclear.prism", "--props", "many.props",
+                   "--out", "out") == 0
+    return {"generate_many/nuclear.gsn": Path("out/nuclear.gsn"),
+            "generate_many/nuclear.results.jsonl": Path("out/nuclear.results.jsonl")}
+
+
 def lifecycle_round():
     """One ingest -> impact -> plan -> apply round on a small annotated
     argument, in the current directory; returns {golden name: written file}."""
@@ -93,7 +105,7 @@ def lifecycle_round():
             "lifecycle/impact_report.json": Path("out/impact_report.json")}
 
 
-@pytest.mark.parametrize("steps", [generate_case_study, lifecycle_round])
+@pytest.mark.parametrize("steps", [generate_case_study, generate_many, lifecycle_round])
 def test_artifacts_match_golden_bytes(steps, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, written in steps().items():

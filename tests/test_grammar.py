@@ -1,4 +1,5 @@
-"""The tokenizer's spans against a character walk, and a pinned corpus of
+"""The tokenizer against a character walk and against the scanner it
+replaced (`reference_tokenizer.py`), and a pinned corpus of
 parses and parse errors whose expected values were recorded with the
 recursive-descent parser that the precedence-climbing one replaced."""
 
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from cassure import ParseError, parse_model, parse_properties
+from cassure import ParseError, SourceSpan, parse_model, parse_properties
 from cassure.parsing import tokenize
+from reference_tokenizer import reference_tokens
 
 CASE_STUDY = Path(__file__).resolve().parent.parent / "case_study"
 
@@ -60,11 +62,17 @@ def places(text):
 def test_token_spans_match_a_character_walk(stream):
     text, expected = assemble(stream)
     at = places(text)
-    got = [(t.kind, t.text, t.span.file, t.span.line, t.span.column, t.span.length)
-           for t in tokenize(text, "s.props")]
+    tokens = tokenize(text, "s.props")
+    spans = map(tokens.span, range(len(tokens.texts)))
+    got = [(kind, lexeme, s.file, s.line, s.column, s.length)
+           for kind, lexeme, s in zip(tokens.kinds, tokens.texts, spans)]
     want = [(kind, lexeme, "s.props", *at[pos], len(lexeme))
             for kind, lexeme, pos in expected]
     assert got == want + [("eof", "", "s.props", *at[len(text)], 0)]
+    # A deferred span equals, and hashes as, the span made from its fields.
+    assert all(tokens.span(i) == SourceSpan(*row[2:]) and
+               hash(tokens.span(i)) == hash(SourceSpan(*row[2:]))
+               for i, row in enumerate(got))
 
 
 @given(STREAMS, st.sampled_from("#@$%`~\\."), st.data())
@@ -78,6 +86,27 @@ def test_unexpected_character_is_placed_by_a_character_walk(stream, bad, data):
         tokenize(text, "s.props")
     assert str(exc.value) == \
         f"s.props:{line}:{column}: error: unexpected character {bad!r}"
+
+
+# Characters of every kind of token and of none, in any order: letters,
+# ASCII and other decimal digits, '.', 'e', signs, operators, quotes,
+# backslashes, comment slashes, white space, and characters that start no
+# token, among them a superscript digit, which is no decimal digit.
+CHARACTERS = st.text(st.sampled_from(list(
+    "aZ_e9\u0663.+-*/=<>!&|()[]{}:;,'?\"\\ \t\n\r#@$\u00e9\u00b2")), max_size=30)
+
+
+@given(st.one_of(CHARACTERS, STREAMS.map(lambda stream: assemble(stream)[0])))
+def test_tokens_match_the_reference_scanner(text):
+    try:
+        want = reference_tokens(text, "s.props")
+    except ParseError as e:
+        with pytest.raises(ParseError) as exc:
+            tokenize(text, "s.props")
+        assert str(exc.value) == str(e)
+        return
+    tokens = tokenize(text, "s.props")
+    assert list(zip(tokens.kinds, tokens.texts, tokens.offsets)) == want
 
 
 # ---- the pinned corpus ----
