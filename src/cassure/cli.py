@@ -471,9 +471,8 @@ def plan(config):
     atomic_write(Path(config.out) / "plan.json", serialize_plan(entries))
     for w in warnings:
         click.echo(f"warning: {w}", err=True)
-    for e in entries:
-        cost = e.evidence_cost or "?"
-        click.echo(f"{e.rank}. {e.goal_id} [{e.strategy}] cost={cost}")
+    click.echo("".join(f"{e.rank}. {e.goal_id} [{e.strategy}] "
+                       f"cost={e.evidence_cost or '?'}\n" for e in entries), nl=False)
     return 0
 
 

@@ -1,13 +1,16 @@
 """Source locations and diagnostics shared by the parsers and checkers;
 `read_record`, the one reader of the JSON records, whose schema is each
-record's dataclass; and `depth_first`, the one graph search of the checks:
+record's dataclass, and `read_json_lines`, which reads a file of them; and
+`depth_first`, the one graph search of the checks:
 the order of a model's constants and formulas and the supported-by cycles of
 a GSN argument."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import MISSING, dataclass, fields
 from functools import cache
+from itertools import product
 from math import isfinite
 from types import NoneType
 
@@ -123,6 +126,74 @@ def read_record(cls, rec):
         elif required:
             raise KeyError(name)
     return cls(**values)
+
+
+@cache
+def _record_shape(cls):
+    """What `read_json_lines` needs to read a `cls` record without
+    `read_record`: the field names and defaults in order (MISSING where a
+    field has none or a factory), every tuple of value types `read_record`
+    accepts, and the positions of the fields that accept a float."""
+    specs = _record_fields(cls)
+    return (tuple(name for name, _, _ in specs), tuple(f.default for f in fields(cls)),
+            frozenset(product(*(kinds for _, kinds, _ in specs))),
+            tuple(i for i, (_, kinds, _) in enumerate(specs) if float in kinds))
+
+
+_scan_json = json.JSONDecoder().scan_once
+
+
+def read_json_lines(text, cls, what, error=CassureError, check=None, comments=False):
+    """The `cls` records of the JSON Lines `text`, one object per line, each
+    read as `read_record` reads it and then passed to `check`, which raises
+    ValueError to reject it.  Only "\\n" ends a line: JSON allows the other
+    line breaks of `str.splitlines` (U+2028, U+0085, ...) raw in a string.
+    Blank lines are skipped, and with `comments` lines that start with '#'.
+    A malformed record raises `error`: "malformed {what} on line N: ...".
+
+    Each line is one C-level scan, and a record whose fields all hold
+    accepted types is built without a call of `cls`.  On any failure the
+    lines are read again one by one, as `read_record` reads them, only to
+    raise the error of the first failing line."""
+    lines = text.split("\n")
+    names, defaults, signatures, floats = _record_shape(cls)
+    new, post = object.__new__, getattr(cls, "__post_init__", None)
+    out = []
+    try:
+        kept = [line for line in map(str.strip, lines)
+                if line and not (comments and line[0] == "#")]
+        scanned = [_scan_json(line, 0) for line in kept]
+        if any(end != len(line) for line, (_, end) in zip(kept, scanned)):
+            raise ValueError  # more than one value on a line
+        for rec, _ in scanned:
+            values = tuple(map(rec.get, names, defaults))
+            if tuple(map(type, values)) in signatures and all(
+                    type(values[i]) is not float or isfinite(values[i]) for i in floats):
+                res = new(cls)
+                res.__dict__.update(zip(names, values))
+                if post:
+                    res.__post_init__()
+            else:  # a default to fill in, or a malformed field
+                res = read_record(cls, rec)
+            if check:
+                check(res)
+            out.append(res)
+        return out
+    except (StopIteration, AttributeError, KeyError, TypeError, ValueError, CassureError):
+        pass
+    out = []
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or comments and line[0] == "#":
+            continue
+        try:
+            res = read_record(cls, json.loads(line))
+            if check:
+                check(res)
+            out.append(res)
+        except (KeyError, TypeError, ValueError) as e:
+            raise error(malformed(f"{what} on line {lineno}", e)) from None
+    return out
 
 
 def depth_first(nodes, edges):

@@ -61,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .diagnostics import (
-    BuildError, CassureError, EvalError, SolverError, malformed, read_record,
+    BuildError, EvalError, SolverError, read_json_lines,
 )
 from .statespace import StateSpace, by_target, label_states, run_heads
 
@@ -684,16 +684,5 @@ def _check_result(res):
 def parse_results(text: str):
     """The records that serialize_results wrote.  A malformed record, or one
     that check_property never writes, raises CassureError."""
-    out = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            res = read_record(VerificationResult, json.loads(line))
-            _check_result(res)
-            out.append(res)
-        except (KeyError, TypeError, ValueError) as e:
-            raise CassureError(
-                malformed(f"result record on line {lineno}", e)) from None
-    return out
+    return read_json_lines(text, VerificationResult, "result record",
+                           check=_check_result)

@@ -16,10 +16,11 @@ links in stored order, then a quarantine section for orphaned entries.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from json.decoder import scanstring
 from json.encoder import encode_basestring
+from operator import attrgetter
 from typing import NamedTuple
 
 from .diagnostics import CassureError, Diagnostic, depth_first
@@ -119,6 +120,10 @@ class TraceLink(NamedTuple):
     __eq__, __ne__, __hash__ = Annotation.__eq__, Annotation.__ne__, tuple.__hash__
 
 
+_ID, _NODE_ID = attrgetter("id"), attrgetter("node_id")
+_SOURCE, _TARGET = attrgetter("source"), attrgetter("target")
+
+
 @dataclass(frozen=True)
 class ArgumentModel:
     name: str
@@ -131,7 +136,21 @@ class ArgumentModel:
     orphans: tuple = ()  # quarantined (Annotation | TraceLink) entries
 
     def __post_init__(self):
-        """The reference rule; raises GsnError on the first breach."""
+        """The reference rule, as set operations; a breach is named by
+        `_first_breach`.  The value keeps its node-id set, so that an edit
+        checks only what it adds (`edit_annotations`, `revise`)."""
+        ids = frozenset(map(_ID, self.nodes))
+        if not (len(ids) == len(self.nodes)
+                and ids.issuperset(map(_SOURCE, self.links))
+                and ids.issuperset(map(_TARGET, self.links))
+                and ids.issuperset(map(_NODE_ID, self.annotations))
+                and ids.issuperset(map(_NODE_ID, self.trace_links))):
+            self._first_breach()
+        self.__dict__["_ids"] = ids
+
+    def _first_breach(self):
+        """Raise GsnError on the first breach of the reference rule, in the
+        order nodes, links, annotations, trace links."""
         ids = set()
         for n in self.nodes:
             if n.id in ids:
@@ -146,6 +165,14 @@ class ArgumentModel:
                 if e.node_id not in ids:
                     raise GsnError(f"{what} references unknown node '{e.node_id}'")
 
+    def _copy(self, **changes):
+        """This value with `changes`, which the caller has checked against
+        the node ids, which do not change: no full reference rule."""
+        new = object.__new__(ArgumentModel)
+        new.__dict__.update({name: getattr(self, name) for name in _FIELDS},
+                            **changes, _ids=self._ids)
+        return new
+
     def node(self, node_id):
         for n in self.nodes:
             if n.id == node_id:
@@ -153,7 +180,7 @@ class ArgumentModel:
         return None
 
     def node_ids(self):
-        return {n.id for n in self.nodes}
+        return set(self._ids)
 
     @cached_property
     def _by_node(self):
@@ -184,10 +211,22 @@ class ArgumentModel:
         ``drop``, then with each of ``add`` appended unless an equal
         annotation is already there.  Stored order is kept, and so are
         duplicates the argument already holds."""
+        for a in add:
+            if a.node_id not in self._ids:
+                raise GsnError(f"annotation references unknown node '{a.node_id}'")
         drop = set(drop)
         kept = [a for a in self.annotations
                 if (a.node_id, a.kind, a.name) not in drop]
-        return replace(self, annotations=_append_new(kept, add))
+        return self._copy(annotations=_append_new(kept, add))
+
+    def revise(self, nodes, trace_links):
+        """A copy with new nodes and trace links, in which each keeps the
+        node id of the one it replaces, in the same order: a new version,
+        description or fingerprint needs no full reference rule."""
+        if (list(map(_ID, nodes)) != list(map(_ID, self.nodes))
+                or list(map(_NODE_ID, trace_links)) != list(map(_NODE_ID, self.trace_links))):
+            raise GsnError("a revision must keep every node id in place")
+        return self._copy(nodes=tuple(nodes), trace_links=tuple(trace_links))
 
     def goals(self):
         return [n for n in self.nodes if n.kind == "goal"]
@@ -195,6 +234,9 @@ class ArgumentModel:
     def root_goals(self):
         supported = {l.target for l in self.links if l.kind == "supported-by"}
         return [n for n in self.goals() if n.id not in supported]
+
+
+_FIELDS = tuple(f.name for f in fields(ArgumentModel))
 
 
 # --------------------------------------------------------------------------
@@ -300,19 +342,17 @@ def _trace_line(t):
 def serialize_dsl(arg: ArgumentModel) -> str:
     """Deterministic text form; byte-identical for structurally equal args."""
     out = [f"argument {encode_basestring(arg.name)} version {arg.version}"]
-    for ext in sorted(arg.extensions):
-        out.append(f"extend {ext}")
+    out += [f"extend {ext}" for ext in sorted(arg.extensions)]
     out.append("")
-    for n in sorted(arg.nodes, key=lambda n: n.id):
-        out.append(f"{n.kind} {n.id} version {n.version}")
-        out.append(f"  {encode_basestring(n.description)}")
+    # Ids are unique, so the nodes sort by id.
+    out += [f"{n.kind} {n.id} version {n.version}\n  {encode_basestring(n.description)}"
+            for n in sorted(arg.nodes)]
     out.append("")
-    for l in sorted(arg.links):
-        out.append(f"{l.kind} {l.source} {l.target}")
     if arg.links:
+        out += [f"{l.kind} {l.source} {l.target}" for l in sorted(arg.links)]
         out.append("")
-    out += map(_annotation_line, arg.annotations)
     if arg.annotations:
+        out += map(_annotation_line, arg.annotations)
         out.append("")
     out += map(_trace_line, arg.trace_links)
     if arg.orphans:
@@ -347,14 +387,21 @@ _LINE_RE = re.compile(rf"""^ {_SP}* (?:
     | (?P<orphaned> \#\ orphaned ) | (?P<skip> (?:\#[^\n]*)? ) | (?P<bad> [^\n]+ )
     ) {_SP}* $ \n?""", re.MULTILINE | re.VERBOSE)
 
+# Each line kind's group number; the groups inside it follow it in order.
+_TRACE, _LINK, _NODE, _PLACEHOLDER, _STEREOTYPE, _ORPHANED, _EXTEND, _HEADER, _BAD = (
+    _LINE_RE.groupindex[kind] for kind in ("trace", "link", "node", "placeholder",
+                                           "stereotype", "orphaned", "extend", "header",
+                                           "bad"))
+
 # A record from its fields in order, without the constructor's Python frame.
 _record = tuple.__new__
 
 
 def _decode(s):
-    # Non-strict, so a raw tab inside a string (written by older versions)
-    # still reads.
-    return scanstring(s, 1, False)[0]
+    # A literal without a backslash is its text between the quotes.  With
+    # one, non-strict, so a raw tab inside a string (written by older
+    # versions) still reads.
+    return s[1:-1] if "\\" not in s else scanstring(s, 1, False)[0]
 
 
 def parse_dsl(text: str) -> ArgumentModel:
@@ -367,30 +414,32 @@ def parse_dsl(text: str) -> ArgumentModel:
     line = lambda: text.count("\n", 0, m.end(m.lastindex)) + 1
     try:
         for m in _LINE_RE.finditer(text):
-            kind = m.lastgroup
-            if kind == "node":
-                nid, nkind, desc, version = m.group("n_id", "n_kind", "n_desc", "n_version")
+            kind = m.lastindex
+            if kind == _NODE:
+                nkind, nid, version, desc = m.group(_NODE + 1, _NODE + 2, _NODE + 3, _NODE + 4)
                 if desc is None:
                     what = "expected the quoted" if m[0].endswith("\n") else "missing the"
                     raise GsnError(f"line {line() + 1}: {what} description of {nid}")
                 nodes.append(_record(GsnNode, (nid, nkind, _decode(desc), int(version))))
-            elif kind == "link":
-                links.append(_record(GsnLink, m.group("l_kind", "l_source", "l_target")))
-            elif kind == "trace":
-                nid, akind, ref, fp = m.group("t_node", "t_kind", "t_ref", "t_fp")
+            elif kind == _LINK:
+                links.append(_record(GsnLink, m.group(_LINK + 1, _LINK + 2, _LINK + 3)))
+            elif kind == _TRACE:
+                nid, akind, ref, fp = m.group(_TRACE + 1, _TRACE + 2, _TRACE + 3, _TRACE + 4)
                 to_traces.append(_record(TraceLink, (nid, akind, _decode(ref), fp)))
-            elif kind == "placeholder":
-                to_annotations.append(Annotation.placeholder(
-                    m["p_node"], m["p_key"], _decode(m["p_value"])))
-            elif kind == "stereotype":
-                to_annotations.append(Annotation.stereotype(m["s_node"], m["s_name"]))
-            elif kind == "orphaned":
+            elif kind == _PLACEHOLDER:
+                nid, key, value = m.group(_PLACEHOLDER + 1, _PLACEHOLDER + 2, _PLACEHOLDER + 3)
+                to_annotations.append(_record(Annotation, ("placeholder", key, nid,
+                                                           _decode(value))))
+            elif kind == _STEREOTYPE:
+                nid, name = m.group(_STEREOTYPE + 1, _STEREOTYPE + 2)
+                to_annotations.append(_record(Annotation, ("stereotype", name, nid, None)))
+            elif kind == _ORPHANED:
                 to_annotations = to_traces = orphans
-            elif kind == "extend":
-                extensions.add(m["e_name"])
-            elif kind == "header":
-                header = (_decode(m["h_name"]), int(m["h_version"]))
-            elif kind == "bad":
+            elif kind == _EXTEND:
+                extensions.add(m[_EXTEND + 1])
+            elif kind == _HEADER:
+                header = (_decode(m[_HEADER + 1]), int(m[_HEADER + 2]))
+            elif kind == _BAD:
                 raise GsnError(f"line {line()}: malformed line {m[0].strip()!r}")
     except ValueError as e:  # a string escape that does not decode
         raise GsnError(f"line {line()}: {e}") from None

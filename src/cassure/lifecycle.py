@@ -21,7 +21,9 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .diagnostics import CassureError, json_field, malformed, read_record
+from .diagnostics import (
+    CassureError, json_field, malformed, read_json_lines, read_record,
+)
 from .engine import evidence, result_fingerprint
 from .gsn import Annotation, ArgumentModel
 from .transform import solution_description
@@ -55,18 +57,9 @@ class MonitorEvent:
 
 def parse_monitor_events(text: str):
     """One JSON object per line: timestamp, monitor_id, kind, value, detail,
-    payload (trailing fields optional)."""
-    events = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            events.append(read_record(MonitorEvent, json.loads(line)))
-        except (KeyError, ValueError, TypeError) as e:
-            raise LifecycleError(
-                malformed(f"event record on line {lineno}", e)) from None
-    return events
+    payload (trailing fields optional); lines starting with '#' are skipped."""
+    return read_json_lines(text, MonitorEvent, "event record", LifecycleError,
+                           comments=True)
 
 
 @dataclass
@@ -388,7 +381,6 @@ def apply_regeneration(arg: ArgumentModel, plan, fresh_results) -> ArgumentModel
         t._replace(fingerprint=fingerprints[t.node_id])
         if t.artifact_kind == "verification-result" and t.node_id in fingerprints
         else t for t in arg.trace_links)
-    return replace(arg.edit_annotations(add=add, drop=drop),
-                   nodes=tuple(nodes[n.id] for n in arg.nodes),
-                   trace_links=trace_links)
+    return arg.edit_annotations(add=add, drop=drop).revise(
+        tuple(nodes[n.id] for n in arg.nodes), trace_links)
 

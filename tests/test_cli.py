@@ -620,6 +620,64 @@ def test_plan_on_a_stale_impact_report_exits_2_and_writes_nothing(workdir):
     assert "G.P_succ" not in gsn.read_text()
 
 
+PLAN_STDOUT = """\
+1. G.P_forb [re-verify] cost=1d
+2. G.P_succ [re-verify] cost=2h
+3. G.P_battRisk [re-verify] cost=?
+4. G.P_condSucc [re-verify] cost=?
+5. G.P_critMode [re-verify] cost=?
+6. G.P_fullSpeed [re-verify] cost=?
+7. G.P_noOpOutside [re-verify] cost=?
+8. G.P_safe [re-verify] cost=3 weeks
+9. G.P_safeEnergy [re-verify] cost=?
+10. G.P_slowSpeed [re-verify] cost=?
+11. G.P_stopped [re-verify] cost=?
+12. G.P_timeBound [re-verify] cost=soon
+13. G.P_warnMode [re-verify] cost=?
+14. G.R_dose [re-verify] cost=?
+15. G.R_moves [re-verify] cost=?
+16. G.R_time_cm [re-verify] cost=?
+17. G.R_time_stopped [re-verify] cost=?
+18. G.root [manual-review] cost=?
+"""
+
+
+def test_plan_prints_its_entries_and_warnings(workdir):
+    out = _generate(workdir)
+    model = ("--model", str(workdir / "nuclear.prism"), "--out", str(out))
+    gsn = out / "nuclear.gsn"
+    gsn.write_text(gsn.read_text() + "\n"
+                   'annotate G.P_succ placeholder monitor_id="mon.conf"\n'
+                   'annotate G.P_succ placeholder confidence_threshold="0.9"\n'
+                   'annotate G.P_succ placeholder evidence_cost="2h"\n'
+                   'annotate G.P_forb placeholder monitor_id="mon.viol"\n'
+                   'annotate G.P_forb placeholder evidence_cost="1d"\n'
+                   'annotate G.P_safe placeholder evidence_cost="3 weeks"\n'
+                   'annotate G.P_timeBound placeholder evidence_cost="soon"\n')
+    events = workdir / "events.jsonl"
+    events.write_text(json.dumps({"timestamp": "t0", "monitor_id": "mon.viol",
+                                  "kind": "violation"}) + "\n"
+                      + json.dumps({"timestamp": "t1", "monitor_id": "mon.conf",
+                                    "kind": "confidence", "value": 0.4}) + "\n")
+    package = workdir / "package"
+    package.mkdir()
+    (package / "package.json").write_text(json.dumps({"changed_files": [
+        {"path": "nuclear.prism", "old_fingerprint": "a", "new_fingerprint": "b"}]}))
+    assert invoke("ingest", *model, "--events", str(events)).exit_code == 0
+    assert invoke("impact", *model, "--package", str(package)).exit_code == 0
+    r = invoke("plan", *model)
+    assert r.exit_code == 0, r.output
+    assert r.stdout == PLAN_STDOUT
+    assert r.stderr == ("warning: unparseable evidence_cost '3 weeks' on G.P_safe\n"
+                        "warning: unparseable evidence_cost 'soon' on G.P_timeBound\n")
+    # An empty plan prints nothing.
+    (out / "impact_report.json").write_text(json.dumps(
+        {"classifications": {}, "rationales": {}, "summary": ""}))
+    r = invoke("plan", *model)
+    assert r.exit_code == 0, r.output
+    assert (r.stdout, r.stderr) == ("", "")
+
+
 def test_watch_on_a_missing_model_file_exits_2(tmp_path):
     model = tmp_path / "missing.prism"
     r = invoke("watch", "--model", str(model), "--out", str(tmp_path / "out"),
@@ -678,6 +736,50 @@ def test_newline_in_monitor_event_round_trips(workdir):
         assert r.exit_code == 0, r.output
     arg = parse_dsl(gsn.read_text())
     assert arg.placeholder_of("G.P_succ", "runtime_log") == "line1\nline2"
+
+
+# Line breaks of str.splitlines that JSON allows raw inside a string; a JSON
+# Lines record ends at "\n" only.
+RAW_BREAKS = pytest.mark.parametrize("brk", ["\x85", "\u2028", "\u2029"],
+                                     ids=["NEL", "LS", "PS"])
+
+
+@RAW_BREAKS
+def test_a_raw_line_break_inside_a_result_string_reads(workdir, brk):
+    out = _generate(workdir)
+    model = ("--model", str(workdir / "nuclear.prism"), "--out", str(out))
+    package = workdir / "package"
+    package.mkdir()
+    (package / "package.json").write_text(json.dumps({"changed_files": [
+        {"path": "nuclear.prism", "old_fingerprint": "a", "new_fingerprint": "b"}]}))
+    baseline = out / "nuclear.results.jsonl"
+    records = [json.loads(line) for line in baseline.read_text().splitlines()]
+    records[0]["stats"]["note"] = f"a{brk}b"
+    records.append(dict(records[1], property=f"a{brk}b"))
+    fresh = workdir / "fresh.jsonl"
+    fresh.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records))
+    assert brk in fresh.read_text()
+    r = invoke("impact", *model, "--package", str(package),
+               "--fresh-results", str(fresh), "--baseline-results", str(baseline))
+    assert r.exit_code == 0, r.output
+    assert r.output == "valid=17 invalid=0 uncertain=1\n"
+
+
+@RAW_BREAKS
+def test_a_raw_line_break_inside_an_event_string_reads(workdir, brk):
+    out = _generate(workdir)
+    gsn = out / "nuclear.gsn"
+    gsn.write_text(gsn.read_text() + "\n"
+                   'annotate G.P_succ placeholder monitor_id="mon.succ"\n')
+    events = workdir / "events.jsonl"
+    events.write_text(json.dumps({
+        "timestamp": "2026-08-20T09:00:00Z", "monitor_id": "mon.succ",
+        "kind": "violation", "detail": f"a{brk}b"}, ensure_ascii=False) + "\n")
+    r = invoke("ingest", "--model", str(workdir / "nuclear.prism"), "--out", str(out),
+               "--events", str(events))
+    assert r.exit_code == 0, r.output
+    assert r.output == "reopened G.P_succ (violation)\n"
+    assert parse_dsl(gsn.read_text()).placeholder_of("G.P_succ", "runtime_log") == f"a{brk}b"
 
 
 def test_plan_on_malformed_argument_exits_2(workdir):

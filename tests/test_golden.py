@@ -105,7 +105,36 @@ def lifecycle_round():
             "lifecycle/impact_report.json": Path("out/impact_report.json")}
 
 
-@pytest.mark.parametrize("steps", [generate_case_study, generate_many, lifecycle_round])
+def lifecycle_many_round():
+    """One ingest -> impact -> plan -> apply round on the 200-property argument
+    of ``generate_many``, with the hand annotations, event log and package of
+    ``lifecycle_many/``, in the current directory.  Impact reads fresh
+    results (p_err = 0.015) less every fifth record, and the baseline;
+    apply reads them all.  Returns {golden name: written file}."""
+    inputs = GOLDEN / "lifecycle_many"
+    generate_many()
+    gsn = Path("out/nuclear.gsn")
+    gsn.write_text(gsn.read_text() + (inputs / "annotations.gsn").read_text())
+    model = ("--model", "nuclear.prism", "--props", "many.props", "--out", "out")
+    assert cassure("check", *model[:4], "--out", "fresh",
+                   "--const", "p_err=0.015") in (0, 1)
+    fresh = Path("fresh/nuclear.results.jsonl")
+    lines = fresh.read_text().splitlines(keepends=True)
+    Path("partial.jsonl").write_text(
+        "".join(l for i, l in enumerate(lines, 1) if i % 5))
+    assert cassure("ingest", *model, "--events", inputs / "events.jsonl") == 0
+    assert cassure("impact", *model, "--package", inputs / "package",
+                   "--fresh-results", "partial.jsonl",
+                   "--baseline-results", "out/nuclear.results.jsonl") == 0
+    assert cassure("plan", *model) == 0
+    assert cassure("apply", *model, "--fresh-results", fresh) == 0
+    return {"lifecycle_many/nuclear.gsn": gsn,
+            "lifecycle_many/plan.json": Path("out/plan.json"),
+            "lifecycle_many/impact_report.json": Path("out/impact_report.json")}
+
+
+@pytest.mark.parametrize("steps", [generate_case_study, generate_many, lifecycle_round,
+                                   lifecycle_many_round])
 def test_artifacts_match_golden_bytes(steps, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, written in steps().items():

@@ -400,6 +400,59 @@ def test_parse_inverts_serialize(arg):
     assert parse_dsl(serialize_dsl(arg)) == arg
 
 
+@st.composite
+def edits(draw):
+    """An argument, annotations to add (on its node ids or others, some
+    equal to its own) and (node id, kind, name) keys to drop (some of them
+    its own annotations' keys)."""
+    arg = draw(arguments())
+    on = st.sampled_from(sorted(arg.node_ids())) | _ids
+    new = st.builds(Annotation.stereotype, on, _names) \
+        | st.builds(Annotation.placeholder, on, _names, st.text())
+    add = draw(st.lists(new | st.sampled_from(arg.annotations or (Annotation.stereotype(
+        arg.nodes[0].id, "Reopened"),)), max_size=5))
+    keys = st.tuples(on, st.sampled_from(("placeholder", "stereotype")), _names)
+    drop = draw(st.lists(keys | st.sampled_from(
+        [(a.node_id, a.kind, a.name) for a in arg.annotations] or [("x", "y", "z")]),
+        max_size=3))
+    return arg, add, drop
+
+
+def _outcome(build):
+    try:
+        return build()
+    except GsnError as e:
+        return str(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits())
+def test_an_edit_checks_what_it_adds_as_the_full_rule_does(edit):
+    arg, add, drop = edit
+    kept = [a for a in arg.annotations if (a.node_id, a.kind, a.name) not in set(drop)]
+    want = []
+    for a in add:
+        if a not in kept + want:
+            want.append(a)
+    got = _outcome(lambda: arg.edit_annotations(add, drop))
+    assert got == _outcome(lambda: replace(arg, annotations=tuple(kept + want)))
+    if not isinstance(got, str):
+        assert got.node_ids() == arg.node_ids()
+
+
+@settings(max_examples=50, deadline=None)
+@given(arguments(), st.integers(1, 5))
+def test_a_revision_that_keeps_the_ids_equals_a_rebuild(arg, bump):
+    nodes = tuple(n._replace(version=n.version + bump, description=n.description + "!")
+                  for n in arg.nodes)
+    traces = tuple(t._replace(fingerprint="f") for t in arg.trace_links)
+    assert arg.revise(nodes, traces) == replace(arg, nodes=nodes, trace_links=traces)
+    moved = nodes[1:] + nodes[:1]
+    if len(nodes) > 1:
+        with pytest.raises(GsnError, match="keep every node id in place"):
+            arg.revise(moved, traces)
+
+
 def test_dangling_reference_rejected():
     with pytest.raises(GsnError, match="unknown node"):
         parse_dsl('argument "x" version 1\n\ngoal G1 version 1\n  "g"\n\n'

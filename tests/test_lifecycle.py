@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import pinned
 from cassure import (
-    Annotation, ArgumentModel, CassureError, GsnLink, GsnNode, LifecycleError,
+    Annotation, ArgumentModel, CassureError, GsnError, GsnLink, GsnNode, LifecycleError,
     TraceLink, VerificationResult, bind_constants, build_dtmc, check_properties,
     parse_model, parse_properties, parse_results, result_fingerprint,
     validate_argument,
@@ -549,3 +549,47 @@ def test_impact_plan_apply_states_what_generate_states(case, with_baseline):
     regenerated = regenerate(before, build_argument(NEW_REF, props, fresh))
     versions = lambda a: {n.id: n.version for n in a.nodes if n.kind == "solution"}
     assert versions(applied) == versions(regenerated)
+
+
+# ---- the reference rule on the values a lifecycle round makes ----
+
+def full_rule(arg):
+    """`arg` built again by its constructor, which checks the whole
+    reference rule; the edits of a round check only what they add."""
+    return ArgumentModel(**{f.name: getattr(arg, f.name) for f in fields(ArgumentModel)})
+
+
+def test_every_value_of_a_round_equals_its_rebuild(arg, model_text, model_path,
+                                                   props, results):
+    values = []
+    events = [MonitorEvent("t0", "mon.time", "violation", payload="log"),
+              MonitorEvent("t1", "mon.succ", "confidence", 0.5),
+              MonitorEvent("t2", "mon.none", "violation")]
+    arg, _ = ingest_monitor_events(arg, events)
+    values.append(arg)
+    fresh = [replace(r, value=r.value / 2) if r.kind == "probability" else r
+             for r in results]
+    pkg = EvolutionPackage((FileDelta(str(model_path), "a", "b"),))
+    report, arg = impact_analysis(arg, pkg, fresh[::2], results)
+    values.append(arg)
+    entries, arg, _ = plan_regeneration(report, arg)
+    values.append(arg)
+    arg = apply_regeneration(arg, entries, fresh)
+    values.append(arg)
+    ref = ModelRef.for_text("nuclear", str(model_path), model_text)
+    values.append(regenerate(arg, build_argument(ref, props, fresh)))
+    for value in values:
+        rebuilt = full_rule(value)
+        assert rebuilt == value
+        assert value.node_ids() == rebuilt.node_ids()
+
+
+def test_a_stale_edit_raises_what_the_full_rule_raises(arg):
+    report = ImpactReport({"G.gone": "invalid"}, {"G.gone": "x"}, "invalid=1")
+    with pytest.raises(GsnError) as edit:
+        plan_regeneration(report, arg)
+    with pytest.raises(GsnError) as rebuild:
+        replace(arg, annotations=arg.annotations + (
+            Annotation.stereotype("G.gone", "RegenerationPlan"),))
+    assert str(edit.value) == str(rebuild.value) == \
+        "annotation references unknown node 'G.gone'"
