@@ -1,6 +1,8 @@
 """Source locations and diagnostics shared by the parsers and checkers;
 `read_record`, the one reader of the JSON records, whose schema is each
-record's dataclass, and `read_json_lines`, which reads a file of them; and
+record's dataclass, read once into one table per class, and
+`read_json_lines`, which reads a file of them in one pass, naming the line
+of any record that fails; and
 `depth_first`, the one graph search of the checks:
 the order of a model's constants and formulas and the supported-by cycles of
 a GSN argument."""
@@ -76,36 +78,31 @@ class CassureError(Exception):
 
 def malformed(what, e):
     """The message for a JSON record ``what`` that failed to load with ``e``:
-    bad JSON, a missing key or a value of the wrong type."""
+    bad JSON, a missing key, a value of the wrong type or a failed check."""
     return f"malformed {what}: " + (f"missing key {e}" if isinstance(e, KeyError)
                                     else str(e))
-
-
-def json_field(rec, key, kind, *default):
-    """``rec[key]`` of a loaded JSON object, or ``default`` when one is given
-    and the key is absent.  A value that is not a ``kind`` raises TypeError,
-    which the readers report through ``malformed``."""
-    if not isinstance(rec, dict):
-        raise TypeError(f"expected a JSON object, got {rec!r}")
-    value = rec.get(key, *default) if default else rec[key]
-    if not isinstance(value, kind):
-        raise TypeError(f"{key!r} has the wrong type: {value!r}")
-    return value
 
 
 # The JSON kinds a record field accepts, by the text of its annotation (the
 # record modules postpone annotations).  A number is never a bool.
 _JSON_KINDS = {"str": (str,), "str | None": (str, NoneType), "int": (int,),
                "float | None": (int, float, NoneType), "bool": (bool,),
-               "bool | None": (bool, NoneType), "dict": (dict,)}
+               "bool | None": (bool, NoneType), "dict": (dict,), "tuple": (list,)}
 
 
 @cache
-def _record_fields(cls):
-    """(name, accepted kinds, required) per field of the dataclass `cls`."""
-    return tuple((f.name, _JSON_KINDS[f.type],
-                  f.default is MISSING and f.default_factory is MISSING)
-                 for f in fields(cls))
+def _record_shape(cls):
+    """The schema of the record dataclass `cls`: (name, accepted kinds,
+    required) per field, for `read_record`; and for `read_json_lines` the
+    field names and defaults in order (MISSING where a field has none or a
+    factory), every tuple of value types `read_record` accepts, and the
+    positions of the fields that accept a float."""
+    fs = fields(cls)
+    kinds = [_JSON_KINDS[f.type] for f in fs]
+    return (tuple((f.name, k, f.default is MISSING and f.default_factory is MISSING)
+                  for f, k in zip(fs, kinds)),
+            tuple(f.name for f in fs), tuple(f.default for f in fs),
+            frozenset(product(*kinds)), tuple(i for i, k in enumerate(kinds) if float in k))
 
 
 def read_record(cls, rec):
@@ -117,7 +114,7 @@ def read_record(cls, rec):
     if not isinstance(rec, dict):
         raise TypeError(f"expected a JSON object, got {rec!r}")
     values = {}
-    for name, kinds, required in _record_fields(cls):
+    for name, kinds, required in _record_shape(cls)[0]:
         if name in rec:
             value = values[name] = rec[name]
             kind = type(value)  # not isinstance(), so that a bool is no int
@@ -126,18 +123,6 @@ def read_record(cls, rec):
         elif required:
             raise KeyError(name)
     return cls(**values)
-
-
-@cache
-def _record_shape(cls):
-    """What `read_json_lines` needs to read a `cls` record without
-    `read_record`: the field names and defaults in order (MISSING where a
-    field has none or a factory), every tuple of value types `read_record`
-    accepts, and the positions of the fields that accept a float."""
-    specs = _record_fields(cls)
-    return (tuple(name for name, _, _ in specs), tuple(f.default for f in fields(cls)),
-            frozenset(product(*(kinds for _, kinds, _ in specs))),
-            tuple(i for i, (_, kinds, _) in enumerate(specs) if float in kinds))
 
 
 _scan_json = json.JSONDecoder().scan_once
@@ -149,49 +134,39 @@ def read_json_lines(text, cls, what, error=CassureError, check=None, comments=Fa
     ValueError to reject it.  Only "\\n" ends a line: JSON allows the other
     line breaks of `str.splitlines` (U+2028, U+0085, ...) raw in a string.
     Blank lines are skipped, and with `comments` lines that start with '#'.
-    A malformed record raises `error`: "malformed {what} on line N: ...".
+    A malformed record raises `error`: "malformed {what} on line N: ...",
+    whether its JSON, a field, `cls.__post_init__` or `check` rejects it.
 
     Each line is one C-level scan, and a record whose fields all hold
-    accepted types is built without a call of `cls`.  On any failure the
-    lines are read again one by one, as `read_record` reads them, only to
-    raise the error of the first failing line."""
-    lines = text.split("\n")
-    names, defaults, signatures, floats = _record_shape(cls)
+    accepted types is built without a call of `cls`.  Any other line is
+    read again by `json.loads` and `read_record`, which name its fault."""
+    _, names, defaults, signatures, floats = _record_shape(cls)
     new, post = object.__new__, getattr(cls, "__post_init__", None)
     out = []
-    try:
-        kept = [line for line in map(str.strip, lines)
-                if line and not (comments and line[0] == "#")]
-        scanned = [_scan_json(line, 0) for line in kept]
-        if any(end != len(line) for line, (_, end) in zip(kept, scanned)):
-            raise ValueError  # more than one value on a line
-        for rec, _ in scanned:
-            values = tuple(map(rec.get, names, defaults))
-            if tuple(map(type, values)) in signatures and all(
-                    type(values[i]) is not float or isfinite(values[i]) for i in floats):
-                res = new(cls)
-                res.__dict__.update(zip(names, values))
-                if post:
-                    res.__post_init__()
-            else:  # a default to fill in, or a malformed field
-                res = read_record(cls, rec)
-            if check:
-                check(res)
-            out.append(res)
-        return out
-    except (StopIteration, AttributeError, KeyError, TypeError, ValueError, CassureError):
-        pass
-    out = []
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if not line or comments and line[0] == "#":
             continue
         try:
-            res = read_record(cls, json.loads(line))
+            try:
+                rec, end = _scan_json(line, 0)
+                values = tuple(map(rec.get, names, defaults))
+            except (StopIteration, ValueError, AttributeError):
+                end = None  # no JSON value, or not an object
+            if end == len(line) and tuple(map(type, values)) in signatures:
+                for i in floats:  # as read_record rejects a NaN or an infinity
+                    if type(values[i]) is float and not isfinite(values[i]):
+                        raise TypeError(f"{names[i]!r} has the wrong type: {values[i]!r}")
+                res = new(cls)
+                res.__dict__.update(zip(names, values))
+                if post:
+                    res.__post_init__()
+            else:  # a default to fill in, or a malformed line
+                res = read_record(cls, json.loads(line))
             if check:
                 check(res)
             out.append(res)
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, CassureError) as e:
             raise error(malformed(f"{what} on line {lineno}", e)) from None
     return out
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .diagnostics import (
-    CassureError, json_field, malformed, read_json_lines, read_record,
+    CassureError, malformed, read_json_lines, read_record,
 )
 from .engine import evidence, result_fingerprint
 from .gsn import Annotation, ArgumentModel
@@ -146,17 +146,13 @@ def load_package(directory) -> EvolutionPackage:
     if not path.exists():
         raise LifecycleError(f"no package manifest at {path}")
     try:
-        rec = json.loads(path.read_text())
-        deltas = tuple(read_record(FileDelta, d)
-                       for d in json_field(rec, "changed_files", list, []))
-        reopened = json_field(rec, "reopened_goals", list, [])
-        if not all(isinstance(gid, str) for gid in reopened):
-            raise TypeError(f"'reopened_goals' holds a non-string: {reopened!r}")
-        pkg = EvolutionPackage(deltas,
-                               tuple(json_field(rec, "monitor_logs", list, [])),
-                               json_field(rec, "incident_notes", str, ""),
-                               tuple(reopened))
-    except (KeyError, ValueError, TypeError, AttributeError) as e:
+        raw = read_record(EvolutionPackage, json.loads(path.read_text()))
+        if not all(isinstance(gid, str) for gid in raw.reopened_goals):
+            raise TypeError(f"'reopened_goals' holds a non-string: {raw.reopened_goals!r}")
+        pkg = EvolutionPackage(tuple(read_record(FileDelta, d) for d in raw.changed_files),
+                               tuple(raw.monitor_logs), raw.incident_notes,
+                               tuple(raw.reopened_goals))
+    except (KeyError, ValueError, TypeError) as e:
         raise LifecycleError(
             f"{path}: " + malformed("package manifest", e)) from None
     if pkg.is_empty():

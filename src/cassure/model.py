@@ -18,8 +18,9 @@ that types it.  The type check and the binding of constants follow one
 order of the definitions, `_dependency_order`: `diagnostics.depth_first`
 over their references, which also finds the cycles among them.  The state
 formulas of properties are checked by the same rules, against the names of
-the bound model (`BoundModel.typed`), one atom at a time, with the rules of
-the logic operators in `logic_type`.
+the bound model (`BoundModel.typed`, by the checker that type-checked the
+model when it was bound), one atom at a time, with the rules of the logic
+operators in `logic_type`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -512,12 +512,9 @@ class BoundModel:
     formulas: dict         # name -> Expr
     variables: tuple       # of VarInfo, declaration order
 
-    @cached_property
-    def _types(self):
-        """The rules that type-check the model, with its formulas typed."""
-        checker = _TypeChecker(self.ast)
-        checker._check_formulas()
-        return checker
+    # The checker that type-checked the model, with its formulas typed;
+    # `bind_constants` sets it.
+    _types: _TypeChecker = field(default=None, init=False, repr=False, compare=False)
 
     def typed(self, e):
         """(type, error, depth) of the expression `e` over the model's
@@ -553,9 +550,9 @@ def bind_constants(model: ModelAst, overrides=None) -> BoundModel:
     formulas is a BindError, and so is an undefined constant
     (``const int N;``) that no override gives a value.
     """
-    diagnostics = type_check(model)
-    if diagnostics:
-        raise ParseError(diagnostics)
+    checker = _TypeChecker(model)
+    if checker.run():
+        raise ParseError(checker.diags)
     decls = {c.name: c for c in model.constants}
     defs = {name: decl.value for name, decl in decls.items()}
     for name, value in (overrides or {}).items():
@@ -601,6 +598,7 @@ def bind_constants(model: ModelAst, overrides=None) -> BoundModel:
         variables.append(VarInfo(v.name, low, high, init, False))
 
     bound = BoundModel(model, values, formulas, tuple(variables))
+    object.__setattr__(bound, "_types", checker)
     _check_closed_probabilities(bound)
     return bound
 

@@ -30,7 +30,11 @@ def reference_results(text):
 
 
 def reference_events(text):
-    """`cassure.lifecycle.parse_monitor_events` as it read events before."""
+    """`cassure.lifecycle.parse_monitor_events` as it read events before,
+    but for one intended difference: an event that `MonitorEvent` rejects
+    (an unknown kind, a confidence value outside [0,1]) is reported as a
+    malformed record on its line too, where the old reader raised the bare
+    `LifecycleError` of the check, without a line."""
     events = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -38,7 +42,7 @@ def reference_events(text):
             continue
         try:
             events.append(read_record(MonitorEvent, json.loads(line)))
-        except (KeyError, ValueError, TypeError) as e:
+        except (KeyError, ValueError, TypeError, LifecycleError) as e:
             raise LifecycleError(
                 malformed(f"event record on line {lineno}", e)) from None
     return events

@@ -409,9 +409,9 @@ def test_each_diagnostic_is_printed_once(tmp_path):
 
 def test_a_model_is_type_checked_once_per_rebuild(workdir, monkeypatch):
     calls = []
-    monkeypatch.setattr(cassure.model, "type_check",
-                        lambda ast, _real=cassure.model.type_check:
-                        calls.append(ast) or _real(ast))
+    monkeypatch.setattr(cassure.model._TypeChecker, "run",
+                        lambda self, _real=cassure.model._TypeChecker.run:
+                        calls.append(self.model) or _real(self))
     config = make_config(workdir)
     counts = []
     last = None
@@ -702,6 +702,25 @@ def test_ingest_on_an_unparseable_confidence_threshold_exits_2(workdir):
                "--out", str(out), "--events", str(events))
     assert r.exit_code == 2
     assert "error: unparseable confidence_threshold 'high' on G.P_succ" in r.output
+    assert gsn.read_bytes() == before
+
+
+@pytest.mark.parametrize("bad, error", [
+    ({"kind": "oops"}, "unknown event kind 'oops'"),
+    ({"kind": "confidence", "value": 2},
+     "confidence event needs a value in [0,1], got 2"),
+])
+def test_ingest_names_the_line_of_an_event_that_fails_its_check(workdir, bad, error):
+    out = _generate(workdir)
+    gsn = out / "nuclear.gsn"
+    before = gsn.read_bytes()
+    events = workdir / "events.jsonl"
+    good = {"timestamp": "t", "monitor_id": "mon.succ", "kind": "violation"}
+    events.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **bad)) + "\n")
+    r = invoke("ingest", "--model", str(workdir / "nuclear.prism"),
+               "--out", str(out), "--events", str(events))
+    assert r.exit_code == 2
+    assert f"error: {events}: malformed event record on line 2: {error}" in r.output
     assert gsn.read_bytes() == before
 
 

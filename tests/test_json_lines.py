@@ -1,8 +1,9 @@
 """The JSON Lines reader of result records and monitor events
 (`cassure.diagnostics.read_json_lines`) against the line-by-line readers it
 replaced (`reference_results_reader.py`): the same records, or the same
-error naming the same line.  The one intended difference is that a line ends
-at "\\n" only, not at the other line breaks of `str.splitlines`."""
+error naming the same line.  The intended differences are that a line ends
+at "\\n" only, not at the other line breaks of `str.splitlines`, and that an
+event which fails `MonitorEvent`'s own checks names its line as well."""
 
 import json
 
@@ -98,11 +99,18 @@ def files(draw, records):
 # first is no JSON value alone: an array of lines does not keep them apart.
 _REC = '"property": "p", "kind": "probability", "value": 0.5'
 MESHING = "\n".join(['{' + _REC + ', "x": [[1', '2]]}', '{' + _REC + '}],[{' + _REC + '}'])
+# A line that the scan rejects in the middle of an object (a missing comma),
+# and a whole object followed by more, each after a good line.
+MISSING_COMMA = '{' + _REC + '}\n{"property": "a" "kind": "probability"}\n'
+EXTRA_DATA = '{' + _REC + '}\n{' + _REC + '} 7\n'
+_EVENT = '"timestamp": "t", "monitor_id": "m", "kind": "violation"'
 
 
 @settings(max_examples=300, deadline=None)
 @given(files(RESULTS))
 @example(MESHING)
+@example(MISSING_COMMA)
+@example(EXTRA_DATA)
 @example('{"property": "p", "kind": "reward", "value": 1e999}\n')
 @example(json.dumps(vars(VerificationResult("r", "reward", float("inf")))) + "\n")
 @example(json.dumps(vars(VerificationResult("r", "reward", 1.0))).replace("1.0", "1e999"))
@@ -116,6 +124,9 @@ def test_results_read_as_the_line_by_line_reader_read_them(text):
 
 @settings(max_examples=200, deadline=None)
 @given(files(EVENTS))
+@example('{' + _EVENT + '}\n{"timestamp": "t" "monitor_id": "m", "kind": "violation"}')
+@example('{' + _EVENT + '}\n{' + _EVENT + '} {}\n')
+@example('{' + _EVENT + '}\n{' + _EVENT.replace("violation", "oops") + '}\n')
 def test_events_read_as_the_line_by_line_reader_read_them(text):
     got = outcome(parse_monitor_events, text)
     if same_lines(text):

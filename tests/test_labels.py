@@ -6,10 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cassure import (
-    BuildError, EvalError, bind_constants, build_dtmc, parse_model,
+    BuildError, EvalError, bind_constants, build_dtmc, check_properties, parse_model,
     parse_properties,
 )
-from cassure.model import BOOL, NOT_BOOLEAN, Binary, Lit, Name, Unary, compile_expr
+from cassure.model import (
+    BOOL, NOT_BOOLEAN, Binary, Lit, Name, Unary, _TypeChecker, compile_expr,
+)
 from cassure.statespace import label_states
 
 
@@ -171,3 +173,16 @@ def test_a_reevaluated_space_recomputes_every_atom_when_a_formula_changed(model_
     for text in REEVALUATED:
         assert (label_states(again, _target(text)).tolist()
                 == label_states(fresh, _target(text)).tolist())
+
+
+def test_one_type_checker_serves_binding_and_labelling(model_ast, props, monkeypatch):
+    """The checker that type-checks the model at binding also types every
+    atom that labelling meets, its formulas typed once."""
+    calls = []
+    init, check_formulas = _TypeChecker.__init__, _TypeChecker._check_formulas
+    monkeypatch.setattr(_TypeChecker, "__init__",
+                        lambda self, model: calls.append("init") or init(self, model))
+    monkeypatch.setattr(_TypeChecker, "_check_formulas",
+                        lambda self: calls.append("formulas") or check_formulas(self))
+    check_properties(build_dtmc(bind_constants(model_ast)), props)
+    assert calls == ["init", "formulas"]

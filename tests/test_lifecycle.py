@@ -51,6 +51,17 @@ def test_event_parsing_and_validation():
         MonitorEvent("t", "m", "oops")
 
 
+def test_an_event_that_fails_its_check_names_its_line():
+    good = '{"timestamp": "t", "monitor_id": "m", "kind": "violation"}\n'
+    with pytest.raises(LifecycleError) as e:
+        parse_monitor_events(good + good.replace("violation", "oops"))
+    assert str(e.value) == "malformed event record on line 2: unknown event kind 'oops'"
+    with pytest.raises(LifecycleError) as e:
+        parse_monitor_events(good.replace('"violation"', '"confidence", "value": 2'))
+    assert str(e.value) == ("malformed event record on line 1: "
+                            "confidence event needs a value in [0,1], got 2")
+
+
 def test_violation_reopens_goal(arg):
     ev = MonitorEvent("2026-08-01T10:00:00Z", "mon.time", "violation",
                       payload="runtime-17.log")
@@ -108,6 +119,27 @@ def test_file_delta_without_fingerprints_reads_as_empty(tmp_path):
         "reopened_goals": ["G.P_succ"]}))
     assert load_package(tmp_path).changed_files == (
         FileDelta("nuclear.prism", "", ""),)
+
+
+@pytest.mark.parametrize("manifest, error", [
+    ("[]", "expected a JSON object, got []"),
+    ('{"changed_files": {}}', "'changed_files' has the wrong type: {}"),
+    ('{"changed_files": [1]}', "expected a JSON object, got 1"),
+    ('{"changed_files": [{"old_fingerprint": "a"}]}', "missing key 'path'"),
+    ('{"reopened_goals": [1]}', "'reopened_goals' holds a non-string: [1]"),
+    ('{"incident_notes": 3}', "'incident_notes' has the wrong type: 3"),
+    ('{"monitor_logs": "x"}', "'monitor_logs' has the wrong type: 'x'"),
+    ('{"changed_files": [{"path": "m", "new_fingerprint": 5}]}',
+     "'new_fingerprint' has the wrong type: 5"),
+    ("{bad", "Expecting property name enclosed in double quotes: "
+             "line 1 column 2 (char 1)"),
+])
+def test_a_malformed_manifest_names_its_fault(tmp_path, manifest, error):
+    path = tmp_path / "package.json"
+    path.write_text(manifest)
+    with pytest.raises(LifecycleError) as e:
+        load_package(tmp_path)
+    assert str(e.value) == f"{path}: malformed package manifest: {error}"
 
 
 def test_empty_package_all_valid(arg):
